@@ -33,6 +33,11 @@ def _out(path):
             yield fp
 
 
+def _load(path):
+    with open(path) as fp:
+        return load_taskset(fp)
+
+
 def _config_from(args) -> GenConfig:
     scale = PAPER_SCALE if args.paper_scale else (10, 50)
     return GenConfig(seed=args.seed, n_tasks=args.n_tasks, p=args.p,
@@ -48,7 +53,7 @@ def cmd_gen(args):
 
 
 def cmd_decompose(args):
-    tasks = load_taskset(open(args.taskset))
+    tasks = _load(args.taskset)
     out = []
     for task in tasks:
         dec = decompose(task)
@@ -74,7 +79,7 @@ def cmd_decompose(args):
 
 
 def cmd_analyze(args):
-    tasks = load_taskset(open(args.taskset))
+    tasks = _load(args.taskset)
     metrics = [validate(t) for t in tasks]
     verdicts = []
     wanted = args.test
@@ -113,7 +118,7 @@ def _jsonable(obj):
 
 
 def cmd_simulate(args):
-    tasks = load_taskset(open(args.taskset))
+    tasks = _load(args.taskset)
     with _out(args.out) as fp:
         if args.engine == "gedf":
             decomposed = [decompose(t).decomposed for t in tasks]

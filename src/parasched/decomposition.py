@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Optional
 
-from .errors import DegenerateWindow, OracleTooLarge
+from .errors import ConstrainedDeadline, DegenerateWindow, OracleTooLarge
 from .flow import FlowNetwork
 from .model import DagTask, TaskMetrics, validate
 
@@ -337,6 +337,15 @@ def dbf_and_load(dt: DecomposedTask, hyper_windows: int = 2
     within ``hyper_windows`` extra periods cover the maximum because demand
     grows by exactly C per period afterwards, which can only dilute the
     ratio already achieved within the first windows.
+
+    The load is a running-sum sweep: the jobs k*T + (release, deadline)
+    with 0 <= k <= ``hyper_windows`` are sorted once by absolute deadline,
+    and their distinct deadlines are exactly the candidate window ends.
+    For each distinct window start, one pass over that list adds the WCET
+    of every job released at or after the start and takes the ratio at
+    each distinct deadline.  For n subtasks and a fixed ``hyper_windows``
+    that is one O(n log n) sort plus O(n^2) for the passes, against O(n^4)
+    for evaluating ``demand`` on every window.
     """
     period = dt.period
     subtasks = dt.subtasks
@@ -356,14 +365,20 @@ def dbf_and_load(dt: DecomposedTask, hyper_windows: int = 2
             return Fraction(0)
         return max(demand(st.release, st.release + t) for st in subtasks)
 
+    # Window starts are releases, which lie in [0, T), so no job with k < 0
+    # starts inside a window; window ends are the deadlines with
+    # k <= hyper_windows, and every job with a larger k ends after them.
+    jobs = sorted((st.deadline + k * period, st.release + k * period,
+                   st.wcet)
+                  for st in subtasks for k in range(hyper_windows + 1))
     load = Fraction(0)
-    for st_a in subtasks:
-        for k in range(hyper_windows + 1):
-            for st_b in subtasks:
-                end = k * period + st_b.deadline
-                t = end - st_a.release
-                if t > 0:
-                    load = max(load, demand(st_a.release, end) / t)
+    for start in {st.release for st in subtasks}:
+        total = Fraction(0)
+        for i, (end, release, wcet) in enumerate(jobs):
+            if release >= start:
+                total += wcet
+            if end > start and (i + 1 == len(jobs) or jobs[i + 1][0] != end):
+                load = max(load, total / (end - start))
     return dbf, load
 
 
@@ -389,10 +404,19 @@ def decompose(task: DagTask, metrics: Optional[TaskMetrics] = None,
               compute_load: bool = False) -> Decomposition:
     """Run the full pipeline on one implicit-deadline task.
 
-    The dbf-based load is only computed on request (it is quadratic in the
-    vertex count and not needed for the omega-based tests)."""
+    The model is implicit-deadline only: the laxity step stretches the
+    segments to the period, so a task with D < T would get subtask
+    deadlines past D.  Such a task raises ``ConstrainedDeadline``.
+
+    The dbf-based load is only computed on request (one sort and one pass
+    per release, within O(n^2 log n) in the vertex count n, and not needed
+    for the omega-based tests)."""
     if metrics is None:
         metrics = validate(task)
+    if task.deadline != task.period:
+        raise ConstrainedDeadline(
+            f"task {task.id}: D={task.deadline} != T={task.period}; the "
+            "decomposition assumes implicit deadlines")
     td = timing_diagram(task, metrics)
     segments = build_segments(td)
     seg = segment_workload(task, td, segments, metrics)

@@ -17,6 +17,14 @@ class DeadlineExceedsPeriod(ParaschedError):
     pass
 
 
+class ConstrainedDeadline(ParaschedError):
+    """A task with D < T reached an analysis that assumes D = T."""
+
+
+class MalformedTaskSet(ParaschedError):
+    """Task-set JSON that lacks a required field."""
+
+
 class EmptyTaskSet(ParaschedError):
     pass
 

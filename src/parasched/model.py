@@ -19,6 +19,7 @@ from .errors import (
     CycleDetected,
     DeadlineExceedsPeriod,
     EmptyTaskSet,
+    MalformedTaskSet,
     NonPositiveWcet,
 )
 
@@ -253,14 +254,24 @@ def task_to_dict(task: DagTask) -> dict:
     }
 
 
-def task_from_dict(data: dict) -> DagTask:
-    return DagTask(
-        task_id=data["id"],
-        vertices=[(v["id"], as_fraction(v["wcet"])) for v in data["vertices"]],
-        edges=[tuple(e) for e in data["edges"]],
-        period=as_fraction(data["period"]),
-        deadline=as_fraction(data["deadline"]),
-    )
+def task_from_dict(data: dict, index: int = 0) -> DagTask:
+    """Build a task from its JSON form; ``index`` is its place in the set.
+
+    Raises ``MalformedTaskSet`` naming the task index and the missing field.
+    """
+    try:
+        fields = dict(
+            task_id=data["id"],
+            vertices=[(v["id"], as_fraction(v["wcet"]))
+                      for v in data["vertices"]],
+            edges=[tuple(e) for e in data["edges"]],
+            period=as_fraction(data["period"]),
+            deadline=as_fraction(data["deadline"]),
+        )
+    except KeyError as exc:
+        raise MalformedTaskSet(
+            f"task {index}: missing field {exc.args[0]!r}") from None
+    return DagTask(**fields)
 
 
 def dump_taskset(tasks: Iterable[DagTask], fp) -> None:
@@ -270,4 +281,6 @@ def dump_taskset(tasks: Iterable[DagTask], fp) -> None:
 def load_taskset(fp) -> list[DagTask]:
     # parse_float keeps decimal literals exact (0.3 -> 3/10)
     data = json.load(fp, parse_float=lambda s: Fraction(s))
-    return [task_from_dict(t) for t in data["tasks"]]
+    if "tasks" not in data:
+        raise MalformedTaskSet("task set: missing field 'tasks'")
+    return [task_from_dict(t, i) for i, t in enumerate(data["tasks"])]

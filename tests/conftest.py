@@ -8,11 +8,13 @@ import pytest
 from parasched.model import DagTask
 
 
-def fig1_task(period=14):
-    """Six-vertex DAG with C=16, L=8 (longest path 0-3-4-5)."""
+def fig1_task(period=14, deadline=None):
+    """Six-vertex DAG with C=16, L=8 (longest path 0-3-4-5); D = T unless
+    a deadline is given."""
     vertices = [(0, 1), (1, 5), (2, 3), (3, 4), (4, 2), (5, 1)]
     edges = [(0, 1), (0, 2), (0, 3), (2, 4), (3, 4), (1, 5), (4, 5)]
-    return DagTask("fig1", vertices, edges, period=period, deadline=period)
+    return DagTask("fig1", vertices, edges, period=period,
+                   deadline=period if deadline is None else deadline)
 
 
 def diamond_task(period=10):

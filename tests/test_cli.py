@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import pytest
 
@@ -62,6 +63,18 @@ def test_analyze_single_test(taskset_path, tmp_path, capsys):
     lines = [json.loads(l) for l in capsys.readouterr().out.splitlines()]
     assert len(lines) == 1
     assert lines[0]["test"] == "sf1"
+
+
+@pytest.mark.parametrize("argv", [["analyze", "--m", "8"], ["decompose"],
+                                  ["simulate", "--speeds", "1,1/2"]])
+def test_taskset_file_is_closed(taskset_path, tmp_path, argv):
+    command, *flags = argv
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        rc = main([command, str(taskset_path), *flags,
+                   "--out", str(tmp_path / "out")])
+    assert rc == 0
+    assert not [w for w in caught if w.category is ResourceWarning]
 
 
 def test_simulate_uniform_summary(taskset_path, tmp_path):

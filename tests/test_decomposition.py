@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -7,7 +8,8 @@ from parasched.decomposition import (build_segments, dbf_and_load, decompose,
                                      distribute_laxity, reassemble,
                                      segment_workload, segmentation_oracle,
                                      timing_diagram)
-from parasched.errors import OracleTooLarge
+from parasched.errors import ConstrainedDeadline, OracleTooLarge
+from parasched.gen import GenConfig, gen_taskset
 from parasched.model import validate
 from conftest import (build_corpus, chain_task, diamond_task, fig1_task,
                       fork_task)
@@ -135,6 +137,59 @@ def test_dbf_and_load_basics():
     assert load == dec.load
     assert dec.metrics.utilization <= load \
         <= dec.omega * dec.metrics.utilization
+
+
+def _brute_load(dt, hyper_windows=2):
+    """Reference load: ``demand`` on every (release, k*T + deadline)
+    window, O(n^4)."""
+    period = dt.period
+    subtasks = dt.subtasks
+
+    def demand(start, end):
+        total = Fraction(0)
+        for st in subtasks:
+            k_min = math.ceil((start - st.release) / period)
+            k_max = math.floor((end - st.deadline) / period)
+            if k_max >= k_min:
+                total += (k_max - k_min + 1) * st.wcet
+        return total
+
+    load = Fraction(0)
+    for st_a in subtasks:
+        for k in range(hyper_windows + 1):
+            for st_b in subtasks:
+                end = k * period + st_b.deadline
+                t = end - st_a.release
+                if t > 0:
+                    load = max(load, demand(st_a.release, end) / t)
+    return load
+
+
+def test_load_matches_window_enumeration_on_corpus(corpus):
+    for task in corpus[:300]:
+        dt = decompose(task).decomposed
+        assert dbf_and_load(dt)[1] == _brute_load(dt)
+
+
+def test_load_matches_window_enumeration_at_desk_scale():
+    config = GenConfig(p=0.05, n_vertices=(10, 50), n_tasks=2)
+    for seed in range(3):
+        for task in gen_taskset(config, seed=seed):
+            dt = decompose(task).decomposed
+            assert dbf_and_load(dt)[1] == _brute_load(dt)
+
+
+def test_load_stable_beyond_two_hyper_windows(corpus):
+    for task in corpus[:300]:
+        dt = decompose(task).decomposed
+        assert dbf_and_load(dt)[1] == dbf_and_load(dt, hyper_windows=4)[1]
+
+
+def test_constrained_deadline_is_rejected():
+    # stretching to T = 40 would give subtask deadlines up to 40 > D = 9,
+    # and D-OUR would accept a C = 16 task on one processor
+    with pytest.raises(ConstrainedDeadline, match="fig1"):
+        decompose(fig1_task(period=40, deadline=9))
 
 
 def test_load_bounded_on_sample(corpus):

@@ -4,7 +4,8 @@ from fractions import Fraction
 import pytest
 
 from parasched.errors import (CycleDetected, DeadlineExceedsPeriod,
-                              EmptyTaskSet, NonPositiveWcet)
+                              EmptyTaskSet, MalformedTaskSet,
+                              NonPositiveWcet)
 from parasched.model import (DagTask, as_fraction, dump_taskset,
                              format_rational, load_taskset, summarize,
                              validate)
@@ -93,6 +94,22 @@ def test_json_round_trip():
                                       if set(e) & a.dummy_ids}) \
             == sorted(set(b.edges) - {e for e in b.edges
                                       if set(e) & b.dummy_ids})
+
+
+@pytest.mark.parametrize("text, message", [
+    ('{"tasks": [{"id": 1}]}', "task 0: missing field 'vertices'"),
+    ('{"tasks": [{"id": 1, "period": 4, "deadline": 4, "edges": [],'
+     ' "vertices": [{"id": 0, "wcet": 1}]}, {"id": 2, "period": 4,'
+     ' "edges": [], "vertices": [{"id": 0, "wcet": 1}]}]}',
+     "task 1: missing field 'deadline'"),
+    ('{"tasks": [{"id": 1, "period": 4, "deadline": 4, "edges": [],'
+     ' "vertices": [{"id": 0}]}]}', "task 0: missing field 'wcet'"),
+    ('{"sets": []}', "missing field 'tasks'"),
+])
+def test_malformed_json_names_the_missing_field(text, message):
+    with pytest.raises(MalformedTaskSet) as info:
+        load_taskset(io.StringIO(text))
+    assert message in str(info.value)
 
 
 def test_summarize_empty_raises():
