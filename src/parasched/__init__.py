@@ -3,8 +3,8 @@ real-time DAG tasks on multiprocessors."""
 
 from .model import (DagTask, TaskMetrics, TaskSetSummary, dump_taskset,
                     load_taskset, summarize, validate)
-from .decomposition import (Decomposition, decompose, timing_diagram,
-                            build_segments, segment_workload,
+from .decomposition import (Decomposition, decompose, segment_omega,
+                            timing_diagram, build_segments, segment_workload,
                             segmentation_oracle, distribute_laxity,
                             reassemble, dbf_and_load)
 from .analysis import (UniformPlatform, Verdict, capacity_bound,

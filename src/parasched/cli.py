@@ -13,9 +13,10 @@ import sys
 from contextlib import contextmanager
 from fractions import Fraction
 
-from .analysis import (decomposed_test, federated_allocate,
+from .analysis import (Verdict, decomposed_test, federated_allocate,
                        gli_capacity_test)
-from .decomposition import decompose
+from .decomposition import decompose, segment_omega
+from .errors import ConstrainedDeadline, ParaschedError
 from .experiment import METHODS, GenConfig, emit, sweep
 from .gen import PAPER_SCALE, gen_taskset
 from .model import (dump_taskset, format_rational, load_taskset, summarize,
@@ -84,9 +85,7 @@ def cmd_analyze(args):
     verdicts = []
     wanted = args.test
     if wanted in ("decomposed", "all"):
-        omegas = [decompose(t).omega for t in tasks]
-        summary = summarize(tasks, metrics=metrics, omegas=omegas)
-        verdicts.append(decomposed_test(summary, args.m))
+        verdicts.append(_decomposed_verdict(tasks, metrics, args.m))
     if wanted in ("federated", "all"):
         verdicts.append(federated_allocate(tasks, args.m, metrics))
     if wanted in ("sf1", "all"):
@@ -105,6 +104,18 @@ def cmd_analyze(args):
                                                getattr(v, "reason", "")))}
             fp.write(json.dumps(rec) + "\n")
     return 0
+
+
+def _decomposed_verdict(tasks, metrics, m):
+    """D-OUR, or its rejection when a task lies outside its
+    implicit-deadline model; the other tests still run on such a set."""
+    try:
+        omegas = [segment_omega(t, met) for t, met in zip(tasks, metrics)]
+    except ConstrainedDeadline as exc:
+        return Verdict(schedulable=False, test="decomposed",
+                       detail={"reason": str(exc)})
+    summary = summarize(tasks, metrics=metrics, omegas=omegas)
+    return decomposed_test(summary, m)
 
 
 def _jsonable(obj):
@@ -229,7 +240,11 @@ def main(argv=None) -> int:
     e.set_defaults(func=cmd_experiment)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ParaschedError as exc:
+        print(f"parasched: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

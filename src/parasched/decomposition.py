@@ -13,6 +13,7 @@ is used to cross-check the greedy algorithm on small instances.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -56,12 +57,6 @@ class SegmentationResult:
 
     def is_heavy(self, seg: Segment) -> bool:
         return seg.c * self.critical_path > self.work * seg.e
-
-
-@dataclass(frozen=True)
-class LaxityParams:
-    lam: Fraction
-    rho: Fraction
 
 
 @dataclass(frozen=True)
@@ -119,15 +114,32 @@ def build_segments(td: TimingDiagram) -> list:
             for i, (a, b) in enumerate(zip(points, points[1:]))]
 
 
-def _covered(td: TimingDiagram, vid, seg: Segment) -> bool:
-    return td.rdy[vid] <= seg.start and seg.end <= td.fsh[vid]
+def _scaled(x: Fraction, den: int) -> int:
+    """x * den for a den that x's denominator divides."""
+    return x.numerator * (den // x.denominator)
 
 
-@dataclass
-class _Part:
-    vid: int
-    c: Fraction
-    fsh: Fraction
+def _cover_ranges(task: DagTask, td: TimingDiagram, segments: list
+                  ) -> tuple[int, list, dict]:
+    """Integer time axis and the segments each real vertex covers.
+
+    Returns ``den``, the LCM of the denominators of the segment boundaries
+    and the WCETs; the boundaries times ``den`` as ints; and vertex ->
+    (lo, hi) such that the vertex covers exactly ``segments[lo:hi]``.  The
+    segments cut [0, L] at every rdy/fsh value, so a vertex window
+    [rdy, fsh] is the contiguous run of segments between the boundary
+    indices of rdy and fsh.
+    """
+    real = task.real_vertex_ids
+    points = [s.start for s in segments]
+    points.append(segments[-1].end)
+    den = math.lcm(*(x.denominator for x in points),
+                   *(task.wcets[v].denominator for v in real))
+    ends = [_scaled(x, den) for x in points]
+    index = {t: i for i, t in enumerate(ends)}
+    ranges = {v: (index[_scaled(td.rdy[v], den)],
+                  index[_scaled(td.fsh[v], den)]) for v in real}
+    return den, ends, ranges
 
 
 def segment_workload(task: DagTask, td: TimingDiagram, segments: list,
@@ -140,100 +152,109 @@ def segment_workload(task: DagTask, td: TimingDiagram, segments: list,
     vertices in earliest-fsh order, splitting a vertex exactly when the
     segment load would cross the C/L threshold.  Phase 3 spreads leftovers
     over their covered segments (earliest first, at most e(s) per segment).
+
+    The phases run on ints: time is scaled by ``den``, the LCM of the
+    denominators on the time axis and among the WCETs, and workload by
+    ``den * L_int``.  The light test c*L <= C*e then reads w <= C_int*e_int
+    and the phase-2 capacity (C*e - c*L)/L is C_int*e_int - w.  Workloads
+    go back to ``Fraction`` only in the result.
     """
     if metrics is None:
         metrics = validate(task)
     work, cpl = metrics.work, metrics.critical_path
-    segments = [replace(s) for s in segments]
-
-    # earliest-fsh order; ties broken by ascending vertex id
-    parts = [_Part(v, task.wcets[v], td.fsh[v]) for v in task.real_vertex_ids]
-    parts.sort(key=lambda p: (p.fsh, p.vid))
-
-    assignment = {s.index: {} for s in segments}
+    den, ends, ranges = _cover_ranges(task, td, segments)
+    l_int, c_int = _scaled(cpl, den), _scaled(work, den)
+    unit = den * l_int                       # workload units per unit time
+    lengths = [b - a for a, b in zip(ends, ends[1:])]
+    caps = [c_int * e for e in lengths]      # C/L threshold, workload units
+    load = [0] * len(segments)
+    slots = [{} for _ in segments]           # vertex -> portion, per segment
     split_count = 0
 
-    def put(seg: Segment, part: _Part, amount: Fraction) -> None:
-        seg.c += amount
-        slot = assignment[seg.index]
-        slot[part.vid] = slot.get(part.vid, Fraction(0)) + amount
+    def put(i: int, vid, amount: int) -> None:
+        load[i] += amount
+        slots[i][vid] = slots[i].get(vid, 0) + amount
 
-    def is_light(seg: Segment) -> bool:
-        return seg.c * cpl <= work * seg.e
+    # earliest-fsh order; ties broken by ascending vertex id
+    real = sorted(task.real_vertex_ids, key=lambda v: (ranges[v][1], v))
+    rest = {}                                # workload not yet placed
+    starting = [[] for _ in segments]        # the parts whose window begins
 
     # Phase 1: single-segment vertices
-    remaining = []
-    for part in parts:
-        cover = [s for s in segments if _covered(td, part.vid, s)]
-        if len(cover) == 1:
-            put(cover[0], part, part.c)
+    for v in real:
+        lo, hi = ranges[v]
+        w = _scaled(task.wcets[v], unit)
+        if hi - lo == 1:
+            put(lo, v, w)
         else:
-            remaining.append(part)
-    parts = remaining
+            rest[v] = w
+            starting[lo].append(v)
 
-    # Phase 2: fill light segments up to the threshold, in time order
-    for seg in segments:
-        if not is_light(seg):
+    # Phase 2: fill light segments up to the threshold, in time order.  The
+    # heap holds the parts whose window has begun, keyed by fsh; a split
+    # remainder sorts ahead of its equal-fsh peers, the latest first, or
+    # the EDF-like fill loses its optimality.  Parts whose window has ended
+    # are dropped when they reach the top.
+    heap = []
+    for i in range(len(segments)):
+        for v in starting[i]:
+            heapq.heappush(heap, (ranges[v][1], 1, v, v))
+        capacity = caps[i] - load[i]
+        if capacity < 0:
             continue
-        while True:
-            part = next((p for p in parts if _covered(td, p.vid, seg)), None)
-            if part is None:
-                break
-            capacity = (work * seg.e - seg.c * cpl) / cpl
-            if part.c < capacity:
-                put(seg, part, part.c)
-                parts.remove(part)
+        while heap:
+            hi, _, _, v = heap[0]
+            if hi <= i:
+                heapq.heappop(heap)
+                continue
+            if rest[v] < capacity:
+                capacity -= rest[v]
+                put(i, v, rest.pop(v))
+                heapq.heappop(heap)
                 continue
             # the segment lands exactly on the threshold
             if capacity > 0:
-                put(seg, part, capacity)
-                if part.c == capacity:
-                    parts.remove(part)
-                else:
-                    part.c -= capacity
+                put(i, v, capacity)
+                rest[v] -= capacity
+                if rest[v]:
                     split_count += 1
-                    # the remainder inherits fsh and must keep the list in
-                    # earliest-fsh order (ahead of equal-fsh peers), or the
-                    # EDF-like fill loses its optimality
-                    parts.remove(part)
-                    at = next((j for j, p in enumerate(parts)
-                               if p.fsh >= part.fsh), len(parts))
-                    parts.insert(at, part)
+                    heapq.heapreplace(heap, (hi, 0, -split_count, v))
+                else:
+                    del rest[v]
+                    heapq.heappop(heap)
             break
 
     # Phase 3: leftovers go to covered segments (all at or above threshold)
-    for part in parts:
-        cover = [s for s in segments if _covered(td, part.vid, s)]
-        left = part.c
+    for v, left in rest.items():
+        lo, hi = ranges[v]
         pieces = 0
-        for seg in cover:
-            assert not is_light(seg) or seg.c * cpl == work * seg.e, \
+        for i in range(lo, hi):
+            assert load[i] >= caps[i], \
                 "phase 3 reached a below-threshold segment"
-            take = min(left, seg.e)
-            if take > 0:
-                put(seg, part, take)
-                left -= take
-                pieces += 1
+            take = min(left, lengths[i] * l_int)
+            put(i, v, take)
+            left -= take
+            pieces += 1
             if left == 0:
                 break
         assert left == 0, "phase 3 could not place all leftover workload"
-        split_count += max(0, pieces - 1)
+        split_count += pieces - 1
 
-    assert sum(s.c for s in segments) == work, "workload not conserved"
+    assert sum(load) == c_int * l_int, "workload not conserved"
 
-    c_heavy = sum((s.c for s in segments if s.c * cpl > work * s.e),
-                  Fraction(0))
-    l_light = sum((s.e for s in segments if s.c * cpl <= work * s.e),
-                  Fraction(0))
+    heavy = sum(w for w, cap in zip(load, caps) if w > cap)
+    light = sum(e for w, cap, e in zip(load, caps, lengths) if w <= cap)
     return SegmentationResult(
-        segments=segments,
-        assignment=assignment,
+        segments=[replace(s, c=Fraction(w, unit))
+                  for s, w in zip(segments, load)],
+        assignment={s.index: {v: Fraction(w, unit) for v, w in slot.items()}
+                    for s, slot in zip(segments, slots)},
         split_count=split_count,
         work=work,
         critical_path=cpl,
-        c_heavy=c_heavy,
-        l_light=l_light,
-        omega=c_heavy / work + l_light / cpl,
+        c_heavy=Fraction(heavy, unit),
+        l_light=Fraction(light, den),
+        omega=Fraction(heavy + light * c_int, l_int * c_int),
     )
 
 
@@ -259,12 +280,13 @@ def segmentation_oracle(task: DagTask, td: Optional[TimingDiagram] = None,
             f"{len(real)} vertices exceeds the oracle cap {max_vertices}")
     work, cpl = metrics.work, metrics.critical_path
 
+    ranges = _cover_ranges(task, td, segments)[2]
     net = FlowNetwork()
     for v in real:
         net.add_edge("src", ("v", v), task.wcets[v])
-        for seg in segments:
-            if _covered(td, v, seg):
-                net.add_edge(("v", v), ("s", seg.index), work + 1)
+        lo, hi = ranges[v]
+        for seg in segments[lo:hi]:
+            net.add_edge(("v", v), ("s", seg.index), work + 1)
     for seg in segments:
         net.add_edge(("s", seg.index), "snk", seg.e * work / cpl)
 
@@ -277,8 +299,7 @@ def segmentation_oracle(task: DagTask, td: Optional[TimingDiagram] = None,
     )
 
 
-def distribute_laxity(task: DagTask, seg: SegmentationResult
-                      ) -> tuple[LaxityParams, list]:
+def distribute_laxity(task: DagTask, seg: SegmentationResult) -> list:
     """Stretch segments from total length L to total length T.
 
     With lam = rho = omega, heavy segments get d = c*T/(omega*C) and light
@@ -294,7 +315,7 @@ def distribute_laxity(task: DagTask, seg: SegmentationResult
             d = s.e * period / (omega * seg.critical_path)
         stretched.append(replace(s, d=d))
     assert sum(s.d for s in stretched) == period, "stretched lengths != T"
-    return LaxityParams(lam=omega, rho=omega), stretched
+    return stretched
 
 
 def reassemble(task: DagTask, td: TimingDiagram, stretched: list
@@ -389,7 +410,6 @@ class Decomposition:
     metrics: TaskMetrics
     diagram: TimingDiagram
     segmentation: SegmentationResult
-    laxity: LaxityParams
     stretched: list
     decomposed: DecomposedTask
     load: Optional[Fraction]         # only when decompose(compute_load=True)
@@ -400,32 +420,50 @@ class Decomposition:
         return self.segmentation.omega
 
 
-def decompose(task: DagTask, metrics: Optional[TaskMetrics] = None,
-              compute_load: bool = False) -> Decomposition:
-    """Run the full pipeline on one implicit-deadline task.
+def _segmentation(task: DagTask, metrics: TaskMetrics
+                  ) -> tuple[TimingDiagram, SegmentationResult]:
+    """The pipeline up to the segmentation, shared by ``segment_omega``
+    and ``decompose``.
 
     The model is implicit-deadline only: the laxity step stretches the
     segments to the period, so a task with D < T would get subtask
     deadlines past D.  Such a task raises ``ConstrainedDeadline``.
+    """
+    if task.deadline != task.period:
+        raise ConstrainedDeadline(
+            f"task {task.id}: D={task.deadline} != T={task.period}; the "
+            "decomposition assumes implicit deadlines")
+    td = timing_diagram(task, metrics)
+    return td, segment_workload(task, td, build_segments(td), metrics)
+
+
+def segment_omega(task: DagTask, metrics: Optional[TaskMetrics] = None
+                  ) -> Fraction:
+    """The structure characteristic value omega of one implicit-deadline
+    task, without the laxity, reassembly and load steps that only
+    ``decompose`` needs.  Raises ``ConstrainedDeadline`` for D != T."""
+    if metrics is None:
+        metrics = validate(task)
+    return _segmentation(task, metrics)[1].omega
+
+
+def decompose(task: DagTask, metrics: Optional[TaskMetrics] = None,
+              compute_load: bool = False) -> Decomposition:
+    """Run the full pipeline on one implicit-deadline task; raises
+    ``ConstrainedDeadline`` for D != T.
 
     The dbf-based load is only computed on request (one sort and one pass
     per release, within O(n^2 log n) in the vertex count n, and not needed
     for the omega-based tests)."""
     if metrics is None:
         metrics = validate(task)
-    if task.deadline != task.period:
-        raise ConstrainedDeadline(
-            f"task {task.id}: D={task.deadline} != T={task.period}; the "
-            "decomposition assumes implicit deadlines")
-    td = timing_diagram(task, metrics)
-    segments = build_segments(td)
-    seg = segment_workload(task, td, segments, metrics)
-    laxity, stretched = distribute_laxity(task, seg)
+    td, seg = _segmentation(task, metrics)
+    stretched = distribute_laxity(task, seg)
     decomposed = reassemble(task, td, stretched)
     load = dbf_and_load(decomposed)[1] if compute_load else None
     max_density = max(st.wcet / (st.deadline - st.release)
                       for st in decomposed.subtasks)
     return Decomposition(task=task, metrics=metrics, diagram=td,
-                         segmentation=seg, laxity=laxity, stretched=stretched,
+                         segmentation=seg, stretched=stretched,
                          decomposed=decomposed, load=load,
                          max_vertex_density=max_density)

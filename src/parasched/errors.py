@@ -41,21 +41,5 @@ class CriticalPathExceedsDeadline(ParaschedError):
     pass
 
 
-class InsufficientDedicated(ParaschedError):
-    pass
-
-
-class PartitionFailure(ParaschedError):
-    pass
-
-
-class PlacementFailure(ParaschedError):
-    """Raised by the two-way-splitting partitioner; carries the failing stage."""
-
-    def __init__(self, stage, message=""):
-        self.stage = stage
-        super().__init__(message or f"placement failed during {stage}")
-
-
 class NoFit(ParaschedError):
     pass

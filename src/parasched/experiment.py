@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .analysis import decomposed_test, federated_allocate, gli_capacity_test
-from .decomposition import decompose
+from .decomposition import segment_omega
 from .gen import GenConfig, gen_taskset
 from .model import summarize, validate
 from .semifed import sf1, sf2
@@ -55,7 +55,7 @@ def run_methods(tasks, m: int, methods=METHODS) -> dict:
     metrics = [validate(t) for t in tasks]
     out = {}
     if "D-OUR" in methods:
-        omegas = [decompose(t).omega for t in tasks]
+        omegas = [segment_omega(t, met) for t, met in zip(tasks, metrics)]
         summary = summarize(tasks, metrics=metrics, omegas=omegas)
         out["D-OUR"] = decomposed_test(summary, m).schedulable
     if "F-LI" in methods:

@@ -23,8 +23,6 @@ from .errors import (
     NonPositiveWcet,
 )
 
-Rational = Fraction
-
 
 def as_fraction(value) -> Fraction:
     """Convert ints, decimal strings, "num/den" strings or floats to Fraction.

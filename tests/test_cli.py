@@ -4,7 +4,9 @@ import warnings
 import pytest
 
 from parasched.cli import main
-from parasched.model import load_taskset
+from parasched.model import dump_taskset, load_taskset
+
+from conftest import fig1_task
 
 
 @pytest.fixture()
@@ -63,6 +65,36 @@ def test_analyze_single_test(taskset_path, tmp_path, capsys):
     lines = [json.loads(l) for l in capsys.readouterr().out.splitlines()]
     assert len(lines) == 1
     assert lines[0]["test"] == "sf1"
+
+
+@pytest.fixture()
+def constrained_path(tmp_path):
+    # D = 9 < T = 14: outside the implicit-deadline decomposition's model
+    path = tmp_path / "constrained.json"
+    with open(path, "w") as fp:
+        dump_taskset([fig1_task(period=14, deadline=9)], fp)
+    return path
+
+
+def test_analyze_rejects_constrained_deadline_in_dour_only(constrained_path,
+                                                           capsys):
+    rc = main(["analyze", str(constrained_path), "--m", "4"])
+    assert rc == 0
+    rows = {row["test"]: row for row in
+            map(json.loads, capsys.readouterr().out.splitlines())}
+    assert set(rows) == {"decomposed", "federated", "sf1", "sf2",
+                         "gli-capacity"}
+    assert rows["decomposed"]["schedulable"] is False
+    assert "D=9 != T=14" in rows["decomposed"]["detail"]["reason"]
+
+
+def test_package_error_is_one_line_with_status_2(constrained_path, capsys):
+    rc = main(["decompose", str(constrained_path)])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("parasched: error: task fig1: D=9")
+    assert len(captured.err.splitlines()) == 1
 
 
 @pytest.mark.parametrize("argv", [["analyze", "--m", "8"], ["decompose"],

@@ -1,16 +1,20 @@
+import hashlib
 import math
 import random
+from dataclasses import dataclass, replace
 from fractions import Fraction
+from typing import Optional
 
 import pytest
 
-from parasched.decomposition import (build_segments, dbf_and_load, decompose,
-                                     distribute_laxity, reassemble,
+from parasched.decomposition import (SegmentationResult, Segment,
+                                     TimingDiagram, build_segments,
+                                     dbf_and_load, decompose, segment_omega,
                                      segment_workload, segmentation_oracle,
                                      timing_diagram)
 from parasched.errors import ConstrainedDeadline, OracleTooLarge
-from parasched.gen import GenConfig, gen_taskset
-from parasched.model import validate
+from parasched.gen import PAPER_SCALE, GenConfig, gen_taskset
+from parasched.model import DagTask, TaskMetrics, validate
 from conftest import (build_corpus, chain_task, diamond_task, fig1_task,
                       fork_task)
 
@@ -206,3 +210,198 @@ def test_paper_worked_segmentation_threshold():
     for s in seg.segments:
         if not seg.is_heavy(s):
             assert s.c * seg.critical_path <= seg.work * s.e
+
+
+def test_segment_omega_is_decompose_omega(corpus):
+    for task in corpus[:300]:
+        assert segment_omega(task) == decompose(task).omega
+    with pytest.raises(ConstrainedDeadline, match="fig1"):
+        segment_omega(fig1_task(period=40, deadline=9))
+
+
+# The Fraction segmentation that the integer core replaced, copied verbatim
+# with its helpers, as the reference the core must match bit for bit.
+
+def _covered(td: TimingDiagram, vid, seg: Segment) -> bool:
+    return td.rdy[vid] <= seg.start and seg.end <= td.fsh[vid]
+
+
+@dataclass
+class _Part:
+    vid: int
+    c: Fraction
+    fsh: Fraction
+
+
+def _reference_segment_workload(task: DagTask, td: TimingDiagram,
+                                segments: list,
+                                metrics: Optional[TaskMetrics] = None
+                                ) -> SegmentationResult:
+    """Three-phase workload assignment minimizing omega.
+
+    Phase 1 places vertices whose lifetime window is a single segment.
+    Phase 2 walks light segments in time order and fills them with covering
+    vertices in earliest-fsh order, splitting a vertex exactly when the
+    segment load would cross the C/L threshold.  Phase 3 spreads leftovers
+    over their covered segments (earliest first, at most e(s) per segment).
+    """
+    if metrics is None:
+        metrics = validate(task)
+    work, cpl = metrics.work, metrics.critical_path
+    segments = [replace(s) for s in segments]
+
+    # earliest-fsh order; ties broken by ascending vertex id
+    parts = [_Part(v, task.wcets[v], td.fsh[v]) for v in task.real_vertex_ids]
+    parts.sort(key=lambda p: (p.fsh, p.vid))
+
+    assignment = {s.index: {} for s in segments}
+    split_count = 0
+
+    def put(seg: Segment, part: _Part, amount: Fraction) -> None:
+        seg.c += amount
+        slot = assignment[seg.index]
+        slot[part.vid] = slot.get(part.vid, Fraction(0)) + amount
+
+    def is_light(seg: Segment) -> bool:
+        return seg.c * cpl <= work * seg.e
+
+    # Phase 1: single-segment vertices
+    remaining = []
+    for part in parts:
+        cover = [s for s in segments if _covered(td, part.vid, s)]
+        if len(cover) == 1:
+            put(cover[0], part, part.c)
+        else:
+            remaining.append(part)
+    parts = remaining
+
+    # Phase 2: fill light segments up to the threshold, in time order
+    for seg in segments:
+        if not is_light(seg):
+            continue
+        while True:
+            part = next((p for p in parts if _covered(td, p.vid, seg)), None)
+            if part is None:
+                break
+            capacity = (work * seg.e - seg.c * cpl) / cpl
+            if part.c < capacity:
+                put(seg, part, part.c)
+                parts.remove(part)
+                continue
+            # the segment lands exactly on the threshold
+            if capacity > 0:
+                put(seg, part, capacity)
+                if part.c == capacity:
+                    parts.remove(part)
+                else:
+                    part.c -= capacity
+                    split_count += 1
+                    # the remainder inherits fsh and must keep the list in
+                    # earliest-fsh order (ahead of equal-fsh peers), or the
+                    # EDF-like fill loses its optimality
+                    parts.remove(part)
+                    at = next((j for j, p in enumerate(parts)
+                               if p.fsh >= part.fsh), len(parts))
+                    parts.insert(at, part)
+            break
+
+    # Phase 3: leftovers go to covered segments (all at or above threshold)
+    for part in parts:
+        cover = [s for s in segments if _covered(td, part.vid, s)]
+        left = part.c
+        pieces = 0
+        for seg in cover:
+            assert not is_light(seg) or seg.c * cpl == work * seg.e, \
+                "phase 3 reached a below-threshold segment"
+            take = min(left, seg.e)
+            if take > 0:
+                put(seg, part, take)
+                left -= take
+                pieces += 1
+            if left == 0:
+                break
+        assert left == 0, "phase 3 could not place all leftover workload"
+        split_count += max(0, pieces - 1)
+
+    assert sum(s.c for s in segments) == work, "workload not conserved"
+
+    c_heavy = sum((s.c for s in segments if s.c * cpl > work * s.e),
+                  Fraction(0))
+    l_light = sum((s.e for s in segments if s.c * cpl <= work * s.e),
+                  Fraction(0))
+    return SegmentationResult(
+        segments=segments,
+        assignment=assignment,
+        split_count=split_count,
+        work=work,
+        critical_path=cpl,
+        c_heavy=c_heavy,
+        l_light=l_light,
+        omega=c_heavy / work + l_light / cpl,
+    )
+
+
+def _assert_same_segmentation(tasks):
+    for task in tasks:
+        met = validate(task)
+        td = timing_diagram(task, met)
+        segments = build_segments(td)
+        new = segment_workload(task, td, segments, met)
+        ref = _reference_segment_workload(task, td, segments, met)
+        assert [(s.start, s.end, s.c) for s in new.segments] \
+            == [(s.start, s.end, s.c) for s in ref.segments], task.id
+        assert new.assignment == {
+            i: {v: p for v, p in slot.items() if p}
+            for i, slot in ref.assignment.items()}, task.id
+        assert (new.split_count, new.c_heavy, new.l_light, new.omega) \
+            == (ref.split_count, ref.c_heavy, ref.l_light, ref.omega), \
+            task.id
+
+
+def _rational_variant(task, rng):
+    """The same DAG with WCETs drawn as fractions with denominators up to
+    12, and a period just above its critical path."""
+    real = task.real_vertex_ids
+    vertices = [(v, Fraction(rng.randint(1, 40), rng.randint(1, 12)))
+                for v in real]
+    edges = [(u, v) for u, v in task.edges if u in real and v in real]
+    cpl = validate(DagTask(task.id, vertices, edges, period=10 ** 6,
+                           deadline=10 ** 6)).critical_path
+    period = cpl + Fraction(rng.randint(1, 80), rng.randint(1, 4))
+    return DagTask(task.id, vertices, edges, period=period, deadline=period)
+
+
+def test_segmentation_matches_reference_on_corpus(corpus):
+    _assert_same_segmentation(corpus)
+
+
+def test_segmentation_matches_reference_on_rational_wcets(corpus):
+    # a denominator above 1 separates time from workload units, which
+    # integer WCETs cannot
+    rng = random.Random(12)
+    tasks = [_rational_variant(task, rng) for task in corpus[:400]]
+    assert any(validate(t).work.denominator > 1 for t in tasks)
+    _assert_same_segmentation(tasks)
+
+
+def test_segmentation_matches_reference_at_paper_scale():
+    config = GenConfig(p=0.05, n_vertices=PAPER_SCALE, n_tasks=2)
+    _assert_same_segmentation([task for seed in range(3)
+                               for task in gen_taskset(config, seed=seed)])
+
+
+# sha256 over (omega, stretched lengths, subtasks) of every corpus task,
+# taken on the Fraction segmentation before the integer core replaced it
+CORPUS_DIGEST = \
+    "aaf0795cf97bcfa6a41b19fd1b0739aad60ffe65eb4e8e985aab469554ac53f1"
+
+
+def test_decomposition_digest_is_pinned(corpus):
+    digest = hashlib.sha256()
+    for task in corpus:
+        dec = decompose(task)
+        digest.update(repr((
+            str(dec.omega), [str(s.d) for s in dec.stretched],
+            [(st.origin, str(st.release), str(st.deadline), str(st.wcet))
+             for st in dec.decomposed.subtasks])).encode())
+    assert digest.hexdigest() == CORPUS_DIGEST
