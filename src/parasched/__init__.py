@@ -12,8 +12,8 @@ from .analysis import (UniformPlatform, Verdict, capacity_bound,
                        gedf_density_test, gli_capacity_test,
                        speed_requirement, uniform_response_bound,
                        weak_response_bound)
-from .semifed import (ContainerPlan, ContainerTask, capacity_requirement,
-                      delta_star, gamma, sf1, sf2, worst_fit_partition)
+from .semifed import (ContainerTask, capacity_requirement, delta_star, gamma,
+                      sf1, sf2, worst_fit_partition)
 from .sim import (SimTrace, simulate_dispatcher, simulate_gedf,
                   simulate_uniform)
 from .gen import GenConfig, gen_dag, gen_taskset, gen_period, uunifast

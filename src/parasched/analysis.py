@@ -3,20 +3,24 @@
 Covers the density/load global-EDF test, the decomposition-based processor
 count test, capacity-augmentation and speed bounds, federated allocation,
 and response-time bounds for a single DAG on a uniform (heterogeneous
-speed) platform.  Everything is exact rational arithmetic except for the
-irrational constant of the capacity-bound baseline.
+speed) platform.  Everything is exact rational arithmetic; the irrational
+constant of the capacity-bound baseline is compared by squaring.
+
+``TESTS`` is the one ordered registry of the tests that the sweeps and
+``parasched analyze`` run.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
-from .errors import CriticalPathExceedsDeadline, NoFit
-from .model import DagTask, TaskMetrics, TaskSetSummary, validate
-from .semifed import gamma, worst_fit_partition, WfItem
+from .decomposition import segment_omega
+from .errors import ConstrainedDeadline, CriticalPathExceedsDeadline, NoFit
+from .model import (DagTask, TaskMetrics, TaskSetSummary, Verdict, summarize,
+                    validate)
+from .semifed import gamma, sf1, sf2, worst_fit_partition, WfItem
 
 
 class UniformPlatform:
@@ -42,14 +46,6 @@ class UniformPlatform:
         return len(self.speeds)
 
 
-@dataclass
-class Verdict:
-    schedulable: bool
-    test: str
-    min_m: Optional[int] = None
-    detail: dict = field(default_factory=dict)
-
-
 def gedf_density_test(ell_sum: Fraction, delta_top: Fraction, m: int
                       ) -> Verdict:
     """Global EDF density/load test: ell_sum <= m - (m-1) * delta_top."""
@@ -73,12 +69,12 @@ def decomposed_test(summary: TaskSetSummary, m: int) -> Verdict:
         raise ValueError("summary lacks omega_top; run the decomposition")
     denom = 1 / omega - gamma_top
     if denom <= 0:
-        return Verdict(schedulable=False, test="decomposed", min_m=None,
-                       detail={"reason": "degenerate denominator",
-                               "omega_gamma": omega * gamma_top})
+        return Verdict("decomposed", False, reason="degenerate denominator",
+                       detail={"omega_gamma": omega * gamma_top})
     need = (summary.u_sum - gamma_top) / denom
     min_m = max(1, math.ceil(need))
-    return Verdict(schedulable=m >= need, test="decomposed", min_m=min_m,
+    return Verdict("decomposed", m >= need, min_m=min_m,
+                   reason="" if m >= need else f"needs m >= {min_m}",
                    detail={"required": need})
 
 
@@ -109,11 +105,9 @@ def federated_allocate(tasks: Sequence[DagTask], m: int,
             try:
                 g = gamma(met)
             except CriticalPathExceedsDeadline:
-                return Verdict(schedulable=False, test="federated",
-                               min_m=None,
-                               detail={"reason": "critical path exceeds "
-                                                 "deadline",
-                                       "task": task.id})
+                return Verdict("federated", False,
+                               reason="critical path exceeds deadline",
+                               detail={"task": task.id})
             dedicated[task.id] = math.ceil(g)
         else:
             light_items.append(WfItem(item_id=task.id, load=met.density))
@@ -121,59 +115,52 @@ def federated_allocate(tasks: Sequence[DagTask], m: int,
     used = sum(dedicated.values())
     detail = {"dedicated": dedicated}
     if used > m:
-        return Verdict(schedulable=False, test="federated", min_m=None,
+        return Verdict("federated", False,
+                       reason=f"needs {used} dedicated processors",
                        detail=detail)
+    min_m = used + _fewest_bins(light_items)
     try:
         bins = worst_fit_partition(light_items, m - used)
     except NoFit:
-        bins = None
-    if bins is None:
-        # find the minimal shared-processor count that packs the lights
-        extra = len(light_items)
-        for k in range(1, len(light_items) + 1):
-            try:
-                worst_fit_partition(light_items, k)
-                extra = k
-                break
-            except NoFit:
-                continue
-        detail["min_m"] = used + extra
-        return Verdict(schedulable=False, test="federated",
-                       min_m=used + extra, detail=detail)
+        return Verdict("federated", False, min_m=min_m,
+                       reason="light tasks do not fit", detail=detail)
     detail["bins"] = [[(i.item_id, i.load) for i in b.items] for b in bins]
-    min_shared = 0
-    if light_items:
-        for k in range(1, len(light_items) + 1):
-            try:
-                worst_fit_partition(light_items, k)
-                min_shared = k
-                break
-            except NoFit:
-                continue
-    return Verdict(schedulable=True, test="federated",
-                   min_m=used + min_shared, detail=detail)
+    return Verdict("federated", True, min_m=min_m, detail=detail)
 
 
-_GLI_B = (3 + math.sqrt(5)) / 2
-_GLI_SLACK = 1e-12
+def _fewest_bins(items) -> int:
+    """Fewest processors that worst-fit packs the items onto."""
+    for k in range(1, len(items) + 1):
+        try:
+            worst_fit_partition(items, k)
+            return k
+        except NoFit:
+            continue
+    return len(items)
 
 
 def gli_capacity_test(tasks: Sequence[DagTask], m: int,
                       metrics: Optional[Sequence[TaskMetrics]] = None
                       ) -> Verdict:
-    """Capacity-bound baseline: U_sum <= m/b and L_i <= D_i/b with
-    b = (3+sqrt(5))/2.  b is irrational, so this one test compares in
-    floating point with a small slack."""
+    """Capacity-bound baseline: U_sum/m <= 1/b and L_i/D_i <= 1/b with
+    b = (3+sqrt(5))/2.  Exact: x <= 1/b = (3-sqrt(5))/2 holds iff
+    3-2x >= 0 and (3-2x)^2 >= 5."""
     if metrics is None:
         metrics = [validate(t) for t in tasks]
-    u_sum = float(sum((met.utilization for met in metrics), Fraction(0)))
-    ok = u_sum <= m / _GLI_B + _GLI_SLACK
+    x = sum((met.utilization for met in metrics), Fraction(0)) / m
+    if not _within_gli(x):
+        return Verdict("gli-capacity", False, reason=f"U_sum/m = {x} > 1/b")
     for task, met in zip(tasks, metrics):
-        if float(met.critical_path) > float(task.deadline) / _GLI_B + _GLI_SLACK:
-            ok = False
-            break
-    return Verdict(schedulable=ok, test="gli-capacity",
-                   detail={"b": _GLI_B})
+        x = met.critical_path / task.deadline
+        if not _within_gli(x):
+            return Verdict("gli-capacity", False,
+                           reason=f"task {task.id}: L/D = {x} > 1/b")
+    return Verdict("gli-capacity", True)
+
+
+def _within_gli(x: Fraction) -> bool:
+    y = 3 - 2 * x
+    return y >= 0 and y * y >= 5
 
 
 def uniform_response_bound(metrics: TaskMetrics,
@@ -188,3 +175,33 @@ def weak_response_bound(metrics: TaskMetrics,
     """No-migration (weakly work-conserving) bound L/delta_m + (C-L)/S_m."""
     return (metrics.critical_path / platform.speeds[-1]
             + (metrics.work - metrics.critical_path) / platform.total_speed)
+
+
+def _decomposed(tasks, metrics, m) -> Verdict:
+    """D-OUR from each task's Omega; a task outside the decomposition's
+    implicit-deadline model makes it reject, and the other tests still
+    run."""
+    try:
+        omegas = [segment_omega(t, met) for t, met in zip(tasks, metrics)]
+    except ConstrainedDeadline as exc:
+        return Verdict("decomposed", False, reason=str(exc))
+    return decomposed_test(summarize(tasks, metrics=metrics, omegas=omegas),
+                           m)
+
+
+class Method(NamedTuple):
+    flag: str          # its `parasched analyze --test` value
+    run: Callable      # (tasks, metrics, m) -> Verdict
+
+
+# Method name -> test, in output order.  The entries look the test
+# functions up when called, so a rebound module attribute is what runs.
+TESTS = {
+    "D-OUR": Method("decomposed", _decomposed),
+    "F-LI": Method("federated",
+                   lambda ts, mets, m: federated_allocate(ts, m, mets)),
+    "SF1": Method("sf1", lambda ts, mets, m: sf1(ts, m, mets)),
+    "SF2": Method("sf2", lambda ts, mets, m: sf2(ts, m, mets)),
+    "G-LI": Method("gli",
+                   lambda ts, mets, m: gli_capacity_test(ts, m, mets)),
+}

@@ -11,17 +11,15 @@ import argparse
 import json
 import sys
 from contextlib import contextmanager
+from dataclasses import asdict
 from fractions import Fraction
 
-from .analysis import (Verdict, decomposed_test, federated_allocate,
-                       gli_capacity_test)
-from .decomposition import decompose, segment_omega
-from .errors import ConstrainedDeadline, ParaschedError
-from .experiment import METHODS, GenConfig, emit, sweep
+from .analysis import TESTS
+from .decomposition import decompose
+from .errors import ParaschedError
+from .experiment import METHODS, GenConfig, check_methods, emit, sweep
 from .gen import PAPER_SCALE, gen_taskset
-from .model import (dump_taskset, format_rational, load_taskset, summarize,
-                    validate)
-from .semifed import sf1, sf2
+from .model import dump_taskset, format_rational, load_taskset, validate
 from .sim import simulate_dispatcher, simulate_gedf, simulate_uniform
 
 
@@ -80,42 +78,15 @@ def cmd_decompose(args):
 
 
 def cmd_analyze(args):
+    """One JSON row per selected test, in registry order."""
     tasks = _load(args.taskset)
     metrics = [validate(t) for t in tasks]
-    verdicts = []
-    wanted = args.test
-    if wanted in ("decomposed", "all"):
-        verdicts.append(_decomposed_verdict(tasks, metrics, args.m))
-    if wanted in ("federated", "all"):
-        verdicts.append(federated_allocate(tasks, args.m, metrics))
-    if wanted in ("sf1", "all"):
-        v = sf1(tasks, args.m, metrics)
-        verdicts.append(v)
-    if wanted in ("sf2", "all"):
-        verdicts.append(sf2(tasks, args.m, metrics))
-    if wanted in ("gli", "all"):
-        verdicts.append(gli_capacity_test(tasks, args.m, metrics))
     with _out(args.out) as fp:
-        for v in verdicts:
-            rec = {"test": getattr(v, "test", getattr(v, "algorithm", "?")),
-                   "schedulable": v.schedulable,
-                   "min_m": getattr(v, "min_m", None),
-                   "detail": _jsonable(getattr(v, "detail",
-                                               getattr(v, "reason", "")))}
-            fp.write(json.dumps(rec) + "\n")
+        for method in TESTS.values():
+            if args.test in (method.flag, "all"):
+                verdict = method.run(tasks, metrics, args.m)
+                fp.write(json.dumps(_jsonable(asdict(verdict))) + "\n")
     return 0
-
-
-def _decomposed_verdict(tasks, metrics, m):
-    """D-OUR, or its rejection when a task lies outside its
-    implicit-deadline model; the other tests still run on such a set."""
-    try:
-        omegas = [segment_omega(t, met) for t, met in zip(tasks, metrics)]
-    except ConstrainedDeadline as exc:
-        return Verdict(schedulable=False, test="decomposed",
-                       detail={"reason": str(exc)})
-    summary = summarize(tasks, metrics=metrics, omegas=omegas)
-    return decomposed_test(summary, m)
 
 
 def _jsonable(obj):
@@ -163,7 +134,7 @@ def cmd_simulate(args):
 
 def cmd_experiment(args):
     base = _config_from(args)
-    methods = tuple(args.methods.split(",")) if args.methods else METHODS
+    methods = args.methods or METHODS
     buckets = None
     if args.buckets:
         conv = {"utilization": Fraction, "processors": int, "p": float}
@@ -173,6 +144,13 @@ def cmd_experiment(args):
     with _out(args.out) as fp:
         emit(records, fp, fmt=args.format)
     return 0
+
+
+def _method_list(text) -> tuple:
+    try:
+        return check_methods(text.split(","))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _add_gen_flags(sub):
@@ -209,8 +187,7 @@ def main(argv=None) -> int:
     a.add_argument("taskset")
     a.add_argument("--m", type=int, required=True)
     a.add_argument("--test", default="all",
-                   choices=["decomposed", "federated", "sf1", "sf2", "gli",
-                            "all"])
+                   choices=[t.flag for t in TESTS.values()] + ["all"])
     a.add_argument("--out", default="-")
     a.set_defaults(func=cmd_analyze)
 
@@ -231,7 +208,7 @@ def main(argv=None) -> int:
     e.add_argument("--axis", required=True,
                    choices=["utilization", "processors", "p"])
     e.add_argument("--trials", type=int, default=100)
-    e.add_argument("--methods", default=None,
+    e.add_argument("--methods", default=None, type=_method_list,
                    help="comma-separated subset of " + ",".join(METHODS))
     e.add_argument("--buckets", default=None,
                    help="comma-separated bucket values")

@@ -15,13 +15,11 @@ import json
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .analysis import decomposed_test, federated_allocate, gli_capacity_test
-from .decomposition import segment_omega
+from .analysis import TESTS
 from .gen import GenConfig, gen_taskset
-from .model import summarize, validate
-from .semifed import sf1, sf2
+from .model import validate
 
-METHODS = ("D-OUR", "F-LI", "SF1", "SF2", "G-LI")
+METHODS = tuple(TESTS)
 
 DEFAULT_BUCKETS = {
     "utilization": [Fraction(i, 10) for i in range(1, 11)],
@@ -50,23 +48,21 @@ def trial_seed(master: int, axis: str, bucket, trial: int) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
+def check_methods(methods) -> tuple:
+    """The method names as a tuple; ValueError on a name not in METHODS."""
+    unknown = [name for name in methods if name not in TESTS]
+    if unknown:
+        raise ValueError(f"unknown method {', '.join(unknown)}; "
+                         f"choose from {','.join(METHODS)}")
+    return tuple(methods)
+
+
 def run_methods(tasks, m: int, methods=METHODS) -> dict:
     """Apply each schedulability test to one task set on m processors."""
+    methods = check_methods(methods)
     metrics = [validate(t) for t in tasks]
-    out = {}
-    if "D-OUR" in methods:
-        omegas = [segment_omega(t, met) for t, met in zip(tasks, metrics)]
-        summary = summarize(tasks, metrics=metrics, omegas=omegas)
-        out["D-OUR"] = decomposed_test(summary, m).schedulable
-    if "F-LI" in methods:
-        out["F-LI"] = federated_allocate(tasks, m, metrics).schedulable
-    if "SF1" in methods:
-        out["SF1"] = sf1(tasks, m, metrics).schedulable
-    if "SF2" in methods:
-        out["SF2"] = sf2(tasks, m, metrics).schedulable
-    if "G-LI" in methods:
-        out["G-LI"] = gli_capacity_test(tasks, m, metrics).schedulable
-    return out
+    return {name: TESTS[name].run(tasks, metrics, m).schedulable
+            for name in methods}
 
 
 def _bucket_config(axis: str, bucket, base: GenConfig):
@@ -91,6 +87,7 @@ def sweep(axis: str, base: GenConfig, trials: int,
         raise ValueError("trials must be >= 1")
     if axis not in DEFAULT_BUCKETS:
         raise ValueError(f"unknown sweep axis {axis!r}")
+    methods = check_methods(methods)
     if buckets is None:
         buckets = DEFAULT_BUCKETS[axis]
     records = []

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
@@ -172,6 +172,18 @@ class TaskSetSummary:
     omega_top: Optional[Fraction] = None
     delta_top: Optional[Fraction] = None
     ell_sum: Optional[Fraction] = None
+
+
+@dataclass
+class Verdict:
+    """One schedulability test's answer on one task set: why it rejects
+    (``reason``), the fewest processors it needs when it can say, and
+    test-specific quantities such as a container plan (``detail``)."""
+    test: str
+    schedulable: bool
+    min_m: Optional[int] = None
+    reason: str = ""
+    detail: dict = field(default_factory=dict)
 
 
 def validate(task: DagTask) -> TaskMetrics:

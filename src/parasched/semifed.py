@@ -10,12 +10,12 @@ partitioned EDF with worst-fit packing.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
 from .errors import CriticalPathExceedsDeadline, NoFit
-from .model import DagTask, TaskMetrics, validate
+from .model import DagTask, TaskMetrics, Verdict, validate
 
 
 def capacity_requirement(work, critical_path, deadline) -> Fraction:
@@ -101,30 +101,6 @@ def worst_fit_partition(items: Sequence, bins) -> list:
     return bins
 
 
-@dataclass
-class ContainerPlan:
-    dedicated: dict                        # task id -> processor count
-    bins: list                             # list of Bin over shared processors
-    containers: list = field(default_factory=list)
-
-    def to_dict(self) -> dict:
-        return {
-            "dedicated": {str(k): v for k, v in self.dedicated.items()},
-            "bins": [[{"owner": str(i.owner if isinstance(i, ContainerTask)
-                                    else i.item_id),
-                       "delta": str(i.load)} for i in b.items]
-                     for b in self.bins],
-        }
-
-
-@dataclass
-class PlanVerdict:
-    schedulable: bool
-    algorithm: str
-    plan: Optional[ContainerPlan] = None
-    reason: str = ""
-
-
 def _classify(tasks, metrics):
     """Returns (dedicated counts, fractional containers, light containers)."""
     dedicated = {}
@@ -147,7 +123,7 @@ def _classify(tasks, metrics):
 
 
 def sf1(tasks: Sequence[DagTask], m: int,
-        metrics: Optional[Sequence[TaskMetrics]] = None) -> PlanVerdict:
+        metrics: Optional[Sequence[TaskMetrics]] = None) -> Verdict:
     """First semi-federated algorithm: one fractional container per heavy
     task; containers and light tasks partitioned by worst-fit decreasing."""
     if metrics is None:
@@ -155,22 +131,20 @@ def sf1(tasks: Sequence[DagTask], m: int,
     try:
         dedicated, fractional, lights = _classify(tasks, metrics)
     except CriticalPathExceedsDeadline:
-        return PlanVerdict(False, "sf1",
-                           reason="critical path exceeds deadline")
+        return Verdict("sf1", False, reason="critical path exceeds deadline")
     used = sum(dedicated.values())
     if used > m:
-        return PlanVerdict(False, "sf1", reason="insufficient dedicated")
+        return Verdict("sf1", False, reason="insufficient dedicated")
     try:
         bins = worst_fit_partition(fractional + lights, m - used)
     except NoFit:
-        return PlanVerdict(False, "sf1", reason="partition failure")
-    plan = ContainerPlan(dedicated=dedicated, bins=bins,
-                         containers=fractional + lights)
-    return PlanVerdict(True, "sf1", plan=plan)
+        return Verdict("sf1", False, reason="partition failure")
+    return Verdict("sf1", True, detail={"dedicated": dedicated,
+                                        "bins": [b.items for b in bins]})
 
 
 def sf2(tasks: Sequence[DagTask], m: int,
-        metrics: Optional[Sequence[TaskMetrics]] = None) -> PlanVerdict:
+        metrics: Optional[Sequence[TaskMetrics]] = None) -> Verdict:
     """Second semi-federated algorithm: containers may be split in two.
 
     Stage 1 packs by the split lower bounds delta*; a bin whose real load
@@ -183,11 +157,10 @@ def sf2(tasks: Sequence[DagTask], m: int,
     try:
         dedicated, fractional, lights = _classify(tasks, metrics)
     except CriticalPathExceedsDeadline:
-        return PlanVerdict(False, "sf2",
-                           reason="critical path exceeds deadline")
+        return Verdict("sf2", False, reason="critical path exceeds deadline")
     used = sum(dedicated.values())
     if used > m:
-        return PlanVerdict(False, "sf2", reason="insufficient dedicated")
+        return Verdict("sf2", False, reason="insufficient dedicated")
 
     bins = [Bin(i) for i in range(m - used)]
     open_bins = list(bins)
@@ -199,7 +172,7 @@ def sf2(tasks: Sequence[DagTask], m: int,
         candidates = [b for b in open_bins
                       if b.dstar_sum() + item.split_bound <= 1]
         if not candidates:
-            return PlanVerdict(False, "sf2", reason="sched* failure")
+            return Verdict("sf2", False, reason="sched* failure")
         best = min(candidates, key=lambda b: (b.dstar_sum(), b.index))
         best.items.append(item)
         if best.load > 1:
@@ -214,11 +187,10 @@ def sf2(tasks: Sequence[DagTask], m: int,
     try:
         worst_fit_into(ordered, open_bins)
     except NoFit:
-        return PlanVerdict(False, "sf2", reason="remainder partition failure")
+        return Verdict("sf2", False, reason="remainder partition failure")
 
-    plan = ContainerPlan(dedicated=dedicated, bins=bins,
-                         containers=fractional + lights + remainders)
-    return PlanVerdict(True, "sf2", plan=plan)
+    return Verdict("sf2", True, detail={"dedicated": dedicated,
+                                        "bins": [b.items for b in bins]})
 
 
 def _scrape(b: Bin) -> list:

@@ -67,8 +67,8 @@ def test_criterion_01_container_packing_goldens():
 
     v2 = sf2(tasks, 5, mets)
     ok = ok and v2.schedulable and not sf2(tasks, 4, mets).schedulable
-    loads = sorted(tuple(sorted(i.load for i in b.items))
-                   for b in v2.plan.bins)
+    loads = sorted(tuple(sorted(i.load for i in b))
+                   for b in v2.detail["bins"])
     ok = ok and loads == [(Fraction(1, 10), Fraction(3, 10), Fraction(3, 5)),
                           (Fraction(1, 2), Fraction(1, 2))]
     elapsed = time.monotonic() - t0

@@ -8,7 +8,7 @@ from parasched.analysis import (UniformPlatform, capacity_bound,
                                 gedf_density_test, gli_capacity_test,
                                 speed_requirement, uniform_response_bound,
                                 weak_response_bound)
-from parasched.model import TaskSetSummary, validate
+from parasched.model import DagTask, TaskSetSummary, validate
 from parasched.semifed import capacity_requirement
 from conftest import chain_task, diamond_task, fig1_task
 
@@ -107,6 +107,21 @@ def test_gli_capacity_boundary():
     tight = [chain_task(1, wcet=1, period=Fraction(100, 13))
              for _ in range(3)]  # U_sum = 0.39 > 1/b ~ 0.382
     assert not gli_capacity_test(tight, 1).schedulable
+
+
+def test_gli_capacity_is_exact_at_the_utilization_bound():
+    # 1/b = (3 - sqrt(5))/2 = 0.3819660112501051517954...; ten parallel
+    # unit vertices keep L/D = U/10 far below it
+    def parallel(u):
+        return DagTask("par", [(i, 1) for i in range(10)], [],
+                       period=10 / u, deadline=10 / u)
+
+    above = Fraction(381966011250106, 10 ** 15)   # 8.5e-16 above 1/b
+    below = Fraction(381966011250105, 10 ** 15)   # 1.5e-16 below 1/b
+    v = gli_capacity_test([parallel(above)], 1)
+    assert not v.schedulable
+    assert v.reason.startswith("U_sum/m = ")
+    assert gli_capacity_test([parallel(below)], 1).schedulable
 
 
 def test_response_bounds_formulas():

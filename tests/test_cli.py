@@ -4,6 +4,8 @@ import warnings
 import pytest
 
 from parasched.cli import main
+from parasched.experiment import METHODS, run_methods
+from parasched.gen import GenConfig, gen_taskset
 from parasched.model import dump_taskset, load_taskset
 
 from conftest import fig1_task
@@ -85,7 +87,45 @@ def test_analyze_rejects_constrained_deadline_in_dour_only(constrained_path,
     assert set(rows) == {"decomposed", "federated", "sf1", "sf2",
                          "gli-capacity"}
     assert rows["decomposed"]["schedulable"] is False
-    assert "D=9 != T=14" in rows["decomposed"]["detail"]["reason"]
+    assert "D=9 != T=14" in rows["decomposed"]["reason"]
+
+
+def _analyze(tmp_path, tasks, m, capsys):
+    path = tmp_path / "set.json"
+    with open(path, "w") as fp:
+        dump_taskset(tasks, fp)
+    assert main(["analyze", str(path), "--m", str(m)]) == 0
+    return [json.loads(line)
+            for line in capsys.readouterr().out.splitlines()]
+
+
+def test_analyze_agrees_with_run_methods(tmp_path, capsys):
+    cases = [([fig1_task(period=14, deadline=9)], m) for m in (4, 9)]
+    below_min_m = 0
+    for seed in (1, 2, 3):
+        tasks = gen_taskset(GenConfig(n_tasks=3, p=0.1, m=4, util=0.5,
+                                      n_vertices=(6, 12)), seed=seed)
+        rows = _analyze(tmp_path, tasks, 8, capsys)
+        min_m = rows[0]["min_m"]
+        cases += [(tasks, m) for m in (min_m - 1, min_m, 8) if m >= 1]
+        below_min_m += min_m > 1
+    assert below_min_m
+    for tasks, m in cases:
+        rows = _analyze(tmp_path, tasks, m, capsys)
+        assert [r["test"] for r in rows] == ["decomposed", "federated",
+                                             "sf1", "sf2", "gli-capacity"]
+        printed = dict(zip(METHODS, (r["schedulable"] for r in rows)))
+        assert printed == run_methods(tasks, m)
+
+
+def test_experiment_unknown_method_is_usage_error(tmp_path, capsys):
+    out = tmp_path / "sweep.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(["experiment", "--axis", "utilization", "--trials", "1",
+              "--methods", "SF1,SF3,d-our", "--out", str(out)])
+    assert exc.value.code == 2
+    assert "unknown method SF3, d-our" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_package_error_is_one_line_with_status_2(constrained_path, capsys):

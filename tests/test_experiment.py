@@ -8,6 +8,8 @@ from parasched.experiment import (DEFAULT_BUCKETS, METHODS, emit, parse_csv,
 from parasched.gen import GenConfig
 from parasched.model import DagTask
 
+from conftest import fig1_task
+
 
 def _unit_chain(task_id, length, period):
     verts = [(i, 1) for i in range(length)]
@@ -41,6 +43,25 @@ def test_run_methods_respects_method_subset():
     tasks = [_unit_chain(0, 2, 100)]
     verdicts = run_methods(tasks, 4, methods=("SF1", "G-LI"))
     assert set(verdicts) == {"SF1", "G-LI"}
+
+
+def test_unknown_method_names_raise():
+    # a typo'd name must not become a row of zero acceptances
+    with pytest.raises(ValueError, match="d-our"):
+        run_methods([_unit_chain(0, 2, 100)], 4, methods=("SF1", "d-our"))
+    base = GenConfig(seed=9, n_tasks=2, p=0.1, m=4, n_vertices=(4, 8),
+                     wcet_range=(1, 10))
+    with pytest.raises(ValueError, match="SF3"):
+        sweep("utilization", base, trials=1, methods=("SF1", "SF3"))
+
+
+def test_run_methods_rejects_constrained_deadline_in_dour_only():
+    # D = 9 < T = 14 is outside D-OUR's implicit-deadline model; the other
+    # tests still run: gamma = (16-8)/(9-8) = 8 dedicated processors, and
+    # L/D = 8/9 > 1/b
+    verdicts = run_methods([fig1_task(period=14, deadline=9)], 9)
+    assert verdicts == {"D-OUR": False, "F-LI": True, "SF1": True,
+                        "SF2": True, "G-LI": False}
 
 
 def test_sweep_deterministic():

@@ -80,7 +80,7 @@ def test_sf2_golden_bins():
     tasks, mets = appendix_set()
     v = sf2(tasks, 5, mets)
     assert v.schedulable
-    bins = sorted([sorted(i.load for i in b.items) for b in v.plan.bins])
+    bins = sorted([sorted(i.load for i in b) for b in v.detail["bins"]])
     assert bins == [[Fraction(1, 10), Fraction(3, 10), Fraction(3, 5)],
                     [Fraction(1, 2), Fraction(1, 2)]]
 
@@ -95,22 +95,22 @@ def test_sf2_dominates_sf1():
 def test_capacity_is_conserved():
     tasks, mets = appendix_set()
     for verdict in (sf1(tasks, 6, mets), sf2(tasks, 5, mets)):
-        plan = verdict.plan
+        plan = verdict.detail
         for task, met in zip(tasks, mets):
             if not met.heavy:
                 continue
             g = gamma(met)
-            frac = sum((i.load for b in plan.bins for i in b.items
+            frac = sum((i.load for b in plan["bins"] for i in b
                         if i.owner == task.id), Fraction(0))
-            assert plan.dedicated[task.id] + frac == g
+            assert plan["dedicated"][task.id] + frac == g
 
 
 def test_sf2_respects_bin_capacity_and_split_floor():
     tasks, mets = appendix_set()
-    plan = sf2(tasks, 5, mets).plan
-    for b in plan.bins:
-        assert b.load <= 1
-    for item in (i for b in plan.bins for i in b.items):
+    bins = sf2(tasks, 5, mets).detail["bins"]
+    for b in bins:
+        assert sum(i.load for i in b) <= 1
+    for item in (i for b in bins for i in b):
         assert item.load >= 0
 
 
@@ -141,14 +141,14 @@ def test_sf2_bins_stay_within_capacity(gammas, m):
     v = sf2(tasks, m, mets)
     if not v.schedulable:
         return
-    for b in v.plan.bins:
-        assert b.load <= 1
+    for b in v.detail["bins"]:
+        assert sum(i.load for i in b) <= 1
     # every heavy task keeps its full requirement
     for task, met in zip(tasks, mets):
         g = gamma(met)
-        frac = sum((i.load for b in v.plan.bins for i in b.items
+        frac = sum((i.load for b in v.detail["bins"] for i in b
                     if i.owner == task.id), Fraction(0))
-        assert v.plan.dedicated[task.id] + frac == g
+        assert v.detail["dedicated"][task.id] + frac == g
 
 
 def test_delta_star_bounds():
