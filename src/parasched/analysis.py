@@ -129,8 +129,10 @@ def federated_allocate(tasks: Sequence[DagTask], m: int,
 
 
 def _fewest_bins(items) -> int:
-    """Fewest processors that worst-fit packs the items onto."""
-    for k in range(1, len(items) + 1):
+    """Fewest processors that worst-fit packs the items onto; fewer than
+    their summed load cannot hold them."""
+    total = sum((i.load for i in items), Fraction(0))
+    for k in range(max(1, math.ceil(total)), len(items) + 1):
         try:
             worst_fit_partition(items, k)
             return k

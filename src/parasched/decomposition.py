@@ -16,6 +16,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from fractions import Fraction
 from typing import Callable, Optional
 
@@ -26,9 +27,29 @@ from .model import DagTask, TaskMetrics, validate
 
 @dataclass(frozen=True)
 class TimingDiagram:
-    rdy: dict    # vertex -> earliest ready time
-    fsh: dict    # vertex -> latest finish time
-    critical_path: Fraction
+    """Earliest ready and latest finish times as ints, in units of 1/den;
+    ``rdy``, ``fsh`` and ``critical_path`` give them as Fractions."""
+    den: int
+    rdy_int: list    # vertex -> earliest ready time times den
+    fsh_int: list    # vertex -> latest finish time times den
+    cpl_int: int     # L times den
+
+    @cached_property
+    def rdy(self) -> dict:
+        return {v: Fraction(t, self.den) for v, t in enumerate(self.rdy_int)}
+
+    @cached_property
+    def fsh(self) -> dict:
+        return {v: Fraction(t, self.den) for v, t in enumerate(self.fsh_int)}
+
+    @property
+    def critical_path(self) -> Fraction:
+        return Fraction(self.cpl_int, self.den)
+
+    @cached_property
+    def cuts(self) -> list:
+        """The segment boundaries: 0, L and every rdy/fsh value, sorted."""
+        return sorted({0, self.cpl_int, *self.rdy_int, *self.fsh_int})
 
 
 @dataclass
@@ -83,63 +104,34 @@ class OracleResult:
 
 def timing_diagram(task: DagTask, metrics: Optional[TaskMetrics] = None
                    ) -> TimingDiagram:
-    """Earliest ready / latest finish times on the [0, L] axis.
+    """Earliest ready / latest finish times on the [0, L] axis, as ints.
 
-    rdy(v) = max over predecessors of rdy(u) + c(u), 0 for the source;
-    fsh(v) = min over successors of rdy(u), L for the sink.
-    """
+    rdy(v) = max over predecessors of rdy(u) + c(u), 0 for the source, as
+    the task keeps it; fsh(v) = min over successors of rdy(u), L for the
+    sink."""
     if metrics is None:
-        metrics = validate(task)
-    order = task.topological_order()
-    rdy = {}
-    for v in order:
-        rdy[v] = max((rdy[u] + task.wcets[u] for u in task.pred[v]),
-                     default=Fraction(0))
-    fsh = {}
-    for v in reversed(order):
-        fsh[v] = min((rdy[u] for u in task.succ[v]),
-                     default=metrics.critical_path)
-    return TimingDiagram(rdy=rdy, fsh=fsh, critical_path=metrics.critical_path)
+        validate(task)
+    rdy, cpl = task.rdy_int, task.cpl_int
+    fsh = [min(map(rdy.__getitem__, succ), default=cpl) for succ in task.succ]
+    return TimingDiagram(den=task.den, rdy_int=rdy, fsh_int=fsh,
+                         cpl_int=cpl)
 
 
 def build_segments(td: TimingDiagram) -> list:
     """Cut [0, L] at every distinct rdy/fsh value."""
-    if td.critical_path == 0:
+    if td.cpl_int == 0:
         raise DegenerateWindow("critical path has zero length")
-    boundaries = {Fraction(0), td.critical_path}
-    boundaries.update(td.rdy.values())
-    boundaries.update(td.fsh.values())
-    points = sorted(boundaries)
+    points = [Fraction(t, td.den) for t in td.cuts]
     return [Segment(index=i, start=a, end=b)
             for i, (a, b) in enumerate(zip(points, points[1:]))]
 
 
-def _scaled(x: Fraction, den: int) -> int:
-    """x * den for a den that x's denominator divides."""
-    return x.numerator * (den // x.denominator)
-
-
-def _cover_ranges(task: DagTask, td: TimingDiagram, segments: list
-                  ) -> tuple[int, list, dict]:
-    """Integer time axis and the segments each real vertex covers.
-
-    Returns ``den``, the LCM of the denominators of the segment boundaries
-    and the WCETs; the boundaries times ``den`` as ints; and vertex ->
-    (lo, hi) such that the vertex covers exactly ``segments[lo:hi]``.  The
-    segments cut [0, L] at every rdy/fsh value, so a vertex window
-    [rdy, fsh] is the contiguous run of segments between the boundary
-    indices of rdy and fsh.
-    """
-    real = task.real_vertex_ids
-    points = [s.start for s in segments]
-    points.append(segments[-1].end)
-    den = math.lcm(*(x.denominator for x in points),
-                   *(task.wcets[v].denominator for v in real))
-    ends = [_scaled(x, den) for x in points]
-    index = {t: i for i, t in enumerate(ends)}
-    ranges = {v: (index[_scaled(td.rdy[v], den)],
-                  index[_scaled(td.fsh[v], den)]) for v in real}
-    return den, ends, ranges
+def _cover_ranges(td: TimingDiagram) -> list:
+    """vertex -> (lo, hi) such that the vertex covers exactly
+    ``segments[lo:hi]`` of ``build_segments(td)``: a vertex window
+    [rdy, fsh] is the run of segments between the cuts at rdy and fsh."""
+    index = {t: i for i, t in enumerate(td.cuts)}
+    return [(index[r], index[f]) for r, f in zip(td.rdy_int, td.fsh_int)]
 
 
 def segment_workload(task: DagTask, td: TimingDiagram, segments: list,
@@ -153,18 +145,17 @@ def segment_workload(task: DagTask, td: TimingDiagram, segments: list,
     segment load would cross the C/L threshold.  Phase 3 spreads leftovers
     over their covered segments (earliest first, at most e(s) per segment).
 
-    The phases run on ints: time is scaled by ``den``, the LCM of the
-    denominators on the time axis and among the WCETs, and workload by
-    ``den * L_int``.  The light test c*L <= C*e then reads w <= C_int*e_int
-    and the phase-2 capacity (C*e - c*L)/L is C_int*e_int - w.  Workloads
-    go back to ``Fraction`` only in the result.
+    The phases run on ints: time is scaled by the task's ``den``, the LCM
+    of its WCET denominators, and workload by ``den * L_int``.  The light
+    test c*L <= C*e then reads w <= C_int*e_int and the phase-2 capacity
+    (C*e - c*L)/L is C_int*e_int - w.  Workloads go back to ``Fraction``
+    only in the result.
     """
     if metrics is None:
         metrics = validate(task)
-    work, cpl = metrics.work, metrics.critical_path
-    den, ends, ranges = _cover_ranges(task, td, segments)
-    l_int, c_int = _scaled(cpl, den), _scaled(work, den)
-    unit = den * l_int                       # workload units per unit time
+    ranges, ends = _cover_ranges(td), td.cuts
+    l_int, c_int = td.cpl_int, task.work_int
+    unit = td.den * l_int                    # workload units per unit time
     lengths = [b - a for a, b in zip(ends, ends[1:])]
     caps = [c_int * e for e in lengths]      # C/L threshold, workload units
     load = [0] * len(segments)
@@ -183,7 +174,7 @@ def segment_workload(task: DagTask, td: TimingDiagram, segments: list,
     # Phase 1: single-segment vertices
     for v in real:
         lo, hi = ranges[v]
-        w = _scaled(task.wcets[v], unit)
+        w = task.wcet_int[v] * l_int
         if hi - lo == 1:
             put(lo, v, w)
         else:
@@ -245,15 +236,15 @@ def segment_workload(task: DagTask, td: TimingDiagram, segments: list,
     heavy = sum(w for w, cap in zip(load, caps) if w > cap)
     light = sum(e for w, cap, e in zip(load, caps, lengths) if w <= cap)
     return SegmentationResult(
-        segments=[replace(s, c=Fraction(w, unit))
+        segments=[Segment(s.index, s.start, s.end, Fraction(w, unit), s.d)
                   for s, w in zip(segments, load)],
         assignment={s.index: {v: Fraction(w, unit) for v, w in slot.items()}
                     for s, slot in zip(segments, slots)},
         split_count=split_count,
-        work=work,
-        critical_path=cpl,
+        work=metrics.work,
+        critical_path=metrics.critical_path,
         c_heavy=Fraction(heavy, unit),
-        l_light=Fraction(light, den),
+        l_light=Fraction(light, td.den),
         omega=Fraction(heavy + light * c_int, l_int * c_int),
     )
 
@@ -280,7 +271,7 @@ def segmentation_oracle(task: DagTask, td: Optional[TimingDiagram] = None,
             f"{len(real)} vertices exceeds the oracle cap {max_vertices}")
     work, cpl = metrics.work, metrics.critical_path
 
-    ranges = _cover_ranges(task, td, segments)[2]
+    ranges = _cover_ranges(td)
     net = FlowNetwork()
     for v in real:
         net.add_edge("src", ("v", v), task.wcets[v])

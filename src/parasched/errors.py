@@ -21,8 +21,9 @@ class ConstrainedDeadline(ParaschedError):
     """A task with D < T reached an analysis that assumes D = T."""
 
 
-class MalformedTaskSet(ParaschedError):
-    """Task-set JSON that lacks a required field."""
+class MalformedTaskSet(ParaschedError, ValueError):
+    """A task set that lacks a required field, or a DAG whose structure is
+    malformed."""
 
 
 class EmptyTaskSet(ParaschedError):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .model import DagTask, validate
+from .model import DagTask
 
 
 @dataclass
@@ -33,6 +33,8 @@ class GenConfig:
             raise ValueError("edge probability must be in [0, 1]")
         if self.util <= 0:
             raise ValueError("utilization must be positive")
+        if self.wcet_range[0] < 1:
+            raise ValueError("WCETs must be positive")
 
 
 PAPER_SCALE = (50, 250)
@@ -45,11 +47,9 @@ def gen_structure(config: GenConfig, rng: random.Random, task_id):
     wcets = [rng.randint(*config.wcet_range) for _ in range(n)]
     order = list(range(n))
     rng.shuffle(order)
-    edges = []
-    for a in range(n):
-        for b in range(a + 1, n):
-            if rng.random() < config.p:
-                edges.append((order[a], order[b]))
+    draw, p = rng.random, config.p       # locals for the O(n^2) loop
+    edges = [(u, order[b]) for a, u in enumerate(order)
+             for b in range(a + 1, n) if draw() < p]
     return task_id, list(enumerate(wcets)), edges
 
 
@@ -91,13 +91,11 @@ def gen_period(work, critical_path, config: GenConfig, rng: random.Random,
 def gen_dag(config: GenConfig, rng: random.Random, task_id=0) -> DagTask:
     """A single DAG; the period comes from the gamma formula so that no
     utilization split is needed."""
-    tid, verts, edges = gen_structure(config, rng, task_id)
-    probe = DagTask(tid, verts, edges, period=1, deadline=1)
-    met = validate(probe)
+    shape = DagTask(*gen_structure(config, rng, task_id))
     cfg = config if config.period_mode == "gamma-formula" else GenConfig(
         **{**config.__dict__, "period_mode": "gamma-formula"})
-    period = gen_period(met.work, met.critical_path, cfg, rng)
-    return DagTask(tid, verts, edges, period=period, deadline=period)
+    return shape.with_period(
+        gen_period(shape.work, shape.critical_path, cfg, rng))
 
 
 def gen_taskset(config: GenConfig,
@@ -109,19 +107,15 @@ def gen_taskset(config: GenConfig,
     sum to util*m exactly.
     """
     rng = random.Random(config.seed if seed is None else seed)
-    structures = [gen_structure(config, rng, i)
-                  for i in range(config.n_tasks)]
-    metrics = []
-    for tid, verts, edges in structures:
-        probe = DagTask(tid, verts, edges, period=1, deadline=1)
-        met = validate(probe)
-        metrics.append((met.work, met.critical_path))
+    shapes = [DagTask(*gen_structure(config, rng, i))
+              for i in range(config.n_tasks)]
 
     total = Fraction(config.util) * config.m
     if config.period_mode == "target-utilization":
+        limits = [Fraction(t.work_int, t.cpl_int) for t in shapes]
         for _ in range(10000):
             shares = uunifast(total, config.n_tasks, rng)
-            if all(u < c / l for u, (c, l) in zip(shares, metrics)):
+            if all(u < lim for u, lim in zip(shares, limits)):
                 break
         else:
             raise RuntimeError("could not draw valid utilization shares; "
@@ -130,10 +124,9 @@ def gen_taskset(config: GenConfig,
         shares = [None] * config.n_tasks
 
     tasks = []
-    for (tid, verts, edges), (c, l), share in zip(structures, metrics,
-                                                  shares):
-        period = gen_period(c, l, config, rng, target_util=share)
-        assert period > l
-        tasks.append(DagTask(tid, verts, edges, period=period,
-                             deadline=period))
+    for shape, share in zip(shapes, shares):
+        period = gen_period(shape.work, shape.critical_path, config, rng,
+                            target_util=share)
+        assert period > shape.critical_path
+        tasks.append(shape.with_period(period))
     return tasks

@@ -4,13 +4,16 @@ A task is a directed acyclic graph of WCET-labelled vertices with a period
 and a relative deadline.  Multi-source / multi-sink graphs are augmented
 with zero-WCET dummy head/tail vertices on construction, so every task has
 exactly one source and one sink.  All quantities on the analysis path are
-exact ``fractions.Fraction`` values.
+exact: each task keeps its structure as integers scaled by the LCM of its
+WCET denominators, and results come back as ``fractions.Fraction`` values.
 """
 
 from __future__ import annotations
 
+import copy
 import json
-from collections import deque
+import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
@@ -32,7 +35,7 @@ def as_fraction(value) -> Fraction:
     """
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, float):
         return Fraction(repr(value))
@@ -53,82 +56,101 @@ class DagTask:
 
     Vertex ids must be dense integers 0..n-1.  If the graph has several
     sources (or sinks), a dummy vertex with WCET 0 is appended; dummy ids
-    are listed in ``dummy_ids``.
+    are listed in ``dummy_ids``.  Built without a period, a task is a shape
+    that ``with_period`` times.  Construction checks the structure once
+    (``MalformedTaskSet``, ``CycleDetected``) and keeps a period-free
+    integer core that ``with_period`` shares: ``den``, the LCM of the WCET
+    denominators; the WCETs (``wcet_int``), earliest ready times
+    (``rdy_int``), C (``work_int``) and L (``cpl_int``), all times ``den``;
+    and a topological ``order``.
     """
 
-    def __init__(self, task_id, vertices, edges, period, deadline):
+    def __init__(self, task_id, vertices, edges, period=None, deadline=None):
         self.id = task_id
-        self.period = as_fraction(period)
-        self.deadline = as_fraction(deadline)
-
-        wcets = {}
-        for vid, wcet in vertices:
-            if vid in wcets:
-                raise ValueError(f"duplicate vertex id {vid}")
-            wcets[vid] = as_fraction(wcet)
-        n = len(wcets)
-        if n == 0:
-            raise ValueError("task must have at least one vertex")
-        if set(wcets) != set(range(n)):
-            raise ValueError("vertex ids must be dense integers 0..n-1")
-
-        edge_set = []
-        seen = set()
+        self.period = self.deadline = None
+        try:
+            if period is not None:
+                self.period = as_fraction(period)
+                self.deadline = as_fraction(deadline)
+            vertices = sorted((vid, as_fraction(w)) for vid, w in vertices)
+            edges = list(dict.fromkeys((u, v) for u, v in edges))
+        except (TypeError, ValueError) as exc:
+            raise MalformedTaskSet(
+                f"task {task_id}: bad vertex, edge or time ({exc})") from None
+        n = len(vertices)
+        if not n or any(type(vid) is not int or vid != i
+                        for i, (vid, _) in enumerate(vertices)):
+            raise MalformedTaskSet(f"task {task_id}: vertex ids must be "
+                                   "dense integers 0..n-1, n >= 1")
+        succ = [[] for _ in range(n)]
+        pred = [[] for _ in range(n)]
         for u, v in edges:
-            if u not in wcets or v not in wcets:
-                raise ValueError(f"edge ({u}, {v}) references unknown vertex")
+            if not (type(u) is type(v) is int and 0 <= u < n and 0 <= v < n):
+                raise MalformedTaskSet(
+                    f"task {task_id}: edge ({u}, {v}) references an unknown "
+                    "vertex")
             if u == v:
-                raise CycleDetected(f"self loop on vertex {u}")
-            if (u, v) not in seen:
-                seen.add((u, v))
-                edge_set.append((u, v))
-
-        succ = {vid: [] for vid in wcets}
-        pred = {vid: [] for vid in wcets}
-        for u, v in edge_set:
+                raise CycleDetected(f"task {task_id}: self loop on vertex {u}")
             succ[u].append(v)
             pred[v].append(u)
+        wcets = [w for _, w in vertices]
+        for inward, outward in ((pred, succ), (succ, pred)):
+            ends = [v for v in range(n) if not inward[v]]
+            if len(ends) > 1:   # several sources, then sinks: one dummy
+                for v in ends:
+                    inward[v].append(len(wcets))
+                inward.append([])
+                outward.append(ends)
+                wcets.append(Fraction(0))
+        dummies = range(n, len(wcets))
+        edges += [(d, v) for d in dummies for v in succ[d]]
+        edges += [(u, d) for d in dummies for u in pred[d]]
 
-        sources = [v for v in sorted(wcets) if not pred[v]]
-        sinks = [v for v in sorted(wcets) if not succ[v]]
-        dummy_ids = set()
-        if len(sources) > 1:
-            head = n
-            wcets[head] = Fraction(0)
-            succ[head] = list(sources)
-            pred[head] = []
-            for s in sources:
-                pred[s].append(head)
-                edge_set.append((head, s))
-            dummy_ids.add(head)
-            n += 1
-        if len(sinks) > 1:
-            tail = n
-            wcets[tail] = Fraction(0)
-            pred[tail] = list(sinks)
-            succ[tail] = []
-            for s in sinks:
-                succ[s].append(tail)
-                edge_set.append((s, tail))
-            dummy_ids.add(tail)
-            n += 1
+        self.wcets = dict(enumerate(wcets))
+        self.edges = tuple(edges)
+        self.succ, self.pred = succ, pred
+        self.dummy_ids = frozenset(dummies)
+        self.den = math.lcm(*(w.denominator for w in wcets))
+        ints = [w.numerator * (self.den // w.denominator) for w in wcets]
+        # Kahn's algorithm, pushing each finish time on to the successors
+        indeg = [len(p) for p in self.pred]
+        order = [v for v, d in enumerate(indeg) if not d]
+        rdy = [0] * len(ints)
+        for v in order:
+            finish = rdy[v] + ints[v]
+            for u in self.succ[v]:
+                if rdy[u] < finish:
+                    rdy[u] = finish
+                indeg[u] -= 1
+                if not indeg[u]:
+                    order.append(u)
+        if len(order) != len(ints):
+            raise CycleDetected(f"task {task_id} contains a cycle")
+        self.wcet_int, self.order, self.rdy_int = ints, order, rdy
+        self.work_int = sum(ints)
+        self.cpl_int = max(map(operator.add, rdy, ints))
 
-        self.wcets = dict(wcets)
-        self.edges = tuple(edge_set)
-        self.succ = {v: tuple(sorted(u)) for v, u in succ.items()}
-        self.pred = {v: tuple(sorted(u)) for v, u in pred.items()}
-        self.dummy_ids = frozenset(dummy_ids)
+    def with_period(self, period, deadline=None) -> "DagTask":
+        """This DAG, sharing its integer core, with period T and deadline D
+        (D = T unless given)."""
+        task = copy.copy(self)
+        task.period = as_fraction(period)
+        task.deadline = as_fraction(period if deadline is None else deadline)
+        return task
 
     @property
-    def vertex_ids(self):
-        return sorted(self.wcets)
+    def work(self) -> Fraction:
+        """C, the summed WCET of the real vertices."""
+        return Fraction(self.work_int, self.den)
+
+    @property
+    def critical_path(self) -> Fraction:
+        """L, the summed WCET of the longest path."""
+        return Fraction(self.cpl_int, self.den)
 
     @property
     def real_vertex_ids(self):
-        return [v for v in sorted(self.wcets) if v not in self.dummy_ids]
-
-    def wcet(self, vid) -> Fraction:
-        return self.wcets[vid]
+        return list(range(len(self.wcets) - len(self.dummy_ids)))
 
     def source(self):
         (src,) = [v for v in self.wcets if not self.pred[v]]
@@ -139,20 +161,8 @@ class DagTask:
         return snk
 
     def topological_order(self):
-        """Kahn's algorithm; raises CycleDetected if the graph has a cycle."""
-        indeg = {v: len(self.pred[v]) for v in self.wcets}
-        queue = deque(sorted(v for v, d in indeg.items() if d == 0))
-        order = []
-        while queue:
-            v = queue.popleft()
-            order.append(v)
-            for u in self.succ[v]:
-                indeg[u] -= 1
-                if indeg[u] == 0:
-                    queue.append(u)
-        if len(order) != len(self.wcets):
-            raise CycleDetected(f"task {self.id} contains a cycle")
-        return order
+        """The order Kahn's algorithm gave at construction."""
+        return list(self.order)
 
 
 @dataclass(frozen=True)
@@ -187,27 +197,18 @@ class Verdict:
 
 
 def validate(task: DagTask) -> TaskMetrics:
-    """Check the task invariants and compute C, L, U, density, elasticity.
-
-    C sums real vertices only; L is the longest path, computed in
-    topological order (dummies carry zero WCET so they never change it).
-    """
-    for vid, wcet in task.wcets.items():
-        if vid not in task.dummy_ids and wcet <= 0:
-            raise NonPositiveWcet(f"vertex {vid} has WCET {wcet}")
+    """Check the task's timing invariants and read C, L, U, density and
+    elasticity off its integer core; C sums real vertices only."""
+    if task.period is None:
+        raise MalformedTaskSet(f"task {task.id}: no period")
+    real = task.wcet_int[:len(task.wcet_int) - len(task.dummy_ids)]
+    if min(real) <= 0:
+        vid = next(v for v, w in enumerate(real) if w <= 0)
+        raise NonPositiveWcet(f"vertex {vid} has WCET {task.wcets[vid]}")
     if task.deadline > task.period:
         raise DeadlineExceedsPeriod(
             f"task {task.id}: D={task.deadline} > T={task.period}")
-
-    order = task.topological_order()
-    work = sum((task.wcets[v] for v in task.real_vertex_ids), Fraction(0))
-
-    finish = {}
-    for v in order:
-        start = max((finish[u] for u in task.pred[v]), default=Fraction(0))
-        finish[v] = start + task.wcets[v]
-    critical_path = max(finish.values())
-
+    work, critical_path = task.work, task.critical_path
     density = work / task.deadline
     return TaskMetrics(
         work=work,
@@ -234,14 +235,13 @@ def summarize(tasks: Sequence[DagTask],
         raise EmptyTaskSet("cannot summarize an empty task set")
     if metrics is None:
         metrics = [validate(t) for t in tasks]
-    summary = TaskSetSummary(
+    return TaskSetSummary(
         u_sum=sum((m.utilization for m in metrics), Fraction(0)),
         gamma_top=max(m.elasticity for m in metrics),
         omega_top=max(omegas) if omegas else None,
         delta_top=max(max_densities) if max_densities else None,
         ell_sum=sum(loads, Fraction(0)) if loads else None,
     )
-    return summary
 
 
 # --- task-set JSON schema -------------------------------------------------
@@ -272,11 +272,10 @@ def task_from_dict(data: dict, index: int = 0) -> DagTask:
     try:
         fields = dict(
             task_id=data["id"],
-            vertices=[(v["id"], as_fraction(v["wcet"]))
-                      for v in data["vertices"]],
-            edges=[tuple(e) for e in data["edges"]],
-            period=as_fraction(data["period"]),
-            deadline=as_fraction(data["deadline"]),
+            vertices=[(v["id"], v["wcet"]) for v in data["vertices"]],
+            edges=data["edges"],
+            period=data["period"],
+            deadline=data["deadline"],
         )
     except KeyError as exc:
         raise MalformedTaskSet(

@@ -64,18 +64,25 @@ class WfItem:
     item_id: object
     load: Fraction
 
+    @property
+    def split_bound(self) -> Fraction:
+        return self.load             # never split
+
 
 class Bin:
+    """One shared processor: its items and their running sums of load and
+    of split bounds delta*."""
+
     def __init__(self, index: int):
         self.index = index
         self.items: list = []
+        self.load = Fraction(0)
+        self.dstar_sum = Fraction(0)
 
-    @property
-    def load(self) -> Fraction:
-        return sum((i.load for i in self.items), Fraction(0))
-
-    def dstar_sum(self) -> Fraction:
-        return sum((i.split_bound for i in self.items), Fraction(0))
+    def add(self, item) -> None:
+        self.items.append(item)
+        self.load += item.load
+        self.dstar_sum += item.split_bound
 
 
 def worst_fit_into(items: Sequence, bins: list, key=lambda i: i.load) -> None:
@@ -88,7 +95,7 @@ def worst_fit_into(items: Sequence, bins: list, key=lambda i: i.load) -> None:
         if not candidates:
             raise NoFit(f"item {item!r} does not fit on any bin")
         best = min(candidates, key=lambda b: (b.load, b.index))
-        best.items.append(item)
+        best.add(item)
 
 
 def worst_fit_partition(items: Sequence, bins) -> list:
@@ -170,11 +177,11 @@ def sf2(tasks: Sequence[DagTask], m: int,
                    key=lambda i: (-i.split_bound, str(i.item_id)))
     for item in items:
         candidates = [b for b in open_bins
-                      if b.dstar_sum() + item.split_bound <= 1]
+                      if b.dstar_sum + item.split_bound <= 1]
         if not candidates:
             return Verdict("sf2", False, reason="sched* failure")
-        best = min(candidates, key=lambda b: (b.dstar_sum(), b.index))
-        best.items.append(item)
+        best = min(candidates, key=lambda b: (b.dstar_sum, b.index))
+        best.add(item)
         if best.load > 1:
             open_bins.remove(best)
             over_bins.append(best)
@@ -215,11 +222,13 @@ def _scrape(b: Bin) -> list:
         b.items[b.items.index(item)] = ContainerTask(
             owner=item.owner, load=kept, split_bound=item.split_bound,
             label=item.label + "'")
+        b.load -= spill
         out.append(ContainerTask(
             owner=item.owner, load=spill, split_bound=spill,
             label=item.label + "''"))
         excess -= spill
         if excess == 0:
             break
-    assert excess == 0, "scrape could not reduce the bin to load 1"
+    assert excess == 0 and b.load == 1, \
+        "scrape could not reduce the bin to load 1"
     return out

@@ -2,14 +2,17 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from parasched.analysis import (UniformPlatform, capacity_bound,
+from parasched.analysis import (UniformPlatform, _fewest_bins, capacity_bound,
                                 decomposed_test, federated_allocate,
                                 gedf_density_test, gli_capacity_test,
                                 speed_requirement, uniform_response_bound,
                                 weak_response_bound)
 from parasched.model import DagTask, TaskSetSummary, validate
-from parasched.semifed import capacity_requirement
+from parasched.errors import NoFit
+from parasched.semifed import WfItem, capacity_requirement, worst_fit_partition
 from conftest import chain_task, diamond_task, fig1_task
 
 
@@ -138,3 +141,21 @@ def test_platform_rejects_bad_speeds():
         UniformPlatform([])
     with pytest.raises(ValueError):
         UniformPlatform([1, 0])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.fractions(min_value=Fraction(1, 100),
+                             max_value=Fraction(3, 2)), max_size=10))
+def test_fewest_bins_matches_the_search_from_one(loads):
+    # starting at ceil(sum of loads) skips only k that cannot fit
+    items = [WfItem(i, load) for i, load in enumerate(loads)]
+
+    def fits(k):
+        try:
+            worst_fit_partition(items, k)
+            return True
+        except NoFit:
+            return False
+    expected = next((k for k in range(1, len(items) + 1) if fits(k)),
+                    len(items))
+    assert _fewest_bins(items) == expected

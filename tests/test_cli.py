@@ -137,6 +137,26 @@ def test_package_error_is_one_line_with_status_2(constrained_path, capsys):
     assert len(captured.err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("vertices, edges", [
+    ([[0, 1], [1, 1]], [[0, 5]]),            # edge to an unknown vertex
+    ([[0, 1], [2, 1]], []),                  # vertex ids not dense
+    ([[0, 1], [1, 1]], [[0, 1, 1]]),         # three-element edge
+    ([[0, True], [1, 1]], [[0, 1]]),         # boolean WCET
+])
+def test_malformed_dag_is_one_line_with_status_2(tmp_path, capsys, vertices,
+                                                 edges):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"tasks": [{
+        "id": "bad", "period": 10, "deadline": 10, "edges": edges,
+        "vertices": [{"id": v, "wcet": w} for v, w in vertices]}]}))
+    rc = main(["analyze", str(path), "--m", "2"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("parasched: error: task bad: ")
+    assert len(captured.err.splitlines()) == 1
+
+
 @pytest.mark.parametrize("argv", [["analyze", "--m", "8"], ["decompose"],
                                   ["simulate", "--speeds", "1,1/2"]])
 def test_taskset_file_is_closed(taskset_path, tmp_path, argv):

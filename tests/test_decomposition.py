@@ -1,6 +1,7 @@
 import hashlib
 import math
 import random
+from collections import deque
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional
@@ -12,7 +13,9 @@ from parasched.decomposition import (SegmentationResult, Segment,
                                      dbf_and_load, decompose, segment_omega,
                                      segment_workload, segmentation_oracle,
                                      timing_diagram)
-from parasched.errors import ConstrainedDeadline, OracleTooLarge
+from parasched.errors import (ConstrainedDeadline, CycleDetected,
+                              DeadlineExceedsPeriod, DegenerateWindow,
+                              NonPositiveWcet, OracleTooLarge)
 from parasched.gen import PAPER_SCALE, GenConfig, gen_taskset
 from parasched.model import DagTask, TaskMetrics, validate
 from conftest import (build_corpus, chain_task, diamond_task, fig1_task,
@@ -405,3 +408,139 @@ def test_decomposition_digest_is_pinned(corpus):
             [(st.origin, str(st.release), str(st.deadline), str(st.wcet))
              for st in dec.decomposed.subtasks])).encode())
     assert digest.hexdigest() == CORPUS_DIGEST
+
+
+# The Fraction task model that the integer core replaced: the topological
+# sort, ``validate``, ``timing_diagram`` and ``build_segments``, copied
+# verbatim but for the names, as the reference the core must match.
+
+@dataclass(frozen=True)
+class _ReferenceDiagram:
+    rdy: dict    # vertex -> earliest ready time
+    fsh: dict    # vertex -> latest finish time
+    critical_path: Fraction
+
+
+def _reference_topological_order(task):
+    """Kahn's algorithm; raises CycleDetected if the graph has a cycle."""
+    indeg = {v: len(task.pred[v]) for v in task.wcets}
+    queue = deque(sorted(v for v, d in indeg.items() if d == 0))
+    order = []
+    while queue:
+        v = queue.popleft()
+        order.append(v)
+        for u in task.succ[v]:
+            indeg[u] -= 1
+            if indeg[u] == 0:
+                queue.append(u)
+    if len(order) != len(task.wcets):
+        raise CycleDetected(f"task {task.id} contains a cycle")
+    return order
+
+
+def _reference_validate(task: DagTask) -> TaskMetrics:
+    """Check the task invariants and compute C, L, U, density, elasticity.
+
+    C sums real vertices only; L is the longest path, computed in
+    topological order (dummies carry zero WCET so they never change it).
+    """
+    for vid, wcet in task.wcets.items():
+        if vid not in task.dummy_ids and wcet <= 0:
+            raise NonPositiveWcet(f"vertex {vid} has WCET {wcet}")
+    if task.deadline > task.period:
+        raise DeadlineExceedsPeriod(
+            f"task {task.id}: D={task.deadline} > T={task.period}")
+
+    order = _reference_topological_order(task)
+    work = sum((task.wcets[v] for v in task.real_vertex_ids), Fraction(0))
+
+    finish = {}
+    for v in order:
+        start = max((finish[u] for u in task.pred[v]), default=Fraction(0))
+        finish[v] = start + task.wcets[v]
+    critical_path = max(finish.values())
+
+    density = work / task.deadline
+    return TaskMetrics(
+        work=work,
+        critical_path=critical_path,
+        utilization=work / task.period,
+        density=density,
+        elasticity=critical_path / task.period,
+        heavy=density > 1,
+    )
+
+
+def _reference_timing_diagram(task: DagTask,
+                              metrics: Optional[TaskMetrics] = None
+                              ) -> _ReferenceDiagram:
+    """Earliest ready / latest finish times on the [0, L] axis.
+
+    rdy(v) = max over predecessors of rdy(u) + c(u), 0 for the source;
+    fsh(v) = min over successors of rdy(u), L for the sink.
+    """
+    if metrics is None:
+        metrics = _reference_validate(task)
+    order = _reference_topological_order(task)
+    rdy = {}
+    for v in order:
+        rdy[v] = max((rdy[u] + task.wcets[u] for u in task.pred[v]),
+                     default=Fraction(0))
+    fsh = {}
+    for v in reversed(order):
+        fsh[v] = min((rdy[u] for u in task.succ[v]),
+                     default=metrics.critical_path)
+    return _ReferenceDiagram(rdy=rdy, fsh=fsh,
+                             critical_path=metrics.critical_path)
+
+
+def _reference_build_segments(td: _ReferenceDiagram) -> list:
+    """Cut [0, L] at every distinct rdy/fsh value."""
+    if td.critical_path == 0:
+        raise DegenerateWindow("critical path has zero length")
+    boundaries = {Fraction(0), td.critical_path}
+    boundaries.update(td.rdy.values())
+    boundaries.update(td.fsh.values())
+    points = sorted(boundaries)
+    return [Segment(index=i, start=a, end=b)
+            for i, (a, b) in enumerate(zip(points, points[1:]))]
+
+
+def _assert_same_core(tasks):
+    for task in tasks:
+        met, ref_met = validate(task), _reference_validate(task)
+        assert met == ref_met, task.id
+        td, ref_td = timing_diagram(task, met), _reference_timing_diagram(task)
+        assert (td.rdy, td.fsh, td.critical_path) \
+            == (ref_td.rdy, ref_td.fsh, ref_td.critical_path), task.id
+        assert build_segments(td) == _reference_build_segments(ref_td), \
+            task.id
+
+
+def test_core_matches_reference_on_corpus(corpus):
+    _assert_same_core(corpus)
+
+
+def test_core_matches_reference_on_rational_wcets(corpus):
+    rng = random.Random(13)
+    tasks = [_rational_variant(task, rng) for task in corpus[:400]]
+    assert any(t.den > 1 for t in tasks)
+    _assert_same_core(tasks)
+
+
+def test_core_matches_reference_on_multi_source_and_sink_dags():
+    # sparse G(n, p) DAGs with rational WCETs: both dummies in most
+    rng = random.Random(14)
+    tasks = []
+    for i in range(300):
+        n = rng.randint(2, 14)
+        vertices = [(v, Fraction(rng.randint(1, 30), rng.randint(1, 6)))
+                    for v in range(n)]
+        order = rng.sample(range(n), n)
+        edges = [(order[a], order[b]) for a in range(n)
+                 for b in range(a + 1, n) if rng.random() < 0.15]
+        shape = DagTask(i, vertices, edges)
+        tasks.append(shape.with_period(shape.critical_path + 1))
+    assert sum(len(t.dummy_ids) == 2 for t in tasks) > 200
+    _assert_same_core(tasks)
+

@@ -43,8 +43,9 @@ def test_vertex_ids_must_be_dense():
 
 
 def test_cycle_detected():
-    t = DagTask(0, [(0, 1), (1, 1), (2, 1)], [(0, 1), (1, 2), (2, 0)], 9, 9)
     with pytest.raises(CycleDetected):
+        t = DagTask(0, [(0, 1), (1, 1), (2, 1)], [(0, 1), (1, 2), (2, 0)],
+                    9, 9)
         t.topological_order()
 
 
@@ -123,3 +124,16 @@ def test_summarize_aggregates():
     assert s.u_sum == Fraction(16, 14) + Fraction(8, 100)
     assert s.gamma_top == Fraction(8, 14)
     assert s.omega_top == Fraction(3, 2)
+
+
+def test_with_period_shares_the_core():
+    shape = DagTask(0, [(0, 2), (1, Fraction(3, 2))], [(0, 1)])
+    assert (shape.den, shape.wcet_int) == (2, [4, 3])
+    assert shape.work == shape.critical_path == Fraction(7, 2)
+    with pytest.raises(MalformedTaskSet, match="no period"):
+        validate(shape)
+    task = shape.with_period(5)
+    assert task.period == task.deadline == 5
+    assert task.rdy_int is shape.rdy_int and shape.period is None
+    assert validate(task).utilization == Fraction(7, 10)
+    assert shape.with_period(5, deadline=4).deadline == 4

@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 
 from parasched.errors import CriticalPathExceedsDeadline, NoFit
 from parasched.model import TaskMetrics
-from parasched.semifed import (WfItem, capacity_requirement, delta_star,
-                               gamma, sf1, sf2, worst_fit_partition)
+from parasched.semifed import (Bin, ContainerTask, WfItem, _scrape,
+                               capacity_requirement, delta_star, gamma, sf1,
+                               sf2, worst_fit_partition)
 
 
 def heavy_stub(tid, g):
@@ -163,3 +164,17 @@ def test_delta_star_bounds():
             # larger half of any feasible split is at least ds
             assert ds >= frac / 2
             assert ds >= frac / g
+
+
+def test_bin_running_sums_follow_placement_and_scraping():
+    b = Bin(0)
+    for owner, load, bound in ((1, Fraction(3, 5), Fraction(3, 8)),
+                               (2, Fraction(3, 5), Fraction(1, 3)),
+                               (3, Fraction(1, 10), Fraction(1, 10))):
+        b.add(ContainerTask(owner=owner, load=load, split_bound=bound))
+        assert b.load == sum(i.load for i in b.items)
+        assert b.dstar_sum == sum(i.split_bound for i in b.items)
+    spilled = _scrape(b)
+    assert b.load == sum(i.load for i in b.items) == 1
+    assert b.dstar_sum == sum(i.split_bound for i in b.items)
+    assert sum(i.load for i in spilled) == Fraction(3, 10)
