@@ -61,8 +61,7 @@ class DagTask:
     (``MalformedTaskSet``, ``CycleDetected``) and keeps a period-free
     integer core that ``with_period`` shares: ``den``, the LCM of the WCET
     denominators; the WCETs (``wcet_int``), earliest ready times
-    (``rdy_int``), C (``work_int``) and L (``cpl_int``), all times ``den``;
-    and a topological ``order``.
+    (``rdy_int``), C (``work_int``) and L (``cpl_int``), all times ``den``.
     """
 
     def __init__(self, task_id, vertices, edges, period=None, deadline=None):
@@ -74,9 +73,12 @@ class DagTask:
                 self.deadline = as_fraction(deadline)
             vertices = sorted((vid, as_fraction(w)) for vid, w in vertices)
             edges = list(dict.fromkeys((u, v) for u, v in edges))
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, ZeroDivisionError) as exc:
             raise MalformedTaskSet(
                 f"task {task_id}: bad vertex, edge or time ({exc})") from None
+        if period is not None and min(self.period, self.deadline) <= 0:
+            raise MalformedTaskSet(
+                f"task {task_id}: period and deadline must be positive")
         n = len(vertices)
         if not n or any(type(vid) is not int or vid != i
                         for i, (vid, _) in enumerate(vertices)):
@@ -126,16 +128,14 @@ class DagTask:
                     order.append(u)
         if len(order) != len(ints):
             raise CycleDetected(f"task {task_id} contains a cycle")
-        self.wcet_int, self.order, self.rdy_int = ints, order, rdy
+        self.wcet_int, self.rdy_int = ints, rdy
         self.work_int = sum(ints)
         self.cpl_int = max(map(operator.add, rdy, ints))
 
-    def with_period(self, period, deadline=None) -> "DagTask":
-        """This DAG, sharing its integer core, with period T and deadline D
-        (D = T unless given)."""
+    def with_period(self, period) -> "DagTask":
+        """This DAG, sharing its integer core, with period and deadline T."""
         task = copy.copy(self)
-        task.period = as_fraction(period)
-        task.deadline = as_fraction(period if deadline is None else deadline)
+        task.period = task.deadline = as_fraction(period)
         return task
 
     @property
@@ -159,10 +159,6 @@ class DagTask:
     def sink(self):
         (snk,) = [v for v in self.wcets if not self.succ[v]]
         return snk
-
-    def topological_order(self):
-        """The order Kahn's algorithm gave at construction."""
-        return list(self.order)
 
 
 @dataclass(frozen=True)

@@ -52,15 +52,11 @@ def random_small_task(rng, task_id, max_vertices=8):
     rng.shuffle(order)
     edges = [(order[a], order[b]) for a in range(n) for b in range(a + 1, n)
              if rng.random() < p]
-    task = DagTask(task_id, wcets, edges, period=1, deadline=1)
+    shape = DagTask(task_id, wcets, edges)
     # longest path for a valid period
-    dist = {}
-    for v in task.topological_order():
-        dist[v] = task.wcets[v] + max((dist[u] for u in task.pred[v]),
-                                      default=Fraction(0))
-    cpl = max(dist.values())
-    period = cpl + Fraction(rng.randint(1, 80), rng.randint(1, 4))
-    return DagTask(task_id, wcets, edges, period=period, deadline=period)
+    period = shape.critical_path + Fraction(rng.randint(1, 80),
+                                            rng.randint(1, 4))
+    return shape.with_period(period)
 
 
 def build_corpus(count=1000, seed=2024):

@@ -137,17 +137,22 @@ def test_package_error_is_one_line_with_status_2(constrained_path, capsys):
     assert len(captured.err.splitlines()) == 1
 
 
-@pytest.mark.parametrize("vertices, edges", [
-    ([[0, 1], [1, 1]], [[0, 5]]),            # edge to an unknown vertex
-    ([[0, 1], [2, 1]], []),                  # vertex ids not dense
-    ([[0, 1], [1, 1]], [[0, 1, 1]]),         # three-element edge
-    ([[0, True], [1, 1]], [[0, 1]]),         # boolean WCET
+@pytest.mark.parametrize("vertices, edges, times", [
+    ([[0, 1], [1, 1]], [[0, 5]], (10, 10)),       # edge to an unknown vertex
+    ([[0, 1], [2, 1]], [], (10, 10)),             # vertex ids not dense
+    ([[0, 1], [1, 1]], [[0, 1, 1]], (10, 10)),    # three-element edge
+    ([[0, True], [1, 1]], [[0, 1]], (10, 10)),    # boolean WCET
+    ([[0, "1/0"], [1, 1]], [[0, 1]], (10, 10)),   # zero WCET denominator
+    ([[0, 1]], [], ("1/0", 10)),                  # zero period denominator
+    ([[0, 1]], [], (0, 0)),                       # zero period
+    ([[0, 1]], [], (10, -1)),                     # negative deadline
 ])
 def test_malformed_dag_is_one_line_with_status_2(tmp_path, capsys, vertices,
-                                                 edges):
+                                                 edges, times):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"tasks": [{
-        "id": "bad", "period": 10, "deadline": 10, "edges": edges,
+        "id": "bad", "period": times[0], "deadline": times[1],
+        "edges": edges,
         "vertices": [{"id": v, "wcet": w} for v, w in vertices]}]}))
     rc = main(["analyze", str(path), "--m", "2"])
     assert rc == 2

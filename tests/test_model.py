@@ -44,9 +44,7 @@ def test_vertex_ids_must_be_dense():
 
 def test_cycle_detected():
     with pytest.raises(CycleDetected):
-        t = DagTask(0, [(0, 1), (1, 1), (2, 1)], [(0, 1), (1, 2), (2, 0)],
-                    9, 9)
-        t.topological_order()
+        DagTask(0, [(0, 1), (1, 1), (2, 1)], [(0, 1), (1, 2), (2, 0)], 9, 9)
 
 
 def test_self_loop_rejected():
@@ -136,4 +134,3 @@ def test_with_period_shares_the_core():
     assert task.period == task.deadline == 5
     assert task.rdy_int is shape.rdy_int and shape.period is None
     assert validate(task).utilization == Fraction(7, 10)
-    assert shape.with_period(5, deadline=4).deadline == 4
