@@ -14,12 +14,11 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .decomposition import segment_omega
 from .errors import ConstrainedDeadline, CriticalPathExceedsDeadline, NoFit
-from .model import (DagTask, TaskMetrics, TaskSetSummary, Verdict, summarize,
-                    validate)
+from .model import DagTask, TaskMetrics, TaskSetSummary, Verdict, summarize
 from .semifed import gamma, sf1, sf2, worst_fit_partition, WfItem
 
 
@@ -37,7 +36,6 @@ class UniformPlatform:
         for s in speeds:
             total += s
             prefix.append(total)
-        self.prefix = tuple(prefix)
         self.total_speed = total
         self.uniformity = max((total - sx) / dx
                               for sx, dx in zip(prefix, speeds))
@@ -91,16 +89,13 @@ def speed_requirement(summary: TaskSetSummary, m: int) -> Fraction:
             + omega * summary.gamma_top * (1 - Fraction(1, m)))
 
 
-def federated_allocate(tasks: Sequence[DagTask], m: int,
-                       metrics: Optional[Sequence[TaskMetrics]] = None
-                       ) -> Verdict:
+def federated_allocate(tasks: Sequence[DagTask], m: int) -> Verdict:
     """Pure federated scheduling: ceil(gamma) dedicated processors per
     heavy task, light tasks partitioned by worst-fit decreasing EDF."""
-    if metrics is None:
-        metrics = [validate(t) for t in tasks]
     dedicated = {}
     light_items = []
-    for task, met in zip(tasks, metrics):
+    for task in tasks:
+        met = task.metrics
         if met.heavy:
             try:
                 g = gamma(met)
@@ -141,19 +136,15 @@ def _fewest_bins(items) -> int:
     return len(items)
 
 
-def gli_capacity_test(tasks: Sequence[DagTask], m: int,
-                      metrics: Optional[Sequence[TaskMetrics]] = None
-                      ) -> Verdict:
+def gli_capacity_test(tasks: Sequence[DagTask], m: int) -> Verdict:
     """Capacity-bound baseline: U_sum/m <= 1/b and L_i/D_i <= 1/b with
     b = (3+sqrt(5))/2.  Exact: x <= 1/b = (3-sqrt(5))/2 holds iff
     3-2x >= 0 and (3-2x)^2 >= 5."""
-    if metrics is None:
-        metrics = [validate(t) for t in tasks]
-    x = sum((met.utilization for met in metrics), Fraction(0)) / m
+    x = sum((t.metrics.utilization for t in tasks), Fraction(0)) / m
     if not _within_gli(x):
         return Verdict("gli-capacity", False, reason=f"U_sum/m = {x} > 1/b")
-    for task, met in zip(tasks, metrics):
-        x = met.critical_path / task.deadline
+    for task in tasks:
+        x = task.metrics.critical_path / task.deadline
         if not _within_gli(x):
             return Verdict("gli-capacity", False,
                            reason=f"task {task.id}: L/D = {x} > 1/b")
@@ -179,31 +170,28 @@ def weak_response_bound(metrics: TaskMetrics,
             + (metrics.work - metrics.critical_path) / platform.total_speed)
 
 
-def _decomposed(tasks, metrics, m) -> Verdict:
+def _decomposed(tasks, m) -> Verdict:
     """D-OUR from each task's Omega; a task outside the decomposition's
     implicit-deadline model makes it reject, and the other tests still
     run."""
     try:
-        omegas = [segment_omega(t, met) for t, met in zip(tasks, metrics)]
+        omegas = [segment_omega(t) for t in tasks]
     except ConstrainedDeadline as exc:
         return Verdict("decomposed", False, reason=str(exc))
-    return decomposed_test(summarize(tasks, metrics=metrics, omegas=omegas),
-                           m)
+    return decomposed_test(summarize(tasks, omegas=omegas), m)
 
 
 class Method(NamedTuple):
     flag: str          # its `parasched analyze --test` value
-    run: Callable      # (tasks, metrics, m) -> Verdict
+    run: Callable      # (tasks, m) -> Verdict
 
 
 # Method name -> test, in output order.  The entries look the test
 # functions up when called, so a rebound module attribute is what runs.
 TESTS = {
     "D-OUR": Method("decomposed", _decomposed),
-    "F-LI": Method("federated",
-                   lambda ts, mets, m: federated_allocate(ts, m, mets)),
-    "SF1": Method("sf1", lambda ts, mets, m: sf1(ts, m, mets)),
-    "SF2": Method("sf2", lambda ts, mets, m: sf2(ts, m, mets)),
-    "G-LI": Method("gli",
-                   lambda ts, mets, m: gli_capacity_test(ts, m, mets)),
+    "F-LI": Method("federated", lambda ts, m: federated_allocate(ts, m)),
+    "SF1": Method("sf1", lambda ts, m: sf1(ts, m)),
+    "SF2": Method("sf2", lambda ts, m: sf2(ts, m)),
+    "G-LI": Method("gli", lambda ts, m: gli_capacity_test(ts, m)),
 }

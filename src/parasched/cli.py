@@ -19,7 +19,7 @@ from .decomposition import decompose
 from .errors import ParaschedError
 from .experiment import METHODS, GenConfig, check_methods, emit, sweep
 from .gen import PAPER_SCALE, gen_taskset
-from .model import dump_taskset, format_rational, load_taskset, validate
+from .model import dump_taskset, format_rational, load_taskset
 from .sim import simulate_dispatcher, simulate_gedf, simulate_uniform
 
 
@@ -40,7 +40,7 @@ def _load(path):
 def _config_from(args) -> GenConfig:
     scale = PAPER_SCALE if args.paper_scale else (10, 50)
     return GenConfig(seed=args.seed, n_tasks=args.n_tasks, p=args.p,
-                     m=args.m, util=args.util, n_vertices=scale,
+                     m=args.m, util=float(args.util), n_vertices=scale,
                      period_mode=args.period_mode)
 
 
@@ -80,11 +80,10 @@ def cmd_decompose(args):
 def cmd_analyze(args):
     """One JSON row per selected test, in registry order."""
     tasks = _load(args.taskset)
-    metrics = [validate(t) for t in tasks]
     with _out(args.out) as fp:
         for method in TESTS.values():
             if args.test in (method.flag, "all"):
-                verdict = method.run(tasks, metrics, args.m)
+                verdict = method.run(tasks, args.m)
                 fp.write(json.dumps(_jsonable(asdict(verdict))) + "\n")
     return 0
 
@@ -117,12 +116,11 @@ def cmd_simulate(args):
                      + "\n")
             return 0 if report.ok else 1
         task = tasks[0]
-        values = [Fraction(s) for s in args.speeds.split(",")]
         if args.engine == "uniform":
-            trace = simulate_uniform(task, values,
+            trace = simulate_uniform(task, args.speeds,
                                      migration=not args.no_migration)
         else:
-            trace = simulate_dispatcher(task, values)
+            trace = simulate_dispatcher(task, args.speeds)
         for ev in trace.events:
             fp.write(json.dumps(_jsonable(list(ev))) + "\n")
         fp.write(json.dumps({"kind": "summary",
@@ -135,15 +133,34 @@ def cmd_simulate(args):
 def cmd_experiment(args):
     base = _config_from(args)
     methods = args.methods or METHODS
-    buckets = None
-    if args.buckets:
-        conv = {"utilization": Fraction, "processors": int, "p": float}
-        buckets = [conv[args.axis](b) for b in args.buckets.split(",")]
-    records = sweep(args.axis, base, args.trials, buckets=buckets,
+    records = sweep(args.axis, base, args.trials, buckets=args.buckets,
                     methods=methods)
     with _out(args.out) as fp:
         emit(records, fp, fmt=args.format)
     return 0
+
+
+def _checked(convert, ok, what):
+    """An argparse type: ``convert(text)``, a usage error unless it is
+    ``ok``."""
+    def parse(text):
+        try:
+            value = convert(text)
+            if ok(value):
+                return value
+        except (ValueError, ZeroDivisionError):
+            pass
+        raise argparse.ArgumentTypeError(f"{text!r} is not {what}")
+    return parse
+
+
+_count = _checked(int, lambda v: v >= 1, "an integer >= 1")
+_positive = _checked(Fraction, lambda v: v > 0, "a positive number")
+_probability = _checked(float, lambda v: 0 <= v <= 1, "a number in [0, 1]")
+_speeds = _checked(lambda text: [Fraction(s) for s in text.split(",")],
+                   lambda vs: all(v > 0 for v in vs),
+                   "a list of positive numbers")
+_BUCKET = {"utilization": _positive, "processors": _count, "p": _probability}
 
 
 def _method_list(text) -> tuple:
@@ -155,10 +172,10 @@ def _method_list(text) -> tuple:
 
 def _add_gen_flags(sub):
     sub.add_argument("--seed", type=int, default=1)
-    sub.add_argument("--n-tasks", type=int, default=5)
-    sub.add_argument("--p", type=float, default=0.1)
-    sub.add_argument("--m", type=int, default=8)
-    sub.add_argument("--util", type=float, default=0.5,
+    sub.add_argument("--n-tasks", type=_count, default=5)
+    sub.add_argument("--p", type=_probability, default=0.1)
+    sub.add_argument("--m", type=_count, default=8)
+    sub.add_argument("--util", type=_positive, default=0.5,
                      help="normalized utilization U_sum/m")
     sub.add_argument("--period-mode", default="target-utilization",
                      choices=["target-utilization", "gamma-formula"])
@@ -185,7 +202,7 @@ def main(argv=None) -> int:
 
     a = subs.add_parser("analyze", help="run schedulability tests")
     a.add_argument("taskset")
-    a.add_argument("--m", type=int, required=True)
+    a.add_argument("--m", type=_count, required=True)
     a.add_argument("--test", default="all",
                    choices=[t.flag for t in TESTS.values()] + ["all"])
     a.add_argument("--out", default="-")
@@ -195,11 +212,11 @@ def main(argv=None) -> int:
     s.add_argument("taskset")
     s.add_argument("--engine", default="uniform",
                    choices=["uniform", "dispatcher", "gedf"])
-    s.add_argument("--speeds", default="1",
+    s.add_argument("--speeds", type=_speeds, default="1",
                    help="comma-separated speeds / load bounds")
     s.add_argument("--no-migration", action="store_true")
-    s.add_argument("--m", type=int, default=1, help="processors for gedf")
-    s.add_argument("--horizon", type=Fraction, default=None)
+    s.add_argument("--m", type=_count, default=1, help="processors for gedf")
+    s.add_argument("--horizon", type=_positive, default=None)
     s.add_argument("--out", default="-")
     s.set_defaults(func=cmd_simulate)
 
@@ -207,7 +224,7 @@ def main(argv=None) -> int:
     _add_gen_flags(e)
     e.add_argument("--axis", required=True,
                    choices=["utilization", "processors", "p"])
-    e.add_argument("--trials", type=int, default=100)
+    e.add_argument("--trials", type=_count, default=100)
     e.add_argument("--methods", default=None, type=_method_list,
                    help="comma-separated subset of " + ",".join(METHODS))
     e.add_argument("--buckets", default=None,
@@ -217,6 +234,12 @@ def main(argv=None) -> int:
     e.set_defaults(func=cmd_experiment)
 
     args = parser.parse_args(argv)
+    if args.command == "experiment" and args.buckets:
+        try:
+            args.buckets = [_BUCKET[args.axis](b)
+                            for b in args.buckets.split(",")]
+        except argparse.ArgumentTypeError as exc:
+            e.error(f"argument --buckets: {exc}")
     try:
         return args.func(args)
     except ParaschedError as exc:

@@ -22,7 +22,7 @@ from typing import Callable, Optional
 
 from .errors import ConstrainedDeadline, DegenerateWindow, OracleTooLarge
 from .flow import FlowNetwork
-from .model import DagTask, TaskMetrics, validate
+from .model import DagTask, TaskMetrics
 
 
 @dataclass(frozen=True)
@@ -97,20 +97,15 @@ class DecomposedTask:
 
 @dataclass(frozen=True)
 class OracleResult:
-    max_assignable: Fraction
-    c_out: Fraction
     omega_opt: Fraction
 
 
-def timing_diagram(task: DagTask, metrics: Optional[TaskMetrics] = None
-                   ) -> TimingDiagram:
+def timing_diagram(task: DagTask) -> TimingDiagram:
     """Earliest ready / latest finish times on the [0, L] axis, as ints.
 
     rdy(v) = max over predecessors of rdy(u) + c(u), 0 for the source, as
     the task keeps it; fsh(v) = min over successors of rdy(u), L for the
     sink."""
-    if metrics is None:
-        validate(task)
     rdy, cpl = task.rdy_int, task.cpl_int
     fsh = [min(map(rdy.__getitem__, succ), default=cpl) for succ in task.succ]
     return TimingDiagram(den=task.den, rdy_int=rdy, fsh_int=fsh,
@@ -134,10 +129,9 @@ def _cover_ranges(td: TimingDiagram) -> list:
     return [(index[r], index[f]) for r, f in zip(td.rdy_int, td.fsh_int)]
 
 
-def segment_workload(task: DagTask, td: TimingDiagram, segments: list,
-                     metrics: Optional[TaskMetrics] = None
-                     ) -> SegmentationResult:
-    """Three-phase workload assignment minimizing omega.
+def segment_workload(task: DagTask, td: TimingDiagram) -> SegmentationResult:
+    """Three-phase workload assignment minimizing omega over the segments
+    of ``build_segments(td)``.
 
     Phase 1 places vertices whose lifetime window is a single segment.
     Phase 2 walks light segments in time order and fills them with covering
@@ -151,8 +145,7 @@ def segment_workload(task: DagTask, td: TimingDiagram, segments: list,
     (C*e - c*L)/L is C_int*e_int - w.  Workloads go back to ``Fraction``
     only in the result.
     """
-    if metrics is None:
-        metrics = validate(task)
+    segments = build_segments(td)
     ranges, ends = _cover_ranges(td), td.cuts
     l_int, c_int = td.cpl_int, task.work_int
     unit = td.den * l_int                    # workload units per unit time
@@ -235,41 +228,36 @@ def segment_workload(task: DagTask, td: TimingDiagram, segments: list,
 
     heavy = sum(w for w, cap in zip(load, caps) if w > cap)
     light = sum(e for w, cap, e in zip(load, caps, lengths) if w <= cap)
+    for s, w in zip(segments, load):
+        s.c = Fraction(w, unit)
     return SegmentationResult(
-        segments=[Segment(s.index, s.start, s.end, Fraction(w, unit), s.d)
-                  for s, w in zip(segments, load)],
+        segments=segments,
         assignment={s.index: {v: Fraction(w, unit) for v, w in slot.items()}
                     for s, slot in zip(segments, slots)},
         split_count=split_count,
-        work=metrics.work,
-        critical_path=metrics.critical_path,
+        work=task.metrics.work,
+        critical_path=task.metrics.critical_path,
         c_heavy=Fraction(heavy, unit),
         l_light=Fraction(light, td.den),
         omega=Fraction(heavy + light * c_int, l_int * c_int),
     )
 
 
-def segmentation_oracle(task: DagTask, td: Optional[TimingDiagram] = None,
-                        segments: Optional[list] = None,
-                        metrics: Optional[TaskMetrics] = None,
-                        max_vertices: int = 12) -> OracleResult:
+def segmentation_oracle(task: DagTask, max_vertices: int = 12
+                        ) -> OracleResult:
     """Optimal omega via exact rational max flow.
 
     source -> vertex (cap c(v)) -> segment (iff covered, cap inf) -> sink
     (cap e(s) * C/L).  The workload that cannot be routed is exactly the
     minimal overflow C_out, and omega_opt = 1 + C_out / C.
     """
-    if metrics is None:
-        metrics = validate(task)
-    if td is None:
-        td = timing_diagram(task, metrics)
-    if segments is None:
-        segments = build_segments(td)
     real = task.real_vertex_ids
     if len(real) > max_vertices:
         raise OracleTooLarge(
             f"{len(real)} vertices exceeds the oracle cap {max_vertices}")
-    work, cpl = metrics.work, metrics.critical_path
+    td = timing_diagram(task)
+    segments = build_segments(td)
+    work, cpl = task.metrics.work, task.metrics.critical_path
 
     ranges = _cover_ranges(td)
     net = FlowNetwork()
@@ -281,13 +269,8 @@ def segmentation_oracle(task: DagTask, td: Optional[TimingDiagram] = None,
     for seg in segments:
         net.add_edge(("s", seg.index), "snk", seg.e * work / cpl)
 
-    max_assignable = net.max_flow("src", "snk")
-    c_out = work - max_assignable
-    return OracleResult(
-        max_assignable=max_assignable,
-        c_out=c_out,
-        omega_opt=1 + c_out / work,
-    )
+    c_out = work - net.max_flow("src", "snk")
+    return OracleResult(omega_opt=1 + c_out / work)
 
 
 def distribute_laxity(task: DagTask, seg: SegmentationResult) -> list:
@@ -397,9 +380,7 @@ def dbf_and_load(dt: DecomposedTask, hyper_windows: int = 2
 @dataclass(frozen=True)
 class Decomposition:
     """Everything the downstream tests need from one task's decomposition."""
-    task: DagTask
     metrics: TaskMetrics
-    diagram: TimingDiagram
     segmentation: SegmentationResult
     stretched: list
     decomposed: DecomposedTask
@@ -411,8 +392,7 @@ class Decomposition:
         return self.segmentation.omega
 
 
-def _segmentation(task: DagTask, metrics: TaskMetrics
-                  ) -> tuple[TimingDiagram, SegmentationResult]:
+def _segmentation(task: DagTask) -> tuple[TimingDiagram, SegmentationResult]:
     """The pipeline up to the segmentation, shared by ``segment_omega``
     and ``decompose``.
 
@@ -424,37 +404,31 @@ def _segmentation(task: DagTask, metrics: TaskMetrics
         raise ConstrainedDeadline(
             f"task {task.id}: D={task.deadline} != T={task.period}; the "
             "decomposition assumes implicit deadlines")
-    td = timing_diagram(task, metrics)
-    return td, segment_workload(task, td, build_segments(td), metrics)
+    td = timing_diagram(task)
+    return td, segment_workload(task, td)
 
 
-def segment_omega(task: DagTask, metrics: Optional[TaskMetrics] = None
-                  ) -> Fraction:
+def segment_omega(task: DagTask) -> Fraction:
     """The structure characteristic value omega of one implicit-deadline
     task, without the laxity, reassembly and load steps that only
     ``decompose`` needs.  Raises ``ConstrainedDeadline`` for D != T."""
-    if metrics is None:
-        metrics = validate(task)
-    return _segmentation(task, metrics)[1].omega
+    return _segmentation(task)[1].omega
 
 
-def decompose(task: DagTask, metrics: Optional[TaskMetrics] = None,
-              compute_load: bool = False) -> Decomposition:
+def decompose(task: DagTask, compute_load: bool = False) -> Decomposition:
     """Run the full pipeline on one implicit-deadline task; raises
     ``ConstrainedDeadline`` for D != T.
 
     The dbf-based load is only computed on request (one sort and one pass
     per release, within O(n^2 log n) in the vertex count n, and not needed
     for the omega-based tests)."""
-    if metrics is None:
-        metrics = validate(task)
-    td, seg = _segmentation(task, metrics)
+    td, seg = _segmentation(task)
     stretched = distribute_laxity(task, seg)
     decomposed = reassemble(task, td, stretched)
     load = dbf_and_load(decomposed)[1] if compute_load else None
     max_density = max(st.wcet / (st.deadline - st.release)
                       for st in decomposed.subtasks)
-    return Decomposition(task=task, metrics=metrics, diagram=td,
+    return Decomposition(metrics=task.metrics,
                          segmentation=seg, stretched=stretched,
                          decomposed=decomposed, load=load,
                          max_vertex_density=max_density)

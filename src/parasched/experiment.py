@@ -17,7 +17,6 @@ from fractions import Fraction
 
 from .analysis import TESTS
 from .gen import GenConfig, gen_taskset
-from .model import validate
 
 METHODS = tuple(TESTS)
 
@@ -60,9 +59,9 @@ def check_methods(methods) -> tuple:
 def run_methods(tasks, m: int, methods=METHODS) -> dict:
     """Apply each schedulability test to one task set on m processors."""
     methods = check_methods(methods)
-    metrics = [validate(t) for t in tasks]
-    return {name: TESTS[name].run(tasks, metrics, m).schedulable
-            for name in methods}
+    if m < 1:
+        raise ValueError("m must be >= 1")
+    return {name: TESTS[name].run(tasks, m).schedulable for name in methods}
 
 
 def _bucket_config(axis: str, bucket, base: GenConfig):
@@ -70,13 +69,11 @@ def _bucket_config(axis: str, bucket, base: GenConfig):
     if axis == "utilization":
         return replace(base, util=float(bucket)), base.m
     if axis == "processors":
-        m = int(bucket)
+        cfg = replace(base, m=int(bucket))      # ValueError for m < 1
         # total utilization stays fixed at base.util * base.m
         total = Fraction(base.util) * base.m
-        return replace(base, m=m, util=float(total / m)), m
-    if axis == "p":
-        return replace(base, p=float(bucket)), base.m
-    raise ValueError(f"unknown sweep axis {axis!r}")
+        return replace(cfg, util=float(total / cfg.m)), cfg.m
+    return replace(base, p=float(bucket)), base.m
 
 
 def sweep(axis: str, base: GenConfig, trials: int,

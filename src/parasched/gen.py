@@ -33,6 +33,8 @@ class GenConfig:
             raise ValueError("edge probability must be in [0, 1]")
         if self.util <= 0:
             raise ValueError("utilization must be positive")
+        if self.m < 1 or self.n_tasks < 1:
+            raise ValueError("m and n_tasks must be >= 1")
         if self.wcet_range[0] < 1:
             raise ValueError("WCETs must be positive")
 

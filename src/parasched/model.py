@@ -62,6 +62,8 @@ class DagTask:
     integer core that ``with_period`` shares: ``den``, the LCM of the WCET
     denominators; the WCETs (``wcet_int``), earliest ready times
     (``rdy_int``), C (``work_int``) and L (``cpl_int``), all times ``den``.
+    A task with a period also checks its timing and keeps ``validate``'s
+    result as ``metrics``; a shape's ``metrics`` is None.
     """
 
     def __init__(self, task_id, vertices, edges, period=None, deadline=None):
@@ -131,11 +133,13 @@ class DagTask:
         self.wcet_int, self.rdy_int = ints, rdy
         self.work_int = sum(ints)
         self.cpl_int = max(map(operator.add, rdy, ints))
+        self.metrics = None if period is None else validate(self)
 
     def with_period(self, period) -> "DagTask":
         """This DAG, sharing its integer core, with period and deadline T."""
         task = copy.copy(self)
         task.period = task.deadline = as_fraction(period)
+        task.metrics = validate(task)
         return task
 
     @property
@@ -200,7 +204,8 @@ def validate(task: DagTask) -> TaskMetrics:
     real = task.wcet_int[:len(task.wcet_int) - len(task.dummy_ids)]
     if min(real) <= 0:
         vid = next(v for v, w in enumerate(real) if w <= 0)
-        raise NonPositiveWcet(f"vertex {vid} has WCET {task.wcets[vid]}")
+        raise NonPositiveWcet(
+            f"task {task.id}: vertex {vid} has WCET {task.wcets[vid]}")
     if task.deadline > task.period:
         raise DeadlineExceedsPeriod(
             f"task {task.id}: D={task.deadline} > T={task.period}")
@@ -224,13 +229,14 @@ def summarize(tasks: Sequence[DagTask],
               ) -> TaskSetSummary:
     """Aggregate per-task results into the task-set level quantities.
 
-    omegas / loads / max_densities come from the decomposition pipeline and
-    are optional; when absent the corresponding summary fields stay None.
+    ``metrics`` defaults to each task's own.  omegas / loads /
+    max_densities come from the decomposition pipeline and are optional;
+    when absent the corresponding summary fields stay None.
     """
     if not tasks:
         raise EmptyTaskSet("cannot summarize an empty task set")
     if metrics is None:
-        metrics = [validate(t) for t in tasks]
+        metrics = [t.metrics for t in tasks]
     return TaskSetSummary(
         u_sum=sum((m.utilization for m in metrics), Fraction(0)),
         gamma_top=max(m.elasticity for m in metrics),
@@ -288,4 +294,6 @@ def load_taskset(fp) -> list[DagTask]:
     data = json.load(fp, parse_float=lambda s: Fraction(s))
     if "tasks" not in data:
         raise MalformedTaskSet("task set: missing field 'tasks'")
+    if not data["tasks"]:
+        raise EmptyTaskSet("task set: no tasks")
     return [task_from_dict(t, i) for i, t in enumerate(data["tasks"])]

@@ -12,10 +12,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .errors import CriticalPathExceedsDeadline, NoFit
-from .model import DagTask, TaskMetrics, Verdict, validate
+from .model import DagTask, TaskMetrics, Verdict
 
 
 def capacity_requirement(work, critical_path, deadline) -> Fraction:
@@ -85,7 +85,7 @@ class Bin:
         self.dstar_sum += item.split_bound
 
 
-def worst_fit_into(items: Sequence, bins: list, key=lambda i: i.load) -> None:
+def worst_fit_into(items: Sequence, bins: list) -> None:
     """Place items (already ordered) on the least-loaded fitting bin.
 
     Mutates ``bins``; raises NoFit on the first unplaceable item.
@@ -98,22 +98,22 @@ def worst_fit_into(items: Sequence, bins: list, key=lambda i: i.load) -> None:
         best.add(item)
 
 
-def worst_fit_partition(items: Sequence, bins) -> list:
+def worst_fit_partition(items: Sequence, n_bins: int) -> list:
     """Worst-fit decreasing: sort by load non-increasing (ties by item id),
     always pick the bin with the minimal current total."""
-    if isinstance(bins, int):
-        bins = [Bin(i) for i in range(bins)]
+    bins = [Bin(i) for i in range(n_bins)]
     ordered = sorted(items, key=lambda i: (-i.load, str(i.item_id)))
     worst_fit_into(ordered, bins)
     return bins
 
 
-def _classify(tasks, metrics):
+def _classify(tasks):
     """Returns (dedicated counts, fractional containers, light containers)."""
     dedicated = {}
     fractional = []
     lights = []
-    for task, met in zip(tasks, metrics):
+    for task in tasks:
+        met = task.metrics
         if met.heavy:
             g = gamma(met)
             dedicated[task.id] = math.floor(g)
@@ -129,14 +129,11 @@ def _classify(tasks, metrics):
     return dedicated, fractional, lights
 
 
-def sf1(tasks: Sequence[DagTask], m: int,
-        metrics: Optional[Sequence[TaskMetrics]] = None) -> Verdict:
+def sf1(tasks: Sequence[DagTask], m: int) -> Verdict:
     """First semi-federated algorithm: one fractional container per heavy
     task; containers and light tasks partitioned by worst-fit decreasing."""
-    if metrics is None:
-        metrics = [validate(t) for t in tasks]
     try:
-        dedicated, fractional, lights = _classify(tasks, metrics)
+        dedicated, fractional, lights = _classify(tasks)
     except CriticalPathExceedsDeadline:
         return Verdict("sf1", False, reason="critical path exceeds deadline")
     used = sum(dedicated.values())
@@ -150,8 +147,7 @@ def sf1(tasks: Sequence[DagTask], m: int,
                                         "bins": [b.items for b in bins]})
 
 
-def sf2(tasks: Sequence[DagTask], m: int,
-        metrics: Optional[Sequence[TaskMetrics]] = None) -> Verdict:
+def sf2(tasks: Sequence[DagTask], m: int) -> Verdict:
     """Second semi-federated algorithm: containers may be split in two.
 
     Stage 1 packs by the split lower bounds delta*; a bin whose real load
@@ -159,10 +155,8 @@ def sf2(tasks: Sequence[DagTask], m: int,
     exactly 1, emitting remainder containers.  Stage 3 worst-fit places the
     remainders on the bins still open.
     """
-    if metrics is None:
-        metrics = [validate(t) for t in tasks]
     try:
-        dedicated, fractional, lights = _classify(tasks, metrics)
+        dedicated, fractional, lights = _classify(tasks)
     except CriticalPathExceedsDeadline:
         return Verdict("sf2", False, reason="critical path exceeds deadline")
     used = sum(dedicated.values())

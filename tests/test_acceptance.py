@@ -40,7 +40,7 @@ def _heavy_stub(tid, g):
     d = (c - l) / Fraction(g) + l
     met = TaskMetrics(work=c, critical_path=l, utilization=c / d,
                       density=c / d, elasticity=l / d, heavy=True)
-    return SimpleNamespace(id=tid, deadline=d), met
+    return SimpleNamespace(id=tid, deadline=d, metrics=met), met
 
 
 def _light_stub(tid, density):
@@ -49,24 +49,24 @@ def _light_stub(tid, density):
     met = TaskMetrics(work=Fraction(3), critical_path=Fraction(1),
                       utilization=density, density=density,
                       elasticity=Fraction(1) / d, heavy=False)
-    return SimpleNamespace(id=tid, deadline=d), met
+    return SimpleNamespace(id=tid, deadline=d, metrics=met), met
 
 
 def test_criterion_01_container_packing_goldens():
     t0 = time.monotonic()
     pairs = [_heavy_stub(1, Fraction(8, 5)), _heavy_stub(2, Fraction(8, 5)),
              _heavy_stub(3, Fraction(3, 2)), _light_stub(4, Fraction(3, 10))]
-    tasks, mets = [p[0] for p in pairs], [p[1] for p in pairs]
+    tasks = [p[0] for p in pairs]
 
-    fed = federated_allocate(tasks, 7, mets)
+    fed = federated_allocate(tasks, 7)
     ok = fed.schedulable and fed.min_m == 7
-    ok = ok and not federated_allocate(tasks, 6, mets).schedulable
+    ok = ok and not federated_allocate(tasks, 6).schedulable
 
-    ok = ok and sf1(tasks, 6, mets).schedulable
-    ok = ok and not sf1(tasks, 5, mets).schedulable
+    ok = ok and sf1(tasks, 6).schedulable
+    ok = ok and not sf1(tasks, 5).schedulable
 
-    v2 = sf2(tasks, 5, mets)
-    ok = ok and v2.schedulable and not sf2(tasks, 4, mets).schedulable
+    v2 = sf2(tasks, 5)
+    ok = ok and v2.schedulable and not sf2(tasks, 4).schedulable
     loads = sorted(tuple(sorted(i.load for i in b))
                    for b in v2.detail["bins"])
     ok = ok and loads == [(Fraction(1, 10), Fraction(3, 10), Fraction(3, 5)),
@@ -92,7 +92,7 @@ def test_criterion_03_segmentation_matches_oracle(corpus):
     mismatches = 0
     for task in corpus:
         dec = decompose(task)
-        orc = segmentation_oracle(task, metrics=dec.metrics)
+        orc = segmentation_oracle(task)
         if dec.omega != orc.omega_opt:
             mismatches += 1
     elapsed = time.monotonic() - t0

@@ -146,20 +146,51 @@ def test_package_error_is_one_line_with_status_2(constrained_path, capsys):
     ([[0, 1]], [], ("1/0", 10)),                  # zero period denominator
     ([[0, 1]], [], (0, 0)),                       # zero period
     ([[0, 1]], [], (10, -1)),                     # negative deadline
+    ([[0, 1], [1, 0]], [[0, 1]], (10, 10)),       # zero WCET
+    (None, [], (10, 10)),                         # no tasks at all
 ])
 def test_malformed_dag_is_one_line_with_status_2(tmp_path, capsys, vertices,
                                                  edges, times):
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps({"tasks": [{
+    tasks = [] if vertices is None else [{
         "id": "bad", "period": times[0], "deadline": times[1],
         "edges": edges,
-        "vertices": [{"id": v, "wcet": w} for v, w in vertices]}]}))
-    rc = main(["analyze", str(path), "--m", "2"])
-    assert rc == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("parasched: error: task bad: ")
-    assert len(captured.err.splitlines()) == 1
+        "vertices": [{"id": v, "wcet": w} for v, w in vertices]}]
+    path.write_text(json.dumps({"tasks": tasks}))
+    prefix = "task set: " if vertices is None else "task bad: "
+    for command, *flags in (["analyze", "--m", "2"], ["simulate"],
+                            ["simulate", "--engine", "gedf"]):
+        rc = main([command, str(path), *flags])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("parasched: error: " + prefix)
+        assert len(captured.err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "SET", "--m", "0"],
+    ["analyze", "SET", "--m", "-1"],
+    ["gen", "--m", "0"],
+    ["gen", "--util", "0"],
+    ["experiment", "--axis", "utilization", "--m", "0"],
+    ["experiment", "--axis", "utilization", "--trials", "0"],
+    ["experiment", "--axis", "utilization", "--buckets", "abc"],
+    ["experiment", "--axis", "processors", "--trials", "1",
+     "--buckets", "4,0"],
+    ["simulate", "SET", "--engine", "gedf", "--m", "0"],
+    ["simulate", "SET", "--speeds", "1,0"],
+    ["simulate", "SET", "--speeds", "abc"],
+])
+def test_bad_number_is_usage_error(taskset_path, tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main([str(taskset_path) if a == "SET" else a for a in argv]
+             + ["--out", str(out)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: parasched ") and "error: argument --" in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv", [["analyze", "--m", "8"], ["decompose"],

@@ -60,8 +60,8 @@ def test_segment_boundaries_align_with_windows(corpus):
 def test_workload_is_conserved(corpus):
     for task in corpus[:200]:
         met = validate(task)
-        td = timing_diagram(task, met)
-        seg = segment_workload(task, td, build_segments(td), met)
+        td = timing_diagram(task)
+        seg = segment_workload(task, td)
         total = sum((sum(portions.values(), Fraction(0))
                      for portions in seg.assignment.values()), Fraction(0))
         assert total == met.work
@@ -347,9 +347,9 @@ def _reference_segment_workload(task: DagTask, td: TimingDiagram,
 def _assert_same_segmentation(tasks):
     for task in tasks:
         met = validate(task)
-        td = timing_diagram(task, met)
+        td = timing_diagram(task)
         segments = build_segments(td)
-        new = segment_workload(task, td, segments, met)
+        new = segment_workload(task, td)
         ref = _reference_segment_workload(task, td, segments, met)
         assert [(s.start, s.end, s.c) for s in new.segments] \
             == [(s.start, s.end, s.c) for s in ref.segments], task.id
@@ -510,7 +510,7 @@ def _assert_same_core(tasks):
     for task in tasks:
         met, ref_met = validate(task), _reference_validate(task)
         assert met == ref_met, task.id
-        td, ref_td = timing_diagram(task, met), _reference_timing_diagram(task)
+        td, ref_td = timing_diagram(task), _reference_timing_diagram(task)
         assert (td.rdy, td.fsh, td.critical_path) \
             == (ref_td.rdy, ref_td.fsh, ref_td.critical_path), task.id
         assert build_segments(td) == _reference_build_segments(ref_td), \

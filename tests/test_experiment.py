@@ -1,11 +1,13 @@
 import io
+import sys
 from fractions import Fraction
 
 import pytest
 
 from parasched.experiment import (DEFAULT_BUCKETS, METHODS, emit, parse_csv,
                                   run_methods, sweep, trial_seed)
-from parasched.gen import GenConfig
+import parasched.model
+from parasched.gen import GenConfig, gen_taskset
 from parasched.model import DagTask
 
 from conftest import fig1_task
@@ -133,3 +135,32 @@ def test_emit_empty_records_still_writes_header():
 def test_emit_unknown_format():
     with pytest.raises(ValueError):
         emit([], io.StringIO(), fmt="xml")
+
+
+def test_sweep_op_validates_each_task_once(monkeypatch):
+    calls = []
+    validate = parasched.model.validate
+
+    def counted(task):
+        calls.append(task.id)
+        return validate(task)
+    # a module that imports the name calls it through its own global
+    for name, module in list(sys.modules.items()):
+        if name.startswith("parasched") \
+                and getattr(module, "validate", None) is validate:
+            monkeypatch.setattr(module, "validate", counted)
+    config = GenConfig(n_tasks=4, p=0.1, m=4, util=0.5, n_vertices=(8, 16))
+    for seed in (1, 2):
+        calls.clear()
+        run_methods(gen_taskset(config, seed=seed), config.m)
+        assert sorted(calls) == [0, 1, 2, 3]
+
+
+def test_fewer_than_one_processor_is_rejected():
+    tasks = [_unit_chain(0, 2, 100)]
+    with pytest.raises(ValueError):
+        run_methods(tasks, 0)
+    with pytest.raises(ValueError):
+        sweep("processors", GenConfig(n_tasks=1), 1, buckets=[0])
+    with pytest.raises(ValueError):
+        GenConfig(m=0)

@@ -134,3 +134,21 @@ def test_with_period_shares_the_core():
     assert task.period == task.deadline == 5
     assert task.rdy_int is shape.rdy_int and shape.period is None
     assert validate(task).utilization == Fraction(7, 10)
+
+
+def test_timing_is_checked_at_construction():
+    with pytest.raises(DeadlineExceedsPeriod):
+        DagTask(0, [(0, 1)], [], period=5, deadline=6)
+    with pytest.raises(NonPositiveWcet, match="task 0: vertex 1 has WCET 0"):
+        DagTask(0, [(0, 1), (1, 0)], [(0, 1)], period=5, deadline=5)
+
+
+def test_with_period_recomputes_the_metrics():
+    task = DagTask(0, [(0, 2), (1, 3)], [(0, 1)], period=10, deadline=10)
+    assert task.metrics.utilization == Fraction(1, 2)
+    longer = task.with_period(20)
+    assert longer.metrics == validate(longer)
+    assert (longer.metrics.utilization, longer.metrics.elasticity) \
+        == (Fraction(1, 4), Fraction(1, 4))
+    assert task.metrics.utilization == Fraction(1, 2)
+    assert DagTask(0, [(0, 2)], []).metrics is None

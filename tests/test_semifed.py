@@ -20,7 +20,7 @@ def heavy_stub(tid, g):
     d = (c - l) / Fraction(g) + l
     met = TaskMetrics(work=c, critical_path=l, utilization=c / d,
                       density=c / d, elasticity=l / d, heavy=True)
-    return SimpleNamespace(id=tid, deadline=d), met
+    return SimpleNamespace(id=tid, deadline=d, metrics=met), met
 
 
 def light_stub(tid, density):
@@ -29,7 +29,7 @@ def light_stub(tid, density):
     met = TaskMetrics(work=Fraction(3), critical_path=Fraction(1),
                       utilization=density, density=density,
                       elasticity=Fraction(1) / d, heavy=False)
-    return SimpleNamespace(id=tid, deadline=d), met
+    return SimpleNamespace(id=tid, deadline=d, metrics=met), met
 
 
 def appendix_set():
@@ -73,13 +73,13 @@ def test_worst_fit_raises_when_full():
 
 def test_sf1_golden():
     tasks, mets = appendix_set()
-    assert sf1(tasks, 6, mets).schedulable
-    assert not sf1(tasks, 5, mets).schedulable
+    assert sf1(tasks, 6).schedulable
+    assert not sf1(tasks, 5).schedulable
 
 
 def test_sf2_golden_bins():
     tasks, mets = appendix_set()
-    v = sf2(tasks, 5, mets)
+    v = sf2(tasks, 5)
     assert v.schedulable
     bins = sorted([sorted(i.load for i in b) for b in v.detail["bins"]])
     assert bins == [[Fraction(1, 10), Fraction(3, 10), Fraction(3, 5)],
@@ -89,13 +89,13 @@ def test_sf2_golden_bins():
 def test_sf2_dominates_sf1():
     tasks, mets = appendix_set()
     for m in range(3, 9):
-        if sf1(tasks, m, mets).schedulable:
-            assert sf2(tasks, m, mets).schedulable
+        if sf1(tasks, m).schedulable:
+            assert sf2(tasks, m).schedulable
 
 
 def test_capacity_is_conserved():
     tasks, mets = appendix_set()
-    for verdict in (sf1(tasks, 6, mets), sf2(tasks, 5, mets)):
+    for verdict in (sf1(tasks, 6), sf2(tasks, 5)):
         plan = verdict.detail
         for task, met in zip(tasks, mets):
             if not met.heavy:
@@ -108,7 +108,7 @@ def test_capacity_is_conserved():
 
 def test_sf2_respects_bin_capacity_and_split_floor():
     tasks, mets = appendix_set()
-    bins = sf2(tasks, 5, mets).detail["bins"]
+    bins = sf2(tasks, 5).detail["bins"]
     for b in bins:
         assert sum(i.load for i in b) <= 1
     for item in (i for b in bins for i in b):
@@ -139,7 +139,7 @@ def test_worst_fit_never_overfills(loads, nbins):
 def test_sf2_bins_stay_within_capacity(gammas, m):
     pairs = [heavy_stub(i, g) for i, g in enumerate(gammas)]
     tasks, mets = [p[0] for p in pairs], [p[1] for p in pairs]
-    v = sf2(tasks, m, mets)
+    v = sf2(tasks, m)
     if not v.schedulable:
         return
     for b in v.detail["bins"]:
