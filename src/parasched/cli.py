@@ -83,8 +83,7 @@ def cmd_analyze(args):
     with _out(args.out) as fp:
         for method in TESTS.values():
             if args.test in (method.flag, "all"):
-                verdict = method.run(tasks, args.m)
-                fp.write(json.dumps(_jsonable(asdict(verdict))) + "\n")
+                _write_row(fp, asdict(method.run(tasks, args.m)))
     return 0
 
 
@@ -98,6 +97,10 @@ def _jsonable(obj):
     return obj
 
 
+def _write_row(fp, row) -> None:
+    fp.write(json.dumps(_jsonable(row)) + "\n")
+
+
 def cmd_simulate(args):
     tasks = _load(args.taskset)
     with _out(args.out) as fp:
@@ -105,15 +108,11 @@ def cmd_simulate(args):
             decomposed = [decompose(t).decomposed for t in tasks]
             horizon = args.horizon or 10 * max(t.period for t in tasks)
             report = simulate_gedf(decomposed, args.m, horizon)
-            for miss in report.misses:
-                fp.write(json.dumps({"kind": "miss",
-                                     "job": _jsonable(list(miss[0])),
-                                     "deadline": format_rational(miss[1])})
-                         + "\n")
-            fp.write(json.dumps({"kind": "summary", "misses":
-                                 len(report.misses),
-                                 "horizon": format_rational(report.horizon)})
-                     + "\n")
+            for job, deadline, _ in report.misses:
+                _write_row(fp, {"kind": "miss", "job": job,
+                                "deadline": deadline})
+            _write_row(fp, {"kind": "summary", "misses": len(report.misses),
+                            "horizon": report.horizon})
             return 0 if report.ok else 1
         task = tasks[0]
         if args.engine == "uniform":
@@ -122,11 +121,10 @@ def cmd_simulate(args):
         else:
             trace = simulate_dispatcher(task, args.speeds)
         for ev in trace.events:
-            fp.write(json.dumps(_jsonable(list(ev))) + "\n")
-        fp.write(json.dumps({"kind": "summary",
-                             "response_time":
-                                 format_rational(trace.response_time),
-                             "splits": trace.split_count}) + "\n")
+            _write_row(fp, ev)
+        _write_row(fp, {"kind": "summary",
+                        "response_time": trace.response_time,
+                        "splits": trace.split_count})
     return 0
 
 
@@ -242,7 +240,7 @@ def main(argv=None) -> int:
             e.error(f"argument --buckets: {exc}")
     try:
         return args.func(args)
-    except ParaschedError as exc:
+    except (ParaschedError, OSError) as exc:
         print(f"parasched: error: {exc}", file=sys.stderr)
         return 2
 

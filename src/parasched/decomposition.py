@@ -67,14 +67,41 @@ class Segment:
 
 @dataclass
 class SegmentationResult:
-    segments: list
-    assignment: dict                 # segment index -> {vertex id: portion}
+    """One segmentation as ints, times in units of 1/den and workload in
+    1/(den * L_int), and its exact ``omega``; the other Fraction views are
+    built on first read."""
+    den: int
+    cuts: list                       # segment boundaries times den
+    load: list                       # segment index -> workload
+    slots: list                      # segment index -> {vertex id: portion}
     split_count: int
+    heavy: int                       # summed workload of heavy segments
+    light: int                       # summed length of light segments
     work: Fraction                   # C
     critical_path: Fraction          # L
-    c_heavy: Fraction
-    l_light: Fraction
     omega: Fraction
+
+    @cached_property
+    def segments(self) -> list:
+        points = [Fraction(t, self.den) for t in self.cuts]
+        unit = self.den * self.cuts[-1]
+        return [Segment(index=i, start=a, end=b, c=Fraction(w, unit))
+                for i, (a, b, w) in enumerate(zip(points, points[1:],
+                                                  self.load))]
+
+    @cached_property
+    def assignment(self) -> dict:
+        unit = self.den * self.cuts[-1]
+        return {i: {v: Fraction(w, unit) for v, w in slot.items()}
+                for i, slot in enumerate(self.slots)}
+
+    @cached_property
+    def c_heavy(self) -> Fraction:
+        return Fraction(self.heavy, self.den * self.cuts[-1])
+
+    @cached_property
+    def l_light(self) -> Fraction:
+        return Fraction(self.light, self.den)
 
     def is_heavy(self, seg: Segment) -> bool:
         return seg.c * self.critical_path > self.work * seg.e
@@ -131,7 +158,7 @@ def _cover_ranges(td: TimingDiagram) -> list:
 
 def segment_workload(task: DagTask, td: TimingDiagram) -> SegmentationResult:
     """Three-phase workload assignment minimizing omega over the segments
-    of ``build_segments(td)``.
+    that cut [0, L] at every distinct rdy/fsh value.
 
     Phase 1 places vertices whose lifetime window is a single segment.
     Phase 2 walks light segments in time order and fills them with covering
@@ -142,17 +169,15 @@ def segment_workload(task: DagTask, td: TimingDiagram) -> SegmentationResult:
     The phases run on ints: time is scaled by the task's ``den``, the LCM
     of its WCET denominators, and workload by ``den * L_int``.  The light
     test c*L <= C*e then reads w <= C_int*e_int and the phase-2 capacity
-    (C*e - c*L)/L is C_int*e_int - w.  Workloads go back to ``Fraction``
-    only in the result.
+    (C*e - c*L)/L is C_int*e_int - w.  The result keeps these ints; omega
+    is its one Fraction, and its views build the rest when read.
     """
-    segments = build_segments(td)
     ranges, ends = _cover_ranges(td), td.cuts
     l_int, c_int = td.cpl_int, task.work_int
-    unit = td.den * l_int                    # workload units per unit time
     lengths = [b - a for a, b in zip(ends, ends[1:])]
     caps = [c_int * e for e in lengths]      # C/L threshold, workload units
-    load = [0] * len(segments)
-    slots = [{} for _ in segments]           # vertex -> portion, per segment
+    load = [0] * len(lengths)
+    slots = [{} for _ in lengths]            # vertex -> portion, per segment
     split_count = 0
 
     def put(i: int, vid, amount: int) -> None:
@@ -162,7 +187,7 @@ def segment_workload(task: DagTask, td: TimingDiagram) -> SegmentationResult:
     # earliest-fsh order; ties broken by ascending vertex id
     real = sorted(task.real_vertex_ids, key=lambda v: (ranges[v][1], v))
     rest = {}                                # workload not yet placed
-    starting = [[] for _ in segments]        # the parts whose window begins
+    starting = [[] for _ in lengths]         # the parts whose window begins
 
     # Phase 1: single-segment vertices
     for v in real:
@@ -180,7 +205,7 @@ def segment_workload(task: DagTask, td: TimingDiagram) -> SegmentationResult:
     # the EDF-like fill loses its optimality.  Parts whose window has ended
     # are dropped when they reach the top.
     heap = []
-    for i in range(len(segments)):
+    for i in range(len(lengths)):
         for v in starting[i]:
             heapq.heappush(heap, (ranges[v][1], 1, v, v))
         capacity = caps[i] - load[i]
@@ -228,17 +253,10 @@ def segment_workload(task: DagTask, td: TimingDiagram) -> SegmentationResult:
 
     heavy = sum(w for w, cap in zip(load, caps) if w > cap)
     light = sum(e for w, cap, e in zip(load, caps, lengths) if w <= cap)
-    for s, w in zip(segments, load):
-        s.c = Fraction(w, unit)
     return SegmentationResult(
-        segments=segments,
-        assignment={s.index: {v: Fraction(w, unit) for v, w in slot.items()}
-                    for s, slot in zip(segments, slots)},
-        split_count=split_count,
-        work=task.metrics.work,
-        critical_path=task.metrics.critical_path,
-        c_heavy=Fraction(heavy, unit),
-        l_light=Fraction(light, td.den),
+        den=td.den, cuts=ends, load=load, slots=slots,
+        split_count=split_count, heavy=heavy, light=light,
+        work=task.metrics.work, critical_path=task.metrics.critical_path,
         omega=Fraction(heavy + light * c_int, l_int * c_int),
     )
 

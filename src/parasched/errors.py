@@ -44,3 +44,7 @@ class CriticalPathExceedsDeadline(ParaschedError):
 
 class NoFit(ParaschedError):
     pass
+
+
+class UtilizationInfeasible(ParaschedError, RuntimeError):
+    """No utilization shares let every task's period exceed its L."""

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
+from .errors import UtilizationInfeasible
 from .model import DagTask
 
 
@@ -120,8 +121,9 @@ def gen_taskset(config: GenConfig,
             if all(u < lim for u, lim in zip(shares, limits)):
                 break
         else:
-            raise RuntimeError("could not draw valid utilization shares; "
-                               "total utilization too sequential")
+            raise UtilizationInfeasible(
+                "could not draw valid utilization shares; total utilization "
+                "too sequential")
     else:
         shares = [None] * config.n_tasks
 

@@ -62,8 +62,10 @@ class DagTask:
     integer core that ``with_period`` shares: ``den``, the LCM of the WCET
     denominators; the WCETs (``wcet_int``), earliest ready times
     (``rdy_int``), C (``work_int``) and L (``cpl_int``), all times ``den``.
-    A task with a period also checks its timing and keeps ``validate``'s
-    result as ``metrics``; a shape's ``metrics`` is None.
+    Int WCETs are read as they are, with no Fraction per input, and
+    ``wcets`` maps each vertex to its WCET as a Fraction.  A task with a
+    period also checks its timing and keeps ``validate``'s result as
+    ``metrics``; a shape's ``metrics`` is None.
     """
 
     def __init__(self, task_id, vertices, edges, period=None, deadline=None):
@@ -73,7 +75,8 @@ class DagTask:
             if period is not None:
                 self.period = as_fraction(period)
                 self.deadline = as_fraction(deadline)
-            vertices = sorted((vid, as_fraction(w)) for vid, w in vertices)
+            vertices = sorted((vid, w if type(w) is int else as_fraction(w))
+                              for vid, w in vertices)
             edges = list(dict.fromkeys((u, v) for u, v in edges))
         except (TypeError, ValueError, ZeroDivisionError) as exc:
             raise MalformedTaskSet(
@@ -105,17 +108,17 @@ class DagTask:
                     inward[v].append(len(wcets))
                 inward.append([])
                 outward.append(ends)
-                wcets.append(Fraction(0))
+                wcets.append(0)
         dummies = range(n, len(wcets))
         edges += [(d, v) for d in dummies for v in succ[d]]
         edges += [(u, d) for d in dummies for u in pred[d]]
 
-        self.wcets = dict(enumerate(wcets))
         self.edges = tuple(edges)
         self.succ, self.pred = succ, pred
         self.dummy_ids = frozenset(dummies)
         self.den = math.lcm(*(w.denominator for w in wcets))
         ints = [w.numerator * (self.den // w.denominator) for w in wcets]
+        self.wcets = {v: Fraction(w, self.den) for v, w in enumerate(ints)}
         # Kahn's algorithm, pushing each finish time on to the successors
         indeg = [len(p) for p in self.pred]
         order = [v for v, d in enumerate(indeg) if not d]
@@ -154,14 +157,14 @@ class DagTask:
 
     @property
     def real_vertex_ids(self):
-        return list(range(len(self.wcets) - len(self.dummy_ids)))
+        return list(range(len(self.wcet_int) - len(self.dummy_ids)))
 
     def source(self):
-        (src,) = [v for v in self.wcets if not self.pred[v]]
+        (src,) = [v for v, p in enumerate(self.pred) if not p]
         return src
 
     def sink(self):
-        (snk,) = [v for v in self.wcets if not self.succ[v]]
+        (snk,) = [v for v, s in enumerate(self.succ) if not s]
         return snk
 
 

@@ -250,3 +250,67 @@ def test_experiment_writes_csv(tmp_path):
 def test_unknown_subcommand_errors():
     with pytest.raises(SystemExit):
         main(["frobnicate"])
+
+
+# stdout of `simulate` on the fig-1 task, as the hand-built rows wrote it
+SIMULATE_FIG1 = {
+    ("--engine", "uniform", "--speeds", "1,1/2"): (0, [
+        '[0, "start", 0, 0]', '[1, "finish", 0, 0]', '[1, "start", 1, 0]',
+        '[1, "start", 2, 1]', '[6, "finish", 1, 0]',
+        '[6, "migrate", 2, 1, 0]', '[6, "start", 3, 1]',
+        '["13/2", "finish", 2, 0]', '["13/2", "migrate", 3, 1, 0]',
+        '["41/4", "finish", 3, 0]', '["41/4", "start", 4, 0]',
+        '["49/4", "finish", 4, 0]', '["49/4", "start", 5, 0]',
+        '["53/4", "finish", 5, 0]',
+        '{"kind": "summary", "response_time": "53/4", "splits": 0}']),
+    ("--engine", "dispatcher", "--speeds", "1,1/2"): (0, [
+        '[1, "finish", 0, 0]', '[1, "split", 2, "5/2", "1/2"]',
+        '[6, "finish", 1, 0]', '[6, "finish", [2, "\'"], 1]',
+        '[6, "split", 3, "1/4", "15/4"]', '["13/2", "finish", [2, "\'\'"], 0]',
+        '["13/2", "finish", [3, "\'"], 1]',
+        '["41/4", "finish", [3, "\'\'"], 0]', '["49/4", "finish", 4, 0]',
+        '["53/4", "finish", 5, 0]',
+        '{"kind": "summary", "response_time": "53/4", "splits": 2}']),
+    ("--engine", "gedf", "--m", "1", "--horizon", "28"): (1, [
+        '{"kind": "miss", "job": ["fig1", 1, 0], "deadline": "112/9"}',
+        '{"kind": "miss", "job": ["fig1", 4, 0], "deadline": "112/9"}',
+        '{"kind": "miss", "job": ["fig1", 1, 1], "deadline": "238/9"}',
+        '{"kind": "miss", "job": ["fig1", 4, 1], "deadline": "238/9"}',
+        '{"kind": "summary", "misses": 4, "horizon": 28}']),
+}
+
+
+@pytest.mark.parametrize("flags", SIMULATE_FIG1)
+def test_simulate_output_is_pinned(tmp_path, capsys, flags):
+    path = tmp_path / "fig1.json"
+    with open(path, "w") as fp:
+        dump_taskset([fig1_task()], fp)
+    rc = main(["simulate", str(path), *flags])
+    assert (rc, capsys.readouterr().out.splitlines()) == SIMULATE_FIG1[flags]
+
+
+@pytest.mark.parametrize("argv", [["analyze", "PATH", "--m", "2"],
+                                  ["decompose", "PATH"], ["simulate", "PATH"],
+                                  ["gen", "--out", "PATH"]])
+def test_missing_file_is_one_line_with_status_2(tmp_path, capsys, argv):
+    path = str(tmp_path / "missing" / "set.json")
+    rc = main([path if a == "PATH" else a for a in argv])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("parasched: error: ")
+    assert path in captured.err
+    assert len(captured.err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv", [["--n-tasks", "1"],
+                                  ["--m", "1", "--util", "100"]])
+def test_infeasible_utilization_is_one_line_with_status_2(tmp_path, capsys,
+                                                          argv):
+    out = tmp_path / "set.json"
+    rc = main(["gen", *argv, "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("parasched: error: could not draw valid "
+                          "utilization shares")
+    assert len(err.splitlines()) == 1

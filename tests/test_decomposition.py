@@ -4,12 +4,12 @@ import random
 from collections import deque
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from types import SimpleNamespace
 from typing import Optional
 
 import pytest
 
-from parasched.decomposition import (SegmentationResult, Segment,
-                                     TimingDiagram, build_segments,
+from parasched.decomposition import (Segment, TimingDiagram, build_segments,
                                      dbf_and_load, decompose, segment_omega,
                                      segment_workload, segmentation_oracle,
                                      timing_diagram)
@@ -222,6 +222,27 @@ def test_segment_omega_is_decompose_omega(corpus):
         segment_omega(fig1_task(period=40, deadline=9))
 
 
+def test_segment_omega_builds_no_fraction_views(monkeypatch):
+    import parasched.decomposition as dec
+    original, results = dec.segment_workload, []
+
+    def keep(task, td):
+        results.append(original(task, td))
+        return results[-1]
+
+    monkeypatch.setattr(dec, "segment_workload", keep)
+    omega = segment_omega(fig1_task())
+    (seg,) = results
+    views = {"segments", "assignment", "c_heavy", "l_light"}
+    assert not views & set(vars(seg))
+    # read on demand, the views agree with the ints and are kept
+    assert seg.omega == omega == seg.c_heavy / seg.work \
+        + seg.l_light / seg.critical_path
+    assert sum(s.c for s in seg.segments) == seg.work == sum(
+        (sum(slot.values()) for slot in seg.assignment.values()), Fraction(0))
+    assert views <= set(vars(seg))
+
+
 # The Fraction segmentation that the integer core replaced, copied verbatim
 # with its helpers, as the reference the core must match bit for bit.
 
@@ -239,7 +260,7 @@ class _Part:
 def _reference_segment_workload(task: DagTask, td: TimingDiagram,
                                 segments: list,
                                 metrics: Optional[TaskMetrics] = None
-                                ) -> SegmentationResult:
+                                ) -> SimpleNamespace:
     """Three-phase workload assignment minimizing omega.
 
     Phase 1 places vertices whose lifetime window is a single segment.
@@ -332,7 +353,7 @@ def _reference_segment_workload(task: DagTask, td: TimingDiagram,
                   Fraction(0))
     l_light = sum((s.e for s in segments if s.c * cpl <= work * s.e),
                   Fraction(0))
-    return SegmentationResult(
+    return SimpleNamespace(
         segments=segments,
         assignment=assignment,
         split_count=split_count,

@@ -72,6 +72,21 @@ def test_dummy_source_and_sink():
     assert validate(t).critical_path == 3
 
 
+def test_int_fraction_and_string_wcets_build_the_same_core():
+    # two sources and two sinks, so the dummies' int 0 is in the core too
+    edges = [(0, 2), (1, 2), (2, 3), (2, 4)]
+    wcets = [3, 1, 4, 1, 5]
+    built = [DagTask(0, [(v, convert(w)) for v, w in enumerate(wcets)],
+                     edges, 20, 20)
+             for convert in (int, Fraction, lambda w: f"{w}/1")]
+    ints, *others = built
+    assert ints.wcets == {0: 3, 1: 1, 2: 4, 3: 1, 4: 5, 5: 0, 6: 0}
+    assert all(type(w) is Fraction for w in ints.wcets.values())
+    for task in others:
+        assert (task.den, task.wcet_int, task.wcets) \
+            == (ints.den, ints.wcet_int, ints.wcets)
+
+
 def test_single_vertex_no_dummies():
     t = DagTask(0, [(0, 4)], [], 10, 10)
     assert not t.dummy_ids
