@@ -22,7 +22,7 @@ from typing import Callable, Optional
 
 from .errors import ConstrainedDeadline, DegenerateWindow, OracleTooLarge
 from .flow import FlowNetwork
-from .model import DagTask, TaskMetrics
+from .model import DagTask, TaskMetrics, scale_to_ints
 
 
 @dataclass(frozen=True)
@@ -358,7 +358,11 @@ def dbf_and_load(dt: DecomposedTask, hyper_windows: int = 2
     of every job released at or after the start and takes the ratio at
     each distinct deadline.  For n subtasks and a fixed ``hyper_windows``
     that is one O(n log n) sort plus O(n^2) for the passes, against O(n^4)
-    for evaluating ``demand`` on every window.
+    for evaluating ``demand`` on every window.  The sweep runs on ints,
+    every time and WCET times the LCM of their denominators, and keeps the
+    best ratio as a pair of ints compared by cross-multiplication; the
+    load is built as a Fraction once, at the end.  ``dbf`` stays on
+    Fractions.
     """
     period = dt.period
     subtasks = dt.subtasks
@@ -378,20 +382,27 @@ def dbf_and_load(dt: DecomposedTask, hyper_windows: int = 2
             return Fraction(0)
         return max(demand(st.release, st.release + t) for st in subtasks)
 
+    # Scaling times and WCETs by one factor leaves each ratio as it is.
     # Window starts are releases, which lie in [0, T), so no job with k < 0
     # starts inside a window; window ends are the deadlines with
     # k <= hyper_windows, and every job with a larger k ends after them.
-    jobs = sorted((st.deadline + k * period, st.release + k * period,
-                   st.wcet)
-                  for st in subtasks for k in range(hyper_windows + 1))
-    load = Fraction(0)
-    for start in {st.release for st in subtasks}:
-        total = Fraction(0)
+    _, ints = scale_to_ints([period] + [
+        x for st in subtasks for x in (st.release, st.deadline, st.wcet)])
+    scaled_period = ints[0]
+    triples = list(zip(ints[2::3], ints[1::3], ints[3::3]))
+    jobs = sorted((end + k * scaled_period, release + k * scaled_period, wcet)
+                  for end, release, wcet in triples
+                  for k in range(hyper_windows + 1))
+    best, best_t = 0, 1             # the load so far, as best / best_t
+    for start in {release for _, release, _ in triples}:
+        total = 0
         for i, (end, release, wcet) in enumerate(jobs):
             if release >= start:
                 total += wcet
-            if end > start and (i + 1 == len(jobs) or jobs[i + 1][0] != end):
-                load = max(load, total / (end - start))
+            if end > start and (i + 1 == len(jobs) or jobs[i + 1][0] != end) \
+                    and total * best_t > best * (end - start):
+                best, best_t = total, end - start
+    load = Fraction(best, best_t)
     return dbf, load
 
 

@@ -44,6 +44,13 @@ def as_fraction(value) -> Fraction:
     raise TypeError(f"cannot interpret {value!r} as a rational")
 
 
+def scale_to_ints(values) -> tuple[int, list]:
+    """``den``, the LCM of the denominators of ``values`` (ints or
+    Fractions), and each value times ``den`` as an int."""
+    den = math.lcm(*(x.denominator for x in values))
+    return den, [x.numerator * (den // x.denominator) for x in values]
+
+
 def format_rational(value: Fraction):
     """JSON-friendly form: plain int when integral, "num/den" otherwise."""
     if value.denominator == 1:
@@ -116,8 +123,7 @@ class DagTask:
         self.edges = tuple(edges)
         self.succ, self.pred = succ, pred
         self.dummy_ids = frozenset(dummies)
-        self.den = math.lcm(*(w.denominator for w in wcets))
-        ints = [w.numerator * (self.den // w.denominator) for w in wcets]
+        self.den, ints = scale_to_ints(wcets)
         self.wcets = {v: Fraction(w, self.den) for v, w in enumerate(ints)}
         # Kahn's algorithm, pushing each finish time on to the successors
         indeg = [len(p) for p in self.pred]
@@ -274,6 +280,8 @@ def task_from_dict(data: dict, index: int = 0) -> DagTask:
 
     Raises ``MalformedTaskSet`` naming the task index and the missing field.
     """
+    if not isinstance(data, dict):
+        raise MalformedTaskSet(f"task {index}: not a JSON object")
     try:
         fields = dict(
             task_id=data["id"],
@@ -285,6 +293,9 @@ def task_from_dict(data: dict, index: int = 0) -> DagTask:
     except KeyError as exc:
         raise MalformedTaskSet(
             f"task {index}: missing field {exc.args[0]!r}") from None
+    except TypeError:
+        raise MalformedTaskSet(
+            f"task {index}: 'vertices' is not a list of objects") from None
     return DagTask(**fields)
 
 
@@ -293,10 +304,19 @@ def dump_taskset(tasks: Iterable[DagTask], fp) -> None:
 
 
 def load_taskset(fp) -> list[DagTask]:
-    # parse_float keeps decimal literals exact (0.3 -> 3/10)
-    data = json.load(fp, parse_float=lambda s: Fraction(s))
+    """Read a task set in the schema above; raises ``MalformedTaskSet`` for
+    a file that is not JSON or not of that shape."""
+    try:
+        # parse_float keeps decimal literals exact (0.3 -> 3/10)
+        data = json.load(fp, parse_float=lambda s: Fraction(s))
+    except ValueError as exc:       # JSONDecodeError, UnicodeDecodeError
+        raise MalformedTaskSet(f"task set: not JSON ({exc})") from None
+    if not isinstance(data, dict):
+        raise MalformedTaskSet("task set: not a JSON object")
     if "tasks" not in data:
         raise MalformedTaskSet("task set: missing field 'tasks'")
+    if not isinstance(data["tasks"], list):
+        raise MalformedTaskSet("task set: 'tasks' is not a list")
     if not data["tasks"]:
         raise EmptyTaskSet("task set: no tasks")
     return [task_from_dict(t, i) for i, t in enumerate(data["tasks"])]

@@ -86,15 +86,15 @@ class Bin:
 
 
 def worst_fit_into(items: Sequence, bins: list) -> None:
-    """Place items (already ordered) on the least-loaded fitting bin.
+    """Place items (already ordered) on the least-loaded bin, ties by
+    index.  No bin with a higher load fits an item that this one cannot.
 
     Mutates ``bins``; raises NoFit on the first unplaceable item.
     """
     for item in items:
-        candidates = [b for b in bins if b.load + item.load <= 1]
-        if not candidates:
+        best = min(bins, key=lambda b: (b.load, b.index), default=None)
+        if best is None or best.load + item.load > 1:
             raise NoFit(f"item {item!r} does not fit on any bin")
-        best = min(candidates, key=lambda b: (b.load, b.index))
         best.add(item)
 
 
@@ -170,11 +170,10 @@ def sf2(tasks: Sequence[DagTask], m: int) -> Verdict:
     items = sorted(fractional + lights,
                    key=lambda i: (-i.split_bound, str(i.item_id)))
     for item in items:
-        candidates = [b for b in open_bins
-                      if b.dstar_sum + item.split_bound <= 1]
-        if not candidates:
+        best = min(open_bins, key=lambda b: (b.dstar_sum, b.index),
+                   default=None)
+        if best is None or best.dstar_sum + item.split_bound > 1:
             return Verdict("sf2", False, reason="sched* failure")
-        best = min(candidates, key=lambda b: (b.dstar_sum, b.index))
         best.add(item)
         if best.load > 1:
             open_bins.remove(best)

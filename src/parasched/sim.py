@@ -1,6 +1,6 @@
 """Discrete-event simulators.
 
-Three engines share the exact-rational style:
+Three exact engines, with no float:
 
 * ``simulate_uniform`` -- a single DAG on uniform (heterogeneous speed)
   processors under work-conserving list scheduling, with or without
@@ -10,6 +10,11 @@ Three engines share the exact-rational style:
   idle while slower ones are busy.
 * ``simulate_gedf`` -- periodic subtask jobs of decomposed tasks under
   preemptive global EDF, reporting deadline misses.
+
+The first two run on Fractions: they divide by speeds such as 3/4, so
+their denominators grow with each event.  ``simulate_gedf`` only adds and
+subtracts, so it runs on integer time, every input scaled once by the LCM
+of the denominators, and builds Fractions only for what it returns.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 from .decomposition import DecomposedTask
-from .model import DagTask
+from .model import DagTask, scale_to_ints
 
 
 @dataclass
@@ -206,26 +211,37 @@ class GedfReport:
 def simulate_gedf(tasks: Sequence[DecomposedTask], m: int,
                   horizon) -> GedfReport:
     """Preemptive global EDF over the periodic subtask jobs of decomposed
-    tasks, synchronous release, checked up to ``horizon``."""
+    tasks, synchronous release, checked up to ``horizon``.
+
+    The run is on integer time: every period, release, deadline, WCET and
+    the horizon is scaled once by ``den``, the LCM of their denominators.
+    Each miss's deadline and remaining work come back as Fractions."""
     horizon = Fraction(horizon)
+    den, ints = scale_to_ints([horizon] + [
+        x for dt in tasks for x in (dt.period, *(
+            y for sub in dt.subtasks
+            for y in (sub.release, sub.deadline, sub.wcet)))])
+    scaled = iter(ints)
+    end = next(scaled)
     jobs = []   # [release, deadline, remaining, (task, subtask, k)]
     for dt in tasks:
+        period = next(scaled)
         for si, sub in enumerate(dt.subtasks):
-            if sub.wcet == 0:
+            release, deadline, wcet = next(scaled), next(scaled), next(scaled)
+            if wcet == 0:
                 continue
             k = 0
-            while k * dt.period + sub.release < horizon:
-                jobs.append([k * dt.period + sub.release,
-                             k * dt.period + sub.deadline,
-                             Fraction(sub.wcet), (dt.task_id, si, k)])
+            while k * period + release < end:
+                jobs.append([k * period + release, k * period + deadline,
+                             wcet, (dt.task_id, si, k)])
                 k += 1
     jobs.sort(key=lambda j: (j[0], j[1], j[3]))
 
     misses = []
-    t = Fraction(0)
+    t = 0
     pending = []
     i = 0
-    while t < horizon:
+    while t < end:
         while i < len(jobs) and jobs[i][0] <= t:
             pending.append(jobs[i])
             i += 1
@@ -241,7 +257,7 @@ def simulate_gedf(tasks: Sequence[DecomposedTask], m: int,
         dt_candidates = [j[2] for j in run]
         if i < len(jobs):
             dt_candidates.append(jobs[i][0] - t)
-        dt_candidates.append(horizon - t)
+        dt_candidates.append(end - t)
         step = min(c for c in dt_candidates if c > 0)
         for j in run:
             j[2] -= step
@@ -250,9 +266,8 @@ def simulate_gedf(tasks: Sequence[DecomposedTask], m: int,
             if j[2] == 0:
                 pending.remove(j)
             elif j[1] <= t:
-                misses.append((j[3], j[1], j[2]))
+                misses.append(j)
                 pending.remove(j)
-    for j in pending:
-        if j[2] > 0 and j[1] <= horizon:
-            misses.append((j[3], j[1], j[2]))
-    return GedfReport(misses=misses, horizon=horizon)
+    misses += [j for j in pending if j[2] > 0 and j[1] <= end]
+    return GedfReport(misses=[(j[3], Fraction(j[1], den), Fraction(j[2], den))
+                              for j in misses], horizon=horizon)

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
+import parasched
 from parasched.cli import main
 from parasched.experiment import METHODS, run_methods
 from parasched.gen import GenConfig, gen_taskset
@@ -137,6 +142,17 @@ def test_package_error_is_one_line_with_status_2(constrained_path, capsys):
     assert len(captured.err.splitlines()) == 1
 
 
+def _assert_one_error_line(path, prefix, capsys):
+    for command, *flags in (["analyze", "--m", "2"], ["simulate"],
+                            ["simulate", "--engine", "gedf"]):
+        rc = main([command, str(path), *flags])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("parasched: error: " + prefix)
+        assert len(captured.err.splitlines()) == 1
+
+
 @pytest.mark.parametrize("vertices, edges, times", [
     ([[0, 1], [1, 1]], [[0, 5]], (10, 10)),       # edge to an unknown vertex
     ([[0, 1], [2, 1]], [], (10, 10)),             # vertex ids not dense
@@ -158,14 +174,34 @@ def test_malformed_dag_is_one_line_with_status_2(tmp_path, capsys, vertices,
         "vertices": [{"id": v, "wcet": w} for v, w in vertices]}]
     path.write_text(json.dumps({"tasks": tasks}))
     prefix = "task set: " if vertices is None else "task bad: "
-    for command, *flags in (["analyze", "--m", "2"], ["simulate"],
-                            ["simulate", "--engine", "gedf"]):
-        rc = main([command, str(path), *flags])
-        assert rc == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("parasched: error: " + prefix)
-        assert len(captured.err.splitlines()) == 1
+    _assert_one_error_line(path, prefix, capsys)
+
+
+@pytest.mark.parametrize("text, prefix", [
+    (b"abc", "task set: "),                       # not JSON
+    (b"\xff\xfe", "task set: "),                  # not text
+    (b"[1, 2]", "task set: "),                    # top level not an object
+    (b'{"tasks": "abc"}', "task set: "),          # tasks not a list
+    (b'{"tasks": [3]}', "task 0: "),              # task not an object
+    (b'{"tasks": [{"id": "x", "period": 1, "deadline": 1, "edges": [], '
+     b'"vertices": [[0, 1]]}]}', "task 0: "),     # vertex not an object
+], ids=["not-json", "not-text", "list", "tasks-string", "task-number",
+        "vertex-list"])
+def test_malformed_file_is_one_line_with_status_2(tmp_path, capsys, text,
+                                                  prefix):
+    path = tmp_path / "bad.json"
+    path.write_bytes(text)
+    _assert_one_error_line(path, prefix, capsys)
+
+
+def test_python_m_parasched_runs_the_cli(taskset_path, capsys):
+    argv = ["analyze", str(taskset_path), "--m", "4"]
+    src = Path(parasched.__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "-m", "parasched", *argv],
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == main(argv) == 0
+    assert proc.stdout == capsys.readouterr().out != ""
 
 
 @pytest.mark.parametrize("argv", [

@@ -186,6 +186,25 @@ def test_load_matches_window_enumeration_at_desk_scale():
             assert dbf_and_load(dt)[1] == _brute_load(dt)
 
 
+def test_load_matches_window_enumeration_on_rational_wcets(corpus):
+    rng = random.Random(13)
+    tasks = [_rational_variant(task, rng) for task in corpus[:200]]
+    assert any(t.den > 1 for t in tasks)
+    for task in tasks:
+        dt = decompose(task).decomposed
+        assert dbf_and_load(dt)[1] == _brute_load(dt)
+
+
+def test_load_matches_window_enumeration_on_verify_sets():
+    # the sets the benchmark's verify workload computes the load of
+    for seed, util in ((1, 0.5), (2, 0.6), (3, 0.9)):
+        config = GenConfig(n_tasks=3, p=0.1, m=4, util=util,
+                           n_vertices=(14, 16), period_mode="gamma-formula")
+        for task in gen_taskset(config, seed=seed):
+            dt = decompose(task).decomposed
+            assert dbf_and_load(dt)[1] == _brute_load(dt)
+
+
 def test_load_stable_beyond_two_hyper_windows(corpus):
     for task in corpus[:300]:
         dt = decompose(task).decomposed

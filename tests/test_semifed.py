@@ -7,11 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from parasched import semifed
+from parasched.analysis import federated_allocate
 from parasched.errors import CriticalPathExceedsDeadline, NoFit
-from parasched.model import TaskMetrics
-from parasched.semifed import (Bin, ContainerTask, WfItem, _scrape,
-                               capacity_requirement, delta_star, gamma, sf1,
-                               sf2, worst_fit_partition)
+from parasched.gen import PAPER_SCALE, GenConfig, gen_taskset
+from parasched.model import TaskMetrics, Verdict
+from parasched.semifed import (Bin, ContainerTask, WfItem, _classify,
+                               _scrape, capacity_requirement, delta_star,
+                               gamma, sf1, sf2, worst_fit_partition)
 
 
 def heavy_stub(tid, g):
@@ -178,3 +181,70 @@ def test_bin_running_sums_follow_placement_and_scraping():
     assert b.load == sum(i.load for i in b.items) == 1
     assert b.dstar_sum == sum(i.split_bound for i in b.items)
     assert sum(i.load for i in spilled) == Fraction(3, 10)
+
+
+# Worst-fit as it was before it took the least-loaded bin directly: the
+# trial sum of every bin, then the least loaded of those that fit.  Copied
+# verbatim but for the names, as the reference the packing must match.
+def _reference_worst_fit_into(items, bins):
+    for item in items:
+        candidates = [b for b in bins if b.load + item.load <= 1]
+        if not candidates:
+            raise NoFit(f"item {item!r} does not fit on any bin")
+        best = min(candidates, key=lambda b: (b.load, b.index))
+        best.add(item)
+
+
+def _reference_sf2(tasks, m):
+    try:
+        dedicated, fractional, lights = _classify(tasks)
+    except CriticalPathExceedsDeadline:
+        return Verdict("sf2", False, reason="critical path exceeds deadline")
+    used = sum(dedicated.values())
+    if used > m:
+        return Verdict("sf2", False, reason="insufficient dedicated")
+
+    bins = [Bin(i) for i in range(m - used)]
+    open_bins = list(bins)
+    over_bins = []
+
+    items = sorted(fractional + lights,
+                   key=lambda i: (-i.split_bound, str(i.item_id)))
+    for item in items:
+        candidates = [b for b in open_bins
+                      if b.dstar_sum + item.split_bound <= 1]
+        if not candidates:
+            return Verdict("sf2", False, reason="sched* failure")
+        best = min(candidates, key=lambda b: (b.dstar_sum, b.index))
+        best.add(item)
+        if best.load > 1:
+            open_bins.remove(best)
+            over_bins.append(best)
+
+    remainders = []
+    for b in over_bins:
+        remainders.extend(_scrape(b))
+
+    ordered = sorted(remainders, key=lambda i: (-i.load, str(i.item_id)))
+    try:
+        _reference_worst_fit_into(ordered, open_bins)
+    except NoFit:
+        return Verdict("sf2", False, reason="remainder partition failure")
+
+    return Verdict("sf2", True, detail={"dedicated": dedicated,
+                                        "bins": [b.items for b in bins]})
+
+
+def test_worst_fit_matches_trial_sums_on_sample(monkeypatch):
+    sets = [gen_taskset(GenConfig(n_tasks=5, p=0.05, util=util,
+                                  n_vertices=scale), seed=seed)
+            for scale, seeds in (((10, 50), range(8)), (PAPER_SCALE, [0]))
+            for seed in seeds for util in (0.3, 0.6, 0.9)]
+    cases = [(tasks, m) for tasks in sets for m in (2, 4, 8, 16)]
+    verdicts = [(federated_allocate(ts, m), sf1(ts, m), sf2(ts, m))
+                for ts, m in cases]
+    monkeypatch.setattr(semifed, "worst_fit_into", _reference_worst_fit_into)
+    assert verdicts == [(federated_allocate(ts, m), sf1(ts, m),
+                         _reference_sf2(ts, m)) for ts, m in cases]
+    reasons = {v.reason for triple in verdicts for v in triple}
+    assert {"", "partition failure", "sched* failure"} <= reasons

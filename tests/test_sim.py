@@ -4,8 +4,9 @@ from fractions import Fraction
 from parasched.analysis import (UniformPlatform, uniform_response_bound,
                                 weak_response_bound)
 from parasched.decomposition import decompose
-from parasched.model import validate
-from parasched.sim import (simulate_dispatcher, simulate_gedf,
+from parasched.gen import GenConfig, gen_taskset
+from parasched.model import DagTask, validate
+from parasched.sim import (GedfReport, simulate_dispatcher, simulate_gedf,
                            simulate_uniform)
 from conftest import chain_task, fig1_task, random_small_task
 
@@ -127,3 +128,95 @@ def test_gedf_overload_misses():
     decs = [decompose(t).decomposed for t in tasks]
     report = simulate_gedf(decs, 1, 40)
     assert not report.ok
+
+
+# The Fraction engine that integer time replaced, copied verbatim but for
+# the name, as the reference ``simulate_gedf`` must match.
+def _reference_simulate_gedf(tasks, m, horizon):
+    """Preemptive global EDF over the periodic subtask jobs of decomposed
+    tasks, synchronous release, checked up to ``horizon``."""
+    horizon = Fraction(horizon)
+    jobs = []   # [release, deadline, remaining, (task, subtask, k)]
+    for dt in tasks:
+        for si, sub in enumerate(dt.subtasks):
+            if sub.wcet == 0:
+                continue
+            k = 0
+            while k * dt.period + sub.release < horizon:
+                jobs.append([k * dt.period + sub.release,
+                             k * dt.period + sub.deadline,
+                             Fraction(sub.wcet), (dt.task_id, si, k)])
+                k += 1
+    jobs.sort(key=lambda j: (j[0], j[1], j[3]))
+
+    misses = []
+    t = Fraction(0)
+    pending = []
+    i = 0
+    while t < horizon:
+        while i < len(jobs) and jobs[i][0] <= t:
+            pending.append(jobs[i])
+            i += 1
+        active = sorted((j for j in pending if j[2] > 0),
+                        key=lambda j: (j[1], j[3]))
+        if not active:
+            if i >= len(jobs):
+                break
+            t = jobs[i][0]
+            continue
+        run = active[:m]
+        # next event: a completion, a release, or the horizon
+        dt_candidates = [j[2] for j in run]
+        if i < len(jobs):
+            dt_candidates.append(jobs[i][0] - t)
+        dt_candidates.append(horizon - t)
+        step = min(c for c in dt_candidates if c > 0)
+        for j in run:
+            j[2] -= step
+        t += step
+        for j in list(pending):
+            if j[2] == 0:
+                pending.remove(j)
+            elif j[1] <= t:
+                misses.append((j[3], j[1], j[2]))
+                pending.remove(j)
+    for j in pending:
+        if j[2] > 0 and j[1] <= horizon:
+            misses.append((j[3], j[1], j[2]))
+    return GedfReport(misses=misses, horizon=horizon)
+
+
+def _assert_gedf_matches_reference(decs, m, horizon):
+    report = simulate_gedf(decs, m, horizon)
+    ref = _reference_simulate_gedf(decs, m, horizon)
+    assert (report.misses, report.horizon) == (ref.misses, ref.horizon)
+    assert all(type(deadline) is type(left) is Fraction
+               for _, deadline, left in report.misses)
+    return report
+
+
+def test_gedf_matches_reference_on_verify_sets():
+    # the sets the benchmark's verify workload simulates, on 1, 2 and 4
+    # processors over two of the largest periods
+    for seed, util in ((1, 0.5), (2, 0.6), (3, 0.9)):
+        config = GenConfig(n_tasks=3, p=0.1, m=4, util=util,
+                           n_vertices=(14, 16), period_mode="gamma-formula")
+        tasks = gen_taskset(config, seed=seed)
+        decs = [decompose(t).decomposed for t in tasks]
+        horizon = 2 * max(t.period for t in tasks)
+        assert horizon.denominator > 1
+        for m in (1, 2, 4):
+            report = _assert_gedf_matches_reference(decs, m, horizon)
+            assert report.misses or m > 1
+
+
+def test_gedf_matches_reference_on_rational_wcets():
+    tasks = [DagTask("a", [(0, "1/3"), (1, "5/7"), (2, 1)],
+                     [(0, 1), (0, 2)], period="9/4", deadline="9/4"),
+             DagTask("b", [(0, "5/7"), (1, "1/3")], [(0, 1)],
+                     period="3/2", deadline="3/2")]
+    decs = [decompose(t).decomposed for t in tasks]
+    for m in (1, 2):
+        report = _assert_gedf_matches_reference(decs, m, Fraction(67, 5))
+        assert report.horizon == Fraction(67, 5)
+        assert report.misses or m > 1
