@@ -12,13 +12,15 @@ constant of the capacity-bound baseline is compared by squaring.
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 from typing import Callable, NamedTuple, Sequence
 
 from .decomposition import segment_omega
 from .errors import ConstrainedDeadline, CriticalPathExceedsDeadline, NoFit
-from .model import DagTask, TaskMetrics, TaskSetSummary, Verdict, summarize
+from .model import (DagTask, TaskMetrics, TaskSetSummary, Verdict,
+                    scale_speeds, summarize)
 from .semifed import gamma, sf1, sf2, worst_fit_partition, WfItem
 
 
@@ -27,18 +29,13 @@ class UniformPlatform:
     lambda = max_x (S_m - S_x) / delta_x is the uniformity."""
 
     def __init__(self, speeds: Sequence):
-        speeds = sorted((Fraction(s) for s in speeds), reverse=True)
-        if not speeds or speeds[-1] <= 0:
-            raise ValueError("speeds must be positive")
-        self.speeds = tuple(speeds)
-        prefix = []
-        total = Fraction(0)
-        for s in speeds:
-            total += s
-            prefix.append(total)
-        self.total_speed = total
-        self.uniformity = max((total - sx) / dx
-                              for sx, dx in zip(prefix, speeds))
+        scale, ints = scale_speeds(speeds)
+        ints.sort(reverse=True)
+        self.speeds = tuple(Fraction(s, scale) for s in ints)
+        total = sum(ints)
+        self.total_speed = Fraction(total, scale)
+        self.uniformity = max(Fraction(total - sx, dx) for sx, dx
+                              in zip(itertools.accumulate(ints), ints))
 
     def __len__(self):
         return len(self.speeds)

@@ -333,7 +333,7 @@ def reassemble(task: DagTask, td: TimingDiagram, stretched: list
             origin=v,
             release=pos[td.rdy[v]],
             deadline=pos[td.fsh[v]],
-            wcet=task.wcets[v],
+            wcet=Fraction(task.wcet_int[v], task.den),
         ))
     return DecomposedTask(task_id=task.id, period=task.period,
                           subtasks=tuple(subtasks))

@@ -48,3 +48,8 @@ class NoFit(ParaschedError):
 
 class UtilizationInfeasible(ParaschedError, RuntimeError):
     """No utilization shares let every task's period exceed its L."""
+
+
+class InvalidSpeeds(ParaschedError, ValueError):
+    """A list of processor speeds or load bounds that is empty or holds a
+    value that is not positive."""

@@ -16,12 +16,14 @@ import math
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 from .errors import (
     CycleDetected,
     DeadlineExceedsPeriod,
     EmptyTaskSet,
+    InvalidSpeeds,
     MalformedTaskSet,
     NonPositiveWcet,
 )
@@ -51,6 +53,17 @@ def scale_to_ints(values) -> tuple[int, list]:
     return den, [x.numerator * (den // x.denominator) for x in values]
 
 
+def scale_speeds(speeds) -> tuple[int, list]:
+    """``scale_to_ints`` for processor speeds or load bounds, in the given
+    order; raises ``InvalidSpeeds`` unless there is at least one and every
+    one is positive."""
+    speeds = [Fraction(s) for s in speeds]
+    if not speeds or min(speeds) <= 0:
+        raise InvalidSpeeds("speeds must be positive, and at least one; "
+                            f"got [{', '.join(map(str, speeds))}]")
+    return scale_to_ints(speeds)
+
+
 def format_rational(value: Fraction):
     """JSON-friendly form: plain int when integral, "num/den" otherwise."""
     if value.denominator == 1:
@@ -69,8 +82,10 @@ class DagTask:
     integer core that ``with_period`` shares: ``den``, the LCM of the WCET
     denominators; the WCETs (``wcet_int``), earliest ready times
     (``rdy_int``), C (``work_int``) and L (``cpl_int``), all times ``den``.
-    Int WCETs are read as they are, with no Fraction per input, and
-    ``wcets`` maps each vertex to its WCET as a Fraction.  A task with a
+    Int WCETs are read as they are, with no Fraction per input; ``wcets``,
+    built on first read, maps each vertex to its WCET as a Fraction.
+    ``edges`` holds the input edges only: the dummies' edges are in
+    ``succ``/``pred`` alone.  A task with a
     period also checks its timing and keeps ``validate``'s result as
     ``metrics``; a shape's ``metrics`` is None.
     """
@@ -116,15 +131,10 @@ class DagTask:
                 inward.append([])
                 outward.append(ends)
                 wcets.append(0)
-        dummies = range(n, len(wcets))
-        edges += [(d, v) for d in dummies for v in succ[d]]
-        edges += [(u, d) for d in dummies for u in pred[d]]
-
         self.edges = tuple(edges)
         self.succ, self.pred = succ, pred
-        self.dummy_ids = frozenset(dummies)
+        self.dummy_ids = frozenset(range(n, len(wcets)))
         self.den, ints = scale_to_ints(wcets)
-        self.wcets = {v: Fraction(w, self.den) for v, w in enumerate(ints)}
         # Kahn's algorithm, pushing each finish time on to the successors
         indeg = [len(p) for p in self.pred]
         order = [v for v, d in enumerate(indeg) if not d]
@@ -150,6 +160,11 @@ class DagTask:
         task.period = task.deadline = as_fraction(period)
         task.metrics = validate(task)
         return task
+
+    @cached_property
+    def wcets(self) -> dict:
+        """Each vertex's WCET as a Fraction, dummies included."""
+        return {v: Fraction(w, self.den) for v, w in enumerate(self.wcet_int)}
 
     @property
     def work(self) -> Fraction:
@@ -270,8 +285,7 @@ def task_to_dict(task: DagTask) -> dict:
         "deadline": format_rational(task.deadline),
         "vertices": [{"id": v, "wcet": format_rational(task.wcets[v])}
                      for v in task.real_vertex_ids],
-        "edges": [[u, v] for u, v in task.edges
-                  if u not in task.dummy_ids and v not in task.dummy_ids],
+        "edges": [[u, v] for u, v in task.edges],
     }
 
 

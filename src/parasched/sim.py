@@ -11,29 +11,68 @@ Three exact engines, with no float:
 * ``simulate_gedf`` -- periodic subtask jobs of decomposed tasks under
   preemptive global EDF, reporting deadline misses.
 
-The first two run on Fractions: they divide by speeds such as 3/4, so
-their denominators grow with each event.  ``simulate_gedf`` only adds and
-subtracts, so it runs on integer time, every input scaled once by the LCM
-of the denominators, and builds Fractions only for what it returns.
+All three run on integer time.  ``simulate_gedf`` only adds and subtracts,
+so every input is scaled once by the LCM of the denominators.  The first
+two divide by speeds such as 3/4: each speed is an int over ``scale``,
+the LCM of the speed denominators; times are ints over ``den``, which
+starts at the task's ``den``; and work is in units of 1/(scale * den), so
+a processor of speed sigma does sigma * dt work in dt ticks.  Before a
+division by sigma whose result is not a whole tick, ``den`` and every
+time and remaining work are multiplied by sigma / gcd(work, sigma).
+Fractions are built for what is returned: the response time at once, the
+trace lists on first read.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Optional, Sequence
 
 from .decomposition import DecomposedTask
-from .model import DagTask, scale_to_ints
+from .model import DagTask, scale_speeds, scale_to_ints
 
 
 @dataclass
 class SimTrace:
+    """One simulated DAG job.  The trace lists are kept as int records,
+    each with the ``den`` its times are over (works are over
+    ``scale * den``), and built as Fractions on first read:
+
+    * ``events`` -- (t, "start" | "migrate" | "finish", vertex, processor
+      ...) and (t, "split", vertex, head work, tail work);
+    * ``intervals`` -- (t0, t1, {processor: vertex});
+    * ``assignments`` -- (t, container, vertex, deadline).
+    """
     response_time: Fraction
-    events: list = field(default_factory=list)
-    split_count: int = 0
-    assignments: list = field(default_factory=list)
-    intervals: list = field(default_factory=list)   # (t0, t1, {proc: vertex})
+    split_count: int
+    scale: int
+    event_ints: list        # (t, den, kind, ...)
+    interval_ints: list     # (t0, t1, den, running)
+    assignment_ints: list   # (t, den, container, vertex, deadline)
+
+    @cached_property
+    def events(self) -> list:
+        out = []
+        for t, den, kind, *rest in self.event_ints:
+            if kind == "split":
+                v, head, tail = rest
+                unit = self.scale * den
+                rest = (v, Fraction(head, unit), Fraction(tail, unit))
+            out.append((Fraction(t, den), kind, *rest))
+        return out
+
+    @cached_property
+    def intervals(self) -> list:
+        return [(Fraction(t0, den), Fraction(t1, den), running)
+                for t0, t1, den, running in self.interval_ints]
+
+    @cached_property
+    def assignments(self) -> list:
+        return [(Fraction(t, den), index, exe, Fraction(deadline, den))
+                for t, den, index, exe, deadline in self.assignment_ints]
 
     @property
     def migrations(self):
@@ -56,22 +95,25 @@ def simulate_uniform(task: DagTask, speeds: Sequence,
     At every event the eligible vertices, ordered by ``order(t, ids)``
     (default: ascending id), are placed on the fastest processors.  With
     ``migration=False`` a started vertex stays pinned to its processor and
-    only idle processors pick up fresh work.
+    only idle processors pick up fresh work.  Raises ``InvalidSpeeds``
+    unless there is a speed and all are positive.
     """
-    speeds = sorted((Fraction(s) for s in speeds), reverse=True)
+    scale, speeds = scale_speeds(speeds)
+    speeds.sort(reverse=True)
     vids, preds = _real_graph(task)
-    remaining = {v: Fraction(task.wcets[v]) for v in vids}
+    den = task.den
+    remaining = {v: task.wcet_int[v] * scale for v in vids}   # unfinished
     done = set()
     where = {}          # vertex -> processor index it last ran on
-    trace = SimTrace(response_time=Fraction(0))
-    t = Fraction(0)
+    events, intervals = [], []
+    t = 0
 
     while len(done) < len(vids):
         eligible = [v for v in vids
                     if v not in done and preds[v] <= done]
         assert eligible, "deadlock in precedence graph"
         if order is not None:
-            eligible = list(order(t, list(eligible)))
+            eligible = list(order(Fraction(t, den), list(eligible)))
 
         running = {}    # processor index -> vertex
         if migration:
@@ -89,31 +131,40 @@ def simulate_uniform(task: DagTask, speeds: Sequence,
 
         for idx, v in running.items():
             if v in where and where[v] != idx:
-                trace.events.append((t, "migrate", v, where[v], idx))
+                events.append((t, den, "migrate", v, where[v], idx))
             elif v not in where:
-                trace.events.append((t, "start", v, idx))
+                events.append((t, den, "start", v, idx))
             where[v] = idx
 
-        # advance to the earliest completion
-        dt = min(remaining[v] / speeds[idx] for idx, v in running.items())
+        # advance to the earliest completion, the least work / speed
+        work = speed = None
+        for idx, v in running.items():
+            if work is None or remaining[v] * speed < work * speeds[idx]:
+                work, speed = remaining[v], speeds[idx]
+        k = speed // math.gcd(work, speed)
+        if k > 1:   # work / speed is not a whole tick: refine the tick
+            den, t, work = den * k, t * k, work * k
+            for v in remaining:
+                remaining[v] *= k
+        dt = work // speed
         assert dt > 0
-        trace.intervals.append((t, t + dt, dict(running)))
+        intervals.append((t, t + dt, den, dict(running)))
         t += dt
         for idx, v in running.items():
             remaining[v] -= dt * speeds[idx]
             if remaining[v] == 0:
+                del remaining[v]
                 done.add(v)
-                trace.events.append((t, "finish", v, idx))
+                events.append((t, den, "finish", v, idx))
 
-    trace.response_time = t
-    return trace
+    return SimTrace(Fraction(t, den), 0, scale, events, intervals, [])
 
 
 @dataclass
 class _Container:
     index: int
-    delta: Fraction
-    deadline: Optional[Fraction] = None   # None when empty
+    delta: int
+    deadline: Optional[int] = None   # None when empty
     exe: Optional[object] = None
 
 
@@ -127,18 +178,21 @@ def simulate_dispatcher(task: DagTask, deltas: Sequence,
     deadline t + c(v)/delta.  If a strictly faster occupied container would
     empty earlier, the vertex is split at that deadline and its remainder
     goes back to the head of the ready list.  Occupied containers empty
-    exactly at their deadlines.
+    exactly at their deadlines.  Raises ``InvalidSpeeds`` unless there is
+    a load bound and all are positive.
     """
     vids, preds = _real_graph(task)
-    containers = [_Container(i, Fraction(getattr(d, "load", d)))
-                  for i, d in enumerate(deltas)]
-    # ready list S: (key, wcet, pred keys); vertex keys are the id or
+    scale, deltas = scale_speeds([getattr(d, "load", d) for d in deltas])
+    containers = [_Container(i, d) for i, d in enumerate(deltas)]
+    den = task.den
+    # ready list S: [key, remaining work]; vertex keys are the id or
     # (id, suffix) for split parts
-    s_list = [(v, Fraction(task.wcets[v])) for v in vids]
+    s_list = [[v, task.wcet_int[v] * scale] for v in vids]
     pred_of = {v: set(preds[v]) for v in vids}
     done = set()
-    trace = SimTrace(response_time=Fraction(0))
-    t = Fraction(0)
+    events, assignments = [], []
+    split_count = 0
+    t = 0
 
     def eligible():
         return [entry for entry in s_list if pred_of[entry[0]] <= done]
@@ -148,7 +202,7 @@ def simulate_dispatcher(task: DagTask, deltas: Sequence,
         for c in containers:
             if c.deadline is not None and c.deadline == t:
                 done.add(c.exe)
-                trace.events.append((t, "finish", c.exe, c.index))
+                events.append((t, den, "finish", c.exe, c.index))
                 c.deadline = None
                 c.exe = None
 
@@ -158,7 +212,7 @@ def simulate_dispatcher(task: DagTask, deltas: Sequence,
             if not empty or not elig:
                 break
             if choice is not None:
-                key = choice(t, [e[0] for e in elig])
+                key = choice(Fraction(t, den), [e[0] for e in elig])
                 entry = next(e for e in elig if e[0] == key)
             else:
                 entry = elig[0]
@@ -168,8 +222,16 @@ def simulate_dispatcher(task: DagTask, deltas: Sequence,
             faster = [c.deadline for c in containers
                       if c.deadline is not None and c.delta > phi.delta]
             d_prime = min(faster) if faster else None
-            if d_prime is None or d_prime >= t + c_v / phi.delta:
-                phi.deadline = t + c_v / phi.delta
+            if d_prime is None or (d_prime - t) * phi.delta >= c_v:
+                k = phi.delta // math.gcd(c_v, phi.delta)
+                if k > 1:   # as in simulate_uniform
+                    den, t, c_v = den * k, t * k, c_v * k
+                    for waiting in s_list:
+                        waiting[1] *= k
+                    for c in containers:
+                        if c.deadline is not None:
+                            c.deadline *= k
+                phi.deadline = t + c_v // phi.delta
                 phi.exe = v
             else:
                 phi.deadline = d_prime
@@ -183,10 +245,10 @@ def simulate_dispatcher(task: DagTask, deltas: Sequence,
                     if v in ps:
                         ps.discard(v)
                         ps.add(v2)
-                s_list.insert(0, (v2, c_v - head))
-                trace.split_count += 1
-                trace.events.append((t, "split", v, head, c_v - head))
-            trace.assignments.append((t, phi.index, phi.exe, phi.deadline))
+                s_list.insert(0, [v2, c_v - head])
+                split_count += 1
+                events.append((t, den, "split", v, head, c_v - head))
+            assignments.append((t, den, phi.index, phi.exe, phi.deadline))
 
         future = [c.deadline for c in containers if c.deadline is not None]
         if not future:
@@ -194,8 +256,8 @@ def simulate_dispatcher(task: DagTask, deltas: Sequence,
             break
         t = min(future)
 
-    trace.response_time = t
-    return trace
+    return SimTrace(Fraction(t, den), split_count, scale, events, [],
+                    assignments)
 
 
 @dataclass

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from parasched.model import DagTask
+from parasched.model import DagTask, validate
 
 
 def fig1_task(period=14, deadline=None):
@@ -57,6 +57,19 @@ def random_small_task(rng, task_id, max_vertices=8):
     period = shape.critical_path + Fraction(rng.randint(1, 80),
                                             rng.randint(1, 4))
     return shape.with_period(period)
+
+
+def rational_variant(task, rng):
+    """The same DAG with WCETs drawn as fractions with denominators up to
+    12, and a period just above its critical path."""
+    real = task.real_vertex_ids
+    vertices = [(v, Fraction(rng.randint(1, 40), rng.randint(1, 12)))
+                for v in real]
+    edges = [(u, v) for u, v in task.edges if u in real and v in real]
+    cpl = validate(DagTask(task.id, vertices, edges, period=10 ** 6,
+                           deadline=10 ** 6)).critical_path
+    period = cpl + Fraction(rng.randint(1, 80), rng.randint(1, 4))
+    return DagTask(task.id, vertices, edges, period=period, deadline=period)
 
 
 def build_corpus(count=1000, seed=2024):

@@ -19,7 +19,7 @@ from parasched.errors import (ConstrainedDeadline, CycleDetected,
 from parasched.gen import PAPER_SCALE, GenConfig, gen_taskset
 from parasched.model import DagTask, TaskMetrics, validate
 from conftest import (build_corpus, chain_task, diamond_task, fig1_task,
-                      fork_task)
+                      fork_task, rational_variant)
 
 
 def test_diamond_timing_diagram():
@@ -188,7 +188,7 @@ def test_load_matches_window_enumeration_at_desk_scale():
 
 def test_load_matches_window_enumeration_on_rational_wcets(corpus):
     rng = random.Random(13)
-    tasks = [_rational_variant(task, rng) for task in corpus[:200]]
+    tasks = [rational_variant(task, rng) for task in corpus[:200]]
     assert any(t.den > 1 for t in tasks)
     for task in tasks:
         dt = decompose(task).decomposed
@@ -401,19 +401,6 @@ def _assert_same_segmentation(tasks):
             task.id
 
 
-def _rational_variant(task, rng):
-    """The same DAG with WCETs drawn as fractions with denominators up to
-    12, and a period just above its critical path."""
-    real = task.real_vertex_ids
-    vertices = [(v, Fraction(rng.randint(1, 40), rng.randint(1, 12)))
-                for v in real]
-    edges = [(u, v) for u, v in task.edges if u in real and v in real]
-    cpl = validate(DagTask(task.id, vertices, edges, period=10 ** 6,
-                           deadline=10 ** 6)).critical_path
-    period = cpl + Fraction(rng.randint(1, 80), rng.randint(1, 4))
-    return DagTask(task.id, vertices, edges, period=period, deadline=period)
-
-
 def test_segmentation_matches_reference_on_corpus(corpus):
     _assert_same_segmentation(corpus)
 
@@ -422,7 +409,7 @@ def test_segmentation_matches_reference_on_rational_wcets(corpus):
     # a denominator above 1 separates time from workload units, which
     # integer WCETs cannot
     rng = random.Random(12)
-    tasks = [_rational_variant(task, rng) for task in corpus[:400]]
+    tasks = [rational_variant(task, rng) for task in corpus[:400]]
     assert any(validate(t).work.denominator > 1 for t in tasks)
     _assert_same_segmentation(tasks)
 
@@ -563,7 +550,7 @@ def test_core_matches_reference_on_corpus(corpus):
 
 def test_core_matches_reference_on_rational_wcets(corpus):
     rng = random.Random(13)
-    tasks = [_rational_variant(task, rng) for task in corpus[:400]]
+    tasks = [rational_variant(task, rng) for task in corpus[:400]]
     assert any(t.den > 1 for t in tasks)
     _assert_same_core(tasks)
 

@@ -72,6 +72,14 @@ def test_dummy_source_and_sink():
     assert validate(t).critical_path == 3
 
 
+def test_edges_hold_the_input_edges_only():
+    # two sources and two sinks: the dummies' edges are in succ/pred alone
+    t = DagTask(0, [(0, 1), (1, 1), (2, 1), (3, 1)],
+                [(0, 2), (1, 2), (0, 2), [1, 3]], 10, 10)
+    assert t.edges == ((0, 2), (1, 2), (1, 3))
+    assert (t.succ[4], t.pred[5]) == ([0, 1], [2, 3])
+
+
 def test_int_fraction_and_string_wcets_build_the_same_core():
     # two sources and two sinks, so the dummies' int 0 is in the core too
     edges = [(0, 2), (1, 2), (2, 3), (2, 4)]

@@ -1,14 +1,19 @@
 import random
+from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import Callable, Optional, Sequence
 
-from parasched.analysis import (UniformPlatform, uniform_response_bound,
+import pytest
+
+from parasched.analysis import (TESTS, UniformPlatform, uniform_response_bound,
                                 weak_response_bound)
 from parasched.decomposition import decompose
-from parasched.gen import GenConfig, gen_taskset
+from parasched.errors import InvalidSpeeds, ParaschedError
+from parasched.gen import PAPER_SCALE, GenConfig, gen_taskset
 from parasched.model import DagTask, validate
 from parasched.sim import (GedfReport, simulate_dispatcher, simulate_gedf,
                            simulate_uniform)
-from conftest import chain_task, fig1_task, random_small_task
+from conftest import chain_task, fig1_task, random_small_task, rational_variant
 
 SPEEDS = [1, Fraction(1, 2), Fraction(1, 4)]
 
@@ -220,3 +225,285 @@ def test_gedf_matches_reference_on_rational_wcets():
         report = _assert_gedf_matches_reference(decs, m, Fraction(67, 5))
         assert report.horizon == Fraction(67, 5)
         assert report.misses or m > 1
+
+
+# The Fraction engines that integer time replaced, copied verbatim but for
+# the names, as the references ``simulate_uniform`` and
+# ``simulate_dispatcher`` must match.
+
+@dataclass
+class _ReferenceTrace:
+    response_time: Fraction
+    events: list = field(default_factory=list)
+    split_count: int = 0
+    assignments: list = field(default_factory=list)
+    intervals: list = field(default_factory=list)   # (t0, t1, {proc: vertex})
+
+    @property
+    def migrations(self):
+        return [e for e in self.events if e[1] == "migrate"]
+
+
+def _reference_real_graph(task: DagTask):
+    """Vertex ids, WCETs and predecessor sets with the zero-cost dummy
+    source/sink stripped out."""
+    real = set(task.real_vertex_ids)
+    preds = {v: {u for u in task.pred[v] if u in real} for v in real}
+    return sorted(real), preds
+
+
+def _reference_simulate_uniform(task: DagTask, speeds: Sequence,
+                     order: Optional[Callable] = None,
+                     migration: bool = True) -> _ReferenceTrace:
+    """Run one DAG job on processors with the given speeds.
+
+    At every event the eligible vertices, ordered by ``order(t, ids)``
+    (default: ascending id), are placed on the fastest processors.  With
+    ``migration=False`` a started vertex stays pinned to its processor and
+    only idle processors pick up fresh work.
+    """
+    speeds = sorted((Fraction(s) for s in speeds), reverse=True)
+    vids, preds = _reference_real_graph(task)
+    remaining = {v: Fraction(task.wcets[v]) for v in vids}
+    done = set()
+    where = {}          # vertex -> processor index it last ran on
+    trace = _ReferenceTrace(response_time=Fraction(0))
+    t = Fraction(0)
+
+    while len(done) < len(vids):
+        eligible = [v for v in vids
+                    if v not in done and preds[v] <= done]
+        assert eligible, "deadlock in precedence graph"
+        if order is not None:
+            eligible = list(order(t, list(eligible)))
+
+        running = {}    # processor index -> vertex
+        if migration:
+            for idx, v in enumerate(eligible[:len(speeds)]):
+                running[idx] = v
+        else:
+            free = [i for i in range(len(speeds))]
+            for v in list(eligible):
+                if v in where:
+                    running[where[v]] = v
+                    free.remove(where[v])
+            fresh = [v for v in eligible if v not in where]
+            for idx, v in zip(sorted(free), fresh):
+                running[idx] = v
+
+        for idx, v in running.items():
+            if v in where and where[v] != idx:
+                trace.events.append((t, "migrate", v, where[v], idx))
+            elif v not in where:
+                trace.events.append((t, "start", v, idx))
+            where[v] = idx
+
+        # advance to the earliest completion
+        dt = min(remaining[v] / speeds[idx] for idx, v in running.items())
+        assert dt > 0
+        trace.intervals.append((t, t + dt, dict(running)))
+        t += dt
+        for idx, v in running.items():
+            remaining[v] -= dt * speeds[idx]
+            if remaining[v] == 0:
+                done.add(v)
+                trace.events.append((t, "finish", v, idx))
+
+    trace.response_time = t
+    return trace
+
+
+@dataclass
+class _ReferenceContainer:
+    index: int
+    delta: Fraction
+    deadline: Optional[Fraction] = None   # None when empty
+    exe: Optional[object] = None
+
+
+def _reference_simulate_dispatcher(task: DagTask, deltas: Sequence,
+                        choice: Optional[Callable] = None) -> _ReferenceTrace:
+    """Execute one DAG job through container tasks with load bounds
+    ``deltas``.
+
+    Whenever an eligible vertex and an empty container exist, the vertex is
+    assigned to the empty container with the largest load bound with
+    deadline t + c(v)/delta.  If a strictly faster occupied container would
+    empty earlier, the vertex is split at that deadline and its remainder
+    goes back to the head of the ready list.  Occupied containers empty
+    exactly at their deadlines.
+    """
+    vids, preds = _reference_real_graph(task)
+    containers = [_ReferenceContainer(i, Fraction(getattr(d, "load", d)))
+                  for i, d in enumerate(deltas)]
+    # ready list S: (key, wcet, pred keys); vertex keys are the id or
+    # (id, suffix) for split parts
+    s_list = [(v, Fraction(task.wcets[v])) for v in vids]
+    pred_of = {v: set(preds[v]) for v in vids}
+    done = set()
+    trace = _ReferenceTrace(response_time=Fraction(0))
+    t = Fraction(0)
+
+    def eligible():
+        return [entry for entry in s_list if pred_of[entry[0]] <= done]
+
+    while s_list or any(c.exe is not None for c in containers):
+        # vacate containers whose deadline is now
+        for c in containers:
+            if c.deadline is not None and c.deadline == t:
+                done.add(c.exe)
+                trace.events.append((t, "finish", c.exe, c.index))
+                c.deadline = None
+                c.exe = None
+
+        while True:
+            empty = [c for c in containers if c.deadline is None]
+            elig = eligible()
+            if not empty or not elig:
+                break
+            if choice is not None:
+                key = choice(t, [e[0] for e in elig])
+                entry = next(e for e in elig if e[0] == key)
+            else:
+                entry = elig[0]
+            s_list.remove(entry)
+            v, c_v = entry
+            phi = max(empty, key=lambda c: (c.delta, -c.index))
+            faster = [c.deadline for c in containers
+                      if c.deadline is not None and c.delta > phi.delta]
+            d_prime = min(faster) if faster else None
+            if d_prime is None or d_prime >= t + c_v / phi.delta:
+                phi.deadline = t + c_v / phi.delta
+                phi.exe = v
+            else:
+                phi.deadline = d_prime
+                head = (d_prime - t) * phi.delta
+                v1 = (v, "'") if not isinstance(v, tuple) else (v[0], v[1] + "'")
+                v2 = (v, "''") if not isinstance(v, tuple) else (v[0], v[1] + "''")
+                phi.exe = v1
+                # the remainder inherits v's role in the graph
+                pred_of[v2] = {v1}
+                for w, ps in pred_of.items():
+                    if v in ps:
+                        ps.discard(v)
+                        ps.add(v2)
+                s_list.insert(0, (v2, c_v - head))
+                trace.split_count += 1
+                trace.events.append((t, "split", v, head, c_v - head))
+            trace.assignments.append((t, phi.index, phi.exe, phi.deadline))
+
+        future = [c.deadline for c in containers if c.deadline is not None]
+        if not future:
+            assert not s_list, "stuck with unassigned vertices"
+            break
+        t = min(future)
+
+    trace.response_time = t
+    return trace
+
+
+SPEED_SETS = ([1, Fraction(3, 4), Fraction(1, 2), Fraction(1, 4)],
+              [Fraction(2, 3), Fraction(5, 7), 1, Fraction(1, 3)],
+              [Fraction(3, 2), Fraction(1, 5), Fraction(4, 9)])
+
+
+def _assert_sims_match_reference(tasks, speed_sets=SPEED_SETS):
+    for task in tasks:
+        for speeds in speed_sets:
+            runs = [(simulate_uniform(task, speeds, migration=mig),
+                     _reference_simulate_uniform(task, speeds, migration=mig))
+                    for mig in (True, False)]
+            runs.append((simulate_dispatcher(task, speeds),
+                         _reference_simulate_dispatcher(task, speeds)))
+            for got, ref in runs:
+                assert type(got.response_time) is Fraction
+                assert (got.response_time, got.events, got.intervals,
+                        got.assignments, got.split_count, got.migrations) \
+                    == (ref.response_time, ref.events, ref.intervals,
+                        ref.assignments, ref.split_count, ref.migrations), \
+                    (task.id, speeds)
+
+
+def test_sims_match_reference_on_corpus(corpus):
+    _assert_sims_match_reference(corpus)
+
+
+def test_sims_match_reference_on_rational_wcets(corpus):
+    rng = random.Random(15)
+    tasks = [rational_variant(task, rng) for task in corpus[:300]]
+    assert any(t.den > 1 for t in tasks)
+    _assert_sims_match_reference(tasks)
+
+
+def test_sims_match_reference_on_verify_and_paper_scale_tasks():
+    # the shapes the benchmark's verify workload simulates, and two paper
+    # scale DAGs, whose time unit grows to hundreds of bits
+    config = GenConfig(n_tasks=3, p=0.1, m=4, util=0.6,
+                       n_vertices=(14, 16), period_mode="gamma-formula")
+    tasks = [t for seed in (1, 2, 3) for t in gen_taskset(config, seed=seed)]
+    paper = GenConfig(p=0.05, n_vertices=PAPER_SCALE, n_tasks=2)
+    tasks += gen_taskset(paper, seed=4)
+    assert simulate_uniform(tasks[-1], SPEED_SETS[1]).response_time \
+        .denominator.bit_length() > 100
+    _assert_sims_match_reference(tasks)
+
+
+def test_sims_pass_fractions_to_the_callbacks():
+    task = rational_variant(fig1_task(), random.Random(3))
+    seen = []
+
+    def order(t, eligible):
+        seen.append(t)
+        return eligible[::-1]
+
+    def choice(t, eligible):
+        seen.append(t)
+        return eligible[-1]
+
+    for speeds in SPEED_SETS:
+        for mig in (True, False):
+            assert simulate_uniform(task, speeds, order=order,
+                                    migration=mig).events \
+                == _reference_simulate_uniform(task, speeds, order=order,
+                                               migration=mig).events
+        assert simulate_dispatcher(task, speeds, choice=choice).assignments \
+            == _reference_simulate_dispatcher(task, speeds,
+                                              choice=choice).assignments
+    assert all(type(t) is Fraction for t in seen)
+    assert any(t.denominator > 1 for t in seen)
+
+
+def test_trace_lists_and_wcets_are_built_on_first_read():
+    task = fig1_task()
+    decompose(task, compute_load=True)
+    for method in TESTS.values():
+        method.run([task], 4)
+    uni = simulate_uniform(task, SPEED_SETS[0])
+    pinned = simulate_uniform(task, SPEED_SETS[0], migration=False)
+    disp = simulate_dispatcher(task, SPEED_SETS[0])
+    lists = {"events", "intervals", "assignments"}
+    for trace in (uni, pinned, disp):
+        assert not lists & set(vars(trace))
+    assert "wcets" not in vars(task)
+    # read on demand, they hold Fractions and are kept
+    assert uni.events[0] == (0, "start", 0, 0)
+    assert all(type(e[0]) is Fraction for e in uni.events + disp.events)
+    assert sum((t1 - t0) * len(running)
+               for t0, t1, running in pinned.intervals) > 0
+    assert disp.assignments[-1][3] == disp.response_time
+    assert all(lists & set(vars(trace)) for trace in (uni, pinned, disp))
+    assert task.wcets[0] == 1 and "wcets" in vars(task)
+
+
+@pytest.mark.parametrize("speeds", [[], [0], [-1], [1, 0],
+                                    [Fraction(-1, 2), 2]])
+def test_bad_speeds_raise_a_parasched_error(speeds):
+    runs = (lambda: simulate_uniform(fig1_task(), speeds),
+            lambda: simulate_uniform(fig1_task(), speeds, migration=False),
+            lambda: simulate_dispatcher(fig1_task(), speeds),
+            lambda: UniformPlatform(speeds))
+    for run in runs:
+        with pytest.raises(InvalidSpeeds) as info:
+            run()
+        assert isinstance(info.value, ParaschedError)
+        assert isinstance(info.value, ValueError)
