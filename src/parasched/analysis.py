@@ -21,7 +21,8 @@ from .decomposition import segment_omega
 from .errors import ConstrainedDeadline, CriticalPathExceedsDeadline, NoFit
 from .model import (DagTask, TaskMetrics, TaskSetSummary, Verdict,
                     scale_speeds, summarize)
-from .semifed import gamma, sf1, sf2, worst_fit_partition, WfItem
+from .semifed import (_classify, _critical_path_verdict, sf1, sf2,
+                      worst_fit_partition)
 
 
 class UniformPlatform:
@@ -36,9 +37,6 @@ class UniformPlatform:
         self.total_speed = Fraction(total, scale)
         self.uniformity = max(Fraction(total - sx, dx) for sx, dx
                               in zip(itertools.accumulate(ints), ints))
-
-    def __len__(self):
-        return len(self.speeds)
 
 
 def gedf_density_test(ell_sum: Fraction, delta_top: Fraction, m: int
@@ -87,36 +85,31 @@ def speed_requirement(summary: TaskSetSummary, m: int) -> Fraction:
 
 
 def federated_allocate(tasks: Sequence[DagTask], m: int) -> Verdict:
-    """Pure federated scheduling: ceil(gamma) dedicated processors per
-    heavy task, light tasks partitioned by worst-fit decreasing EDF."""
-    dedicated = {}
-    light_items = []
-    for task in tasks:
-        met = task.metrics
-        if met.heavy:
-            try:
-                g = gamma(met)
-            except CriticalPathExceedsDeadline:
-                return Verdict("federated", False,
-                               reason="critical path exceeds deadline",
-                               detail={"task": task.id})
-            dedicated[task.id] = math.ceil(g)
-        else:
-            light_items.append(WfItem(item_id=task.id, load=met.density))
-
+    """Federated scheduling (Li et al., ECRTS 2014; Baruah, DATE 2015 for
+    D < T): SF1's classification with each fractional container rounded
+    up, so a heavy task gets ceil(gamma) dedicated processors; light tasks
+    are partitioned by worst-fit decreasing EDF.  Task model: sporadic DAG
+    tasks with D <= T, heavy iff C > D, gamma = (C-L)/(D-L); a heavy task
+    with L >= D is rejected, named in ``detail["task"]``."""
+    try:
+        dedicated, fractional, lights = _classify(tasks)
+    except CriticalPathExceedsDeadline as exc:
+        return _critical_path_verdict("federated", exc)
+    for container in fractional:
+        dedicated[container.owner] += 1
     used = sum(dedicated.values())
     detail = {"dedicated": dedicated}
     if used > m:
         return Verdict("federated", False,
                        reason=f"needs {used} dedicated processors",
                        detail=detail)
-    min_m = used + _fewest_bins(light_items)
+    min_m = used + _fewest_bins(lights)
     try:
-        bins = worst_fit_partition(light_items, m - used)
+        bins = worst_fit_partition(lights, m - used)
     except NoFit:
         return Verdict("federated", False, min_m=min_m,
                        reason="light tasks do not fit", detail=detail)
-    detail["bins"] = [[(i.item_id, i.load) for i in b.items] for b in bins]
+    detail["bins"] = [b.items for b in bins]
     return Verdict("federated", True, min_m=min_m, detail=detail)
 
 

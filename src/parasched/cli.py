@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from contextlib import contextmanager
 from dataclasses import asdict
@@ -239,7 +240,14 @@ def main(argv=None) -> int:
         except argparse.ArgumentTypeError as exc:
             e.error(f"argument --buckets: {exc}")
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        # the reader left: say nothing, and let the flush at exit reach devnull
+        with open(os.devnull, "w") as null:
+            os.dup2(null.fileno(), sys.stdout.fileno())
+        return 1
     except (ParaschedError, OSError) as exc:
         print(f"parasched: error: {exc}", file=sys.stderr)
         return 2

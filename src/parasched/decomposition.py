@@ -14,11 +14,10 @@ is used to cross-check the greedy algorithm on small instances.
 from __future__ import annotations
 
 import heapq
-import math
 from dataclasses import dataclass, replace
 from functools import cached_property
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Optional
 
 from .errors import ConstrainedDeadline, DegenerateWindow, OracleTooLarge
 from .flow import FlowNetwork
@@ -339,17 +338,16 @@ def reassemble(task: DagTask, td: TimingDiagram, stretched: list
                           subtasks=tuple(subtasks))
 
 
-def dbf_and_load(dt: DecomposedTask, hyper_windows: int = 2
-                 ) -> tuple[Callable, Fraction]:
-    """Demand bound function and load of a decomposed task.
+def dbf_and_load(dt: DecomposedTask, hyper_windows: int = 2) -> Fraction:
+    """Load max(dbf(t)/t) of a decomposed task's demand bound function.
 
-    The load max(dbf(t)/t) is attained with the window starting at some
-    subtask release and ending at some subtask absolute deadline: dbf is a
-    step function that only jumps at deadlines, and sliding the start right
-    to the next release can only shrink t without losing demand.  Deadlines
-    within ``hyper_windows`` extra periods cover the maximum because demand
-    grows by exactly C per period afterwards, which can only dilute the
-    ratio already achieved within the first windows.
+    The load is attained with the window starting at some subtask release
+    and ending at some subtask absolute deadline: dbf is a step function
+    that only jumps at deadlines, and sliding the start right to the next
+    release can only shrink t without losing demand.  Deadlines within
+    ``hyper_windows`` extra periods cover the maximum because demand grows
+    by exactly C per period afterwards, which can only dilute the ratio
+    already achieved within the first windows.
 
     The load is a running-sum sweep: the jobs k*T + (release, deadline)
     with 0 <= k <= ``hyper_windows`` are sorted once by absolute deadline,
@@ -358,36 +356,17 @@ def dbf_and_load(dt: DecomposedTask, hyper_windows: int = 2
     of every job released at or after the start and takes the ratio at
     each distinct deadline.  For n subtasks and a fixed ``hyper_windows``
     that is one O(n log n) sort plus O(n^2) for the passes, against O(n^4)
-    for evaluating ``demand`` on every window.  The sweep runs on ints,
+    for evaluating the demand of every window.  The sweep runs on ints,
     every time and WCET times the LCM of their denominators, and keeps the
     best ratio as a pair of ints compared by cross-multiplication; the
-    load is built as a Fraction once, at the end.  ``dbf`` stays on
-    Fractions.
+    load is built as a Fraction once, at the end.
     """
-    period = dt.period
-    subtasks = dt.subtasks
-
-    def demand(start: Fraction, end: Fraction) -> Fraction:
-        total = Fraction(0)
-        for st in subtasks:
-            k_min = math.ceil((start - st.release) / period)
-            k_max = math.floor((end - st.deadline) / period)
-            if k_max >= k_min:
-                total += (k_max - k_min + 1) * st.wcet
-        return total
-
-    def dbf(t: Fraction) -> Fraction:
-        t = Fraction(t)
-        if t <= 0:
-            return Fraction(0)
-        return max(demand(st.release, st.release + t) for st in subtasks)
-
     # Scaling times and WCETs by one factor leaves each ratio as it is.
     # Window starts are releases, which lie in [0, T), so no job with k < 0
     # starts inside a window; window ends are the deadlines with
     # k <= hyper_windows, and every job with a larger k ends after them.
-    _, ints = scale_to_ints([period] + [
-        x for st in subtasks for x in (st.release, st.deadline, st.wcet)])
+    _, ints = scale_to_ints([dt.period] + [
+        x for st in dt.subtasks for x in (st.release, st.deadline, st.wcet)])
     scaled_period = ints[0]
     triples = list(zip(ints[2::3], ints[1::3], ints[3::3]))
     jobs = sorted((end + k * scaled_period, release + k * scaled_period, wcet)
@@ -402,8 +381,7 @@ def dbf_and_load(dt: DecomposedTask, hyper_windows: int = 2
             if end > start and (i + 1 == len(jobs) or jobs[i + 1][0] != end) \
                     and total * best_t > best * (end - start):
                 best, best_t = total, end - start
-    load = Fraction(best, best_t)
-    return dbf, load
+    return Fraction(best, best_t)
 
 
 @dataclass(frozen=True)
@@ -454,7 +432,7 @@ def decompose(task: DagTask, compute_load: bool = False) -> Decomposition:
     td, seg = _segmentation(task)
     stretched = distribute_laxity(task, seg)
     decomposed = reassemble(task, td, stretched)
-    load = dbf_and_load(decomposed)[1] if compute_load else None
+    load = dbf_and_load(decomposed) if compute_load else None
     max_density = max(st.wcet / (st.deadline - st.release)
                       for st in decomposed.subtasks)
     return Decomposition(metrics=task.metrics,

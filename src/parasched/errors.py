@@ -39,7 +39,7 @@ class OracleTooLarge(ParaschedError):
 
 
 class CriticalPathExceedsDeadline(ParaschedError):
-    pass
+    task = None          # the heavy task's id, set by semifed._classify
 
 
 class NoFit(ParaschedError):

@@ -4,7 +4,8 @@ A heavy task with capacity requirement gamma = (C-L)/(D-L) gets
 floor(gamma) dedicated processors; the fractional remainder becomes one
 container task (SF1) or up to two (SF2, split on demand during bin
 packing).  Containers and light tasks share the remaining processors under
-partitioned EDF with worst-fit packing.
+partitioned EDF with worst-fit packing.  Federated scheduling (F-LI) is
+the same plan with each fractional container rounded up to a processor.
 """
 
 from __future__ import annotations
@@ -58,17 +59,6 @@ class ContainerTask:
         return (str(self.owner), self.label)
 
 
-# generic worst-fit item for plain partitioned EDF
-@dataclass(frozen=True)
-class WfItem:
-    item_id: object
-    load: Fraction
-
-    @property
-    def split_bound(self) -> Fraction:
-        return self.load             # never split
-
-
 class Bin:
     """One shared processor: its items and their running sums of load and
     of split bounds delta*."""
@@ -108,14 +98,20 @@ def worst_fit_partition(items: Sequence, n_bins: int) -> list:
 
 
 def _classify(tasks):
-    """Returns (dedicated counts, fractional containers, light containers)."""
+    """Returns (dedicated counts, fractional containers, light containers):
+    floor(gamma) and frac(gamma) per heavy task, C/D per light task.  A
+    heavy task with L >= D raises CriticalPathExceedsDeadline naming it."""
     dedicated = {}
     fractional = []
     lights = []
     for task in tasks:
         met = task.metrics
         if met.heavy:
-            g = gamma(met)
+            try:
+                g = gamma(met)
+            except CriticalPathExceedsDeadline as exc:
+                exc.task = task.id
+                raise
             dedicated[task.id] = math.floor(g)
             frac = g - math.floor(g)
             if frac > 0:
@@ -129,13 +125,22 @@ def _classify(tasks):
     return dedicated, fractional, lights
 
 
+def _critical_path_verdict(test: str, exc) -> Verdict:
+    """The rejection of a packing test by ``_classify``'s L >= D task."""
+    return Verdict(test, False, reason="critical path exceeds deadline",
+                   detail={"task": exc.task})
+
+
 def sf1(tasks: Sequence[DagTask], m: int) -> Verdict:
-    """First semi-federated algorithm: one fractional container per heavy
-    task; containers and light tasks partitioned by worst-fit decreasing."""
+    """First semi-federated algorithm (Jiang et al., 2017): one fractional
+    container per heavy task; containers and light tasks partitioned by
+    worst-fit decreasing.  Task model: sporadic DAG tasks with D <= T, heavy
+    iff C > D, gamma = (C-L)/(D-L); a heavy task with L >= D is rejected,
+    named in ``detail["task"]``."""
     try:
         dedicated, fractional, lights = _classify(tasks)
-    except CriticalPathExceedsDeadline:
-        return Verdict("sf1", False, reason="critical path exceeds deadline")
+    except CriticalPathExceedsDeadline as exc:
+        return _critical_path_verdict("sf1", exc)
     used = sum(dedicated.values())
     if used > m:
         return Verdict("sf1", False, reason="insufficient dedicated")
@@ -148,7 +153,8 @@ def sf1(tasks: Sequence[DagTask], m: int) -> Verdict:
 
 
 def sf2(tasks: Sequence[DagTask], m: int) -> Verdict:
-    """Second semi-federated algorithm: containers may be split in two.
+    """Second semi-federated algorithm (Jiang et al., 2017): containers may
+    be split in two.  Its task model is that of ``sf1``.
 
     Stage 1 packs by the split lower bounds delta*; a bin whose real load
     exceeds 1 is set aside.  Stage 2 scrapes each such bin down to load
@@ -157,8 +163,8 @@ def sf2(tasks: Sequence[DagTask], m: int) -> Verdict:
     """
     try:
         dedicated, fractional, lights = _classify(tasks)
-    except CriticalPathExceedsDeadline:
-        return Verdict("sf2", False, reason="critical path exceeds deadline")
+    except CriticalPathExceedsDeadline as exc:
+        return _critical_path_verdict("sf2", exc)
     used = sum(dedicated.values())
     if used > m:
         return Verdict("sf2", False, reason="insufficient dedicated")
@@ -202,7 +208,7 @@ def _scrape(b: Bin) -> list:
     excess = b.load - 1
     assert excess > 0
     out = []
-    for pos, item in enumerate(list(b.items)):
+    for pos, item in enumerate(b.items):
         if item.light:
             continue
         if item.load - item.split_bound > excess:
@@ -212,7 +218,7 @@ def _scrape(b: Bin) -> list:
         if spill == 0:
             continue
         assert kept >= item.split_bound
-        b.items[b.items.index(item)] = ContainerTask(
+        b.items[pos] = ContainerTask(
             owner=item.owner, load=kept, split_bound=item.split_bound,
             label=item.label + "'")
         b.load -= spill

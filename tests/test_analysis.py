@@ -12,7 +12,8 @@ from parasched.analysis import (UniformPlatform, _fewest_bins, capacity_bound,
                                 weak_response_bound)
 from parasched.model import DagTask, TaskSetSummary, validate
 from parasched.errors import NoFit
-from parasched.semifed import WfItem, capacity_requirement, worst_fit_partition
+from parasched.semifed import (ContainerTask, capacity_requirement,
+                               worst_fit_partition)
 from conftest import chain_task, diamond_task, fig1_task
 
 
@@ -37,7 +38,6 @@ def test_platform_sorts_speeds():
     p = UniformPlatform([Fraction(1, 2), 2, 1])
     assert p.speeds == (2, 1, Fraction(1, 2))
     assert p.total_speed == Fraction(7, 2)
-    assert len(p) == 3
 
 
 def test_gedf_density_test_threshold():
@@ -148,7 +148,7 @@ def test_platform_rejects_bad_speeds():
                              max_value=Fraction(3, 2)), max_size=10))
 def test_fewest_bins_matches_the_search_from_one(loads):
     # starting at ceil(sum of loads) skips only k that cannot fit
-    items = [WfItem(i, load) for i, load in enumerate(loads)]
+    items = [ContainerTask(i, load, load) for i, load in enumerate(loads)]
 
     def fits(k):
         try:

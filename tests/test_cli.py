@@ -204,6 +204,25 @@ def test_python_m_parasched_runs_the_cli(taskset_path, capsys):
     assert proc.stdout == capsys.readouterr().out != ""
 
 
+@pytest.mark.parametrize("command", [["analyze", "--m", "4"], ["decompose"]])
+def test_closed_stdout_is_status_1_and_silent(taskset_path, command):
+    # as in `parasched analyze SET --m 4 | head -1` once head has exited:
+    # the pipe's reader is closed before the CLI writes anything
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    src = Path(parasched.__file__).resolve().parents[1]
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "parasched", command[0],
+             str(taskset_path), *command[1:]],
+            stdout=write_end, stderr=subprocess.PIPE, text=True,
+            env={**os.environ, "PYTHONPATH": str(src)})
+    finally:
+        os.close(write_end)
+    assert proc.stderr == ""
+    assert proc.returncode == 1
+
+
 @pytest.mark.parametrize("argv", [
     ["analyze", "SET", "--m", "0"],
     ["analyze", "SET", "--m", "-1"],

@@ -138,9 +138,7 @@ def test_vertex_density_bounded(corpus):
 
 def test_dbf_and_load_basics():
     dec = decompose(fig1_task(), compute_load=True)
-    dbf, load = dbf_and_load(dec.decomposed)
-    assert dbf(dec.decomposed.period) == dec.metrics.work
-    assert dbf(Fraction(0)) == 0
+    load = dbf_and_load(dec.decomposed)
     assert load == dec.load
     assert dec.metrics.utilization <= load \
         <= dec.omega * dec.metrics.utilization
@@ -175,7 +173,7 @@ def _brute_load(dt, hyper_windows=2):
 def test_load_matches_window_enumeration_on_corpus(corpus):
     for task in corpus[:300]:
         dt = decompose(task).decomposed
-        assert dbf_and_load(dt)[1] == _brute_load(dt)
+        assert dbf_and_load(dt) == _brute_load(dt)
 
 
 def test_load_matches_window_enumeration_at_desk_scale():
@@ -183,7 +181,7 @@ def test_load_matches_window_enumeration_at_desk_scale():
     for seed in range(3):
         for task in gen_taskset(config, seed=seed):
             dt = decompose(task).decomposed
-            assert dbf_and_load(dt)[1] == _brute_load(dt)
+            assert dbf_and_load(dt) == _brute_load(dt)
 
 
 def test_load_matches_window_enumeration_on_rational_wcets(corpus):
@@ -192,7 +190,7 @@ def test_load_matches_window_enumeration_on_rational_wcets(corpus):
     assert any(t.den > 1 for t in tasks)
     for task in tasks:
         dt = decompose(task).decomposed
-        assert dbf_and_load(dt)[1] == _brute_load(dt)
+        assert dbf_and_load(dt) == _brute_load(dt)
 
 
 def test_load_matches_window_enumeration_on_verify_sets():
@@ -202,13 +200,13 @@ def test_load_matches_window_enumeration_on_verify_sets():
                            n_vertices=(14, 16), period_mode="gamma-formula")
         for task in gen_taskset(config, seed=seed):
             dt = decompose(task).decomposed
-            assert dbf_and_load(dt)[1] == _brute_load(dt)
+            assert dbf_and_load(dt) == _brute_load(dt)
 
 
 def test_load_stable_beyond_two_hyper_windows(corpus):
     for task in corpus[:300]:
         dt = decompose(task).decomposed
-        assert dbf_and_load(dt)[1] == dbf_and_load(dt, hyper_windows=4)[1]
+        assert dbf_and_load(dt) == dbf_and_load(dt, hyper_windows=4)
 
 
 def test_constrained_deadline_is_rejected():

@@ -1,5 +1,8 @@
+import functools
+import json
 import math
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -8,13 +11,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from parasched import semifed
-from parasched.analysis import federated_allocate
+from parasched.analysis import _fewest_bins, federated_allocate
+from parasched.cli import main
 from parasched.errors import CriticalPathExceedsDeadline, NoFit
 from parasched.gen import PAPER_SCALE, GenConfig, gen_taskset
-from parasched.model import TaskMetrics, Verdict
-from parasched.semifed import (Bin, ContainerTask, WfItem, _classify,
+from parasched.model import DagTask, TaskMetrics, Verdict, dump_taskset
+from parasched.semifed import (Bin, ContainerTask, _classify,
                                _scrape, capacity_requirement, delta_star,
                                gamma, sf1, sf2, worst_fit_partition)
+from conftest import chain_task, fig1_task
 
 
 def heavy_stub(tid, g):
@@ -61,7 +66,8 @@ def test_delta_star_goldens():
 
 
 def test_worst_fit_decreasing_golden():
-    items = [WfItem(i, Fraction(l, 10)) for i, l in enumerate([6, 6, 5, 3])]
+    items = [ContainerTask(i, Fraction(l, 10), Fraction(l, 10))
+             for i, l in enumerate([6, 6, 5, 3])]
     bins = worst_fit_partition(items, 3)
     loads = sorted(b.load for b in bins)
     assert loads == [Fraction(3, 5), Fraction(3, 5),
@@ -69,7 +75,8 @@ def test_worst_fit_decreasing_golden():
 
 
 def test_worst_fit_raises_when_full():
-    items = [WfItem(i, Fraction(3, 5)) for i in range(3)]
+    items = [ContainerTask(i, Fraction(3, 5), Fraction(3, 5))
+             for i in range(3)]
     with pytest.raises(NoFit):
         worst_fit_partition(items, 2)
 
@@ -124,7 +131,7 @@ def test_sf2_respects_bin_capacity_and_split_floor():
                 min_size=1, max_size=10),
        st.integers(min_value=1, max_value=12))
 def test_worst_fit_never_overfills(loads, nbins):
-    items = [WfItem(i, l) for i, l in enumerate(loads)]
+    items = [ContainerTask(i, l, l) for i, l in enumerate(loads)]
     try:
         bins = worst_fit_partition(items, nbins)
     except NoFit:
@@ -235,12 +242,17 @@ def _reference_sf2(tasks, m):
                                         "bins": [b.items for b in bins]})
 
 
-def test_worst_fit_matches_trial_sums_on_sample(monkeypatch):
+@functools.cache
+def _sample_cases():
     sets = [gen_taskset(GenConfig(n_tasks=5, p=0.05, util=util,
                                   n_vertices=scale), seed=seed)
             for scale, seeds in (((10, 50), range(8)), (PAPER_SCALE, [0]))
             for seed in seeds for util in (0.3, 0.6, 0.9)]
-    cases = [(tasks, m) for tasks in sets for m in (2, 4, 8, 16)]
+    return [(tasks, m) for tasks in sets for m in (2, 4, 8, 16)]
+
+
+def test_worst_fit_matches_trial_sums_on_sample(monkeypatch):
+    cases = _sample_cases()
     verdicts = [(federated_allocate(ts, m), sf1(ts, m), sf2(ts, m))
                 for ts, m in cases]
     monkeypatch.setattr(semifed, "worst_fit_into", _reference_worst_fit_into)
@@ -248,3 +260,157 @@ def test_worst_fit_matches_trial_sums_on_sample(monkeypatch):
                          _reference_sf2(ts, m)) for ts, m in cases]
     reasons = {v.reason for triple in verdicts for v in triple}
     assert {"", "partition failure", "sched* failure"} <= reasons
+
+
+# Federated allocation as it was before it read ``_classify``: its own
+# heavy/light loop, ceil(gamma) per heavy task and a plain worst-fit item.
+# Copied verbatim but for the names, as the reference F-LI must match.
+@dataclass(frozen=True)
+class _ReferenceWfItem:
+    item_id: object
+    load: Fraction
+
+    @property
+    def split_bound(self) -> Fraction:
+        return self.load             # never split
+
+
+def _reference_federated_allocate(tasks, m):
+    dedicated = {}
+    light_items = []
+    for task in tasks:
+        met = task.metrics
+        if met.heavy:
+            try:
+                g = gamma(met)
+            except CriticalPathExceedsDeadline:
+                return Verdict("federated", False,
+                               reason="critical path exceeds deadline",
+                               detail={"task": task.id})
+            dedicated[task.id] = math.ceil(g)
+        else:
+            light_items.append(_ReferenceWfItem(item_id=task.id,
+                                                load=met.density))
+
+    used = sum(dedicated.values())
+    detail = {"dedicated": dedicated}
+    if used > m:
+        return Verdict("federated", False,
+                       reason=f"needs {used} dedicated processors",
+                       detail=detail)
+    min_m = used + _fewest_bins(light_items)
+    try:
+        bins = worst_fit_partition(light_items, m - used)
+    except NoFit:
+        return Verdict("federated", False, min_m=min_m,
+                       reason="light tasks do not fit", detail=detail)
+    detail["bins"] = [[(i.item_id, i.load) for i in b.items] for b in bins]
+    return Verdict("federated", True, min_m=min_m, detail=detail)
+
+
+def _small_cases():
+    """The appendix set, fig 1, four lights of density 1/2 and three lights
+    just over one processor's load, on 1 to 8 processors."""
+    sets = [appendix_set()[0], [fig1_task()],
+            [chain_task(1, wcet=1, period=2) for _ in range(4)],
+            [light_stub(i, d)[0] for i, d in enumerate(
+                (Fraction(1, 2), Fraction(1, 2), Fraction(1, 200)))]]
+    return [(tasks, m) for tasks in sets for m in range(1, 9)]
+
+
+def test_federated_matches_its_own_loop():
+    cases = _sample_cases() + _small_cases()
+    for tasks, m in cases:
+        v = federated_allocate(tasks, m)
+        ref = _reference_federated_allocate(tasks, m)
+        assert (v.schedulable, v.min_m, v.reason) \
+            == (ref.schedulable, ref.min_m, ref.reason)
+        assert v.detail["dedicated"] == ref.detail["dedicated"]
+        assert [[(i.owner, i.load) for i in b]
+                for b in v.detail.get("bins", [])] \
+            == ref.detail.get("bins", [])
+    outcomes = {_reference_federated_allocate(ts, m).reason
+                for ts, m in cases}
+    assert {"", "light tasks do not fit"} <= outcomes
+    assert any(r.startswith("needs ") for r in outcomes)
+
+
+def _check_plan(tasks, m, verdict):
+    """Checks an accepting F-LI, SF1 or SF2 plan against the task set: the
+    dedicated processors and containers of each heavy task, every light
+    task in one bin, no bin above load 1, and m processors in all."""
+    plan = verdict.detail
+    items = [i for b in plan["bins"] for i in b]
+    assert all(i.load > 0 for i in items)
+    for task in tasks:
+        met = task.metrics
+        mine = sorted((i.load for i in items if i.owner == task.id),
+                      reverse=True)
+        if not met.heavy:
+            assert mine == [met.density] * len(mine)
+            continue
+        g = ((met.work - met.critical_path)
+             / (task.deadline - met.critical_path))
+        frac = g - math.floor(g)
+        if verdict.test == "federated":
+            assert plan["dedicated"][task.id] == math.ceil(g)
+            assert mine == []
+            continue
+        assert plan["dedicated"][task.id] == math.floor(g)
+        assert sum(mine) == frac
+        if verdict.test == "sf1":
+            assert mine == ([frac] if frac else [])
+        else:
+            assert len(mine) <= 2
+            assert not mine or mine[0] >= max(frac / 2, frac / g)
+    lights = sorted(str(t.id) for t in tasks if not t.metrics.heavy)
+    assert sorted(str(i.owner) for i in items if i.light) == lights
+    assert all(i.light == (i.label == "light") for i in items)
+    for b in plan["bins"]:
+        assert sum(i.load for i in b) <= 1
+    assert sum(plan["dedicated"].values()) + len(plan["bins"]) == m
+
+
+def test_accepted_plans_hold_on_sample():
+    checked = {"federated": 0, "sf1": 0, "sf2": 0}
+    split = 0
+    for tasks, m in _sample_cases() + _small_cases():
+        for v in (federated_allocate(tasks, m), sf1(tasks, m),
+                  sf2(tasks, m)):
+            if v.schedulable:
+                _check_plan(tasks, m, v)
+                checked[v.test] += 1
+                split += v.test == "sf2" and any(
+                    i.label.endswith("'") for b in v.detail["bins"]
+                    for i in b)
+    assert min(checked.values()) > 0 and split > 0
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.fractions(min_value=Fraction(101, 100),
+                             max_value=Fraction(9, 2)), max_size=5),
+       st.lists(st.fractions(min_value=Fraction(1, 100),
+                             max_value=Fraction(99, 100)), max_size=6),
+       st.integers(min_value=1, max_value=24))
+def test_accepted_plans_hold_on_stub_sets(gammas, densities, m):
+    tasks = [heavy_stub(i, g)[0] for i, g in enumerate(gammas)] \
+        + [light_stub(len(gammas) + i, d)[0] for i, d in enumerate(densities)]
+    for v in (federated_allocate(tasks, m), sf1(tasks, m), sf2(tasks, m)):
+        if v.schedulable:
+            _check_plan(tasks, m, v)
+
+
+def test_critical_path_at_deadline_rejects_alike(tmp_path, capsys):
+    # task 0 is a chain of three WCET-4 vertices: L = 12 >= D = 10
+    path = tmp_path / "set.json"
+    with open(path, "w") as fp:
+        dump_taskset([DagTask(0, [(i, 4) for i in range(3)],
+                              [(0, 1), (1, 2)], period=10, deadline=10),
+                      DagTask(1, [(0, 1)], [], period=10, deadline=10)], fp)
+    assert main(["analyze", str(path), "--m", "4"]) == 0
+    rows = {row["test"]: row for row in
+            map(json.loads, capsys.readouterr().out.splitlines())}
+    for test in ("federated", "sf1", "sf2"):
+        assert rows[test]["schedulable"] is False
+        assert rows[test]["reason"] == "critical path exceeds deadline"
+        assert rows[test]["detail"] == {"task": 0}
