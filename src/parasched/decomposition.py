@@ -14,14 +14,16 @@ is used to cross-check the greedy algorithm on small instances.
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass, replace
 from functools import cached_property
 from fractions import Fraction
+from itertools import accumulate
 from typing import Optional
 
 from .errors import ConstrainedDeadline, DegenerateWindow, OracleTooLarge
 from .flow import FlowNetwork
-from .model import DagTask, TaskMetrics, scale_to_ints
+from .model import DagTask, TaskMetrics
 
 
 @dataclass(frozen=True)
@@ -116,9 +118,24 @@ class Subtask:
 
 @dataclass(frozen=True)
 class DecomposedTask:
+    """One sporadic subtask per real vertex, as ints over ``den``: the
+    period and each subtask's release, deadline and WCET times ``den``;
+    ``subtasks`` builds them as Fractions on first read."""
     task_id: object
     period: Fraction
-    subtasks: tuple
+    den: int
+    period_int: int
+    origins: list                    # vertex id of each subtask
+    releases: list
+    deadlines: list
+    wcets: list
+
+    @cached_property
+    def subtasks(self) -> tuple:
+        return tuple(Subtask(v, Fraction(r, self.den), Fraction(d, self.den),
+                             Fraction(w, self.den))
+                     for v, r, d, w in zip(self.origins, self.releases,
+                                           self.deadlines, self.wcets))
 
 
 @dataclass(frozen=True)
@@ -291,51 +308,47 @@ def segmentation_oracle(task: DagTask, max_vertices: int = 12
 
 
 def distribute_laxity(task: DagTask, seg: SegmentationResult) -> list:
-    """Stretch segments from total length L to total length T.
+    """Stretch segments from total length L to total length T; returns the
+    prefix sums X of the stretched lengths, in units of T/N.
 
     With lam = rho = omega, heavy segments get d = c*T/(omega*C) and light
-    segments d = e*T/(omega*L); the stretched lengths sum to T exactly.
+    segments d = e*T/(omega*L).  On the segmentation's ints that is the
+    identity d_s = T*x_s/N, where x_s is the workload w_s of a heavy
+    segment (w_s > C_int*e_s) and C_int*e_s of a light one, and
+    N = sum x_s is the numerator of omega = N/(L_int*C_int).  So cut k
+    lands at T*X[k]/N, and X[-1] = N: the lengths sum to T exactly.
     """
-    omega = seg.omega
-    period = task.period
-    stretched = []
-    for s in seg.segments:
-        if seg.is_heavy(s):
-            d = s.c * period / (omega * seg.work)
-        else:
-            d = s.e * period / (omega * seg.critical_path)
-        stretched.append(replace(s, d=d))
-    assert sum(s.d for s in stretched) == period, "stretched lengths != T"
-    return stretched
+    c_int, cuts = task.work_int, seg.cuts
+    prefix = list(accumulate((max(w, c_int * (b - a)) for a, b, w
+                              in zip(cuts, cuts[1:], seg.load)), initial=0))
+    assert prefix[-1] == seg.heavy + seg.light * c_int, "X[-1] != N"
+    return prefix
 
 
-def reassemble(task: DagTask, td: TimingDiagram, stretched: list
+def reassemble(task: DagTask, td: TimingDiagram, laxity: list
                ) -> DecomposedTask:
     """One sporadic subtask per vertex.
 
     The vertex window [rdy, fsh] is carried over to the stretched time
     axis: the release is the stretched position of rdy(v) and the deadline
-    the stretched position of fsh(v).  Since c(v) never exceeds the summed
-    original length of the covered segments, the subtask density stays
-    within the per-segment bounds, and fsh(u) <= rdy(v) across every edge
-    keeps precedence intact.
+    the stretched position of fsh(v), T*X[k]/N at their cuts k for the
+    prefix sums X that ``distribute_laxity`` returns, in units of T/N.
+    Since c(v) never exceeds the summed original length of the covered
+    segments, the subtask density stays within the per-segment bounds, and
+    fsh(u) <= rdy(v) across every edge keeps precedence intact.  Times and
+    WCETs are kept over ``den``, the LCM of the denominators of T/N and of
+    the WCETs.
     """
-    pos = {stretched[0].start: Fraction(0)}
-    t = Fraction(0)
-    for s in stretched:
-        t += s.d
-        pos[s.end] = t
-
-    subtasks = []
-    for v in task.real_vertex_ids:
-        subtasks.append(Subtask(
-            origin=v,
-            release=pos[td.rdy[v]],
-            deadline=pos[td.fsh[v]],
-            wcet=Fraction(task.wcet_int[v], task.den),
-        ))
-    return DecomposedTask(task_id=task.id, period=task.period,
-                          subtasks=tuple(subtasks))
+    unit = task.period / laxity[-1]
+    den = math.lcm(unit.denominator, task.den)
+    step, grain = unit.numerator * (den // unit.denominator), den // task.den
+    ranges, real = _cover_ranges(td), task.real_vertex_ids
+    return DecomposedTask(
+        task_id=task.id, period=task.period, den=den,
+        period_int=step * laxity[-1], origins=real,
+        releases=[step * laxity[ranges[v][0]] for v in real],
+        deadlines=[step * laxity[ranges[v][1]] for v in real],
+        wcets=[grain * task.wcet_int[v] for v in real])
 
 
 def dbf_and_load(dt: DecomposedTask, hyper_windows: int = 2) -> Fraction:
@@ -356,20 +369,17 @@ def dbf_and_load(dt: DecomposedTask, hyper_windows: int = 2) -> Fraction:
     of every job released at or after the start and takes the ratio at
     each distinct deadline.  For n subtasks and a fixed ``hyper_windows``
     that is one O(n log n) sort plus O(n^2) for the passes, against O(n^4)
-    for evaluating the demand of every window.  The sweep runs on ints,
-    every time and WCET times the LCM of their denominators, and keeps the
-    best ratio as a pair of ints compared by cross-multiplication; the
-    load is built as a Fraction once, at the end.
+    for evaluating the demand of every window.  The sweep runs on the
+    task's ints over ``den`` and keeps the best ratio as a pair of ints
+    compared by cross-multiplication; the load is built as a Fraction
+    once, at the end.
     """
-    # Scaling times and WCETs by one factor leaves each ratio as it is.
     # Window starts are releases, which lie in [0, T), so no job with k < 0
     # starts inside a window; window ends are the deadlines with
     # k <= hyper_windows, and every job with a larger k ends after them.
-    _, ints = scale_to_ints([dt.period] + [
-        x for st in dt.subtasks for x in (st.release, st.deadline, st.wcet)])
-    scaled_period = ints[0]
-    triples = list(zip(ints[2::3], ints[1::3], ints[3::3]))
-    jobs = sorted((end + k * scaled_period, release + k * scaled_period, wcet)
+    period = dt.period_int
+    triples = list(zip(dt.deadlines, dt.releases, dt.wcets))
+    jobs = sorted((end + k * period, release + k * period, wcet)
                   for end, release, wcet in triples
                   for k in range(hyper_windows + 1))
     best, best_t = 0, 1             # the load so far, as best / best_t
@@ -386,10 +396,11 @@ def dbf_and_load(dt: DecomposedTask, hyper_windows: int = 2) -> Fraction:
 
 @dataclass(frozen=True)
 class Decomposition:
-    """Everything the downstream tests need from one task's decomposition."""
+    """Everything the downstream tests need from one task's decomposition;
+    ``stretched`` is built on first read."""
     metrics: TaskMetrics
     segmentation: SegmentationResult
-    stretched: list
+    laxity: list                     # distribute_laxity's prefix sums X
     decomposed: DecomposedTask
     load: Optional[Fraction]         # only when decompose(compute_load=True)
     max_vertex_density: Fraction
@@ -397,6 +408,13 @@ class Decomposition:
     @property
     def omega(self) -> Fraction:
         return self.segmentation.omega
+
+    @cached_property
+    def stretched(self) -> list:
+        """The segments, each with its stretched length d = T*x_s/N."""
+        unit, lax = self.decomposed.period / self.laxity[-1], self.laxity
+        return [replace(s, d=unit * (b - a)) for s, a, b
+                in zip(self.segmentation.segments, lax, lax[1:])]
 
 
 def _segmentation(task: DagTask) -> tuple[TimingDiagram, SegmentationResult]:
@@ -430,12 +448,13 @@ def decompose(task: DagTask, compute_load: bool = False) -> Decomposition:
     per release, within O(n^2 log n) in the vertex count n, and not needed
     for the omega-based tests)."""
     td, seg = _segmentation(task)
-    stretched = distribute_laxity(task, seg)
-    decomposed = reassemble(task, td, stretched)
-    load = dbf_and_load(decomposed) if compute_load else None
-    max_density = max(st.wcet / (st.deadline - st.release)
-                      for st in decomposed.subtasks)
-    return Decomposition(metrics=task.metrics,
-                         segmentation=seg, stretched=stretched,
-                         decomposed=decomposed, load=load,
-                         max_vertex_density=max_density)
+    laxity = distribute_laxity(task, seg)
+    dt = reassemble(task, td, laxity)
+    load = dbf_and_load(dt) if compute_load else None
+    best, span = 0, 1               # max wcet / window, as best / span
+    for w, r, d in zip(dt.wcets, dt.releases, dt.deadlines):
+        if w * span > best * (d - r):
+            best, span = w, d - r
+    return Decomposition(metrics=task.metrics, segmentation=seg,
+                         laxity=laxity, decomposed=dt, load=load,
+                         max_vertex_density=Fraction(best, span))

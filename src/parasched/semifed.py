@@ -11,9 +11,9 @@ the same plan with each fractional container rounded up to a processor.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Sequence
+from typing import Optional, Sequence
 
 from .errors import CriticalPathExceedsDeadline, NoFit
 from .model import DagTask, TaskMetrics, Verdict
@@ -50,7 +50,8 @@ def delta_star(g: Fraction) -> Fraction:
 class ContainerTask:
     owner: object            # owning task id, or the light task itself
     load: Fraction           # delta: load bound, or density for light tasks
-    split_bound: Fraction    # delta*: minimal larger part when divided
+    split_bound: Optional[Fraction]  # delta*: minimal larger part when
+    # divided; None on a fractional container until _split_bounds sets it
     light: bool = False
     label: str = ""
 
@@ -60,18 +61,26 @@ class ContainerTask:
 
 
 class Bin:
-    """One shared processor: its items and their running sums of load and
-    of split bounds delta*."""
+    """One shared processor: its items and their running sum of load."""
 
     def __init__(self, index: int):
         self.index = index
         self.items: list = []
         self.load = Fraction(0)
-        self.dstar_sum = Fraction(0)
 
     def add(self, item) -> None:
         self.items.append(item)
         self.load += item.load
+
+
+class _SplitBin(Bin):
+    """A bin of ``sf2``, which also sums the split bounds delta* of the
+    items that its stage 1 places."""
+
+    dstar_sum = Fraction(0)
+
+    def place(self, item) -> None:
+        self.add(item)
         self.dstar_sum += item.split_bound
 
 
@@ -99,7 +108,8 @@ def worst_fit_partition(items: Sequence, n_bins: int) -> list:
 
 def _classify(tasks):
     """Returns (dedicated counts, fractional containers, light containers):
-    floor(gamma) and frac(gamma) per heavy task, C/D per light task.  A
+    floor(gamma) and frac(gamma) per heavy task, C/D per light task; F-LI
+    reads no delta*, so a fractional container's ``split_bound`` is None.  A
     heavy task with L >= D raises CriticalPathExceedsDeadline naming it."""
     dedicated = {}
     fractional = []
@@ -116,13 +126,20 @@ def _classify(tasks):
             frac = g - math.floor(g)
             if frac > 0:
                 fractional.append(ContainerTask(
-                    owner=task.id, load=frac, split_bound=delta_star(g),
+                    owner=task.id, load=frac, split_bound=None,
                     label="frac"))
         else:
             lights.append(ContainerTask(
                 owner=task.id, load=met.density, split_bound=met.density,
                 light=True, label="light"))
     return dedicated, fractional, lights
+
+
+def _split_bounds(dedicated: dict, fractional: list) -> list:
+    """``_classify``'s fractional containers with their delta*(g), for SF1
+    and SF2; g is floor(gamma) + frac(gamma)."""
+    return [replace(c, split_bound=delta_star(dedicated[c.owner] + c.load))
+            for c in fractional]
 
 
 def _critical_path_verdict(test: str, exc) -> Verdict:
@@ -141,6 +158,7 @@ def sf1(tasks: Sequence[DagTask], m: int) -> Verdict:
         dedicated, fractional, lights = _classify(tasks)
     except CriticalPathExceedsDeadline as exc:
         return _critical_path_verdict("sf1", exc)
+    fractional = _split_bounds(dedicated, fractional)
     used = sum(dedicated.values())
     if used > m:
         return Verdict("sf1", False, reason="insufficient dedicated")
@@ -165,11 +183,12 @@ def sf2(tasks: Sequence[DagTask], m: int) -> Verdict:
         dedicated, fractional, lights = _classify(tasks)
     except CriticalPathExceedsDeadline as exc:
         return _critical_path_verdict("sf2", exc)
+    fractional = _split_bounds(dedicated, fractional)
     used = sum(dedicated.values())
     if used > m:
         return Verdict("sf2", False, reason="insufficient dedicated")
 
-    bins = [Bin(i) for i in range(m - used)]
+    bins = [_SplitBin(i) for i in range(m - used)]
     open_bins = list(bins)
     over_bins = []
 
@@ -180,7 +199,7 @@ def sf2(tasks: Sequence[DagTask], m: int) -> Verdict:
                    default=None)
         if best is None or best.dstar_sum + item.split_bound > 1:
             return Verdict("sf2", False, reason="sched* failure")
-        best.add(item)
+        best.place(item)
         if best.load > 1:
             open_bins.remove(best)
             over_bins.append(best)

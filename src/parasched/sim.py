@@ -12,8 +12,8 @@ Three exact engines, with no float:
   preemptive global EDF, reporting deadline misses.
 
 All three run on integer time.  ``simulate_gedf`` only adds and subtracts,
-so every input is scaled once by the LCM of the denominators.  The first
-two divide by speeds such as 3/4: each speed is an int over ``scale``,
+so it reads the decomposed tasks' ints, rescaled once to one ``den``.  The
+first two divide by speeds such as 3/4: each speed is an int over ``scale``,
 the LCM of the speed denominators; times are ints over ``den``, which
 starts at the task's ``den``; and work is in units of 1/(scale * den), so
 a processor of speed sigma does sigma * dt work in dt ticks.  Before a
@@ -25,14 +25,16 @@ trace lists on first read.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from operator import itemgetter
 from typing import Callable, Optional, Sequence
 
 from .decomposition import DecomposedTask
-from .model import DagTask, scale_speeds, scale_to_ints
+from .model import DagTask, scale_speeds
 
 
 @dataclass
@@ -275,61 +277,51 @@ def simulate_gedf(tasks: Sequence[DecomposedTask], m: int,
     """Preemptive global EDF over the periodic subtask jobs of decomposed
     tasks, synchronous release, checked up to ``horizon``.
 
-    The run is on integer time: every period, release, deadline, WCET and
-    the horizon is scaled once by ``den``, the LCM of their denominators.
-    Each miss's deadline and remaining work come back as Fractions."""
+    The run is on integer time: each task's ints are rescaled once to
+    ``den``, the LCM of the tasks' ``den`` and the horizon's denominator.
+    The ready jobs are kept in EDF order, by (deadline, job id); the first
+    m run, and the late ones, a prefix of that order, are reported in
+    release order.  Each miss's deadline and remaining work come back as
+    Fractions."""
     horizon = Fraction(horizon)
-    den, ints = scale_to_ints([horizon] + [
-        x for dt in tasks for x in (dt.period, *(
-            y for sub in dt.subtasks
-            for y in (sub.release, sub.deadline, sub.wcet)))])
-    scaled = iter(ints)
-    end = next(scaled)
-    jobs = []   # [release, deadline, remaining, (task, subtask, k)]
+    den = math.lcm(horizon.denominator, *(dt.den for dt in tasks))
+    end = horizon.numerator * (den // horizon.denominator)
+    jobs = []   # (release, deadline, (task, subtask, k), wcet)
     for dt in tasks:
-        period = next(scaled)
-        for si, sub in enumerate(dt.subtasks):
-            release, deadline, wcet = next(scaled), next(scaled), next(scaled)
-            if wcet == 0:
-                continue
-            k = 0
-            while k * period + release < end:
-                jobs.append([k * period + release, k * period + deadline,
-                             wcet, (dt.task_id, si, k)])
-                k += 1
-    jobs.sort(key=lambda j: (j[0], j[1], j[3]))
+        x = den // dt.den
+        period = dt.period_int * x
+        for si, (release, deadline, wcet) in enumerate(
+                zip(dt.releases, dt.deadlines, dt.wcets)):
+            for k in range(-((release * x - end) // period)):
+                jobs.append((k * period + release * x,
+                             k * period + deadline * x,
+                             (dt.task_id, si, k), wcet * x))
+    jobs.sort(key=itemgetter(0, 1, 2))
 
     misses = []
-    t = 0
-    pending = []
-    i = 0
+    ready = []  # [deadline, job id, job index, remaining], EDF order
+    t = i = 0
     while t < end:
         while i < len(jobs) and jobs[i][0] <= t:
-            pending.append(jobs[i])
+            _, deadline, job, wcet = jobs[i]
+            bisect.insort(ready, [deadline, job, i, wcet])
             i += 1
-        active = sorted((j for j in pending if j[2] > 0),
-                        key=lambda j: (j[1], j[3]))
-        if not active:
+        if not ready:
             if i >= len(jobs):
                 break
             t = jobs[i][0]
             continue
-        run = active[:m]
+        run = ready[:m]
         # next event: a completion, a release, or the horizon
-        dt_candidates = [j[2] for j in run]
+        step = min(min(j[3] for j in run), end - t)
         if i < len(jobs):
-            dt_candidates.append(jobs[i][0] - t)
-        dt_candidates.append(end - t)
-        step = min(c for c in dt_candidates if c > 0)
+            step = min(step, jobs[i][0] - t)
         for j in run:
-            j[2] -= step
+            j[3] -= step
         t += step
-        for j in list(pending):
-            if j[2] == 0:
-                pending.remove(j)
-            elif j[1] <= t:
-                misses.append(j)
-                pending.remove(j)
-    misses += [j for j in pending if j[2] > 0 and j[1] <= end]
-    return GedfReport(misses=[(j[3], Fraction(j[1], den), Fraction(j[2], den))
+        ready[:m] = [j for j in run if j[3]]
+        late = bisect.bisect_right(ready, t, key=itemgetter(0))
+        misses += sorted(ready[:late], key=itemgetter(2))
+        del ready[:late]
+    return GedfReport(misses=[(j[1], Fraction(j[0], den), Fraction(j[3], den))
                               for j in misses], horizon=horizon)

@@ -9,7 +9,8 @@ from typing import Optional
 
 import pytest
 
-from parasched.decomposition import (Segment, TimingDiagram, build_segments,
+from parasched.decomposition import (Segment, SegmentationResult, Subtask,
+                                     TimingDiagram, build_segments,
                                      dbf_and_load, decompose, segment_omega,
                                      segment_workload, segmentation_oracle,
                                      timing_diagram)
@@ -17,7 +18,7 @@ from parasched.errors import (ConstrainedDeadline, CycleDetected,
                               DeadlineExceedsPeriod, DegenerateWindow,
                               NonPositiveWcet, OracleTooLarge)
 from parasched.gen import PAPER_SCALE, GenConfig, gen_taskset
-from parasched.model import DagTask, TaskMetrics, validate
+from parasched.model import DagTask, TaskMetrics, scale_to_ints, validate
 from conftest import (build_corpus, chain_task, diamond_task, fig1_task,
                       fork_task, rational_variant)
 
@@ -569,3 +570,148 @@ def test_core_matches_reference_on_multi_source_and_sink_dags():
     assert sum(len(t.dummy_ids) == 2 for t in tasks) > 200
     _assert_same_core(tasks)
 
+
+# The Fraction laxity, reassembly and load steps that the integer prefix
+# sums replaced, copied verbatim but for the names, as the reference the
+# int path must match.
+
+@dataclass(frozen=True)
+class _ReferenceDecomposedTask:
+    task_id: object
+    period: Fraction
+    subtasks: tuple
+
+
+def _reference_distribute_laxity(task: DagTask,
+                                 seg: SegmentationResult) -> list:
+    """Stretch segments from total length L to total length T.
+
+    With lam = rho = omega, heavy segments get d = c*T/(omega*C) and light
+    segments d = e*T/(omega*L); the stretched lengths sum to T exactly.
+    """
+    omega = seg.omega
+    period = task.period
+    stretched = []
+    for s in seg.segments:
+        if seg.is_heavy(s):
+            d = s.c * period / (omega * seg.work)
+        else:
+            d = s.e * period / (omega * seg.critical_path)
+        stretched.append(replace(s, d=d))
+    assert sum(s.d for s in stretched) == period, "stretched lengths != T"
+    return stretched
+
+
+def _reference_reassemble(task: DagTask, td: TimingDiagram,
+                          stretched: list) -> _ReferenceDecomposedTask:
+    """One sporadic subtask per vertex.
+
+    The vertex window [rdy, fsh] is carried over to the stretched time
+    axis: the release is the stretched position of rdy(v) and the deadline
+    the stretched position of fsh(v).  Since c(v) never exceeds the summed
+    original length of the covered segments, the subtask density stays
+    within the per-segment bounds, and fsh(u) <= rdy(v) across every edge
+    keeps precedence intact.
+    """
+    pos = {stretched[0].start: Fraction(0)}
+    t = Fraction(0)
+    for s in stretched:
+        t += s.d
+        pos[s.end] = t
+
+    subtasks = []
+    for v in task.real_vertex_ids:
+        subtasks.append(Subtask(
+            origin=v,
+            release=pos[td.rdy[v]],
+            deadline=pos[td.fsh[v]],
+            wcet=Fraction(task.wcet_int[v], task.den),
+        ))
+    return _ReferenceDecomposedTask(task_id=task.id, period=task.period,
+                                    subtasks=tuple(subtasks))
+
+
+def _reference_dbf_and_load(dt: _ReferenceDecomposedTask,
+                            hyper_windows: int = 2) -> Fraction:
+    """Load max(dbf(t)/t) of a decomposed task's demand bound function.
+
+    The load is attained with the window starting at some subtask release
+    and ending at some subtask absolute deadline: dbf is a step function
+    that only jumps at deadlines, and sliding the start right to the next
+    release can only shrink t without losing demand.  Deadlines within
+    ``hyper_windows`` extra periods cover the maximum because demand grows
+    by exactly C per period afterwards, which can only dilute the ratio
+    already achieved within the first windows.
+
+    The load is a running-sum sweep: the jobs k*T + (release, deadline)
+    with 0 <= k <= ``hyper_windows`` are sorted once by absolute deadline,
+    and their distinct deadlines are exactly the candidate window ends.
+    For each distinct window start, one pass over that list adds the WCET
+    of every job released at or after the start and takes the ratio at
+    each distinct deadline.  For n subtasks and a fixed ``hyper_windows``
+    that is one O(n log n) sort plus O(n^2) for the passes, against O(n^4)
+    for evaluating the demand of every window.  The sweep runs on ints,
+    every time and WCET times the LCM of their denominators, and keeps the
+    best ratio as a pair of ints compared by cross-multiplication; the
+    load is built as a Fraction once, at the end.
+    """
+    # Scaling times and WCETs by one factor leaves each ratio as it is.
+    # Window starts are releases, which lie in [0, T), so no job with k < 0
+    # starts inside a window; window ends are the deadlines with
+    # k <= hyper_windows, and every job with a larger k ends after them.
+    _, ints = scale_to_ints([dt.period] + [
+        x for st in dt.subtasks for x in (st.release, st.deadline, st.wcet)])
+    scaled_period = ints[0]
+    triples = list(zip(ints[2::3], ints[1::3], ints[3::3]))
+    jobs = sorted((end + k * scaled_period, release + k * scaled_period, wcet)
+                  for end, release, wcet in triples
+                  for k in range(hyper_windows + 1))
+    best, best_t = 0, 1             # the load so far, as best / best_t
+    for start in {release for _, release, _ in triples}:
+        total = 0
+        for i, (end, release, wcet) in enumerate(jobs):
+            if release >= start:
+                total += wcet
+            if end > start and (i + 1 == len(jobs) or jobs[i + 1][0] != end) \
+                    and total * best_t > best * (end - start):
+                best, best_t = total, end - start
+    return Fraction(best, best_t)
+
+
+def _assert_same_decomposition(tasks):
+    for task in tasks:
+        dec = decompose(task, compute_load=True)
+        stretched = _reference_distribute_laxity(task, dec.segmentation)
+        ref = _reference_reassemble(task, timing_diagram(task), stretched)
+        assert dec.stretched == stretched, task.id
+        dt = dec.decomposed
+        assert (dt.task_id, dt.period, dt.subtasks) \
+            == (ref.task_id, ref.period, ref.subtasks), task.id
+        assert dec.max_vertex_density == max(
+            st.wcet / (st.deadline - st.release) for st in ref.subtasks)
+        assert dec.load == _reference_dbf_and_load(ref), task.id
+
+
+def test_decomposition_matches_reference_on_corpus(corpus):
+    _assert_same_decomposition(corpus)
+
+
+def test_decomposition_matches_reference_on_rational_wcets(corpus):
+    rng = random.Random(15)
+    tasks = [rational_variant(task, rng) for task in corpus[:400]]
+    assert any(t.den > 1 for t in tasks)
+    _assert_same_decomposition(tasks)
+
+
+def test_decomposition_matches_reference_on_verify_and_paper_scale_sets():
+    # the verify workload's sets (gamma-formula periods), then two sets of
+    # two paper-scale tasks
+    tasks = [task for seed, util in ((1, 0.5), (2, 0.6), (3, 0.9))
+             for task in gen_taskset(GenConfig(
+                 n_tasks=3, p=0.1, m=4, util=util, n_vertices=(14, 16),
+                 period_mode="gamma-formula"), seed=seed)]
+    assert any(t.period.denominator > 1 for t in tasks)
+    config = GenConfig(p=0.05, n_vertices=PAPER_SCALE, n_tasks=2)
+    tasks += [task for seed in range(2)
+              for task in gen_taskset(config, seed=seed)]
+    _assert_same_decomposition(tasks)

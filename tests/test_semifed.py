@@ -11,14 +11,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from parasched import semifed
-from parasched.analysis import _fewest_bins, federated_allocate
+from parasched.analysis import (UniformPlatform, _fewest_bins,
+                                federated_allocate, uniform_response_bound)
 from parasched.cli import main
 from parasched.errors import CriticalPathExceedsDeadline, NoFit
 from parasched.gen import PAPER_SCALE, GenConfig, gen_taskset
 from parasched.model import DagTask, TaskMetrics, Verdict, dump_taskset
-from parasched.semifed import (Bin, ContainerTask, _classify,
-                               _scrape, capacity_requirement, delta_star,
-                               gamma, sf1, sf2, worst_fit_partition)
+from parasched.semifed import (ContainerTask, _SplitBin, _classify,
+                               _scrape, _split_bounds, capacity_requirement,
+                               delta_star, gamma, sf1, sf2,
+                               worst_fit_partition)
 from conftest import chain_task, fig1_task
 
 
@@ -177,11 +179,11 @@ def test_delta_star_bounds():
 
 
 def test_bin_running_sums_follow_placement_and_scraping():
-    b = Bin(0)
+    b = _SplitBin(0)
     for owner, load, bound in ((1, Fraction(3, 5), Fraction(3, 8)),
                                (2, Fraction(3, 5), Fraction(1, 3)),
                                (3, Fraction(1, 10), Fraction(1, 10))):
-        b.add(ContainerTask(owner=owner, load=load, split_bound=bound))
+        b.place(ContainerTask(owner=owner, load=load, split_bound=bound))
         assert b.load == sum(i.load for i in b.items)
         assert b.dstar_sum == sum(i.split_bound for i in b.items)
     spilled = _scrape(b)
@@ -207,11 +209,12 @@ def _reference_sf2(tasks, m):
         dedicated, fractional, lights = _classify(tasks)
     except CriticalPathExceedsDeadline:
         return Verdict("sf2", False, reason="critical path exceeds deadline")
+    fractional = _split_bounds(dedicated, fractional)
     used = sum(dedicated.values())
     if used > m:
         return Verdict("sf2", False, reason="insufficient dedicated")
 
-    bins = [Bin(i) for i in range(m - used)]
+    bins = [_SplitBin(i) for i in range(m - used)]
     open_bins = list(bins)
     over_bins = []
 
@@ -223,7 +226,7 @@ def _reference_sf2(tasks, m):
         if not candidates:
             return Verdict("sf2", False, reason="sched* failure")
         best = min(candidates, key=lambda b: (b.dstar_sum, b.index))
-        best.add(item)
+        best.place(item)
         if best.load > 1:
             open_bins.remove(best)
             over_bins.append(best)
@@ -309,12 +312,17 @@ def _reference_federated_allocate(tasks, m):
 
 
 def _small_cases():
-    """The appendix set, fig 1, four lights of density 1/2 and three lights
-    just over one processor's load, on 1 to 8 processors."""
+    """The appendix set, fig 1, four lights of density 1/2, three lights
+    just over one processor's load, and two heavy tasks (gamma 8/5 and 9/5)
+    with a light one, whose containers SF2 splits on four processors; each
+    on 1 to 8 processors."""
     sets = [appendix_set()[0], [fig1_task()],
             [chain_task(1, wcet=1, period=2) for _ in range(4)],
             [light_stub(i, d)[0] for i, d in enumerate(
-                (Fraction(1, 2), Fraction(1, 2), Fraction(1, 200)))]]
+                (Fraction(1, 2), Fraction(1, 2), Fraction(1, 200)))],
+            [heavy_stub(0, Fraction(8, 5))[0],
+             heavy_stub(1, Fraction(9, 5))[0],
+             light_stub(2, Fraction(1, 2))[0]]]
     return [(tasks, m) for tasks in sets for m in range(1, 9)]
 
 
@@ -338,7 +346,9 @@ def test_federated_matches_its_own_loop():
 def _check_plan(tasks, m, verdict):
     """Checks an accepting F-LI, SF1 or SF2 plan against the task set: the
     dedicated processors and containers of each heavy task, every light
-    task in one bin, no bin above load 1, and m processors in all."""
+    task in one bin, no bin above load 1, and m processors in all.  For SF1
+    and SF2, the uniform bound (C + lambda*L)/S on each heavy task's own
+    platform, its dedicated processors and its containers, meets D."""
     plan = verdict.detail
     items = [i for b in plan["bins"] for i in b]
     assert all(i.load > 0 for i in items)
@@ -358,6 +368,8 @@ def _check_plan(tasks, m, verdict):
             continue
         assert plan["dedicated"][task.id] == math.floor(g)
         assert sum(mine) == frac
+        platform = UniformPlatform([1] * plan["dedicated"][task.id] + mine)
+        assert uniform_response_bound(met, platform) <= task.deadline
         if verdict.test == "sf1":
             assert mine == ([frac] if frac else [])
         else:

@@ -215,6 +215,25 @@ def test_gedf_matches_reference_on_verify_sets():
             assert report.misses or m > 1
 
 
+def test_gedf_reports_simultaneous_misses_in_release_order():
+    # three chains whose last subtasks share the deadline 8 and all miss
+    # there on one processor: released c (at 4), a (5), b (48/7), they are
+    # reported in that order, not in the EDF order a, b, c
+    tasks = [DagTask(tid, list(enumerate(wcets)), [(0, 1), (1, 2)],
+                     period=8, deadline=8)
+             for tid, wcets in (("a", (1, 4, 3)), ("b", (4, 2, 1)),
+                                ("c", (1, 1, 2)))]
+    decs = [decompose(t).decomposed for t in tasks]
+    releases = {dt.task_id: dt.subtasks[2].release for dt in decs}
+    assert releases["c"] < releases["a"] < releases["b"]
+    report = _assert_gedf_matches_reference(decs, 1, 16)
+    for period in (1, 2):
+        assert [job for job, deadline, _ in report.misses
+                if deadline == 8 * period] \
+            == [("c", 2, period - 1), ("a", 2, period - 1),
+                ("b", 2, period - 1)]
+
+
 def test_gedf_matches_reference_on_rational_wcets():
     tasks = [DagTask("a", [(0, "1/3"), (1, "5/7"), (2, 1)],
                      [(0, 1), (0, 2)], period="9/4", deadline="9/4"),
@@ -475,7 +494,11 @@ def test_sims_pass_fractions_to_the_callbacks():
 
 def test_trace_lists_and_wcets_are_built_on_first_read():
     task = fig1_task()
-    decompose(task, compute_load=True)
+    dec = decompose(task, compute_load=True)
+    assert "stretched" not in vars(dec)
+    assert "subtasks" not in vars(dec.decomposed)
+    simulate_gedf([dec.decomposed], 2, 3 * task.period)
+    assert "subtasks" not in vars(dec.decomposed)
     for method in TESTS.values():
         method.run([task], 4)
     uni = simulate_uniform(task, SPEED_SETS[0])
@@ -493,6 +516,9 @@ def test_trace_lists_and_wcets_are_built_on_first_read():
     assert disp.assignments[-1][3] == disp.response_time
     assert all(lists & set(vars(trace)) for trace in (uni, pinned, disp))
     assert task.wcets[0] == 1 and "wcets" in vars(task)
+    assert sum(s.d for s in dec.stretched) == task.period
+    assert dec.decomposed.subtasks[0].wcet == 1
+    assert "stretched" in vars(dec) and "subtasks" in vars(dec.decomposed)
 
 
 @pytest.mark.parametrize("speeds", [[], [0], [-1], [1, 0],
