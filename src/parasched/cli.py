@@ -12,8 +12,9 @@ import json
 import os
 import sys
 from contextlib import contextmanager
-from dataclasses import asdict
+from dataclasses import fields, is_dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .analysis import TESTS
 from .decomposition import decompose
@@ -84,17 +85,21 @@ def cmd_analyze(args):
     with _out(args.out) as fp:
         for method in TESTS.values():
             if args.test in (method.flag, "all"):
-                _write_row(fp, asdict(method.run(tasks, args.m)))
+                _write_row(fp, method.run(tasks, args.m))
     return 0
 
 
 def _jsonable(obj):
+    """``obj`` for ``json.dumps``: rationals as strings, a dataclass as its
+    fields in declaration order (as ``asdict`` gives them), in one walk."""
     if isinstance(obj, Fraction):
         return format_rational(obj)
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
+    if is_dataclass(obj):
+        return {f.name: _jsonable(getattr(obj, f.name)) for f in fields(obj)}
     return obj
 
 
@@ -182,7 +187,10 @@ def _add_gen_flags(sub):
                      help="vertex counts in [50,250] instead of [10,50]")
 
 
-def main(argv=None) -> int:
+@lru_cache(maxsize=None)
+def _parser():
+    """The parser and its ``experiment`` subparser, built once per process.
+    It holds no function: ``main`` looks up ``cmd_<command>`` per call."""
     parser = argparse.ArgumentParser(
         prog="parasched",
         description="Schedulability analysis and simulation of parallel "
@@ -192,12 +200,10 @@ def main(argv=None) -> int:
     g = subs.add_parser("gen", help="generate a random task set")
     _add_gen_flags(g)
     g.add_argument("--out", default="-")
-    g.set_defaults(func=cmd_gen)
 
     d = subs.add_parser("decompose", help="segment and stretch a task set")
     d.add_argument("taskset")
     d.add_argument("--out", default="-")
-    d.set_defaults(func=cmd_decompose)
 
     a = subs.add_parser("analyze", help="run schedulability tests")
     a.add_argument("taskset")
@@ -205,7 +211,6 @@ def main(argv=None) -> int:
     a.add_argument("--test", default="all",
                    choices=[t.flag for t in TESTS.values()] + ["all"])
     a.add_argument("--out", default="-")
-    a.set_defaults(func=cmd_analyze)
 
     s = subs.add_parser("simulate", help="trace one DAG or a GEDF run")
     s.add_argument("taskset")
@@ -217,7 +222,6 @@ def main(argv=None) -> int:
     s.add_argument("--m", type=_count, default=1, help="processors for gedf")
     s.add_argument("--horizon", type=_positive, default=None)
     s.add_argument("--out", default="-")
-    s.set_defaults(func=cmd_simulate)
 
     e = subs.add_parser("experiment", help="acceptance-ratio sweep")
     _add_gen_flags(e)
@@ -230,17 +234,20 @@ def main(argv=None) -> int:
                    help="comma-separated bucket values")
     e.add_argument("--out", default="-")
     e.add_argument("--format", default="csv", choices=["csv", "jsonl"])
-    e.set_defaults(func=cmd_experiment)
+    return parser, e
 
+
+def main(argv=None) -> int:
+    parser, experiment = _parser()
     args = parser.parse_args(argv)
     if args.command == "experiment" and args.buckets:
         try:
             args.buckets = [_BUCKET[args.axis](b)
                             for b in args.buckets.split(",")]
         except argparse.ArgumentTypeError as exc:
-            e.error(f"argument --buckets: {exc}")
+            experiment.error(f"argument --buckets: {exc}")
     try:
-        status = args.func(args)
+        status = globals()["cmd_" + args.command](args)
         sys.stdout.flush()
         return status
     except BrokenPipeError:

@@ -104,9 +104,6 @@ class SegmentationResult:
     def l_light(self) -> Fraction:
         return Fraction(self.light, self.den)
 
-    def is_heavy(self, seg: Segment) -> bool:
-        return seg.c * self.critical_path > self.work * seg.e
-
 
 @dataclass(frozen=True)
 class Subtask:

@@ -1,13 +1,17 @@
+import io
 import json
 import os
 import subprocess
 import sys
 import warnings
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
 
 import parasched
+from parasched import cli
+from parasched.analysis import TESTS
 from parasched.cli import main
 from parasched.experiment import METHODS, run_methods
 from parasched.gen import GenConfig, gen_taskset
@@ -202,6 +206,102 @@ def test_python_m_parasched_runs_the_cli(taskset_path, capsys):
                           env={**os.environ, "PYTHONPATH": str(src)})
     assert proc.returncode == main(argv) == 0
     assert proc.stdout == capsys.readouterr().out != ""
+
+
+# two heavy tasks (C = 16, L = 8, gamma 8/5 and 9/5) and a light one of
+# density 1/2 with int ids: on m = 4, sf2 splits both fractional containers
+GOLDEN_SET = """{"tasks": [
+ {"id": 0, "period": 13, "deadline": 13, "edges": [],
+  "vertices": [{"id": 0, "wcet": 8}, {"id": 1, "wcet": 8}]},
+ {"id": 1, "period": "112/9", "deadline": "112/9", "edges": [],
+  "vertices": [{"id": 0, "wcet": 8}, {"id": 1, "wcet": 8}]},
+ {"id": 2, "period": 6, "deadline": 6, "edges": [],
+  "vertices": [{"id": 0, "wcet": 1}, {"id": 1, "wcet": 1},
+               {"id": 2, "wcet": 1}]}]}
+"""
+
+# stdout of `analyze GOLDEN_SET --m 4`, as the asdict-then-walk rows wrote it
+GOLDEN_ANALYZE = (
+    '{"test": "decomposed", "schedulable": false, "min_m": 7, '
+    '"reason": "needs m >= 7", "detail": {"required": "432/65"}}\n'
+    '{"test": "federated", "schedulable": false, "min_m": 5, '
+    '"reason": "light tasks do not fit", '
+    '"detail": {"dedicated": {"0": 2, "1": 2}}}\n'
+    '{"test": "sf1", "schedulable": false, "min_m": null, '
+    '"reason": "partition failure", "detail": {}}\n'
+    '{"test": "sf2", "schedulable": true, "min_m": null, "reason": "", '
+    '"detail": {"dedicated": {"0": 1, "1": 1}, "bins": [[{"owner": 2, '
+    '"load": "1/2", "split_bound": "1/2", "light": true, '
+    '"label": "light"}, {"owner": 1, "load": "16/45", '
+    '"split_bound": "16/45", "light": false, "label": "frac\'\'"}, '
+    '{"owner": 0, "load": "2/45", "split_bound": "2/45", "light": false, '
+    '"label": "frac\'\'"}], [{"owner": 1, "load": "4/9", '
+    '"split_bound": "4/9", "light": false, "label": "frac\'"}, '
+    '{"owner": 0, "load": "5/9", "split_bound": "3/8", "light": false, '
+    '"label": "frac\'"}]]}}\n'
+    '{"test": "gli-capacity", "schedulable": false, "min_m": null, '
+    '"reason": "U_sum/m = 549/728 > 1/b", "detail": {}}\n')
+
+
+def test_analyze_golden_bytes(tmp_path, capsys):
+    path = tmp_path / "golden.json"
+    path.write_text(GOLDEN_SET)
+    argv = ["analyze", str(path), "--m", "4"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == GOLDEN_ANALYZE
+    src = Path(parasched.__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "-m", "parasched", *argv],
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)})
+    assert (proc.returncode, proc.stdout) == (0, GOLDEN_ANALYZE)
+
+
+def test_verdict_rows_match_asdict():
+    sets = [load_taskset(io.StringIO(GOLDEN_SET))] + [
+        gen_taskset(GenConfig(n_tasks=3, p=0.1, m=4, util=u,
+                              n_vertices=(6, 12)), seed=seed)
+        for seed in (1, 2, 3) for u in (0.3, 0.6, 0.9)]
+    for tasks in sets:
+        for m in (2, 3, 4, 6, 8):
+            for method in TESTS.values():
+                verdict = method.run(tasks, m)
+                assert json.dumps(cli._jsonable(verdict)) \
+                    == json.dumps(cli._jsonable(asdict(verdict)))
+
+
+def test_analyze_resolves_its_command_at_call_time(taskset_path, capsys,
+                                                   monkeypatch):
+    argv = ["analyze", str(taskset_path), "--m", "4"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out != ""
+    seen = []
+    monkeypatch.setattr(cli, "cmd_analyze",
+                        lambda args: seen.append(args.m) or 7)
+    assert main(argv) == 7
+    assert seen == [4]
+    assert capsys.readouterr().out == ""
+
+
+def test_in_process_calls_stay_independent(taskset_path, tmp_path, capsys):
+    cli._parser.cache_clear()
+    argv = ["analyze", str(taskset_path), "--m", "4"]
+    assert main(argv) == 0
+    first = capsys.readouterr().out
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", str(taskset_path), "--m", "0"])
+    assert exc.value.code == 2
+    assert "error: argument --m: " in capsys.readouterr().err
+    assert main(argv) == 0
+    assert capsys.readouterr().out == first != ""
+    out = tmp_path / "sweep.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(["experiment", "--axis", "processors", "--trials", "1",
+              "--buckets", "4,0", "--out", str(out)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: parasched experiment ")
+    assert "error: argument --buckets: '0' is not an integer >= 1" in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", [["analyze", "--m", "4"], ["decompose"]])

@@ -23,6 +23,11 @@ from conftest import (build_corpus, chain_task, diamond_task, fig1_task,
                       fork_task, rational_variant)
 
 
+def _is_heavy(seg: SegmentationResult, s: Segment) -> bool:
+    """A segment is heavy when its load is above the task's: c*L > C*e."""
+    return s.c * seg.critical_path > seg.work * s.e
+
+
 def test_diamond_timing_diagram():
     t = diamond_task()
     td = timing_diagram(t)
@@ -84,7 +89,7 @@ def test_fork_omega_matches_oracle():
 def test_omega_identity_and_range(corpus):
     for task in corpus[:300]:
         seg = decompose(task).segmentation
-        heavy = [s for s in seg.segments if seg.is_heavy(s)]
+        heavy = [s for s in seg.segments if _is_heavy(seg, s)]
         c_out = sum((s.c - seg.work / seg.critical_path * s.e
                      for s in heavy), Fraction(0))
         assert seg.omega == 1 + c_out / seg.work
@@ -229,7 +234,7 @@ def test_paper_worked_segmentation_threshold():
     dec = decompose(fig1_task())
     seg = dec.segmentation
     for s in seg.segments:
-        if not seg.is_heavy(s):
+        if not _is_heavy(seg, s):
             assert s.c * seg.critical_path <= seg.work * s.e
 
 
@@ -593,7 +598,7 @@ def _reference_distribute_laxity(task: DagTask,
     period = task.period
     stretched = []
     for s in seg.segments:
-        if seg.is_heavy(s):
+        if _is_heavy(seg, s):
             d = s.c * period / (omega * seg.work)
         else:
             d = s.e * period / (omega * seg.critical_path)
