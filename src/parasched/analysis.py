@@ -1,9 +1,9 @@
 """Schedulability tests and response-time bounds.
 
 Covers the density/load global-EDF test, the decomposition-based processor
-count test, capacity-augmentation and speed bounds, federated allocation,
-and response-time bounds for a single DAG on a uniform (heterogeneous
-speed) platform.  Everything is exact rational arithmetic; the irrational
+count test, the capacity-augmentation bound, federated allocation, and
+response-time bounds for a single DAG on a uniform (heterogeneous speed)
+platform.  Everything is exact rational arithmetic; the irrational
 constant of the capacity-bound baseline is compared by squaring.
 
 ``TESTS`` is the one ordered registry of the tests that the sweeps and
@@ -74,14 +74,6 @@ def decomposed_test(summary: TaskSetSummary, m: int) -> Verdict:
 def capacity_bound(omega_top: Fraction, m: int) -> Fraction:
     """Capacity augmentation bound (2 - 1/m) * Omega_top."""
     return (2 - Fraction(1, m)) * Fraction(omega_top)
-
-
-def speed_requirement(summary: TaskSetSummary, m: int) -> Fraction:
-    """Minimal processor speed making a decomposed set schedulable:
-    s >= Omega*U_sum/m + Omega*Gamma_top*(1 - 1/m)."""
-    omega = summary.omega_top
-    return (omega * summary.u_sum / m
-            + omega * summary.gamma_top * (1 - Fraction(1, m)))
 
 
 def federated_allocate(tasks: Sequence[DagTask], m: int) -> Verdict:

@@ -6,9 +6,7 @@ segmentation minimizes the structure characteristic value
 
     omega = C_heavy / C  +  L_light / L
 
-which drives all downstream bounds.  ``segmentation_oracle`` recomputes the
-optimum independently as a bipartite max-flow (transportation) problem and
-is used to cross-check the greedy algorithm on small instances.
+which drives all downstream bounds.
 """
 
 from __future__ import annotations
@@ -21,8 +19,7 @@ from fractions import Fraction
 from itertools import accumulate
 from typing import Optional
 
-from .errors import ConstrainedDeadline, DegenerateWindow, OracleTooLarge
-from .flow import FlowNetwork
+from .errors import ConstrainedDeadline
 from .model import DagTask, TaskMetrics
 
 
@@ -135,11 +132,6 @@ class DecomposedTask:
                                            self.deadlines, self.wcets))
 
 
-@dataclass(frozen=True)
-class OracleResult:
-    omega_opt: Fraction
-
-
 def timing_diagram(task: DagTask) -> TimingDiagram:
     """Earliest ready / latest finish times on the [0, L] axis, as ints.
 
@@ -152,19 +144,10 @@ def timing_diagram(task: DagTask) -> TimingDiagram:
                          cpl_int=cpl)
 
 
-def build_segments(td: TimingDiagram) -> list:
-    """Cut [0, L] at every distinct rdy/fsh value."""
-    if td.cpl_int == 0:
-        raise DegenerateWindow("critical path has zero length")
-    points = [Fraction(t, td.den) for t in td.cuts]
-    return [Segment(index=i, start=a, end=b)
-            for i, (a, b) in enumerate(zip(points, points[1:]))]
-
-
 def _cover_ranges(td: TimingDiagram) -> list:
-    """vertex -> (lo, hi) such that the vertex covers exactly
-    ``segments[lo:hi]`` of ``build_segments(td)``: a vertex window
-    [rdy, fsh] is the run of segments between the cuts at rdy and fsh."""
+    """vertex -> (lo, hi) such that the vertex covers exactly the segments
+    lo..hi-1 that ``td.cuts`` bound: a vertex window [rdy, fsh] is the run
+    of segments between the cuts at rdy and fsh."""
     index = {t: i for i, t in enumerate(td.cuts)}
     return [(index[r], index[f]) for r, f in zip(td.rdy_int, td.fsh_int)]
 
@@ -272,36 +255,6 @@ def segment_workload(task: DagTask, td: TimingDiagram) -> SegmentationResult:
         work=task.metrics.work, critical_path=task.metrics.critical_path,
         omega=Fraction(heavy + light * c_int, l_int * c_int),
     )
-
-
-def segmentation_oracle(task: DagTask, max_vertices: int = 12
-                        ) -> OracleResult:
-    """Optimal omega via exact rational max flow.
-
-    source -> vertex (cap c(v)) -> segment (iff covered, cap inf) -> sink
-    (cap e(s) * C/L).  The workload that cannot be routed is exactly the
-    minimal overflow C_out, and omega_opt = 1 + C_out / C.
-    """
-    real = task.real_vertex_ids
-    if len(real) > max_vertices:
-        raise OracleTooLarge(
-            f"{len(real)} vertices exceeds the oracle cap {max_vertices}")
-    td = timing_diagram(task)
-    segments = build_segments(td)
-    work, cpl = task.metrics.work, task.metrics.critical_path
-
-    ranges = _cover_ranges(td)
-    net = FlowNetwork()
-    for v in real:
-        net.add_edge("src", ("v", v), task.wcets[v])
-        lo, hi = ranges[v]
-        for seg in segments[lo:hi]:
-            net.add_edge(("v", v), ("s", seg.index), work + 1)
-    for seg in segments:
-        net.add_edge(("s", seg.index), "snk", seg.e * work / cpl)
-
-    c_out = work - net.max_flow("src", "snk")
-    return OracleResult(omega_opt=1 + c_out / work)
 
 
 def distribute_laxity(task: DagTask, seg: SegmentationResult) -> list:

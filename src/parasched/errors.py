@@ -30,14 +30,6 @@ class EmptyTaskSet(ParaschedError):
     pass
 
 
-class DegenerateWindow(ParaschedError):
-    pass
-
-
-class OracleTooLarge(ParaschedError):
-    pass
-
-
 class CriticalPathExceedsDeadline(ParaschedError):
     task = None          # the heavy task's id, set by semifed._classify
 

@@ -48,11 +48,14 @@ def trial_seed(master: int, axis: str, bucket, trial: int) -> int:
 
 
 def check_methods(methods) -> tuple:
-    """The method names as a tuple; ValueError on a name not in METHODS."""
+    """The names as a tuple; ValueError on a name unknown or repeated."""
     unknown = [name for name in methods if name not in TESTS]
     if unknown:
         raise ValueError(f"unknown method {', '.join(unknown)}; "
                          f"choose from {','.join(METHODS)}")
+    repeated = [n for i, n in enumerate(methods) if n in methods[:i]]
+    if repeated:
+        raise ValueError(f"repeated method {', '.join(repeated)}")
     return tuple(methods)
 
 

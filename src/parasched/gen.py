@@ -91,16 +91,6 @@ def gen_period(work, critical_path, config: GenConfig, rng: random.Random,
     raise ValueError(f"unknown period mode {config.period_mode!r}")
 
 
-def gen_dag(config: GenConfig, rng: random.Random, task_id=0) -> DagTask:
-    """A single DAG; the period comes from the gamma formula so that no
-    utilization split is needed."""
-    shape = DagTask(*gen_structure(config, rng, task_id))
-    cfg = config if config.period_mode == "gamma-formula" else GenConfig(
-        **{**config.__dict__, "period_mode": "gamma-formula"})
-    return shape.with_period(
-        gen_period(shape.work, shape.critical_path, cfg, rng))
-
-
 def gen_taskset(config: GenConfig,
                 seed: Optional[int] = None) -> list[DagTask]:
     """A full task set; deterministic for a given (config, seed).

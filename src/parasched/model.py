@@ -318,8 +318,8 @@ def dump_taskset(tasks: Iterable[DagTask], fp) -> None:
 
 
 def load_taskset(fp) -> list[DagTask]:
-    """Read a task set in the schema above; raises ``MalformedTaskSet`` for
-    a file that is not JSON or not of that shape."""
+    """Read a task set in the schema above, with distinct int or string task
+    ids; raises ``MalformedTaskSet`` for a file not JSON of that form."""
     try:
         # parse_float keeps decimal literals exact (0.3 -> 3/10)
         data = json.load(fp, parse_float=lambda s: Fraction(s))
@@ -333,4 +333,11 @@ def load_taskset(fp) -> list[DagTask]:
         raise MalformedTaskSet("task set: 'tasks' is not a list")
     if not data["tasks"]:
         raise EmptyTaskSet("task set: no tasks")
-    return [task_from_dict(t, i) for i, t in enumerate(data["tasks"])]
+    tasks = [task_from_dict(t, i) for i, t in enumerate(data["tasks"])]
+    first = {}                      # verdicts key tasks by str(id)
+    for i, task in enumerate(tasks):
+        if type(task.id) not in (int, str):
+            raise MalformedTaskSet(f"task {i}: id is not an int or a string")
+        if first.setdefault(str(task.id), i) != i:
+            raise MalformedTaskSet(f"task {i}: id {task.id!r} repeats")
+    return tasks

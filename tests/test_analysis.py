@@ -8,13 +8,13 @@ from hypothesis import strategies as st
 from parasched.analysis import (UniformPlatform, _fewest_bins, capacity_bound,
                                 decomposed_test, federated_allocate,
                                 gedf_density_test, gli_capacity_test,
-                                speed_requirement, uniform_response_bound,
-                                weak_response_bound)
+                                uniform_response_bound, weak_response_bound)
 from parasched.model import DagTask, TaskSetSummary, validate
 from parasched.errors import NoFit
 from parasched.semifed import (ContainerTask, capacity_requirement,
                                worst_fit_partition)
 from conftest import chain_task, diamond_task, fig1_task
+from reference import speed_requirement
 
 
 def test_capacity_requirement_golden():

@@ -469,3 +469,52 @@ def test_infeasible_utilization_is_one_line_with_status_2(tmp_path, capsys,
     assert err.startswith("parasched: error: could not draw valid "
                           "utilization shares")
     assert len(err.splitlines()) == 1
+
+
+def _fork_copies(ids):
+    """One copy per id of a fork task with C = 20, L = 12 and D = T = 14,
+    so gamma = 4."""
+    return {"tasks": [{"id": i, "period": 14, "deadline": 14,
+                       "vertices": [{"id": v, "wcet": w}
+                                    for v, w in enumerate((1, 10, 8, 1))],
+                       "edges": [[0, 1], [0, 2], [1, 3], [2, 3]]}
+                      for i in ids]}
+
+
+@pytest.mark.parametrize("ids, prefix", [
+    ([0, 0], "task 1: id 0 repeats"),
+    ([0, "0"], "task 1: id '0' repeats"),
+    ([[0], 1], "task 0: id is not"),
+    ([None, 1], "task 0: id is not"),
+    ([True, 1], "task 0: id is not"),
+    ([1.5, 1], "task 0: id is not"),
+], ids=["repeated", "repeated-as-string", "list", "null", "bool", "number"])
+def test_task_ids_must_be_distinct_ints_or_strings(tmp_path, capsys, ids,
+                                                   prefix):
+    path = tmp_path / "ids.json"
+    path.write_text(json.dumps(_fork_copies(ids)))
+    _assert_one_error_line(path, prefix, capsys)
+
+
+def test_two_forks_need_four_processors_each(tmp_path, capsys):
+    # the set a repeated id used to pass off as one task on m = 4
+    path = tmp_path / "ids.json"
+    path.write_text(json.dumps(_fork_copies([0, "a"])))
+    for m, ok in ((4, False), (8, True)):
+        assert main(["analyze", str(path), "--m", str(m)]) == 0
+        rows = {row["test"]: row for row in
+                map(json.loads, capsys.readouterr().out.splitlines())}
+        for test in ("federated", "sf1", "sf2"):
+            assert rows[test]["schedulable"] is ok, (test, m)
+        if ok:
+            assert rows["sf1"]["detail"]["dedicated"] == {"0": 4, "a": 4}
+
+
+def test_experiment_repeated_method_is_usage_error(tmp_path, capsys):
+    out = tmp_path / "sweep.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(["experiment", "--axis", "utilization", "--trials", "1",
+              "--methods", "SF1,SF1,G-LI", "--out", str(out)])
+    assert exc.value.code == 2
+    assert "repeated method SF1" in capsys.readouterr().err
+    assert not out.exists()

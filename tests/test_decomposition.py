@@ -10,17 +10,17 @@ from typing import Optional
 import pytest
 
 from parasched.decomposition import (Segment, SegmentationResult, Subtask,
-                                     TimingDiagram, build_segments,
-                                     dbf_and_load, decompose, segment_omega,
-                                     segment_workload, segmentation_oracle,
+                                     TimingDiagram, dbf_and_load, decompose,
+                                     segment_omega, segment_workload,
                                      timing_diagram)
 from parasched.errors import (ConstrainedDeadline, CycleDetected,
-                              DeadlineExceedsPeriod, DegenerateWindow,
-                              NonPositiveWcet, OracleTooLarge)
+                              DeadlineExceedsPeriod, NonPositiveWcet)
 from parasched.gen import PAPER_SCALE, GenConfig, gen_taskset
 from parasched.model import DagTask, TaskMetrics, scale_to_ints, validate
 from conftest import (build_corpus, chain_task, diamond_task, fig1_task,
                       fork_task, rational_variant)
+from reference import (DegenerateWindow, OracleTooLarge, build_segments,
+                       segmentation_oracle)
 
 
 def _is_heavy(seg: SegmentationResult, s: Segment) -> bool:

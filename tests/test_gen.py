@@ -8,9 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from parasched.gen import (PAPER_SCALE, GenConfig, gen_dag, gen_period,
-                           gen_structure, gen_taskset, uunifast)
+from parasched.gen import (PAPER_SCALE, GenConfig, gen_period, gen_structure,
+                           gen_taskset, uunifast)
 from parasched.model import dump_taskset, validate
+from reference import gen_dag
 
 
 def test_config_validation():

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from parasched import semifed
-from parasched.analysis import (UniformPlatform, _fewest_bins,
+from parasched.analysis import (TESTS, UniformPlatform, _fewest_bins,
                                 federated_allocate, uniform_response_bound)
 from parasched.cli import main
 from parasched.errors import CriticalPathExceedsDeadline, NoFit
@@ -341,6 +341,23 @@ def test_federated_matches_its_own_loop():
                 for ts, m in cases}
     assert {"", "light tasks do not fit"} <= outcomes
     assert any(r.startswith("needs ") for r in outcomes)
+
+
+def test_min_m_is_exact_on_sample():
+    """Every verdict that reports min_m accepts on min_m processors and,
+    when min_m > 1, rejects on one fewer."""
+    checked = set()
+    for tasks, m in _sample_cases():
+        for name, method in TESTS.items():
+            min_m = method.run(tasks, m).min_m
+            if min_m is None:
+                continue
+            checked.add(name)
+            assert method.run(tasks, min_m).schedulable, (name, min_m)
+            if min_m > 1:
+                assert not method.run(tasks, min_m - 1).schedulable, \
+                    (name, min_m)
+    assert checked == {"D-OUR", "F-LI"}
 
 
 def _check_plan(tasks, m, verdict):
