@@ -18,11 +18,10 @@ from fractions import Fraction
 from typing import Callable, NamedTuple, Sequence
 
 from .decomposition import segment_omega
-from .errors import ConstrainedDeadline, CriticalPathExceedsDeadline, NoFit
+from .errors import ConstrainedDeadline
 from .model import (DagTask, TaskMetrics, TaskSetSummary, Verdict,
                     scale_speeds, summarize)
-from .semifed import (_classify, _critical_path_verdict, sf1, sf2,
-                      worst_fit_partition)
+from .semifed import _classify, sf1, sf2, worst_fit_partition
 
 
 class UniformPlatform:
@@ -83,10 +82,10 @@ def federated_allocate(tasks: Sequence[DagTask], m: int) -> Verdict:
     are partitioned by worst-fit decreasing EDF.  Task model: sporadic DAG
     tasks with D <= T, heavy iff C > D, gamma = (C-L)/(D-L); a heavy task
     with L >= D is rejected, named in ``detail["task"]``."""
-    try:
-        dedicated, fractional, lights = _classify(tasks)
-    except CriticalPathExceedsDeadline as exc:
-        return _critical_path_verdict("federated", exc)
+    plan = _classify(tasks, "federated")
+    if isinstance(plan, Verdict):
+        return plan
+    dedicated, fractional, lights = plan
     for container in fractional:
         dedicated[container.owner] += 1
     used = sum(dedicated.values())
@@ -96,9 +95,8 @@ def federated_allocate(tasks: Sequence[DagTask], m: int) -> Verdict:
                        reason=f"needs {used} dedicated processors",
                        detail=detail)
     min_m = used + _fewest_bins(lights)
-    try:
-        bins = worst_fit_partition(lights, m - used)
-    except NoFit:
+    bins = worst_fit_partition(lights, m - used)
+    if bins is None:
         return Verdict("federated", False, min_m=min_m,
                        reason="light tasks do not fit", detail=detail)
     detail["bins"] = [b.items for b in bins]
@@ -109,13 +107,8 @@ def _fewest_bins(items) -> int:
     """Fewest processors that worst-fit packs the items onto; fewer than
     their summed load cannot hold them."""
     total = sum((i.load for i in items), Fraction(0))
-    for k in range(max(1, math.ceil(total)), len(items) + 1):
-        try:
-            worst_fit_partition(items, k)
-            return k
-        except NoFit:
-            continue
-    return len(items)
+    return next((k for k in range(max(1, math.ceil(total)), len(items) + 1)
+                 if worst_fit_partition(items, k) is not None), len(items))
 
 
 def gli_capacity_test(tasks: Sequence[DagTask], m: int) -> Verdict:

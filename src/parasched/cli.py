@@ -19,7 +19,8 @@ from functools import lru_cache
 from .analysis import TESTS
 from .decomposition import decompose
 from .errors import ParaschedError
-from .experiment import METHODS, GenConfig, check_methods, emit, sweep
+from .experiment import (METHODS, GenConfig, check_distinct, check_methods,
+                         emit, sweep)
 from .gen import PAPER_SCALE, gen_taskset
 from .model import dump_taskset, format_rational, load_taskset
 from .sim import simulate_dispatcher, simulate_gedf, simulate_uniform
@@ -242,9 +243,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.command == "experiment" and args.buckets:
         try:
-            args.buckets = [_BUCKET[args.axis](b)
-                            for b in args.buckets.split(",")]
-        except argparse.ArgumentTypeError as exc:
+            args.buckets = check_distinct([_BUCKET[args.axis](b) for b in
+                                           args.buckets.split(",")], "bucket")
+        except (argparse.ArgumentTypeError, ValueError) as exc:
             experiment.error(f"argument --buckets: {exc}")
     try:
         status = globals()["cmd_" + args.command](args)

@@ -31,10 +31,6 @@ class EmptyTaskSet(ParaschedError):
 
 
 class CriticalPathExceedsDeadline(ParaschedError):
-    task = None          # the heavy task's id, set by semifed._classify
-
-
-class NoFit(ParaschedError):
     pass
 
 

@@ -47,16 +47,22 @@ def trial_seed(master: int, axis: str, bucket, trial: int) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
+def check_distinct(values, what: str) -> tuple:
+    """The values as a tuple; ValueError on a value equal to an earlier one."""
+    values = tuple(values)
+    repeated = [v for i, v in enumerate(values) if v in values[:i]]
+    if repeated:
+        raise ValueError(f"repeated {what} {', '.join(map(str, repeated))}")
+    return values
+
+
 def check_methods(methods) -> tuple:
     """The names as a tuple; ValueError on a name unknown or repeated."""
     unknown = [name for name in methods if name not in TESTS]
     if unknown:
         raise ValueError(f"unknown method {', '.join(unknown)}; "
                          f"choose from {','.join(METHODS)}")
-    repeated = [n for i, n in enumerate(methods) if n in methods[:i]]
-    if repeated:
-        raise ValueError(f"repeated method {', '.join(repeated)}")
-    return tuple(methods)
+    return check_distinct(methods, "method")
 
 
 def run_methods(tasks, m: int, methods=METHODS) -> dict:
@@ -82,14 +88,14 @@ def _bucket_config(axis: str, bucket, base: GenConfig):
 def sweep(axis: str, base: GenConfig, trials: int,
           buckets=None, methods=METHODS) -> list:
     """Acceptance ratios per (bucket, method); deterministic under
-    base.seed."""
+    base.seed.  ValueError on a bucket equal to an earlier one."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if axis not in DEFAULT_BUCKETS:
         raise ValueError(f"unknown sweep axis {axis!r}")
     methods = check_methods(methods)
-    if buckets is None:
-        buckets = DEFAULT_BUCKETS[axis]
+    buckets = check_distinct(
+        DEFAULT_BUCKETS[axis] if buckets is None else buckets, "bucket")
     records = []
     for bucket in buckets:
         cfg, m = _bucket_config(axis, bucket, base)

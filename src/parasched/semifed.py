@@ -11,11 +11,11 @@ the same plan with each fractional container rounded up to a processor.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .errors import CriticalPathExceedsDeadline, NoFit
+from .errors import CriticalPathExceedsDeadline, MalformedTaskSet
 from .model import DagTask, TaskMetrics, Verdict
 
 
@@ -41,8 +41,6 @@ def delta_star(g: Fraction) -> Fraction:
     max(frac(g)/2, frac(g)/g)."""
     g = Fraction(g)
     frac = g - math.floor(g)
-    if frac == 0:
-        return Fraction(0)
     return max(frac / 2, frac / g)
 
 
@@ -50,8 +48,7 @@ def delta_star(g: Fraction) -> Fraction:
 class ContainerTask:
     owner: object            # owning task id, or the light task itself
     load: Fraction           # delta: load bound, or density for light tasks
-    split_bound: Optional[Fraction]  # delta*: minimal larger part when
-    # divided; None on a fractional container until _split_bounds sets it
+    split_bound: Fraction    # delta*: minimal larger part when divided
     light: bool = False
     label: str = ""
 
@@ -61,91 +58,69 @@ class ContainerTask:
 
 
 class Bin:
-    """One shared processor: its items and their running sum of load."""
+    """A processor: its items and the running sums of their load and delta*."""
 
     def __init__(self, index: int):
         self.index = index
         self.items: list = []
         self.load = Fraction(0)
+        self.dstar_sum = Fraction(0)
 
     def add(self, item) -> None:
         self.items.append(item)
         self.load += item.load
-
-
-class _SplitBin(Bin):
-    """A bin of ``sf2``, which also sums the split bounds delta* of the
-    items that its stage 1 places."""
-
-    dstar_sum = Fraction(0)
-
-    def place(self, item) -> None:
-        self.add(item)
         self.dstar_sum += item.split_bound
 
 
-def worst_fit_into(items: Sequence, bins: list) -> None:
+def worst_fit_into(items: Sequence, bins: list) -> bool:
     """Place items (already ordered) on the least-loaded bin, ties by
-    index.  No bin with a higher load fits an item that this one cannot.
-
-    Mutates ``bins``; raises NoFit on the first unplaceable item.
-    """
+    index, as no bin with a higher load fits an item that this one cannot.
+    Mutates ``bins``; False at the first item that fits on no bin."""
     for item in items:
         best = min(bins, key=lambda b: (b.load, b.index), default=None)
         if best is None or best.load + item.load > 1:
-            raise NoFit(f"item {item!r} does not fit on any bin")
+            return False
         best.add(item)
+    return True
 
 
-def worst_fit_partition(items: Sequence, n_bins: int) -> list:
+def worst_fit_partition(items: Sequence, n_bins: int) -> Optional[list]:
     """Worst-fit decreasing: sort by load non-increasing (ties by item id),
-    always pick the bin with the minimal current total."""
+    always pick the bin with the least load; None if an item fits on none."""
     bins = [Bin(i) for i in range(n_bins)]
     ordered = sorted(items, key=lambda i: (-i.load, str(i.item_id)))
-    worst_fit_into(ordered, bins)
-    return bins
+    return bins if worst_fit_into(ordered, bins) else None
 
 
-def _classify(tasks):
-    """Returns (dedicated counts, fractional containers, light containers):
-    floor(gamma) and frac(gamma) per heavy task, C/D per light task; F-LI
-    reads no delta*, so a fractional container's ``split_bound`` is None.  A
-    heavy task with L >= D raises CriticalPathExceedsDeadline naming it."""
+def _classify(tasks, test: str):
+    """The plan F-LI, SF1 and SF2 share: (dedicated counts floor(gamma) and
+    fractional containers frac(gamma), split bound delta*(gamma), of the
+    heavy tasks, and light containers C/D); or ``test``'s rejection naming
+    a heavy task with L >= D.  A heavy task id repeated as a string raises
+    MalformedTaskSet."""
     dedicated = {}
     fractional = []
     lights = []
     for task in tasks:
         met = task.metrics
-        if met.heavy:
-            try:
-                g = gamma(met)
-            except CriticalPathExceedsDeadline as exc:
-                exc.task = task.id
-                raise
-            dedicated[task.id] = math.floor(g)
-            frac = g - math.floor(g)
-            if frac > 0:
-                fractional.append(ContainerTask(
-                    owner=task.id, load=frac, split_bound=None,
-                    label="frac"))
-        else:
+        if not met.heavy:
             lights.append(ContainerTask(
                 owner=task.id, load=met.density, split_bound=met.density,
                 light=True, label="light"))
+            continue
+        if str(task.id) in map(str, dedicated):
+            raise MalformedTaskSet(f"heavy task id {task.id!r} repeats")
+        if met.critical_path >= task.deadline:
+            return Verdict(test, False,
+                           reason="critical path exceeds deadline",
+                           detail={"task": task.id})
+        g = gamma(met)
+        dedicated[task.id] = math.floor(g)
+        if g > dedicated[task.id]:
+            fractional.append(ContainerTask(
+                owner=task.id, load=g - dedicated[task.id],
+                split_bound=delta_star(g), label="frac"))
     return dedicated, fractional, lights
-
-
-def _split_bounds(dedicated: dict, fractional: list) -> list:
-    """``_classify``'s fractional containers with their delta*(g), for SF1
-    and SF2; g is floor(gamma) + frac(gamma)."""
-    return [replace(c, split_bound=delta_star(dedicated[c.owner] + c.load))
-            for c in fractional]
-
-
-def _critical_path_verdict(test: str, exc) -> Verdict:
-    """The rejection of a packing test by ``_classify``'s L >= D task."""
-    return Verdict(test, False, reason="critical path exceeds deadline",
-                   detail={"task": exc.task})
 
 
 def sf1(tasks: Sequence[DagTask], m: int) -> Verdict:
@@ -154,17 +129,15 @@ def sf1(tasks: Sequence[DagTask], m: int) -> Verdict:
     worst-fit decreasing.  Task model: sporadic DAG tasks with D <= T, heavy
     iff C > D, gamma = (C-L)/(D-L); a heavy task with L >= D is rejected,
     named in ``detail["task"]``."""
-    try:
-        dedicated, fractional, lights = _classify(tasks)
-    except CriticalPathExceedsDeadline as exc:
-        return _critical_path_verdict("sf1", exc)
-    fractional = _split_bounds(dedicated, fractional)
+    plan = _classify(tasks, "sf1")
+    if isinstance(plan, Verdict):
+        return plan
+    dedicated, fractional, lights = plan
     used = sum(dedicated.values())
     if used > m:
         return Verdict("sf1", False, reason="insufficient dedicated")
-    try:
-        bins = worst_fit_partition(fractional + lights, m - used)
-    except NoFit:
+    bins = worst_fit_partition(fractional + lights, m - used)
+    if bins is None:
         return Verdict("sf1", False, reason="partition failure")
     return Verdict("sf1", True, detail={"dedicated": dedicated,
                                         "bins": [b.items for b in bins]})
@@ -175,22 +148,21 @@ def sf2(tasks: Sequence[DagTask], m: int) -> Verdict:
     be split in two.  Its task model is that of ``sf1``.
 
     Stage 1 packs by the split lower bounds delta*; a bin whose real load
-    exceeds 1 is set aside.  Stage 2 scrapes each such bin down to load
-    exactly 1, emitting remainder containers.  Stage 3 worst-fit places the
+    exceeds 1 is closed, and stage 2 scrapes it down to load exactly 1,
+    emitting remainder containers.  Stage 3 worst-fit places the
     remainders on the bins still open.
     """
-    try:
-        dedicated, fractional, lights = _classify(tasks)
-    except CriticalPathExceedsDeadline as exc:
-        return _critical_path_verdict("sf2", exc)
-    fractional = _split_bounds(dedicated, fractional)
+    plan = _classify(tasks, "sf2")
+    if isinstance(plan, Verdict):
+        return plan
+    dedicated, fractional, lights = plan
     used = sum(dedicated.values())
     if used > m:
         return Verdict("sf2", False, reason="insufficient dedicated")
 
-    bins = [_SplitBin(i) for i in range(m - used)]
+    bins = [Bin(i) for i in range(m - used)]
     open_bins = list(bins)
-    over_bins = []
+    remainders = []
 
     items = sorted(fractional + lights,
                    key=lambda i: (-i.split_bound, str(i.item_id)))
@@ -199,19 +171,13 @@ def sf2(tasks: Sequence[DagTask], m: int) -> Verdict:
                    default=None)
         if best is None or best.dstar_sum + item.split_bound > 1:
             return Verdict("sf2", False, reason="sched* failure")
-        best.place(item)
+        best.add(item)
         if best.load > 1:
             open_bins.remove(best)
-            over_bins.append(best)
-
-    remainders = []
-    for b in over_bins:
-        remainders.extend(_scrape(b))
+            remainders += _scrape(best)
 
     ordered = sorted(remainders, key=lambda i: (-i.load, str(i.item_id)))
-    try:
-        worst_fit_into(ordered, open_bins)
-    except NoFit:
+    if not worst_fit_into(ordered, open_bins):
         return Verdict("sf2", False, reason="remainder partition failure")
 
     return Verdict("sf2", True, detail={"dedicated": dedicated,
@@ -222,14 +188,12 @@ def _scrape(b: Bin) -> list:
     """Split containers on an overfull bin until its load is exactly 1.
 
     Every split keeps at least delta* on the bin; the excess containers are
-    returned for replacement elsewhere.
+    returned for replacement elsewhere; a light task (delta* = load) stays.
     """
     excess = b.load - 1
     assert excess > 0
     out = []
     for pos, item in enumerate(b.items):
-        if item.light:
-            continue
         if item.load - item.split_bound > excess:
             kept, spill = item.load - excess, excess
         else:

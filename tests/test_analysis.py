@@ -10,10 +10,9 @@ from parasched.analysis import (UniformPlatform, _fewest_bins, capacity_bound,
                                 gedf_density_test, gli_capacity_test,
                                 uniform_response_bound, weak_response_bound)
 from parasched.model import DagTask, TaskSetSummary, validate
-from parasched.errors import NoFit
 from parasched.semifed import (ContainerTask, capacity_requirement,
                                worst_fit_partition)
-from conftest import chain_task, diamond_task, fig1_task
+from conftest import chain_task, fig1_task
 from reference import speed_requirement
 
 
@@ -151,11 +150,7 @@ def test_fewest_bins_matches_the_search_from_one(loads):
     items = [ContainerTask(i, load, load) for i, load in enumerate(loads)]
 
     def fits(k):
-        try:
-            worst_fit_partition(items, k)
-            return True
-        except NoFit:
-            return False
+        return worst_fit_partition(items, k) is not None
     expected = next((k for k in range(1, len(items) + 1) if fits(k)),
                     len(items))
     assert _fewest_bins(items) == expected

@@ -518,3 +518,16 @@ def test_experiment_repeated_method_is_usage_error(tmp_path, capsys):
     assert exc.value.code == 2
     assert "repeated method SF1" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("buckets", ["0.5,0.5", "0.5,1/2"])
+def test_experiment_repeated_bucket_is_usage_error(tmp_path, capsys, buckets):
+    out = tmp_path / "sweep.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(["experiment", "--axis", "utilization", "--trials", "1",
+              "--buckets", buckets, "--methods", "SF1", "--n-tasks", "2",
+              "--out", str(out)])
+    assert exc.value.code == 2
+    assert "argument --buckets: repeated bucket 1/2" \
+        in capsys.readouterr().err
+    assert not out.exists()

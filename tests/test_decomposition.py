@@ -17,8 +17,8 @@ from parasched.errors import (ConstrainedDeadline, CycleDetected,
                               DeadlineExceedsPeriod, NonPositiveWcet)
 from parasched.gen import PAPER_SCALE, GenConfig, gen_taskset
 from parasched.model import DagTask, TaskMetrics, scale_to_ints, validate
-from conftest import (build_corpus, chain_task, diamond_task, fig1_task,
-                      fork_task, rational_variant)
+from conftest import (chain_task, diamond_task, fig1_task, fork_task,
+                      rational_variant)
 from reference import (DegenerateWindow, OracleTooLarge, build_segments,
                        segmentation_oracle)
 

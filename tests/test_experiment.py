@@ -85,6 +85,8 @@ def test_sweep_rejects_bad_inputs():
         sweep("utilization", base, trials=0)
     with pytest.raises(ValueError):
         sweep("voltage", base, trials=1)
+    with pytest.raises(ValueError, match="repeated bucket 1/2"):
+        sweep("utilization", base, trials=1, buckets=[0.5, Fraction(1, 2)])
 
 
 def test_default_buckets_cover_all_axes():

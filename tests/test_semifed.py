@@ -14,14 +14,13 @@ from parasched import semifed
 from parasched.analysis import (TESTS, UniformPlatform, _fewest_bins,
                                 federated_allocate, uniform_response_bound)
 from parasched.cli import main
-from parasched.errors import CriticalPathExceedsDeadline, NoFit
+from parasched.errors import CriticalPathExceedsDeadline, MalformedTaskSet
 from parasched.gen import PAPER_SCALE, GenConfig, gen_taskset
 from parasched.model import DagTask, TaskMetrics, Verdict, dump_taskset
-from parasched.semifed import (ContainerTask, _SplitBin, _classify,
-                               _scrape, _split_bounds, capacity_requirement,
-                               delta_star, gamma, sf1, sf2,
-                               worst_fit_partition)
-from conftest import chain_task, fig1_task
+from parasched.semifed import (Bin, ContainerTask, _classify, _scrape,
+                               capacity_requirement, delta_star, gamma, sf1,
+                               sf2, worst_fit_partition)
+from conftest import chain_task, fig1_task, rational_variant
 
 
 def heavy_stub(tid, g):
@@ -76,11 +75,10 @@ def test_worst_fit_decreasing_golden():
                      Fraction(1, 2) + Fraction(3, 10)]
 
 
-def test_worst_fit_raises_when_full():
+def test_worst_fit_returns_none_when_full():
     items = [ContainerTask(i, Fraction(3, 5), Fraction(3, 5))
              for i in range(3)]
-    with pytest.raises(NoFit):
-        worst_fit_partition(items, 2)
+    assert worst_fit_partition(items, 2) is None
 
 
 def test_sf1_golden():
@@ -134,9 +132,8 @@ def test_sf2_respects_bin_capacity_and_split_floor():
        st.integers(min_value=1, max_value=12))
 def test_worst_fit_never_overfills(loads, nbins):
     items = [ContainerTask(i, l, l) for i, l in enumerate(loads)]
-    try:
-        bins = worst_fit_partition(items, nbins)
-    except NoFit:
+    bins = worst_fit_partition(items, nbins)
+    if bins is None:
         return
     assert all(b.load <= 1 for b in bins)
     placed = sorted(i.item_id for b in bins for i in b.items)
@@ -179,11 +176,11 @@ def test_delta_star_bounds():
 
 
 def test_bin_running_sums_follow_placement_and_scraping():
-    b = _SplitBin(0)
+    b = Bin(0)
     for owner, load, bound in ((1, Fraction(3, 5), Fraction(3, 8)),
                                (2, Fraction(3, 5), Fraction(1, 3)),
                                (3, Fraction(1, 10), Fraction(1, 10))):
-        b.place(ContainerTask(owner=owner, load=load, split_bound=bound))
+        b.add(ContainerTask(owner=owner, load=load, split_bound=bound))
         assert b.load == sum(i.load for i in b.items)
         assert b.dstar_sum == sum(i.split_bound for i in b.items)
     spilled = _scrape(b)
@@ -199,22 +196,22 @@ def _reference_worst_fit_into(items, bins):
     for item in items:
         candidates = [b for b in bins if b.load + item.load <= 1]
         if not candidates:
-            raise NoFit(f"item {item!r} does not fit on any bin")
+            return False
         best = min(candidates, key=lambda b: (b.load, b.index))
         best.add(item)
+    return True
 
 
 def _reference_sf2(tasks, m):
-    try:
-        dedicated, fractional, lights = _classify(tasks)
-    except CriticalPathExceedsDeadline:
-        return Verdict("sf2", False, reason="critical path exceeds deadline")
-    fractional = _split_bounds(dedicated, fractional)
+    plan = _classify(tasks, "sf2")
+    if isinstance(plan, Verdict):
+        return plan
+    dedicated, fractional, lights = plan
     used = sum(dedicated.values())
     if used > m:
         return Verdict("sf2", False, reason="insufficient dedicated")
 
-    bins = [_SplitBin(i) for i in range(m - used)]
+    bins = [Bin(i) for i in range(m - used)]
     open_bins = list(bins)
     over_bins = []
 
@@ -226,7 +223,7 @@ def _reference_sf2(tasks, m):
         if not candidates:
             return Verdict("sf2", False, reason="sched* failure")
         best = min(candidates, key=lambda b: (b.dstar_sum, b.index))
-        best.place(item)
+        best.add(item)
         if best.load > 1:
             open_bins.remove(best)
             over_bins.append(best)
@@ -236,9 +233,7 @@ def _reference_sf2(tasks, m):
         remainders.extend(_scrape(b))
 
     ordered = sorted(remainders, key=lambda i: (-i.load, str(i.item_id)))
-    try:
-        _reference_worst_fit_into(ordered, open_bins)
-    except NoFit:
+    if not _reference_worst_fit_into(ordered, open_bins):
         return Verdict("sf2", False, reason="remainder partition failure")
 
     return Verdict("sf2", True, detail={"dedicated": dedicated,
@@ -302,9 +297,8 @@ def _reference_federated_allocate(tasks, m):
                        reason=f"needs {used} dedicated processors",
                        detail=detail)
     min_m = used + _fewest_bins(light_items)
-    try:
-        bins = worst_fit_partition(light_items, m - used)
-    except NoFit:
+    bins = worst_fit_partition(light_items, m - used)
+    if bins is None:
         return Verdict("federated", False, min_m=min_m,
                        reason="light tasks do not fit", detail=detail)
     detail["bins"] = [[(i.item_id, i.load) for i in b.items] for b in bins]
@@ -400,10 +394,27 @@ def _check_plan(tasks, m, verdict):
     assert sum(plan["dedicated"].values()) + len(plan["bins"]) == m
 
 
-def test_accepted_plans_hold_on_sample():
+def _verify_and_rational_cases(corpus):
+    """Sets shaped as perfbench's ``verify`` workload (three tasks of 14 to
+    16 vertices, gamma-formula periods, m = 4), nearly all light, and sets
+    of three rational-WCET variants of the corpus DAGs, a fifth of them
+    heavy, on 2 to 8 processors."""
+    verify = [gen_taskset(GenConfig(n_tasks=3, p=0.1, m=4, util=util / 10,
+                                    n_vertices=(14, 16),
+                                    period_mode="gamma-formula"), seed=seed)
+              for seed in range(10) for util in range(1, 11)]
+    rng = random.Random(11)
+    variants = [rational_variant(t, rng) for t in corpus]
+    return [(tasks, 4) for tasks in verify] \
+        + [(variants[i:i + 3], m) for i in range(0, len(variants) - 2, 3)
+           for m in range(2, 9)]
+
+
+def test_accepted_plans_hold_on_sample(corpus):
     checked = {"federated": 0, "sf1": 0, "sf2": 0}
     split = 0
-    for tasks, m in _sample_cases() + _small_cases():
+    for tasks, m in (_sample_cases() + _small_cases()
+                     + _verify_and_rational_cases(corpus)):
         for v in (federated_allocate(tasks, m), sf1(tasks, m),
                   sf2(tasks, m)):
             if v.schedulable:
@@ -427,6 +438,22 @@ def test_accepted_plans_hold_on_stub_sets(gammas, densities, m):
     for v in (federated_allocate(tasks, m), sf1(tasks, m), sf2(tasks, m)):
         if v.schedulable:
             _check_plan(tasks, m, v)
+
+
+def _fork(task_id):
+    """A fork task with C = 20, L = 12 and D = T = 14, so gamma = 4."""
+    return DagTask(task_id, list(enumerate((1, 10, 8, 1))),
+                   [(0, 1), (0, 2), (1, 3), (2, 3)], period=14, deadline=14)
+
+
+def test_repeated_heavy_id_is_malformed():
+    lights = [chain_task(1, wcet=1, period=2) for _ in range(4)]
+    for test in (federated_allocate, sf1, sf2):
+        assert not test([_fork(0), _fork(1)], 4).schedulable
+        for ids in ((0, 0), (0, "0")):
+            with pytest.raises(MalformedTaskSet, match="repeats"):
+                test([_fork(i) for i in ids], 4)
+        assert test(lights, 2).schedulable      # light ids may repeat
 
 
 def test_critical_path_at_deadline_rejects_alike(tmp_path, capsys):
