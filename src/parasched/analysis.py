@@ -1,7 +1,7 @@
 """Schedulability tests and response-time bounds.
 
 Covers the density/load global-EDF test, the decomposition-based processor
-count test, the capacity-augmentation bound, federated allocation, and
+count test, federated allocation, the capacity-bound baseline, and
 response-time bounds for a single DAG on a uniform (heterogeneous speed)
 platform.  Everything is exact rational arithmetic; the irrational
 constant of the capacity-bound baseline is compared by squaring.
@@ -21,7 +21,8 @@ from .decomposition import segment_omega
 from .errors import ConstrainedDeadline
 from .model import (DagTask, TaskMetrics, TaskSetSummary, Verdict,
                     scale_speeds, summarize)
-from .semifed import _classify, sf1, sf2, worst_fit_partition
+from .semifed import (_classify, _containers, _order, _plan, _worst_fit,
+                      sf1, sf2)
 
 
 class UniformPlatform:
@@ -70,11 +71,6 @@ def decomposed_test(summary: TaskSetSummary, m: int) -> Verdict:
                    detail={"required": need})
 
 
-def capacity_bound(omega_top: Fraction, m: int) -> Fraction:
-    """Capacity augmentation bound (2 - 1/m) * Omega_top."""
-    return (2 - Fraction(1, m)) * Fraction(omega_top)
-
-
 def federated_allocate(tasks: Sequence[DagTask], m: int) -> Verdict:
     """Federated scheduling (Li et al., ECRTS 2014; Baruah, DATE 2015 for
     D < T): SF1's classification with each fractional container rounded
@@ -86,35 +82,47 @@ def federated_allocate(tasks: Sequence[DagTask], m: int) -> Verdict:
     if isinstance(plan, Verdict):
         return plan
     dedicated, fractional, lights = plan
-    for container in fractional:
-        dedicated[container.owner] += 1
+    for owner, _, _ in fractional:
+        dedicated[owner] += 1
     used = sum(dedicated.values())
     detail = {"dedicated": dedicated}
     if used > m:
         return Verdict("federated", False,
                        reason=f"needs {used} dedicated processors",
                        detail=detail)
-    min_m = used + _fewest_bins(lights)
-    bins = worst_fit_partition(lights, m - used)
-    if bins is None:
+    den, containers = _containers([], lights)
+    ordered = _order(containers, 0)
+    bins = [[] for _ in range(m - used)]
+    fits = _worst_fit(ordered, bins, den)
+    min_m = used + _fewest_bins(ordered, den, m - used, fits)
+    if not fits:
         return Verdict("federated", False, min_m=min_m,
                        reason="light tasks do not fit", detail=detail)
-    detail["bins"] = [b.items for b in bins]
-    return Verdict("federated", True, min_m=min_m, detail=detail)
+    return Verdict("federated", True, min_m=min_m,
+                   detail=_plan(dedicated, bins, den))
 
 
-def _fewest_bins(items) -> int:
-    """Fewest processors that worst-fit packs the items onto; fewer than
-    their summed load cannot hold them."""
-    total = sum((i.load for i in items), Fraction(0))
-    return next((k for k in range(max(1, math.ceil(total)), len(items) + 1)
-                 if worst_fit_partition(items, k) is not None), len(items))
+def _fewest_bins(ordered, cap: int, known: int, fits: bool) -> int:
+    """Fewest bins of capacity ``cap`` that worst-fit packs the ordered
+    containers onto; fewer than ceil(summed load / cap) cannot hold them.
+    ``fits`` is the outcome already found on ``known`` bins."""
+    least = max(1, -(-sum(c[0] for c in ordered) // cap))
+    return next((k for k in range(least, len(ordered) + 1)
+                 if (fits if k == known else _worst_fit(
+                     ordered, [[] for _ in range(k)], cap))), len(ordered))
 
 
 def gli_capacity_test(tasks: Sequence[DagTask], m: int) -> Verdict:
-    """Capacity-bound baseline: U_sum/m <= 1/b and L_i/D_i <= 1/b with
-    b = (3+sqrt(5))/2.  Exact: x <= 1/b = (3-sqrt(5))/2 holds iff
-    3-2x >= 0 and (3-2x)^2 >= 5."""
+    """Capacity-bound baseline (Li et al., ECRTS 2013): U_sum/m <= 1/b and
+    L_i/D_i <= 1/b with b = (3+sqrt(5))/2.  Exact: x <= 1/b =
+    (3-sqrt(5))/2 holds iff 3-2x >= 0 and (3-2x)^2 >= 5.  The bound is
+    stated for implicit deadlines, so a task with D < T is rejected, named
+    in the reason."""
+    for task in tasks:
+        if task.deadline != task.period:
+            return Verdict("gli-capacity", False, reason=(
+                f"task {task.id}: D={task.deadline} != T={task.period}; "
+                "the bound assumes implicit deadlines"))
     x = sum((t.metrics.utilization for t in tasks), Fraction(0)) / m
     if not _within_gli(x):
         return Verdict("gli-capacity", False, reason=f"U_sum/m = {x} > 1/b")

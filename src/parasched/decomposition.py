@@ -66,8 +66,8 @@ class Segment:
 @dataclass
 class SegmentationResult:
     """One segmentation as ints, times in units of 1/den and workload in
-    1/(den * L_int), and its exact ``omega``; the other Fraction views are
-    built on first read."""
+    1/(den * L_int), and its exact ``omega``; ``segments``, the Fraction
+    view, is built on first read."""
     den: int
     cuts: list                       # segment boundaries times den
     load: list                       # segment index -> workload
@@ -86,20 +86,6 @@ class SegmentationResult:
         return [Segment(index=i, start=a, end=b, c=Fraction(w, unit))
                 for i, (a, b, w) in enumerate(zip(points, points[1:],
                                                   self.load))]
-
-    @cached_property
-    def assignment(self) -> dict:
-        unit = self.den * self.cuts[-1]
-        return {i: {v: Fraction(w, unit) for v, w in slot.items()}
-                for i, slot in enumerate(self.slots)}
-
-    @cached_property
-    def c_heavy(self) -> Fraction:
-        return Fraction(self.heavy, self.den * self.cuts[-1])
-
-    @cached_property
-    def l_light(self) -> Fraction:
-        return Fraction(self.light, self.den)
 
 
 @dataclass(frozen=True)

@@ -30,10 +30,6 @@ class EmptyTaskSet(ParaschedError):
     pass
 
 
-class CriticalPathExceedsDeadline(ParaschedError):
-    pass
-
-
 class UtilizationInfeasible(ParaschedError, RuntimeError):
     """No utilization shares let every task's period exceed its L."""
 

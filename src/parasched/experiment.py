@@ -137,14 +137,3 @@ def emit(records, fp, fmt: str = "csv") -> None:
                 "total": r.total, "ratio": r.ratio, "seed": r.seed}) + "\n")
     else:
         raise ValueError(f"unknown format {fmt!r}")
-
-
-def parse_csv(fp) -> list:
-    """Inverse of emit(..., fmt='csv'); buckets come back as strings."""
-    reader = csv.DictReader(fp)
-    return [ExperimentRecord(axis=row["axis"], bucket=row["bucket"],
-                             method=row["method"],
-                             accepted=int(row["accepted"]),
-                             total=int(row["total"]),
-                             seed=int(row["seed"]))
-            for row in reader]

@@ -180,14 +180,6 @@ class DagTask:
     def real_vertex_ids(self):
         return list(range(len(self.wcet_int) - len(self.dummy_ids)))
 
-    def source(self):
-        (src,) = [v for v, p in enumerate(self.pred) if not p]
-        return src
-
-    def sink(self):
-        (snk,) = [v for v, s in enumerate(self.succ) if not s]
-        return snk
-
 
 @dataclass(frozen=True)
 class TaskMetrics:

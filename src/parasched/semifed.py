@@ -6,42 +6,23 @@ container task (SF1) or up to two (SF2, split on demand during bin
 packing).  Containers and light tasks share the remaining processors under
 partitioned EDF with worst-fit packing.  Federated scheduling (F-LI) is
 the same plan with each fractional container rounded up to a processor.
+
+Each test classifies the tasks once and decides on ints: the loads and
+split bounds of one call are scaled to ``den``, the LCM of their
+denominators, so every sum, compare and tie-break is one over ints.  The
+``ContainerTask`` Fractions are built only for an accepting plan.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Sequence
 
-from .errors import CriticalPathExceedsDeadline, MalformedTaskSet
-from .model import DagTask, TaskMetrics, Verdict
-
-
-def capacity_requirement(work, critical_path, deadline) -> Fraction:
-    """Minimal capacity requirement (C - L) / (D - L)."""
-    work, critical_path, deadline = (
-        Fraction(work), Fraction(critical_path), Fraction(deadline))
-    if critical_path >= deadline:
-        raise CriticalPathExceedsDeadline(
-            f"critical path {critical_path} >= deadline {deadline}")
-    return (work - critical_path) / (deadline - critical_path)
-
-
-def gamma(metrics: TaskMetrics) -> Fraction:
-    """Minimal capacity requirement of a task, from its metrics."""
-    return capacity_requirement(metrics.work, metrics.critical_path,
-                                metrics.work / metrics.density)
-
-
-def delta_star(g: Fraction) -> Fraction:
-    """Minimal load bound of the larger part when a fractional container of
-    a task with requirement g is divided in two:
-    max(frac(g)/2, frac(g)/g)."""
-    g = Fraction(g)
-    frac = g - math.floor(g)
-    return max(frac / 2, frac / g)
+from .errors import MalformedTaskSet
+from .model import DagTask, Verdict
 
 
 @dataclass(frozen=True)
@@ -52,51 +33,14 @@ class ContainerTask:
     light: bool = False
     label: str = ""
 
-    @property
-    def item_id(self):
-        return (str(self.owner), self.label)
-
-
-class Bin:
-    """A processor: its items and the running sums of their load and delta*."""
-
-    def __init__(self, index: int):
-        self.index = index
-        self.items: list = []
-        self.load = Fraction(0)
-        self.dstar_sum = Fraction(0)
-
-    def add(self, item) -> None:
-        self.items.append(item)
-        self.load += item.load
-        self.dstar_sum += item.split_bound
-
-
-def worst_fit_into(items: Sequence, bins: list) -> bool:
-    """Place items (already ordered) on the least-loaded bin, ties by
-    index, as no bin with a higher load fits an item that this one cannot.
-    Mutates ``bins``; False at the first item that fits on no bin."""
-    for item in items:
-        best = min(bins, key=lambda b: (b.load, b.index), default=None)
-        if best is None or best.load + item.load > 1:
-            return False
-        best.add(item)
-    return True
-
-
-def worst_fit_partition(items: Sequence, n_bins: int) -> Optional[list]:
-    """Worst-fit decreasing: sort by load non-increasing (ties by item id),
-    always pick the bin with the least load; None if an item fits on none."""
-    bins = [Bin(i) for i in range(n_bins)]
-    ordered = sorted(items, key=lambda i: (-i.load, str(i.item_id)))
-    return bins if worst_fit_into(ordered, bins) else None
-
 
 def _classify(tasks, test: str):
-    """The plan F-LI, SF1 and SF2 share: (dedicated counts floor(gamma) and
-    fractional containers frac(gamma), split bound delta*(gamma), of the
-    heavy tasks, and light containers C/D); or ``test``'s rejection naming
-    a heavy task with L >= D.  A heavy task id repeated as a string raises
+    """The plan F-LI, SF1 and SF2 share, as ints: (dedicated, fractional,
+    lights).  ``dedicated`` maps each heavy task's id to floor(gamma);
+    ``fractional`` holds (id, p, q), gamma = p/q in lowest terms, for each
+    heavy task whose gamma is not an integer; ``lights`` holds (id, C/D)
+    for each light task.  Or ``test``'s rejection naming a heavy task with
+    L >= D.  A heavy task id repeated as a string raises
     MalformedTaskSet."""
     dedicated = {}
     fractional = []
@@ -104,23 +48,75 @@ def _classify(tasks, test: str):
     for task in tasks:
         met = task.metrics
         if not met.heavy:
-            lights.append(ContainerTask(
-                owner=task.id, load=met.density, split_bound=met.density,
-                light=True, label="light"))
+            lights.append((task.id, met.density))
             continue
         if str(task.id) in map(str, dedicated):
             raise MalformedTaskSet(f"heavy task id {task.id!r} repeats")
-        if met.critical_path >= task.deadline:
+        # gamma = (C-L)/(D-L) on the numerators and denominators of C, L, D
+        c, cpl, d = met.work, met.critical_path, task.deadline
+        slack = d.numerator * cpl.denominator - cpl.numerator * d.denominator
+        if slack <= 0:
             return Verdict(test, False,
                            reason="critical path exceeds deadline",
                            detail={"task": task.id})
-        g = gamma(met)
-        dedicated[task.id] = math.floor(g)
-        if g > dedicated[task.id]:
-            fractional.append(ContainerTask(
-                owner=task.id, load=g - dedicated[task.id],
-                split_bound=delta_star(g), label="frac"))
+        p = (c.numerator * cpl.denominator
+             - cpl.numerator * c.denominator) * d.denominator
+        q = slack * c.denominator
+        g = math.gcd(p, q)
+        p, q = p // g, q // g
+        dedicated[task.id] = p // q
+        if q > 1:
+            fractional.append((task.id, p, q))
     return dedicated, fractional, lights
+
+
+def _containers(fractional, lights):
+    """The containers over one denominator: ``den`` and, fractional ones
+    first, (load, delta*, owner, label, density) with load and delta* times
+    ``den``; a light task's delta* is its load, and it keeps its density
+    for the plan.  The container of gamma = p/q has load frac(gamma) = r/q
+    and delta* = max(frac/2, frac/gamma), the minimal larger part when it
+    is divided in two: r/p when gamma <= 2, r/(2q) above."""
+    rows = [(owner, "frac", p % q, q, p % q, min(p, 2 * q), None)
+            for owner, p, q in fractional] + [
+        (owner, "light", x.numerator, x.denominator, x.numerator,
+         x.denominator, x) for owner, x in lights]
+    den = math.lcm(*(row[3] for row in rows), *(row[5] for row in rows))
+    return den, [(a * (den // b), c * (den // d), owner, label, x)
+                 for owner, label, a, b, c, d, x in rows]
+
+
+def _order(containers, field: int) -> list:
+    """The containers by load (``field`` 0) or delta* (1), non-increasing;
+    ties by the string of (str(owner), label), then input order."""
+    return sorted(containers,
+                  key=lambda c: (-c[field], str((str(c[2]), c[3]))))
+
+
+def _worst_fit(containers, bins: list, cap: int, heap=None) -> bool:
+    """Place the containers, in order, each on the least-loaded bin, ties
+    by index, as no bin with a higher load fits one that this bin cannot.
+    ``heap`` holds the (load, index) of each bin open to them, all empty
+    ones when not given, and is updated in place.  False at the first
+    container that would take a bin above ``cap``."""
+    if heap is None:
+        heap = [(0, i) for i in range(len(bins))]
+    for c in containers:
+        if not heap or heap[0][0] + c[0] > cap:
+            return False
+        load, i = heap[0]
+        heapq.heapreplace(heap, (load + c[0], i))
+        bins[i].append(c)
+    return True
+
+
+def _plan(dedicated, bins, den) -> dict:
+    """An accepting plan's ``detail``, its containers as Fractions."""
+    return {"dedicated": dedicated, "bins": [[
+        ContainerTask(owner, x, x, True, label) if x is not None else
+        ContainerTask(owner, Fraction(load, den), Fraction(bound, den),
+                      False, label)
+        for load, bound, owner, label, x in b] for b in bins]}
 
 
 def sf1(tasks: Sequence[DagTask], m: int) -> Verdict:
@@ -136,11 +132,11 @@ def sf1(tasks: Sequence[DagTask], m: int) -> Verdict:
     used = sum(dedicated.values())
     if used > m:
         return Verdict("sf1", False, reason="insufficient dedicated")
-    bins = worst_fit_partition(fractional + lights, m - used)
-    if bins is None:
+    den, containers = _containers(fractional, lights)
+    bins = [[] for _ in range(m - used)]
+    if not _worst_fit(_order(containers, 0), bins, den):
         return Verdict("sf1", False, reason="partition failure")
-    return Verdict("sf1", True, detail={"dedicated": dedicated,
-                                        "bins": [b.items for b in bins]})
+    return Verdict("sf1", True, detail=_plan(dedicated, bins, den))
 
 
 def sf2(tasks: Sequence[DagTask], m: int) -> Verdict:
@@ -151,6 +147,13 @@ def sf2(tasks: Sequence[DagTask], m: int) -> Verdict:
     exceeds 1 is closed, and stage 2 scrapes it down to load exactly 1,
     emitting remainder containers.  Stage 3 worst-fit places the
     remainders on the bins still open.
+
+    SF2 can reject a set that SF1 accepts.  On m = 4, a heavy task with
+    C = 1719/25, L = 21 and D = 45 (gamma = 199/100) and lights of density
+    33/100, 21/50, 13/100, 2/5 and 33/50 pass SF1 (and F-LI); stage 1
+    orders by delta* = 99/199, so the container lands beside lights, its
+    bin goes over 1, and the remainders do not fit ("remainder partition
+    failure").
     """
     plan = _classify(tasks, "sf2")
     if isinstance(plan, Verdict):
@@ -159,58 +162,48 @@ def sf2(tasks: Sequence[DagTask], m: int) -> Verdict:
     used = sum(dedicated.values())
     if used > m:
         return Verdict("sf2", False, reason="insufficient dedicated")
+    den, containers = _containers(fractional, lights)
 
-    bins = [Bin(i) for i in range(m - used)]
-    open_bins = list(bins)
+    bins = [[] for _ in range(m - used)]
+    loads = [0] * len(bins)
+    open_bins = [(0, i) for i in range(len(bins))]   # (delta* sum, index)
     remainders = []
-
-    items = sorted(fractional + lights,
-                   key=lambda i: (-i.split_bound, str(i.item_id)))
-    for item in items:
-        best = min(open_bins, key=lambda b: (b.dstar_sum, b.index),
-                   default=None)
-        if best is None or best.dstar_sum + item.split_bound > 1:
+    for c in _order(containers, 1):
+        if not open_bins or open_bins[0][0] + c[1] > den:
             return Verdict("sf2", False, reason="sched* failure")
-        best.add(item)
-        if best.load > 1:
-            open_bins.remove(best)
-            remainders += _scrape(best)
+        bound_sum, i = open_bins[0]
+        bins[i].append(c)
+        loads[i] += c[0]
+        if loads[i] > den:
+            heapq.heappop(open_bins)
+            remainders += _scrape(bins[i], loads[i] - den)
+            loads[i] = den
+        else:
+            heapq.heapreplace(open_bins, (bound_sum + c[1], i))
 
-    ordered = sorted(remainders, key=lambda i: (-i.load, str(i.item_id)))
-    if not worst_fit_into(ordered, open_bins):
+    open_bins = [(loads[i], i) for _, i in open_bins]
+    heapq.heapify(open_bins)
+    if not _worst_fit(_order(remainders, 0), bins, den, open_bins):
         return Verdict("sf2", False, reason="remainder partition failure")
-
-    return Verdict("sf2", True, detail={"dedicated": dedicated,
-                                        "bins": [b.items for b in bins]})
+    return Verdict("sf2", True, detail=_plan(dedicated, bins, den))
 
 
-def _scrape(b: Bin) -> list:
-    """Split containers on an overfull bin until its load is exactly 1.
+def _scrape(items: list, excess: int) -> list:
+    """Split containers on an overfull bin, in place, until its load has
+    dropped by ``excess``.
 
     Every split keeps at least delta* on the bin; the excess containers are
     returned for replacement elsewhere; a light task (delta* = load) stays.
     """
-    excess = b.load - 1
-    assert excess > 0
     out = []
-    for pos, item in enumerate(b.items):
-        if item.load - item.split_bound > excess:
-            kept, spill = item.load - excess, excess
-        else:
-            kept, spill = item.split_bound, item.load - item.split_bound
-        if spill == 0:
+    for pos, (load, bound, owner, label, _) in enumerate(items):
+        kept = load - excess if load - bound > excess else bound
+        if kept == load:
             continue
-        assert kept >= item.split_bound
-        b.items[pos] = ContainerTask(
-            owner=item.owner, load=kept, split_bound=item.split_bound,
-            label=item.label + "'")
-        b.load -= spill
-        out.append(ContainerTask(
-            owner=item.owner, load=spill, split_bound=spill,
-            label=item.label + "''"))
-        excess -= spill
+        items[pos] = (kept, bound, owner, label + "'", None)
+        out.append((load - kept, load - kept, owner, label + "''", None))
+        excess -= load - kept
         if excess == 0:
             break
-    assert excess == 0 and b.load == 1, \
-        "scrape could not reduce the bin to load 1"
+    assert excess == 0, "scrape could not reduce the bin to load 1"
     return out

@@ -76,10 +76,6 @@ class SimTrace:
         return [(Fraction(t, den), index, exe, Fraction(deadline, den))
                 for t, den, index, exe, deadline in self.assignment_ints]
 
-    @property
-    def migrations(self):
-        return [e for e in self.events if e[1] == "migrate"]
-
 
 def _real_graph(task: DagTask):
     """Vertex ids, WCETs and predecessor sets with the zero-cost dummy

@@ -1,20 +1,29 @@
 """Reference code that the tests compare the package against and that no
 CLI path, registered test or simulator runs: an exact max-flow oracle for
-the optimal Omega, the Fraction segments it cuts, a single-DAG generator and
-the speed bound of a decomposed set."""
+the optimal Omega, the Fraction segments it cuts, the Fraction F-LI, SF1
+and SF2 plans that the int plans must match, a single-DAG generator, the
+speed and capacity bounds of a decomposed set, and readers of views and
+records that only the tests take."""
 
 from __future__ import annotations
 
+import csv
+import math
 import random
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Optional, Sequence
 
-from parasched.decomposition import (Segment, TimingDiagram, _cover_ranges,
+from parasched.decomposition import (Segment, SegmentationResult,
+                                     TimingDiagram, _cover_ranges,
                                      timing_diagram)
-from parasched.errors import ParaschedError
+from parasched.errors import MalformedTaskSet, ParaschedError
+from parasched.experiment import ExperimentRecord
 from parasched.gen import GenConfig, gen_period, gen_structure
-from parasched.model import DagTask, TaskSetSummary
+from parasched.model import DagTask, TaskMetrics, TaskSetSummary, Verdict
+from parasched.semifed import ContainerTask
+from parasched.sim import SimTrace
 
 
 class DegenerateWindow(ParaschedError):
@@ -22,6 +31,10 @@ class DegenerateWindow(ParaschedError):
 
 
 class OracleTooLarge(ParaschedError):
+    pass
+
+
+class CriticalPathExceedsDeadline(ParaschedError):
     pass
 
 
@@ -131,7 +144,224 @@ def segmentation_oracle(task: DagTask, max_vertices: int = 12
     return OracleResult(omega_opt=1 + c_out / work)
 
 
+# --- the Fraction plans of F-LI, SF1 and SF2 -----------------------------
+#
+# The plans as they were before they decided on ints over one denominator:
+# each load and split bound a Fraction, each bin keeping Fraction running
+# sums.  The package's int plans must give equal verdicts, detail included.
+
+def capacity_requirement(work, critical_path, deadline) -> Fraction:
+    """Minimal capacity requirement (C - L) / (D - L)."""
+    work, critical_path, deadline = (
+        Fraction(work), Fraction(critical_path), Fraction(deadline))
+    if critical_path >= deadline:
+        raise CriticalPathExceedsDeadline(
+            f"critical path {critical_path} >= deadline {deadline}")
+    return (work - critical_path) / (deadline - critical_path)
+
+
+def gamma(metrics: TaskMetrics) -> Fraction:
+    """Minimal capacity requirement of a task, from its metrics."""
+    return capacity_requirement(metrics.work, metrics.critical_path,
+                                metrics.work / metrics.density)
+
+
+def delta_star(g: Fraction) -> Fraction:
+    """Minimal load bound of the larger part when a fractional container of
+    a task with requirement g is divided in two:
+    max(frac(g)/2, frac(g)/g)."""
+    g = Fraction(g)
+    frac = g - math.floor(g)
+    return max(frac / 2, frac / g)
+
+
+def item_id(item):
+    """The packing order's tie-break: (str(owner), label)."""
+    return (str(item.owner), item.label)
+
+
+class Bin:
+    """A processor: its items and the running sums of their load and delta*."""
+
+    def __init__(self, index: int):
+        self.index = index
+        self.items: list = []
+        self.load = Fraction(0)
+        self.dstar_sum = Fraction(0)
+
+    def add(self, item) -> None:
+        self.items.append(item)
+        self.load += item.load
+        self.dstar_sum += item.split_bound
+
+
+def worst_fit_into(items: Sequence, bins: list) -> bool:
+    """Place items (already ordered) on the least-loaded bin, ties by
+    index, as no bin with a higher load fits an item that this one cannot.
+    Mutates ``bins``; False at the first item that fits on no bin."""
+    for item in items:
+        best = min(bins, key=lambda b: (b.load, b.index), default=None)
+        if best is None or best.load + item.load > 1:
+            return False
+        best.add(item)
+    return True
+
+
+def worst_fit_partition(items: Sequence, n_bins: int) -> Optional[list]:
+    """Worst-fit decreasing: sort by load non-increasing (ties by item id),
+    always pick the bin with the least load; None if an item fits on none."""
+    bins = [Bin(i) for i in range(n_bins)]
+    ordered = sorted(items, key=lambda i: (-i.load, str(item_id(i))))
+    return bins if worst_fit_into(ordered, bins) else None
+
+
+def classify(tasks, test: str):
+    """The plan F-LI, SF1 and SF2 share: (dedicated counts floor(gamma) and
+    fractional containers frac(gamma), split bound delta*(gamma), of the
+    heavy tasks, and light containers C/D); or ``test``'s rejection naming
+    a heavy task with L >= D.  A heavy task id repeated as a string raises
+    MalformedTaskSet."""
+    dedicated = {}
+    fractional = []
+    lights = []
+    for task in tasks:
+        met = task.metrics
+        if not met.heavy:
+            lights.append(ContainerTask(
+                owner=task.id, load=met.density, split_bound=met.density,
+                light=True, label="light"))
+            continue
+        if str(task.id) in map(str, dedicated):
+            raise MalformedTaskSet(f"heavy task id {task.id!r} repeats")
+        if met.critical_path >= task.deadline:
+            return Verdict(test, False,
+                           reason="critical path exceeds deadline",
+                           detail={"task": task.id})
+        g = gamma(met)
+        dedicated[task.id] = math.floor(g)
+        if g > dedicated[task.id]:
+            fractional.append(ContainerTask(
+                owner=task.id, load=g - dedicated[task.id],
+                split_bound=delta_star(g), label="frac"))
+    return dedicated, fractional, lights
+
+
+def sf1(tasks, m: int) -> Verdict:
+    plan = classify(tasks, "sf1")
+    if isinstance(plan, Verdict):
+        return plan
+    dedicated, fractional, lights = plan
+    used = sum(dedicated.values())
+    if used > m:
+        return Verdict("sf1", False, reason="insufficient dedicated")
+    bins = worst_fit_partition(fractional + lights, m - used)
+    if bins is None:
+        return Verdict("sf1", False, reason="partition failure")
+    return Verdict("sf1", True, detail={"dedicated": dedicated,
+                                        "bins": [b.items for b in bins]})
+
+
+def sf2(tasks, m: int) -> Verdict:
+    plan = classify(tasks, "sf2")
+    if isinstance(plan, Verdict):
+        return plan
+    dedicated, fractional, lights = plan
+    used = sum(dedicated.values())
+    if used > m:
+        return Verdict("sf2", False, reason="insufficient dedicated")
+
+    bins = [Bin(i) for i in range(m - used)]
+    open_bins = list(bins)
+    remainders = []
+
+    items = sorted(fractional + lights,
+                   key=lambda i: (-i.split_bound, str(item_id(i))))
+    for item in items:
+        best = min(open_bins, key=lambda b: (b.dstar_sum, b.index),
+                   default=None)
+        if best is None or best.dstar_sum + item.split_bound > 1:
+            return Verdict("sf2", False, reason="sched* failure")
+        best.add(item)
+        if best.load > 1:
+            open_bins.remove(best)
+            remainders += scrape(best)
+
+    ordered = sorted(remainders, key=lambda i: (-i.load, str(item_id(i))))
+    if not worst_fit_into(ordered, open_bins):
+        return Verdict("sf2", False, reason="remainder partition failure")
+
+    return Verdict("sf2", True, detail={"dedicated": dedicated,
+                                        "bins": [b.items for b in bins]})
+
+
+def scrape(b: Bin) -> list:
+    """Split containers on an overfull bin until its load is exactly 1.
+
+    Every split keeps at least delta* on the bin; the excess containers are
+    returned for replacement elsewhere; a light task (delta* = load) stays.
+    """
+    excess = b.load - 1
+    assert excess > 0
+    out = []
+    for pos, item in enumerate(b.items):
+        if item.load - item.split_bound > excess:
+            kept, spill = item.load - excess, excess
+        else:
+            kept, spill = item.split_bound, item.load - item.split_bound
+        if spill == 0:
+            continue
+        assert kept >= item.split_bound
+        b.items[pos] = ContainerTask(
+            owner=item.owner, load=kept, split_bound=item.split_bound,
+            label=item.label + "'")
+        b.load -= spill
+        out.append(ContainerTask(
+            owner=item.owner, load=spill, split_bound=spill,
+            label=item.label + "''"))
+        excess -= spill
+        if excess == 0:
+            break
+    assert excess == 0 and b.load == 1, \
+        "scrape could not reduce the bin to load 1"
+    return out
+
+
+def federated_allocate(tasks, m: int) -> Verdict:
+    plan = classify(tasks, "federated")
+    if isinstance(plan, Verdict):
+        return plan
+    dedicated, fractional, lights = plan
+    for container in fractional:
+        dedicated[container.owner] += 1
+    used = sum(dedicated.values())
+    detail = {"dedicated": dedicated}
+    if used > m:
+        return Verdict("federated", False,
+                       reason=f"needs {used} dedicated processors",
+                       detail=detail)
+    min_m = used + fewest_bins(lights)
+    bins = worst_fit_partition(lights, m - used)
+    if bins is None:
+        return Verdict("federated", False, min_m=min_m,
+                       reason="light tasks do not fit", detail=detail)
+    detail["bins"] = [b.items for b in bins]
+    return Verdict("federated", True, min_m=min_m, detail=detail)
+
+
+def fewest_bins(items) -> int:
+    """Fewest processors that worst-fit packs the items onto; fewer than
+    their summed load cannot hold them."""
+    total = sum((i.load for i in items), Fraction(0))
+    return next((k for k in range(max(1, math.ceil(total)), len(items) + 1)
+                 if worst_fit_partition(items, k) is not None), len(items))
+
+
 # --- bounds and generators ------------------------------------------------
+
+def capacity_bound(omega_top: Fraction, m: int) -> Fraction:
+    """Capacity augmentation bound (2 - 1/m) * Omega_top."""
+    return (2 - Fraction(1, m)) * Fraction(omega_top)
+
 
 def speed_requirement(summary: TaskSetSummary, m: int) -> Fraction:
     """Minimal processor speed making a decomposed set schedulable:
@@ -149,3 +379,50 @@ def gen_dag(config: GenConfig, rng: random.Random, task_id=0) -> DagTask:
         **{**config.__dict__, "period_mode": "gamma-formula"})
     return shape.with_period(
         gen_period(shape.work, shape.critical_path, cfg, rng))
+
+
+# --- readers of views and records that only the tests take ----------------
+
+def source(task: DagTask) -> int:
+    """The one vertex without predecessors."""
+    (src,) = [v for v, p in enumerate(task.pred) if not p]
+    return src
+
+
+def sink(task: DagTask) -> int:
+    """The one vertex without successors."""
+    (snk,) = [v for v, s in enumerate(task.succ) if not s]
+    return snk
+
+
+def assignment(seg: SegmentationResult) -> dict:
+    """Segment index -> {vertex id: portion of its WCET}, as Fractions."""
+    unit = seg.den * seg.cuts[-1]
+    return {i: {v: Fraction(w, unit) for v, w in slot.items()}
+            for i, slot in enumerate(seg.slots)}
+
+
+def c_heavy(seg: SegmentationResult) -> Fraction:
+    """The summed workload of the heavy segments."""
+    return Fraction(seg.heavy, seg.den * seg.cuts[-1])
+
+
+def l_light(seg: SegmentationResult) -> Fraction:
+    """The summed length of the light segments."""
+    return Fraction(seg.light, seg.den)
+
+
+def migrations(trace: SimTrace) -> list:
+    """The trace's "migrate" events."""
+    return [e for e in trace.events if e[1] == "migrate"]
+
+
+def parse_csv(fp) -> list:
+    """Inverse of emit(..., fmt='csv'); buckets come back as strings."""
+    reader = csv.DictReader(fp)
+    return [ExperimentRecord(axis=row["axis"], bucket=row["bucket"],
+                             method=row["method"],
+                             accepted=int(row["accepted"]),
+                             total=int(row["total"]),
+                             seed=int(row["seed"]))
+            for row in reader]

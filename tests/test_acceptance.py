@@ -11,21 +11,20 @@ import time
 from fractions import Fraction
 from types import SimpleNamespace
 
-from parasched.analysis import (UniformPlatform, capacity_bound,
-                                decomposed_test, federated_allocate,
-                                gedf_density_test, uniform_response_bound,
-                                weak_response_bound)
+from parasched.analysis import (UniformPlatform, decomposed_test,
+                                federated_allocate, gedf_density_test,
+                                uniform_response_bound, weak_response_bound)
 from parasched.decomposition import decompose
 from parasched.experiment import (DEFAULT_BUCKETS, _bucket_config, sweep,
                                   trial_seed)
 from parasched.gen import GenConfig, gen_taskset
 from parasched.model import (DagTask, TaskMetrics, TaskSetSummary, summarize,
                              validate)
-from parasched.semifed import capacity_requirement, sf1, sf2
+from parasched.semifed import sf1, sf2
 from parasched.sim import simulate_dispatcher, simulate_gedf, simulate_uniform
 
 from conftest import fig1_task, random_small_task
-from reference import segmentation_oracle
+from reference import capacity_bound, capacity_requirement, segmentation_oracle
 
 
 def _verdict(n, ok, note=""):

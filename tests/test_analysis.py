@@ -5,15 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from parasched.analysis import (UniformPlatform, _fewest_bins, capacity_bound,
+from parasched.analysis import (UniformPlatform, _fewest_bins,
                                 decomposed_test, federated_allocate,
                                 gedf_density_test, gli_capacity_test,
                                 uniform_response_bound, weak_response_bound)
-from parasched.model import DagTask, TaskSetSummary, validate
-from parasched.semifed import (ContainerTask, capacity_requirement,
-                               worst_fit_partition)
+from parasched.model import DagTask, TaskSetSummary, scale_to_ints, validate
+from parasched.semifed import ContainerTask
 from conftest import chain_task, fig1_task
-from reference import speed_requirement
+from reference import (capacity_bound, capacity_requirement,
+                       speed_requirement, worst_fit_partition)
 
 
 def test_capacity_requirement_golden():
@@ -105,6 +105,12 @@ def test_gli_capacity_boundary():
     assert not gli_capacity_test([task], 4).schedulable
     easy = chain_task(2, wcet=1, period=100)
     assert gli_capacity_test([easy], 4).schedulable
+    # the same chain with D < T is outside the bound's task model
+    constrained = DagTask("c", [(0, 1), (1, 1)], [(0, 1)], period=100,
+                          deadline=90)
+    v = gli_capacity_test([easy, constrained], 4)
+    assert not v.schedulable
+    assert v.reason.startswith("task c: D=90 != T=100")
     # utilization boundary: U_sum just above m/b fails even with short L
     tight = [chain_task(1, wcet=1, period=Fraction(100, 13))
              for _ in range(3)]  # U_sum = 0.39 > 1/b ~ 0.382
@@ -144,13 +150,17 @@ def test_platform_rejects_bad_speeds():
 
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.fractions(min_value=Fraction(1, 100),
-                             max_value=Fraction(3, 2)), max_size=10))
-def test_fewest_bins_matches_the_search_from_one(loads):
-    # starting at ceil(sum of loads) skips only k that cannot fit
+                             max_value=Fraction(3, 2)), max_size=10),
+       st.integers(min_value=0, max_value=11))
+def test_fewest_bins_matches_the_search_from_one(loads, known):
+    # starting at ceil(sum of loads) skips only k that cannot fit, and the
+    # outcome handed in for ``known`` bins is the one the search would find
     items = [ContainerTask(i, load, load) for i, load in enumerate(loads)]
 
     def fits(k):
         return worst_fit_partition(items, k) is not None
     expected = next((k for k in range(1, len(items) + 1) if fits(k)),
                     len(items))
-    assert _fewest_bins(items) == expected
+    den, sizes = scale_to_ints(sorted(loads, reverse=True))
+    assert _fewest_bins([(size,) for size in sizes], den, known,
+                        fits(known)) == expected

@@ -87,8 +87,8 @@ def constrained_path(tmp_path):
     return path
 
 
-def test_analyze_rejects_constrained_deadline_in_dour_only(constrained_path,
-                                                           capsys):
+def test_analyze_rejects_constrained_deadline_in_dour_and_gli(
+        constrained_path, capsys):
     rc = main(["analyze", str(constrained_path), "--m", "4"])
     assert rc == 0
     rows = {row["test"]: row for row in
@@ -97,6 +97,14 @@ def test_analyze_rejects_constrained_deadline_in_dour_only(constrained_path,
                          "gli-capacity"}
     assert rows["decomposed"]["schedulable"] is False
     assert "D=9 != T=14" in rows["decomposed"]["reason"]
+    # G-LI's bound is stated for implicit deadlines; F-LI, SF1 and SF2
+    # take D <= T, and gamma = (16-8)/(9-8) = 8 processors are too many
+    assert rows["gli-capacity"]["schedulable"] is False
+    assert rows["gli-capacity"]["reason"] == (
+        "task fig1: D=9 != T=14; the bound assumes implicit deadlines")
+    assert rows["federated"]["reason"] == "needs 8 dedicated processors"
+    assert rows["sf1"]["reason"] == rows["sf2"]["reason"] \
+        == "insufficient dedicated"
 
 
 def _analyze(tmp_path, tasks, m, capsys):

@@ -4,13 +4,14 @@ from fractions import Fraction
 
 import pytest
 
-from parasched.experiment import (DEFAULT_BUCKETS, METHODS, emit, parse_csv,
+from parasched.experiment import (DEFAULT_BUCKETS, METHODS, emit,
                                   run_methods, sweep, trial_seed)
 import parasched.model
 from parasched.gen import GenConfig, gen_taskset
 from parasched.model import DagTask
 
 from conftest import fig1_task
+from reference import parse_csv
 
 
 def _unit_chain(task_id, length, period):

@@ -10,22 +10,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from parasched import semifed
-from parasched.analysis import (TESTS, UniformPlatform, _fewest_bins,
-                                federated_allocate, uniform_response_bound)
+import reference
+from parasched.analysis import (TESTS, UniformPlatform, federated_allocate,
+                                uniform_response_bound)
 from parasched.cli import main
-from parasched.errors import CriticalPathExceedsDeadline, MalformedTaskSet
+from parasched.errors import MalformedTaskSet
 from parasched.gen import PAPER_SCALE, GenConfig, gen_taskset
 from parasched.model import DagTask, TaskMetrics, Verdict, dump_taskset
-from parasched.semifed import (Bin, ContainerTask, _classify, _scrape,
-                               capacity_requirement, delta_star, gamma, sf1,
-                               sf2, worst_fit_partition)
+from parasched.semifed import ContainerTask, sf1, sf2
 from conftest import chain_task, fig1_task, rational_variant
+from reference import (Bin, CriticalPathExceedsDeadline, capacity_requirement,
+                       delta_star, fewest_bins, gamma, item_id, scrape,
+                       worst_fit_partition)
 
 
-def heavy_stub(tid, g):
-    """A task/metrics pair with capacity requirement exactly g (C=16, L=8)."""
-    c, l = Fraction(16), Fraction(8)
+def heavy_stub(tid, g, c=16, l=8):
+    """A task/metrics pair with capacity requirement exactly g (C=16, L=8
+    unless given)."""
+    c, l = Fraction(c), Fraction(l)
     d = (c - l) / Fraction(g) + l
     met = TaskMetrics(work=c, critical_path=l, utilization=c / d,
                       density=c / d, elasticity=l / d, heavy=True)
@@ -136,8 +138,8 @@ def test_worst_fit_never_overfills(loads, nbins):
     if bins is None:
         return
     assert all(b.load <= 1 for b in bins)
-    placed = sorted(i.item_id for b in bins for i in b.items)
-    assert placed == sorted(i.item_id for i in items)
+    placed = sorted(item_id(i) for b in bins for i in b.items)
+    assert placed == sorted(item_id(i) for i in items)
 
 
 @settings(max_examples=100, deadline=None)
@@ -183,7 +185,7 @@ def test_bin_running_sums_follow_placement_and_scraping():
         b.add(ContainerTask(owner=owner, load=load, split_bound=bound))
         assert b.load == sum(i.load for i in b.items)
         assert b.dstar_sum == sum(i.split_bound for i in b.items)
-    spilled = _scrape(b)
+    spilled = scrape(b)
     assert b.load == sum(i.load for i in b.items) == 1
     assert b.dstar_sum == sum(i.split_bound for i in b.items)
     assert sum(i.load for i in spilled) == Fraction(3, 10)
@@ -203,7 +205,7 @@ def _reference_worst_fit_into(items, bins):
 
 
 def _reference_sf2(tasks, m):
-    plan = _classify(tasks, "sf2")
+    plan = reference.classify(tasks, "sf2")
     if isinstance(plan, Verdict):
         return plan
     dedicated, fractional, lights = plan
@@ -216,7 +218,7 @@ def _reference_sf2(tasks, m):
     over_bins = []
 
     items = sorted(fractional + lights,
-                   key=lambda i: (-i.split_bound, str(i.item_id)))
+                   key=lambda i: (-i.split_bound, str(item_id(i))))
     for item in items:
         candidates = [b for b in open_bins
                       if b.dstar_sum + item.split_bound <= 1]
@@ -230,9 +232,9 @@ def _reference_sf2(tasks, m):
 
     remainders = []
     for b in over_bins:
-        remainders.extend(_scrape(b))
+        remainders.extend(scrape(b))
 
-    ordered = sorted(remainders, key=lambda i: (-i.load, str(i.item_id)))
+    ordered = sorted(remainders, key=lambda i: (-i.load, str(item_id(i))))
     if not _reference_worst_fit_into(ordered, open_bins):
         return Verdict("sf2", False, reason="remainder partition failure")
 
@@ -250,23 +252,29 @@ def _sample_cases():
 
 
 def test_worst_fit_matches_trial_sums_on_sample(monkeypatch):
+    # the int plans against the Fraction ones packing by trial sums
     cases = _sample_cases()
     verdicts = [(federated_allocate(ts, m), sf1(ts, m), sf2(ts, m))
                 for ts, m in cases]
-    monkeypatch.setattr(semifed, "worst_fit_into", _reference_worst_fit_into)
-    assert verdicts == [(federated_allocate(ts, m), sf1(ts, m),
-                         _reference_sf2(ts, m)) for ts, m in cases]
+    monkeypatch.setattr(reference, "worst_fit_into",
+                        _reference_worst_fit_into)
+    assert verdicts == [(reference.federated_allocate(ts, m),
+                         reference.sf1(ts, m), _reference_sf2(ts, m))
+                        for ts, m in cases]
     reasons = {v.reason for triple in verdicts for v in triple}
     assert {"", "partition failure", "sched* failure"} <= reasons
 
 
 # Federated allocation as it was before it read ``_classify``: its own
 # heavy/light loop, ceil(gamma) per heavy task and a plain worst-fit item.
-# Copied verbatim but for the names, as the reference F-LI must match.
+# Copied verbatim but for the names, as the reference F-LI must match; the
+# item carries an owner and a label in place of its id, which the Fraction
+# worst-fit in ``reference`` breaks ties by.
 @dataclass(frozen=True)
 class _ReferenceWfItem:
-    item_id: object
+    owner: object
     load: Fraction
+    label: str = "light"
 
     @property
     def split_bound(self) -> Fraction:
@@ -287,7 +295,7 @@ def _reference_federated_allocate(tasks, m):
                                detail={"task": task.id})
             dedicated[task.id] = math.ceil(g)
         else:
-            light_items.append(_ReferenceWfItem(item_id=task.id,
+            light_items.append(_ReferenceWfItem(owner=task.id,
                                                 load=met.density))
 
     used = sum(dedicated.values())
@@ -296,28 +304,91 @@ def _reference_federated_allocate(tasks, m):
         return Verdict("federated", False,
                        reason=f"needs {used} dedicated processors",
                        detail=detail)
-    min_m = used + _fewest_bins(light_items)
+    min_m = used + fewest_bins(light_items)
     bins = worst_fit_partition(light_items, m - used)
     if bins is None:
         return Verdict("federated", False, min_m=min_m,
                        reason="light tasks do not fit", detail=detail)
-    detail["bins"] = [[(i.item_id, i.load) for i in b.items] for b in bins]
+    detail["bins"] = [[(i.owner, i.load) for i in b.items] for b in bins]
     return Verdict("federated", True, min_m=min_m, detail=detail)
+
+
+def sf2_gap_set():
+    """A heavy task with C = 1719/25, L = 21 and D = 45, so gamma = 199/100,
+    and five lights: F-LI and SF1 accept it on four processors, SF2 does
+    not."""
+    heavy = heavy_stub(0, Fraction(199, 100), c=Fraction(1719, 25), l=21)[0]
+    assert heavy.deadline == 45
+    return [heavy] + [light_stub(i, d)[0] for i, d in enumerate(
+        (Fraction(33, 100), Fraction(21, 50), Fraction(13, 100),
+         Fraction(2, 5), Fraction(33, 50)), start=1)]
 
 
 def _small_cases():
     """The appendix set, fig 1, four lights of density 1/2, three lights
-    just over one processor's load, and two heavy tasks (gamma 8/5 and 9/5)
-    with a light one, whose containers SF2 splits on four processors; each
-    on 1 to 8 processors."""
+    just over one processor's load, two heavy tasks (gamma 8/5 and 9/5)
+    with a light one, whose containers SF2 splits on four processors,
+    ``sf2_gap_set``, and three lights of one density given against the
+    order of their ids, which only the tie-break sorts; each on 1 to 8
+    processors."""
     sets = [appendix_set()[0], [fig1_task()],
             [chain_task(1, wcet=1, period=2) for _ in range(4)],
             [light_stub(i, d)[0] for i, d in enumerate(
                 (Fraction(1, 2), Fraction(1, 2), Fraction(1, 200)))],
             [heavy_stub(0, Fraction(8, 5))[0],
              heavy_stub(1, Fraction(9, 5))[0],
-             light_stub(2, Fraction(1, 2))[0]]]
+             light_stub(2, Fraction(1, 2))[0]],
+            sf2_gap_set(),
+            [light_stub(i, Fraction(1, 3))[0] for i in (2, 1, 0)]]
     return [(tasks, m) for tasks in sets for m in range(1, 9)]
+
+
+def test_sf2_can_reject_a_set_sf1_accepts():
+    """A property of the heuristic, not of semi-federated scheduling: SF2's
+    stage 1 orders by delta* = 99/199, so the container shares a bin with
+    lights, that bin goes over 1 and the scraped remainders fit nowhere."""
+    tasks = sf2_gap_set()
+    f_li, one, two = (test(tasks, 4) for test in (federated_allocate, sf1,
+                                                   sf2))
+    assert f_li.schedulable and one.schedulable
+    assert f_li.detail["dedicated"] == {0: 2}
+    assert one.detail["dedicated"] == {0: 1}
+    assert [sum(i.load for i in b) for b in one.detail["bins"]] \
+        == [Fraction(99, 100), Fraction(99, 100), Fraction(19, 20)]
+    assert not two.schedulable
+    assert two.reason == "remainder partition failure"
+    assert delta_star(Fraction(199, 100)) == Fraction(99, 199)
+
+
+def _stub_set(gammas, densities):
+    return [heavy_stub(i, g)[0] for i, g in enumerate(gammas)] \
+        + [light_stub(len(gammas) + i, d)[0] for i, d in enumerate(densities)]
+
+
+_STUB_SETS = (st.lists(st.fractions(min_value=Fraction(101, 100),
+                                    max_value=Fraction(9, 2)), max_size=5),
+              st.lists(st.fractions(min_value=Fraction(1, 100),
+                                    max_value=Fraction(99, 100)), max_size=6),
+              st.integers(min_value=1, max_value=24))
+
+
+def test_sf1_accepts_every_set_f_li_accepts_on_sample():
+    # an F-LI plan is an SF1 plan with each container alone on a bin
+    accepted = 0
+    for tasks, m in _sample_cases() + _small_cases():
+        if federated_allocate(tasks, m).schedulable:
+            accepted += 1
+            assert sf1(tasks, m).schedulable, m
+    assert accepted > 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(*_STUB_SETS)
+def test_sf1_accepts_every_set_f_li_accepts_on_stub_sets(gammas, densities,
+                                                         m):
+    tasks = _stub_set(gammas, densities)
+    if federated_allocate(tasks, m).schedulable:
+        assert sf1(tasks, m).schedulable
 
 
 def test_federated_matches_its_own_loop():
@@ -410,13 +481,21 @@ def _verify_and_rational_cases(corpus):
            for m in range(2, 9)]
 
 
+def _assert_matches_reference(tasks, m):
+    """The int plans of F-LI, SF1 and SF2 on ``tasks`` and m, each equal to
+    the Fraction plan in ``reference``, detail included."""
+    verdicts = (federated_allocate(tasks, m), sf1(tasks, m), sf2(tasks, m))
+    assert verdicts == (reference.federated_allocate(tasks, m),
+                        reference.sf1(tasks, m), reference.sf2(tasks, m))
+    return verdicts
+
+
 def test_accepted_plans_hold_on_sample(corpus):
     checked = {"federated": 0, "sf1": 0, "sf2": 0}
     split = 0
     for tasks, m in (_sample_cases() + _small_cases()
                      + _verify_and_rational_cases(corpus)):
-        for v in (federated_allocate(tasks, m), sf1(tasks, m),
-                  sf2(tasks, m)):
+        for v in _assert_matches_reference(tasks, m):
             if v.schedulable:
                 _check_plan(tasks, m, v)
                 checked[v.test] += 1
@@ -427,15 +506,10 @@ def test_accepted_plans_hold_on_sample(corpus):
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.lists(st.fractions(min_value=Fraction(101, 100),
-                             max_value=Fraction(9, 2)), max_size=5),
-       st.lists(st.fractions(min_value=Fraction(1, 100),
-                             max_value=Fraction(99, 100)), max_size=6),
-       st.integers(min_value=1, max_value=24))
+@given(*_STUB_SETS)
 def test_accepted_plans_hold_on_stub_sets(gammas, densities, m):
-    tasks = [heavy_stub(i, g)[0] for i, g in enumerate(gammas)] \
-        + [light_stub(len(gammas) + i, d)[0] for i, d in enumerate(densities)]
-    for v in (federated_allocate(tasks, m), sf1(tasks, m), sf2(tasks, m)):
+    tasks = _stub_set(gammas, densities)
+    for v in _assert_matches_reference(tasks, m):
         if v.schedulable:
             _check_plan(tasks, m, v)
 
