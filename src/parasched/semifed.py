@@ -76,14 +76,15 @@ def _containers(fractional, lights):
     ``den``; a light task's delta* is its load, and it keeps its density
     for the plan.  The container of gamma = p/q has load frac(gamma) = r/q
     and delta* = max(frac/2, frac/gamma), the minimal larger part when it
-    is divided in two: r/p when gamma <= 2, r/(2q) above."""
-    rows = [(owner, "frac", p % q, q, p % q, min(p, 2 * q), None)
+    is divided in two: r/p when gamma <= 2, r/(2q) above; each row below
+    holds r and the two denominators."""
+    rows = [(owner, "frac", p % q, q, min(p, 2 * q), None)
             for owner, p, q in fractional] + [
-        (owner, "light", x.numerator, x.denominator, x.numerator,
-         x.denominator, x) for owner, x in lights]
-    den = math.lcm(*(row[3] for row in rows), *(row[5] for row in rows))
-    return den, [(a * (den // b), c * (den // d), owner, label, x)
-                 for owner, label, a, b, c, d, x in rows]
+        (owner, "light", x.numerator, x.denominator, x.denominator, x)
+        for owner, x in lights]
+    den = math.lcm(*(row[3] for row in rows), *(row[4] for row in rows))
+    return den, [(r * (den // b), r * (den // d), owner, label, x)
+                 for owner, label, r, b, d, x in rows]
 
 
 def _order(containers, field: int) -> list:
