@@ -65,9 +65,8 @@ def cmd_decompose(args):
             "segments": [{"start": format_rational(s.start),
                           "end": format_rational(s.end),
                           "workload": format_rational(s.c),
-                          "stretched": format_rational(d.d)}
-                         for s, d in zip(dec.segmentation.segments,
-                                         dec.stretched)],
+                          "stretched": format_rational(s.d)}
+                         for s in dec.stretched],
             "subtasks": [{"vertex": st.origin,
                           "release": format_rational(st.release),
                           "deadline": format_rational(st.deadline),

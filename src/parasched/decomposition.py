@@ -287,37 +287,42 @@ def reassemble(task: DagTask, td: TimingDiagram, laxity: list
         wcets=[grain * task.wcet_int[v] for v in real])
 
 
-def dbf_and_load(dt: DecomposedTask, hyper_windows: int = 2) -> Fraction:
+# Periods past the first whose deadlines ``dbf_and_load`` takes as window
+# ends.
+_HYPER_WINDOWS = 2
+
+
+def dbf_and_load(dt: DecomposedTask) -> Fraction:
     """Load max(dbf(t)/t) of a decomposed task's demand bound function.
 
     The load is attained with the window starting at some subtask release
     and ending at some subtask absolute deadline: dbf is a step function
     that only jumps at deadlines, and sliding the start right to the next
     release can only shrink t without losing demand.  Deadlines within
-    ``hyper_windows`` extra periods cover the maximum because demand grows
-    by exactly C per period afterwards, which can only dilute the ratio
-    already achieved within the first windows.
+    ``_HYPER_WINDOWS`` extra periods cover the maximum because demand
+    grows by exactly C per period afterwards, which can only dilute the
+    ratio already achieved within the first windows.
 
     The load is a running-sum sweep: the jobs k*T + (release, deadline)
-    with 0 <= k <= ``hyper_windows`` are sorted once by absolute deadline,
-    and their distinct deadlines are exactly the candidate window ends.
-    For each distinct window start, one pass over that list adds the WCET
-    of every job released at or after the start and takes the ratio at
-    each distinct deadline.  For n subtasks and a fixed ``hyper_windows``
-    that is one O(n log n) sort plus O(n^2) for the passes, against O(n^4)
-    for evaluating the demand of every window.  The sweep runs on the
-    task's ints over ``den`` and keeps the best ratio as a pair of ints
+    with 0 <= k <= ``_HYPER_WINDOWS`` are sorted once by absolute
+    deadline, and their distinct deadlines are exactly the candidate
+    window ends.  For each distinct window start, one pass over that list
+    adds the WCET of every job released at or after the start and takes
+    the ratio at each distinct deadline.  For n subtasks that is one
+    O(n log n) sort plus O(n^2) for the passes, against O(n^4) for
+    evaluating the demand of every window.  The sweep runs on the task's
+    ints over ``den`` and keeps the best ratio as a pair of ints
     compared by cross-multiplication; the load is built as a Fraction
     once, at the end.
     """
     # Window starts are releases, which lie in [0, T), so no job with k < 0
     # starts inside a window; window ends are the deadlines with
-    # k <= hyper_windows, and every job with a larger k ends after them.
+    # k <= _HYPER_WINDOWS, and every job with a larger k ends after them.
     period = dt.period_int
     triples = list(zip(dt.deadlines, dt.releases, dt.wcets))
     jobs = sorted((end + k * period, release + k * period, wcet)
                   for end, release, wcet in triples
-                  for k in range(hyper_windows + 1))
+                  for k in range(_HYPER_WINDOWS + 1))
     best, best_t = 0, 1             # the load so far, as best / best_t
     for start in {release for _, release, _ in triples}:
         total = 0

@@ -9,7 +9,8 @@ Three exact engines, with no float:
   with load bounds, splitting vertices so that faster containers never
   idle while slower ones are busy.
 * ``simulate_gedf`` -- periodic subtask jobs of decomposed tasks under
-  preemptive global EDF, reporting deadline misses.
+  preemptive global EDF, reporting deadline misses; each subtask's next
+  job is released only when its time comes.
 
 All three run on integer time.  ``simulate_gedf`` only adds and subtracts,
 so it reads the decomposed tasks' ints, rescaled once to one ``den``.  The
@@ -26,6 +27,7 @@ trace lists on first read.
 from __future__ import annotations
 
 import bisect
+import heapq
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -77,14 +79,6 @@ class SimTrace:
                 for t, den, index, exe, deadline in self.assignment_ints]
 
 
-def _real_graph(task: DagTask):
-    """Vertex ids, WCETs and predecessor sets with the zero-cost dummy
-    source/sink stripped out."""
-    real = set(task.real_vertex_ids)
-    preds = {v: {u for u in task.pred[v] if u in real} for v in real}
-    return sorted(real), preds
-
-
 def simulate_uniform(task: DagTask, speeds: Sequence,
                      order: Optional[Callable] = None,
                      migration: bool = True) -> SimTrace:
@@ -98,34 +92,28 @@ def simulate_uniform(task: DagTask, speeds: Sequence,
     """
     scale, speeds = scale_speeds(speeds)
     speeds.sort(reverse=True)
-    vids, preds = _real_graph(task)
     den = task.den
-    remaining = {v: task.wcet_int[v] * scale for v in vids}   # unfinished
-    done = set()
+    remaining = {v: task.wcet_int[v] * scale      # unfinished, in id order
+                 for v in task.real_vertex_ids}
+    done = set(task.dummy_ids)
     where = {}          # vertex -> processor index it last ran on
     events, intervals = [], []
     t = 0
 
-    while len(done) < len(vids):
-        eligible = [v for v in vids
-                    if v not in done and preds[v] <= done]
+    while remaining:
+        eligible = [v for v in remaining if done.issuperset(task.pred[v])]
         assert eligible, "deadlock in precedence graph"
         if order is not None:
-            eligible = list(order(Fraction(t, den), list(eligible)))
+            eligible = list(order(Fraction(t, den), eligible))
 
-        running = {}    # processor index -> vertex
+        # processor index -> vertex; without migration, pinned vertices
+        # keep their processor and fresh ones take the free ones in order
         if migration:
-            for idx, v in enumerate(eligible[:len(speeds)]):
-                running[idx] = v
+            running = dict(enumerate(eligible[:len(speeds)]))
         else:
-            free = [i for i in range(len(speeds))]
-            for v in list(eligible):
-                if v in where:
-                    running[where[v]] = v
-                    free.remove(where[v])
-            fresh = [v for v in eligible if v not in where]
-            for idx, v in zip(sorted(free), fresh):
-                running[idx] = v
+            running = {where[v]: v for v in eligible if v in where}
+            free = [i for i in range(len(speeds)) if i not in running]
+            running.update(zip(free, [v for v in eligible if v not in where]))
 
         for idx, v in running.items():
             if v in where and where[v] != idx:
@@ -179,15 +167,15 @@ def simulate_dispatcher(task: DagTask, deltas: Sequence,
     exactly at their deadlines.  Raises ``InvalidSpeeds`` unless there is
     a load bound and all are positive.
     """
-    vids, preds = _real_graph(task)
     scale, deltas = scale_speeds([getattr(d, "load", d) for d in deltas])
     containers = [_Container(i, d) for i, d in enumerate(deltas)]
     den = task.den
+    vids = task.real_vertex_ids
     # ready list S: [key, remaining work]; vertex keys are the id or
     # (id, suffix) for split parts
     s_list = [[v, task.wcet_int[v] * scale] for v in vids]
-    pred_of = {v: set(preds[v]) for v in vids}
-    done = set()
+    pred_of = {v: set(task.pred[v]) for v in vids}
+    done = set(task.dummy_ids)
     events, assignments = [], []
     split_count = 0
     t = 0
@@ -275,49 +263,49 @@ def simulate_gedf(tasks: Sequence[DecomposedTask], m: int,
 
     The run is on integer time: each task's ints are rescaled once to
     ``den``, the LCM of the tasks' ``den`` and the horizon's denominator.
-    The ready jobs are kept in EDF order, by (deadline, job id); the first
-    m run, and the late ones, a prefix of that order, are reported in
-    release order.  Each miss's deadline and remaining work come back as
-    Fractions."""
+    Jobs are released lazily: a heap holds each subtask's next job, and
+    releasing one pushes the next, so memory follows the subtask count
+    and the live jobs, not the horizon.  A job is keyed (task position,
+    subtask, k), so ties between tasks go by their place in ``tasks``,
+    as in the plans, and task ids are never compared.  The ready jobs are
+    kept in EDF order, by (deadline, key); the first m run, and the late
+    ones, a prefix of that order, are reported in release order as
+    ((task_id, subtask, k), deadline, remaining work), with the deadline
+    and the work as Fractions."""
     horizon = Fraction(horizon)
     den = math.lcm(horizon.denominator, *(dt.den for dt in tasks))
     end = horizon.numerator * (den // horizon.denominator)
-    jobs = []   # (release, deadline, (task, subtask, k), wcet)
-    for dt in tasks:
+    # each subtask's next job as (release, deadline, key, wcet, period),
+    # and the horizon (end,), which sorts ahead of any job released later
+    heap = [(end,)]
+    for pos, dt in enumerate(tasks):
         x = den // dt.den
-        period = dt.period_int * x
-        for si, (release, deadline, wcet) in enumerate(
-                zip(dt.releases, dt.deadlines, dt.wcets)):
-            for k in range(-((release * x - end) // period)):
-                jobs.append((k * period + release * x,
-                             k * period + deadline * x,
-                             (dt.task_id, si, k), wcet * x))
-    jobs.sort(key=itemgetter(0, 1, 2))
+        heap += [(release * x, deadline * x, (pos, si, 0), wcet * x,
+                  dt.period_int * x)
+                 for si, (release, deadline, wcet) in enumerate(
+                     zip(dt.releases, dt.deadlines, dt.wcets))]
+    heapq.heapify(heap)
 
     misses = []
-    ready = []  # [deadline, job id, job index, remaining], EDF order
-    t = i = 0
+    ready = []  # [deadline, key, remaining, release], EDF order
+    t = 0
     while t < end:
-        while i < len(jobs) and jobs[i][0] <= t:
-            _, deadline, job, wcet = jobs[i]
-            bisect.insort(ready, [deadline, job, i, wcet])
-            i += 1
-        if not ready:
-            if i >= len(jobs):
-                break
-            t = jobs[i][0]
-            continue
+        while heap[0][0] <= t:
+            release, deadline, (pos, si, k), wcet, period = heap[0]
+            heapq.heapreplace(heap, (release + period, deadline + period,
+                                     (pos, si, k + 1), wcet, period))
+            bisect.insort(ready, [deadline, (pos, si, k), wcet, release])
         run = ready[:m]
         # next event: a completion, a release, or the horizon
-        step = min(min(j[3] for j in run), end - t)
-        if i < len(jobs):
-            step = min(step, jobs[i][0] - t)
+        step = min([j[2] for j in run] + [heap[0][0] - t])
         for j in run:
-            j[3] -= step
+            j[2] -= step
         t += step
-        ready[:m] = [j for j in run if j[3]]
+        ready[:m] = [j for j in run if j[2]]
         late = bisect.bisect_right(ready, t, key=itemgetter(0))
-        misses += sorted(ready[:late], key=itemgetter(2))
+        misses += sorted(ready[:late], key=itemgetter(3, 0, 1))
         del ready[:late]
-    return GedfReport(misses=[(j[1], Fraction(j[0], den), Fraction(j[3], den))
-                              for j in misses], horizon=horizon)
+    return GedfReport(misses=[((tasks[pos].task_id, si, k),
+                               Fraction(deadline, den), Fraction(left, den))
+                              for deadline, (pos, si, k), left, _ in misses],
+                      horizon=horizon)

@@ -59,6 +59,33 @@ def test_decompose_reports_omega_and_subtasks(taskset_path, tmp_path):
             assert set(st) == {"vertex", "release", "deadline", "wcet"}
 
 
+# stdout of `decompose` on the fig-1 task, as the zip of the segments with
+# their stretched copies wrote it
+DECOMPOSE_FIG1 = [{
+    "task": "fig1", "omega": "9/8",
+    "segments": [
+        {"start": 0, "end": 1, "workload": 1, "stretched": "14/9"},
+        {"start": 1, "end": 5, "workload": 10, "stretched": "70/9"},
+        {"start": 5, "end": 7, "workload": 4, "stretched": "28/9"},
+        {"start": 7, "end": 8, "workload": 1, "stretched": "14/9"}],
+    "subtasks": [
+        {"vertex": 0, "release": 0, "deadline": "14/9", "wcet": 1},
+        {"vertex": 1, "release": "14/9", "deadline": "112/9", "wcet": 5},
+        {"vertex": 2, "release": "14/9", "deadline": "28/3", "wcet": 3},
+        {"vertex": 3, "release": "14/9", "deadline": "28/3", "wcet": 4},
+        {"vertex": 4, "release": "28/3", "deadline": "112/9", "wcet": 2},
+        {"vertex": 5, "release": "112/9", "deadline": 14, "wcet": 1}]}]
+
+
+def test_decompose_output_is_pinned(tmp_path, capsys):
+    path = tmp_path / "fig1.json"
+    with open(path, "w") as fp:
+        dump_taskset([fig1_task()], fp)
+    assert main(["decompose", str(path)]) == 0
+    assert capsys.readouterr().out \
+        == json.dumps(DECOMPOSE_FIG1, indent=2) + "\n"
+
+
 def test_analyze_emits_one_verdict_per_test(taskset_path, tmp_path):
     out = tmp_path / "verdicts.jsonl"
     rc = main(["analyze", str(taskset_path), "--m", "8", "--out", str(out)])
@@ -396,6 +423,19 @@ def test_simulate_gedf_exit_code_tracks_misses(taskset_path, tmp_path):
     summary = json.loads(out.read_text().splitlines()[-1])
     assert summary["kind"] == "summary"
     assert (rc == 0) == (summary["misses"] == 0)
+
+
+def test_simulate_gedf_takes_ids_of_both_types(tmp_path, capsys):
+    # the jobs of two equal tasks tie on release and deadline, and the
+    # ties used to compare the ids 0 and "a"
+    path = tmp_path / "ids.json"
+    path.write_text(json.dumps({"tasks": [
+        {"id": i, "period": 10, "deadline": 10, "edges": [[0, 1]],
+         "vertices": [{"id": 0, "wcet": 1}, {"id": 1, "wcet": 2}]}
+        for i in (0, "a")]}))
+    rc = main(["simulate", str(path), "--engine", "gedf", "--m", "1"])
+    assert rc == 0
+    assert json.loads(capsys.readouterr().out)["misses"] == 0
 
 
 def test_experiment_writes_csv(tmp_path):

@@ -1,5 +1,7 @@
 """Every name a module imports is used in it, so a deletion leaves no dead
-import behind.  ``__init__.py`` is skipped: it imports to re-export."""
+import behind.  ``__init__.py`` is skipped: it imports to re-export.  And
+every private top-level function or class of the package is named in it
+outside its own definition, so no helper outlives its last reader."""
 
 import ast
 from pathlib import Path
@@ -7,8 +9,8 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-FILES = sorted(p for p in [*ROOT.glob("src/parasched/*.py"),
-                           *ROOT.glob("tests/*.py")]
+SRC = sorted(ROOT.glob("src/parasched/*.py"))
+FILES = sorted(p for p in [*SRC, *ROOT.glob("tests/*.py")]
                if p.name != "__init__.py")
 
 
@@ -38,3 +40,49 @@ def test_the_check_sees_an_unused_import():
                          ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def _names(node) -> set:
+    """Every name ``node`` reads, binds, imports or looks up as an
+    attribute."""
+    names = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            names.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            names.add(sub.attr)
+        elif isinstance(sub, ast.alias):
+            names.add(sub.asname or sub.name)
+    return names
+
+
+def unread_private_defs(sources: dict) -> list:
+    """(module, line, name) of each private top-level function or class
+    that no module names outside the definition itself."""
+    defs, named = [], []
+    for module, source in sources.items():
+        for node in ast.parse(source).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) \
+                    and node.name.startswith("_") \
+                    and not node.name.endswith("__"):
+                defs.append((module, node))
+            named.append((node, _names(node)))
+    return [(module, node.lineno, node.name) for module, node in defs
+            if not any(node.name in names
+                       for other, names in named if other is not node)]
+
+
+def test_the_check_sees_an_unread_private_def():
+    sources = {"a": "def _used():\n    pass\n"
+                    "def _recursive():\n    return _recursive()\n"
+                    "class _Imported:\n    pass\n"
+                    "class _Unread:\n    pass\n"
+                    "x = _used()\n",
+               "b": "from a import _Imported\n"}
+    assert unread_private_defs(sources) \
+        == [("a", 3, "_recursive"), ("a", 7, "_Unread")]
+
+
+def test_every_private_def_has_a_reader():
+    assert unread_private_defs(
+        {path.name: path.read_text() for path in SRC}) == []

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
@@ -137,13 +138,14 @@ def test_gedf_overload_misses():
 
 
 # The Fraction engine that integer time replaced, copied verbatim but for
-# the name, as the reference ``simulate_gedf`` must match.
+# the name and the job key, which ties on the task's position, not its id,
+# as the reference ``simulate_gedf`` must match.
 def _reference_simulate_gedf(tasks, m, horizon):
     """Preemptive global EDF over the periodic subtask jobs of decomposed
     tasks, synchronous release, checked up to ``horizon``."""
     horizon = Fraction(horizon)
-    jobs = []   # [release, deadline, remaining, (task, subtask, k)]
-    for dt in tasks:
+    jobs = []   # [release, deadline, remaining, (task position, subtask, k)]
+    for pos, dt in enumerate(tasks):
         for si, sub in enumerate(dt.subtasks):
             if sub.wcet == 0:
                 continue
@@ -151,7 +153,7 @@ def _reference_simulate_gedf(tasks, m, horizon):
             while k * dt.period + sub.release < horizon:
                 jobs.append([k * dt.period + sub.release,
                              k * dt.period + sub.deadline,
-                             Fraction(sub.wcet), (dt.task_id, si, k)])
+                             Fraction(sub.wcet), (pos, si, k)])
                 k += 1
     jobs.sort(key=lambda j: (j[0], j[1], j[3]))
 
@@ -189,7 +191,9 @@ def _reference_simulate_gedf(tasks, m, horizon):
     for j in pending:
         if j[2] > 0 and j[1] <= horizon:
             misses.append((j[3], j[1], j[2]))
-    return GedfReport(misses=misses, horizon=horizon)
+    return GedfReport(misses=[((tasks[pos].task_id, si, k), deadline, left)
+                              for (pos, si, k), deadline, left in misses],
+                      horizon=horizon)
 
 
 def _assert_gedf_matches_reference(decs, m, horizon):
@@ -233,6 +237,45 @@ def test_gedf_reports_simultaneous_misses_in_release_order():
                 if deadline == 8 * period] \
             == [("c", 2, period - 1), ("a", 2, period - 1),
                 ("b", 2, period - 1)]
+
+
+def test_gedf_ties_go_by_task_position_not_id():
+    # equal tasks whose ids do not ascend in input order, of both types:
+    # the run is the one the ids 0, 1, 2 give, with the ids mapped back
+    def run(ids):
+        tasks = [DagTask(tid, [(0, 2), (1, 2)], [(0, 1)], period=4,
+                         deadline=4) for tid in ids]
+        decs = [decompose(t).decomposed for t in tasks]
+        return _assert_gedf_matches_reference(decs, 1, 12).misses
+
+    ids = ("b", 0, "a")
+    misses = run(ids)
+    assert misses == [((ids[pos], si, k), deadline, left)
+                      for (pos, si, k), deadline, left in run((0, 1, 2))]
+    # "b", first in the input, wins the first tie; the two others miss
+    assert [job for job, _, _ in misses[:2]] == [(0, 0, 0), ("a", 0, 0)]
+
+
+def test_gedf_memory_does_not_grow_with_the_horizon():
+    # a verify-shaped set that meets every deadline on 4 processors: the
+    # engine holds the next job of each subtask and the live ones, so ten
+    # times the horizon must not take ten times the memory
+    config = GenConfig(n_tasks=3, p=0.1, m=4, util=0.5,
+                       n_vertices=(14, 16), period_mode="gamma-formula")
+    tasks = gen_taskset(config, seed=1)
+    decs = [decompose(t).decomposed for t in tasks]
+    period = max(t.period for t in tasks)
+    simulate_gedf(decs, 4, 2 * period)     # one-time allocations go here
+
+    def peak(periods):
+        tracemalloc.start()
+        try:
+            assert simulate_gedf(decs, 4, periods * period).ok
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(200) <= 2 * peak(20)
 
 
 def test_gedf_matches_reference_on_rational_wcets():
