@@ -56,7 +56,14 @@ def gedf_density_test(ell_sum: Fraction, delta_top: Fraction, m: int
 
 def decomposed_test(summary: TaskSetSummary, m: int) -> Verdict:
     """Processor-count test for decomposed task sets:
-    m >= (U_sum - Gamma_top) / (1/Omega_top - Gamma_top)."""
+    m >= (U_sum - Gamma_top) / (1/Omega_top - Gamma_top).
+
+    D-OUR rests on the decomposition of Jiang et al. (RTSS 2016): each
+    stretched segment of task i carries density c/d <= Omega*U_i, and each
+    subtask's density is <= Omega*Gamma_i (Gamma_i = L_i/T_i).  The
+    global-EDF density bound after Goossens, Funk and Baruah (2003),
+    summed density <= m - (m-1)*delta_max, with Omega_top for every Omega,
+    then reads as the test above."""
     omega, gamma_top = summary.omega_top, summary.gamma_top
     if omega is None:
         raise ValueError("summary lacks omega_top; run the decomposition")

@@ -1,8 +1,8 @@
 """Command line front end.
 
 Subcommands: gen (random task sets), decompose (segment + stretch one
-task set), analyze (schedulability verdicts), simulate (trace one DAG),
-experiment (acceptance-ratio sweeps).
+task set), analyze (schedulability verdicts), simulate (trace the first
+DAG, or all under global EDF), experiment (acceptance-ratio sweeps).
 """
 
 from __future__ import annotations
@@ -121,6 +121,9 @@ def cmd_simulate(args):
                             "horizon": report.horizon})
             return 0 if report.ok else 1
         task = tasks[0]
+        if len(tasks) > 1:
+            print(f"parasched: traced task {task.id!r}, the file's first; "
+                  f"skipped {len(tasks) - 1} more", file=sys.stderr)
         if args.engine == "uniform":
             trace = simulate_uniform(task, args.speeds,
                                      migration=not args.no_migration)
@@ -212,7 +215,7 @@ def _parser():
                    choices=[t.flag for t in TESTS.values()] + ["all"])
     a.add_argument("--out", default="-")
 
-    s = subs.add_parser("simulate", help="trace one DAG or a GEDF run")
+    s = subs.add_parser("simulate", help="trace the first DAG or a GEDF run")
     s.add_argument("taskset")
     s.add_argument("--engine", default="uniform",
                    choices=["uniform", "dispatcher", "gedf"])

@@ -49,6 +49,13 @@ class TimingDiagram:
         """The segment boundaries: 0, L and every rdy/fsh value, sorted."""
         return sorted({0, self.cpl_int, *self.rdy_int, *self.fsh_int})
 
+    @cached_property
+    def windows(self) -> tuple:
+        """(lo, hi), lists by vertex of the indices in ``cuts`` of rdy and
+        fsh: a vertex window is exactly the segments lo..hi-1."""
+        index = dict(zip(self.cuts, range(len(self.cuts)))).__getitem__
+        return list(map(index, self.rdy_int)), list(map(index, self.fsh_int))
+
 
 @dataclass
 class Segment:
@@ -71,7 +78,7 @@ class SegmentationResult:
     den: int
     cuts: list                       # segment boundaries times den
     load: list                       # segment index -> workload
-    slots: list                      # segment index -> {vertex id: portion}
+    pieces: list                     # (segment index, vertex id, portion)
     split_count: int
     heavy: int                       # summed workload of heavy segments
     light: int                       # summed length of light segments
@@ -125,17 +132,9 @@ def timing_diagram(task: DagTask) -> TimingDiagram:
     the task keeps it; fsh(v) = min over successors of rdy(u), L for the
     sink."""
     rdy, cpl = task.rdy_int, task.cpl_int
-    fsh = [min(map(rdy.__getitem__, succ), default=cpl) for succ in task.succ]
+    fsh = [min(map(rdy.__getitem__, s)) if s else cpl for s in task.succ]
     return TimingDiagram(den=task.den, rdy_int=rdy, fsh_int=fsh,
                          cpl_int=cpl)
-
-
-def _cover_ranges(td: TimingDiagram) -> list:
-    """vertex -> (lo, hi) such that the vertex covers exactly the segments
-    lo..hi-1 that ``td.cuts`` bound: a vertex window [rdy, fsh] is the run
-    of segments between the cuts at rdy and fsh."""
-    index = {t: i for i, t in enumerate(td.cuts)}
-    return [(index[r], index[f]) for r, f in zip(td.rdy_int, td.fsh_int)]
 
 
 def segment_workload(task: DagTask, td: TimingDiagram) -> SegmentationResult:
@@ -151,32 +150,29 @@ def segment_workload(task: DagTask, td: TimingDiagram) -> SegmentationResult:
     The phases run on ints: time is scaled by the task's ``den``, the LCM
     of its WCET denominators, and workload by ``den * L_int``.  The light
     test c*L <= C*e then reads w <= C_int*e_int and the phase-2 capacity
-    (C*e - c*L)/L is C_int*e_int - w.  The result keeps these ints; omega
-    is its one Fraction, and its views build the rest when read.
+    (C*e - c*L)/L is C_int*e_int - w.  The result keeps these ints, with a
+    (segment, vertex, portion) piece per placement; omega is its one
+    Fraction, and its views build the rest when read.
     """
-    ranges, ends = _cover_ranges(td), td.cuts
-    l_int, c_int = td.cpl_int, task.work_int
+    (los, his), ends = td.windows, td.cuts
+    l_int, c_int, wcet = td.cpl_int, task.work_int, task.wcet_int
     lengths = [b - a for a, b in zip(ends, ends[1:])]
     caps = [c_int * e for e in lengths]      # C/L threshold, workload units
     load = [0] * len(lengths)
-    slots = [{} for _ in lengths]            # vertex -> portion, per segment
+    pieces = []
     split_count = 0
 
-    def put(i: int, vid, amount: int) -> None:
-        load[i] += amount
-        slots[i][vid] = slots[i].get(vid, 0) + amount
-
-    # earliest-fsh order; ties broken by ascending vertex id
-    real = sorted(task.real_vertex_ids, key=lambda v: (ranges[v][1], v))
+    # earliest-fsh order; the stable sort keeps ascending ids on ties
+    real = sorted(task.real_vertex_ids, key=his.__getitem__)
     rest = {}                                # workload not yet placed
     starting = [[] for _ in lengths]         # the parts whose window begins
 
     # Phase 1: single-segment vertices
     for v in real:
-        lo, hi = ranges[v]
-        w = task.wcet_int[v] * l_int
-        if hi - lo == 1:
-            put(lo, v, w)
+        lo, w = los[v], wcet[v] * l_int
+        if his[v] - lo == 1:
+            load[lo] += w
+            pieces.append((lo, v, w))
         else:
             rest[v] = w
             starting[lo].append(v)
@@ -187,56 +183,48 @@ def segment_workload(task: DagTask, td: TimingDiagram) -> SegmentationResult:
     # the EDF-like fill loses its optimality.  Parts whose window has ended
     # are dropped when they reach the top.
     heap = []
-    for i in range(len(lengths)):
+    for i, cap in enumerate(caps):
         for v in starting[i]:
-            heapq.heappush(heap, (ranges[v][1], 1, v, v))
-        capacity = caps[i] - load[i]
-        if capacity < 0:
-            continue
-        while heap:
+            heapq.heappush(heap, (his[v], 1, v, v))
+        capacity = cap - load[i]
+        while heap and capacity > 0:
             hi, _, _, v = heap[0]
             if hi <= i:
                 heapq.heappop(heap)
-                continue
-            if rest[v] < capacity:
-                capacity -= rest[v]
-                put(i, v, rest.pop(v))
-                heapq.heappop(heap)
-                continue
-            # the segment lands exactly on the threshold
-            if capacity > 0:
-                put(i, v, capacity)
+            elif rest[v] > capacity:    # split where the load meets C/L
+                pieces.append((i, v, capacity))
                 rest[v] -= capacity
-                if rest[v]:
-                    split_count += 1
-                    heapq.heapreplace(heap, (hi, 0, -split_count, v))
-                else:
-                    del rest[v]
-                    heapq.heappop(heap)
-            break
+                capacity = 0
+                split_count += 1
+                heapq.heapreplace(heap, (hi, 0, -split_count, v))
+            else:                       # the whole part fits
+                w = rest.pop(v)
+                pieces.append((i, v, w))
+                capacity -= w
+                heapq.heappop(heap)
+        load[i] = cap - capacity
 
     # Phase 3: leftovers go to covered segments (all at or above threshold)
     for v, left in rest.items():
-        lo, hi = ranges[v]
-        pieces = 0
-        for i in range(lo, hi):
+        lo = los[v]
+        for i in range(lo, his[v]):
             assert load[i] >= caps[i], \
                 "phase 3 reached a below-threshold segment"
             take = min(left, lengths[i] * l_int)
-            put(i, v, take)
+            load[i] += take
+            pieces.append((i, v, take))
             left -= take
-            pieces += 1
-            if left == 0:
+            if not left:
                 break
         assert left == 0, "phase 3 could not place all leftover workload"
-        split_count += pieces - 1
+        split_count += i - lo
 
     assert sum(load) == c_int * l_int, "workload not conserved"
 
     heavy = sum(w for w, cap in zip(load, caps) if w > cap)
     light = sum(e for w, cap, e in zip(load, caps, lengths) if w <= cap)
     return SegmentationResult(
-        den=td.den, cuts=ends, load=load, slots=slots,
+        den=td.den, cuts=ends, load=load, pieces=pieces,
         split_count=split_count, heavy=heavy, light=light,
         work=task.metrics.work, critical_path=task.metrics.critical_path,
         omega=Fraction(heavy + light * c_int, l_int * c_int),
@@ -278,12 +266,12 @@ def reassemble(task: DagTask, td: TimingDiagram, laxity: list
     unit = task.period / laxity[-1]
     den = math.lcm(unit.denominator, task.den)
     step, grain = unit.numerator * (den // unit.denominator), den // task.den
-    ranges, real = _cover_ranges(td), task.real_vertex_ids
+    (los, his), real = td.windows, task.real_vertex_ids
     return DecomposedTask(
         task_id=task.id, period=task.period, den=den,
         period_int=step * laxity[-1], origins=real,
-        releases=[step * laxity[ranges[v][0]] for v in real],
-        deadlines=[step * laxity[ranges[v][1]] for v in real],
+        releases=[step * laxity[los[v]] for v in real],
+        deadlines=[step * laxity[his[v]] for v in real],
         wcets=[grain * task.wcet_int[v] for v in real])
 
 

@@ -49,6 +49,8 @@ def as_fraction(value) -> Fraction:
 def scale_to_ints(values) -> tuple[int, list]:
     """``den``, the LCM of the denominators of ``values`` (ints or
     Fractions), and each value times ``den`` as an int."""
+    if set(map(type, values)) == {int}:
+        return 1, list(values)
     den = math.lcm(*(x.denominator for x in values))
     return den, [x.numerator * (den // x.denominator) for x in values]
 

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from parasched.gen import PAPER_SCALE, GenConfig, gen_taskset
 from parasched.model import DagTask, validate
 
 
@@ -78,6 +79,17 @@ def build_corpus(count=1000, seed=2024):
     tasks += [chain_task(k) for k in range(1, 6)]
     tasks += [fork_task(w) for w in range(1, 6)]
     return tasks
+
+
+def sample_cases():
+    """(tasks, m) pairs: generated sets at desk scale (8 seeds) and paper
+    scale (1 seed), at three utilizations, each on 2, 4, 8 and 16
+    processors."""
+    sets = [gen_taskset(GenConfig(n_tasks=5, p=0.05, util=util,
+                                  n_vertices=scale), seed=seed)
+            for scale, seeds in (((10, 50), range(8)), (PAPER_SCALE, [0]))
+            for seed in seeds for util in (0.3, 0.6, 0.9)]
+    return [(tasks, m) for tasks in sets for m in (2, 4, 8, 16)]
 
 
 @pytest.fixture(scope="session")

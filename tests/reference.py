@@ -16,8 +16,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from parasched.decomposition import (Segment, SegmentationResult,
-                                     TimingDiagram, _cover_ranges,
-                                     timing_diagram)
+                                     TimingDiagram, timing_diagram)
 from parasched.errors import MalformedTaskSet, ParaschedError
 from parasched.experiment import ExperimentRecord
 from parasched.gen import GenConfig, gen_period, gen_structure
@@ -130,12 +129,11 @@ def segmentation_oracle(task: DagTask, max_vertices: int = 12
     segments = build_segments(td)
     work, cpl = task.metrics.work, task.metrics.critical_path
 
-    ranges = _cover_ranges(td)
+    los, his = td.windows
     net = FlowNetwork()
     for v in real:
         net.add_edge("src", ("v", v), task.wcets[v])
-        lo, hi = ranges[v]
-        for seg in segments[lo:hi]:
+        for seg in segments[los[v]:his[v]]:
             net.add_edge(("v", v), ("s", seg.index), work + 1)
     for seg in segments:
         net.add_edge(("s", seg.index), "snk", seg.e * work / cpl)
@@ -396,10 +394,14 @@ def sink(task: DagTask) -> int:
 
 
 def assignment(seg: SegmentationResult) -> dict:
-    """Segment index -> {vertex id: portion of its WCET}, as Fractions."""
+    """Segment index -> {vertex id: portion of its WCET}, as Fractions: the
+    segmentation's pieces, those of one vertex in one segment summed."""
     unit = seg.den * seg.cuts[-1]
+    slots = [{} for _ in seg.load]
+    for i, v, w in seg.pieces:
+        slots[i][v] = slots[i].get(v, 0) + w
     return {i: {v: Fraction(w, unit) for v, w in slot.items()}
-            for i, slot in enumerate(seg.slots)}
+            for i, slot in enumerate(slots)}
 
 
 def c_heavy(seg: SegmentationResult) -> Fraction:

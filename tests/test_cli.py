@@ -416,6 +416,22 @@ def test_simulate_dispatcher_summary(taskset_path, tmp_path):
     assert summary["splits"] >= 0
 
 
+@pytest.mark.parametrize("engine", ["uniform", "dispatcher"])
+def test_simulate_says_which_task_it_traced(taskset_path, tmp_path, capsys,
+                                            engine):
+    data = json.loads(taskset_path.read_text())
+    argv = ["simulate", str(taskset_path), "--engine", engine,
+            "--speeds", "1,1/2", "--out", str(tmp_path / "trace.jsonl")]
+    assert main(argv) == 0
+    assert capsys.readouterr().err == (
+        f"parasched: traced task {data['tasks'][0]['id']!r}, the file's "
+        "first; skipped 1 more\n")
+    # one task: nothing was skipped, so nothing is said
+    taskset_path.write_text(json.dumps({"tasks": data["tasks"][:1]}))
+    assert main(argv) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_simulate_gedf_exit_code_tracks_misses(taskset_path, tmp_path):
     out = tmp_path / "gedf.jsonl"
     rc = main(["simulate", str(taskset_path), "--engine", "gedf",

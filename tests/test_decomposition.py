@@ -9,6 +9,7 @@ from typing import Optional
 
 import pytest
 
+from parasched.analysis import TESTS
 from parasched.decomposition import (Segment, SegmentationResult, Subtask,
                                      TimingDiagram, dbf_and_load, decompose,
                                      segment_omega, segment_workload,
@@ -18,7 +19,7 @@ from parasched.errors import (ConstrainedDeadline, CycleDetected,
 from parasched.gen import PAPER_SCALE, GenConfig, gen_taskset
 from parasched.model import DagTask, TaskMetrics, scale_to_ints, validate
 from conftest import (chain_task, diamond_task, fig1_task, fork_task,
-                      rational_variant)
+                      rational_variant, sample_cases)
 import reference
 from reference import (DegenerateWindow, OracleTooLarge, build_segments,
                        segmentation_oracle)
@@ -65,13 +66,29 @@ def test_segment_boundaries_align_with_windows(corpus):
 
 
 def test_workload_is_conserved(corpus):
-    for task in corpus[:200]:
+    config = GenConfig(p=0.05, n_vertices=PAPER_SCALE)
+    paper = [task for seed in range(3)
+             for task in gen_taskset(config, seed=seed)]
+    for task in corpus + paper:
         met = validate(task)
         td = timing_diagram(task)
         seg = segment_workload(task, td)
         total = sum((sum(portions.values(), Fraction(0))
-                     for portions in reference.assignment(seg).values()), Fraction(0))
+                     for portions in reference.assignment(seg).values()),
+                    Fraction(0))
         assert total == met.work
+        # the int record: WCET * L per vertex, each piece in its window,
+        # and the pieces of each segment sum to its load
+        placed = [0] * len(task.wcet_int)
+        loads = [0] * len(seg.load)
+        for i, v, portion in seg.pieces:
+            assert portion > 0
+            assert td.rdy_int[v] <= seg.cuts[i] < seg.cuts[i + 1] \
+                <= td.fsh_int[v], (task.id, i, v)
+            placed[v] += portion
+            loads[i] += portion
+        assert placed == [w * td.cpl_int for w in task.wcet_int], task.id
+        assert loads == seg.load, task.id
 
 
 def test_chain_omega_is_one():
@@ -387,6 +404,45 @@ def _reference_segment_workload(task: DagTask, td: TimingDiagram,
         l_light=l_light,
         omega=c_heavy / work + l_light / cpl,
     )
+
+
+def _reference_omega(task: DagTask) -> Fraction:
+    """Omega from the Fraction reference pipeline alone."""
+    met = _reference_validate(task)
+    td = _reference_timing_diagram(task, met)
+    return _reference_segment_workload(
+        task, td, _reference_build_segments(td), met).omega
+
+
+def test_d_our_verdict_matches_its_certificate():
+    # D-OUR accepts on m processors iff m >= (U_sum - Gamma_top) /
+    # (1/Omega_top - Gamma_top), recomputed here from each task's metrics
+    # and its reference Omega, apart from decomposed_test and segment_omega
+    config = GenConfig(p=0.05, n_vertices=PAPER_SCALE, util=0.4)
+    cases = sample_cases() + [(gen_taskset(config, seed=seed), m)
+                              for seed in (1, 2, 3) for m in (2, 8)]
+    omegas = {}
+    seen = set()
+    for tasks, m in cases:
+        for task in tasks:
+            if id(task) not in omegas:
+                omegas[id(task)] = _reference_omega(task)
+        mets = [_reference_validate(task) for task in tasks]
+        omega_top = max(omegas[id(task)] for task in tasks)
+        u_sum = sum((met.utilization for met in mets), Fraction(0))
+        gamma_top = max(met.elasticity for met in mets)
+        verdict = TESTS["D-OUR"].run(tasks, m)
+        if 1 / omega_top - gamma_top <= 0:
+            assert (verdict.schedulable, verdict.reason) \
+                == (False, "degenerate denominator")
+            seen.add("degenerate")
+            continue
+        required = (u_sum - gamma_top) / (1 / omega_top - gamma_top)
+        assert (verdict.schedulable, verdict.min_m,
+                verdict.detail["required"]) \
+            == (m >= required, max(1, math.ceil(required)), required)
+        seen.add(verdict.schedulable)
+    assert {True, False} <= seen
 
 
 def _assert_same_segmentation(tasks):

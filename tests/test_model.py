@@ -78,7 +78,22 @@ def test_edges_hold_the_input_edges_only():
     t = DagTask(0, [(0, 1), (1, 1), (2, 1), (3, 1)],
                 [(0, 2), (1, 2), (0, 2), [1, 3]], 10, 10)
     assert t.edges == ((0, 2), (1, 2), (1, 3))
-    assert (t.succ[4], t.pred[5]) == ([0, 1], [2, 3])
+    assert (t.succ[0], t.succ[4], t.pred[5]) == ([2], [0, 1], [2, 3])
+
+
+@pytest.mark.parametrize("edges, error, message", [
+    # the first bad edge in input order decides the error
+    ([(1, 1), (0, 5)], CycleDetected, "task 0: self loop on vertex 1"),
+    ([(0, 5), (1, 1)], MalformedTaskSet,
+     "task 0: edge (0, 5) references an unknown vertex"),
+    ([(0, True)], MalformedTaskSet,
+     "task 0: edge (0, True) references an unknown vertex"),
+    ([(0, 1, 2)], MalformedTaskSet, "task 0: bad vertex, edge or time"),
+])
+def test_malformed_edge_is_named(edges, error, message):
+    with pytest.raises(error) as info:
+        DagTask(0, [(0, 1), (1, 1)], edges, 5, 5)
+    assert type(info.value) is error and message in str(info.value)
 
 
 def test_int_fraction_and_string_wcets_build_the_same_core():

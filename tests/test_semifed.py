@@ -15,10 +15,10 @@ from parasched.analysis import (TESTS, UniformPlatform, federated_allocate,
                                 uniform_response_bound)
 from parasched.cli import main
 from parasched.errors import MalformedTaskSet
-from parasched.gen import PAPER_SCALE, GenConfig, gen_taskset
+from parasched.gen import GenConfig, gen_taskset
 from parasched.model import DagTask, TaskMetrics, Verdict, dump_taskset
 from parasched.semifed import ContainerTask, sf1, sf2
-from conftest import chain_task, fig1_task, rational_variant
+from conftest import chain_task, fig1_task, rational_variant, sample_cases
 from reference import (Bin, CriticalPathExceedsDeadline, capacity_requirement,
                        delta_star, fewest_bins, gamma, item_id, scrape,
                        worst_fit_partition)
@@ -243,17 +243,9 @@ def _reference_sf2(tasks, m):
 
 
 @functools.cache
-def _sample_cases():
-    sets = [gen_taskset(GenConfig(n_tasks=5, p=0.05, util=util,
-                                  n_vertices=scale), seed=seed)
-            for scale, seeds in (((10, 50), range(8)), (PAPER_SCALE, [0]))
-            for seed in seeds for util in (0.3, 0.6, 0.9)]
-    return [(tasks, m) for tasks in sets for m in (2, 4, 8, 16)]
-
-
 def test_worst_fit_matches_trial_sums_on_sample(monkeypatch):
     # the int plans against the Fraction ones packing by trial sums
-    cases = _sample_cases()
+    cases = sample_cases()
     verdicts = [(federated_allocate(ts, m), sf1(ts, m), sf2(ts, m))
                 for ts, m in cases]
     monkeypatch.setattr(reference, "worst_fit_into",
@@ -375,7 +367,7 @@ _STUB_SETS = (st.lists(st.fractions(min_value=Fraction(101, 100),
 def test_sf1_accepts_every_set_f_li_accepts_on_sample():
     # an F-LI plan is an SF1 plan with each container alone on a bin
     accepted = 0
-    for tasks, m in _sample_cases() + _small_cases():
+    for tasks, m in sample_cases() + _small_cases():
         if federated_allocate(tasks, m).schedulable:
             accepted += 1
             assert sf1(tasks, m).schedulable, m
@@ -392,7 +384,7 @@ def test_sf1_accepts_every_set_f_li_accepts_on_stub_sets(gammas, densities,
 
 
 def test_federated_matches_its_own_loop():
-    cases = _sample_cases() + _small_cases()
+    cases = sample_cases() + _small_cases()
     for tasks, m in cases:
         v = federated_allocate(tasks, m)
         ref = _reference_federated_allocate(tasks, m)
@@ -412,7 +404,7 @@ def test_min_m_is_exact_on_sample():
     """Every verdict that reports min_m accepts on min_m processors and,
     when min_m > 1, rejects on one fewer."""
     checked = set()
-    for tasks, m in _sample_cases():
+    for tasks, m in sample_cases():
         for name, method in TESTS.items():
             min_m = method.run(tasks, m).min_m
             if min_m is None:
@@ -493,7 +485,7 @@ def _assert_matches_reference(tasks, m):
 def test_accepted_plans_hold_on_sample(corpus):
     checked = {"federated": 0, "sf1": 0, "sf2": 0}
     split = 0
-    for tasks, m in (_sample_cases() + _small_cases()
+    for tasks, m in (sample_cases() + _small_cases()
                      + _verify_and_rational_cases(corpus)):
         for v in _assert_matches_reference(tasks, m):
             if v.schedulable:
