@@ -19,42 +19,18 @@ from fractions import Fraction
 from itertools import accumulate
 from typing import Optional
 
-from .errors import ConstrainedDeadline
+from .errors import ConstrainedDeadline, MalformedTaskSet
 from .model import DagTask, TaskMetrics
 
 
 @dataclass(frozen=True)
 class TimingDiagram:
-    """Earliest ready and latest finish times as ints, in units of 1/den;
-    ``rdy``, ``fsh`` and ``critical_path`` give them as Fractions."""
-    den: int
-    rdy_int: list    # vertex -> earliest ready time times den
+    """The latest finish times, the segment cuts and each vertex window's
+    cut indices, as ints in units of the task's 1/den; the task keeps den,
+    the ready times, C and L."""
     fsh_int: list    # vertex -> latest finish time times den
-    cpl_int: int     # L times den
-
-    @cached_property
-    def rdy(self) -> dict:
-        return {v: Fraction(t, self.den) for v, t in enumerate(self.rdy_int)}
-
-    @cached_property
-    def fsh(self) -> dict:
-        return {v: Fraction(t, self.den) for v, t in enumerate(self.fsh_int)}
-
-    @property
-    def critical_path(self) -> Fraction:
-        return Fraction(self.cpl_int, self.den)
-
-    @cached_property
-    def cuts(self) -> list:
-        """The segment boundaries: 0, L and every rdy/fsh value, sorted."""
-        return sorted({0, self.cpl_int, *self.rdy_int, *self.fsh_int})
-
-    @cached_property
-    def windows(self) -> tuple:
-        """(lo, hi), lists by vertex of the indices in ``cuts`` of rdy and
-        fsh: a vertex window is exactly the segments lo..hi-1."""
-        index = dict(zip(self.cuts, range(len(self.cuts)))).__getitem__
-        return list(map(index, self.rdy_int)), list(map(index, self.fsh_int))
+    cuts: list       # the segment boundaries: every rdy/fsh value, sorted
+    windows: tuple   # (lo, hi), by vertex: the indices in cuts of rdy, fsh
 
 
 @dataclass
@@ -82,8 +58,6 @@ class SegmentationResult:
     split_count: int
     heavy: int                       # summed workload of heavy segments
     light: int                       # summed length of light segments
-    work: Fraction                   # C
-    critical_path: Fraction          # L
     omega: Fraction
 
     @cached_property
@@ -126,15 +100,17 @@ class DecomposedTask:
 
 
 def timing_diagram(task: DagTask) -> TimingDiagram:
-    """Earliest ready / latest finish times on the [0, L] axis, as ints.
+    """Latest finish times, segment cuts and vertex windows, as ints.
 
-    rdy(v) = max over predecessors of rdy(u) + c(u), 0 for the source, as
-    the task keeps it; fsh(v) = min over successors of rdy(u), L for the
-    sink."""
+    fsh(v) = min over successors of rdy(u), L for the sink, on the ready
+    times the task keeps; the cuts are every distinct rdy and fsh value (0
+    and L among them), and a vertex window is the segments lo..hi-1."""
     rdy, cpl = task.rdy_int, task.cpl_int
     fsh = [min(map(rdy.__getitem__, s)) if s else cpl for s in task.succ]
-    return TimingDiagram(den=task.den, rdy_int=rdy, fsh_int=fsh,
-                         cpl_int=cpl)
+    cuts = sorted({*rdy, *fsh})
+    index = dict(zip(cuts, range(len(cuts)))).__getitem__
+    return TimingDiagram(fsh_int=fsh, cuts=cuts, windows=(
+        list(map(index, rdy)), list(map(index, fsh))))
 
 
 def segment_workload(task: DagTask, td: TimingDiagram) -> SegmentationResult:
@@ -155,7 +131,7 @@ def segment_workload(task: DagTask, td: TimingDiagram) -> SegmentationResult:
     Fraction, and its views build the rest when read.
     """
     (los, his), ends = td.windows, td.cuts
-    l_int, c_int, wcet = td.cpl_int, task.work_int, task.wcet_int
+    l_int, c_int, wcet = task.cpl_int, task.work_int, task.wcet_int
     lengths = [b - a for a, b in zip(ends, ends[1:])]
     caps = [c_int * e for e in lengths]      # C/L threshold, workload units
     load = [0] * len(lengths)
@@ -224,11 +200,9 @@ def segment_workload(task: DagTask, td: TimingDiagram) -> SegmentationResult:
     heavy = sum(w for w, cap in zip(load, caps) if w > cap)
     light = sum(e for w, cap, e in zip(load, caps, lengths) if w <= cap)
     return SegmentationResult(
-        den=td.den, cuts=ends, load=load, pieces=pieces,
+        den=task.den, cuts=ends, load=load, pieces=pieces,
         split_count=split_count, heavy=heavy, light=light,
-        work=task.metrics.work, critical_path=task.metrics.critical_path,
-        omega=Fraction(heavy + light * c_int, l_int * c_int),
-    )
+        omega=Fraction(heavy + light * c_int, l_int * c_int))
 
 
 def distribute_laxity(task: DagTask, seg: SegmentationResult) -> list:
@@ -352,8 +326,11 @@ def _segmentation(task: DagTask) -> tuple[TimingDiagram, SegmentationResult]:
 
     The model is implicit-deadline only: the laxity step stretches the
     segments to the period, so a task with D < T would get subtask
-    deadlines past D.  Such a task raises ``ConstrainedDeadline``.
+    deadlines past D.  Such a task raises ``ConstrainedDeadline``, and a
+    shape, which has no period, ``MalformedTaskSet``.
     """
+    if task.period is None:
+        raise MalformedTaskSet(f"task {task.id}: no period")
     if task.deadline != task.period:
         raise ConstrainedDeadline(
             f"task {task.id}: D={task.deadline} != T={task.period}; the "

@@ -286,7 +286,8 @@ def task_to_dict(task: DagTask) -> dict:
 def task_from_dict(data: dict, index: int = 0) -> DagTask:
     """Build a task from its JSON form; ``index`` is its place in the set.
 
-    Raises ``MalformedTaskSet`` naming the task index and the missing field.
+    Raises ``MalformedTaskSet`` naming the task index and the missing field,
+    or a null period or deadline.
     """
     if not isinstance(data, dict):
         raise MalformedTaskSet(f"task {index}: not a JSON object")
@@ -304,6 +305,8 @@ def task_from_dict(data: dict, index: int = 0) -> DagTask:
     except TypeError:
         raise MalformedTaskSet(
             f"task {index}: 'vertices' is not a list of objects") from None
+    if None in (fields["period"], fields["deadline"]):
+        raise MalformedTaskSet(f"task {index}: period or deadline is null")
     return DagTask(**fields)
 
 

@@ -1,5 +1,6 @@
 """Shared task builders and the random-DAG corpus."""
 
+import functools
 import random
 from fractions import Fraction
 
@@ -90,6 +91,18 @@ def sample_cases():
             for scale, seeds in (((10, 50), range(8)), (PAPER_SCALE, [0]))
             for seed in seeds for util in (0.3, 0.6, 0.9)]
     return [(tasks, m) for tasks in sets for m in (2, 4, 8, 16)]
+
+
+@functools.cache
+def verify_sets():
+    """Three sets drawn as the benchmark's verify workload draws its sets
+    (three tasks of 14-16 vertices, gamma-formula periods for m = 4), at
+    (seed, util) (1, 0.5), (2, 0.6) and (3, 0.9)."""
+    return tuple(gen_taskset(GenConfig(n_tasks=3, p=0.1, m=4, util=util,
+                                       n_vertices=(14, 16),
+                                       period_mode="gamma-formula"),
+                             seed=seed)
+                 for seed, util in ((1, 0.5), (2, 0.6), (3, 0.9)))
 
 
 @pytest.fixture(scope="session")

@@ -104,11 +104,11 @@ class OracleResult:
     omega_opt: Fraction
 
 
-def build_segments(td: TimingDiagram) -> list:
+def build_segments(task: DagTask, td: TimingDiagram) -> list:
     """Cut [0, L] at every distinct rdy/fsh value."""
-    if td.cpl_int == 0:
+    if task.cpl_int == 0:
         raise DegenerateWindow("critical path has zero length")
-    points = [Fraction(t, td.den) for t in td.cuts]
+    points = [Fraction(t, task.den) for t in td.cuts]
     return [Segment(index=i, start=a, end=b)
             for i, (a, b) in enumerate(zip(points, points[1:]))]
 
@@ -126,7 +126,7 @@ def segmentation_oracle(task: DagTask, max_vertices: int = 12
         raise OracleTooLarge(
             f"{len(real)} vertices exceeds the oracle cap {max_vertices}")
     td = timing_diagram(task)
-    segments = build_segments(td)
+    segments = build_segments(task, td)
     work, cpl = task.metrics.work, task.metrics.critical_path
 
     los, his = td.windows

@@ -182,8 +182,8 @@ def test_package_error_is_one_line_with_status_2(constrained_path, capsys):
 
 
 def _assert_one_error_line(path, prefix, capsys):
-    for command, *flags in (["analyze", "--m", "2"], ["simulate"],
-                            ["simulate", "--engine", "gedf"]):
+    for command, *flags in (["analyze", "--m", "2"], ["decompose"],
+                            ["simulate"], ["simulate", "--engine", "gedf"]):
         rc = main([command, str(path), *flags])
         assert rc == 2
         captured = capsys.readouterr()
@@ -224,8 +224,11 @@ def test_malformed_dag_is_one_line_with_status_2(tmp_path, capsys, vertices,
     (b'{"tasks": [3]}', "task 0: "),              # task not an object
     (b'{"tasks": [{"id": "x", "period": 1, "deadline": 1, "edges": [], '
      b'"vertices": [[0, 1]]}]}', "task 0: "),     # vertex not an object
+    (b'{"tasks": [{"id": "x", "period": null, "deadline": null, '
+     b'"edges": [], "vertices": [{"id": 0, "wcet": 1}]}]}',
+     "task 0: period or deadline is null"),
 ], ids=["not-json", "not-text", "list", "tasks-string", "task-number",
-        "vertex-list"])
+        "vertex-list", "null-period"])
 def test_malformed_file_is_one_line_with_status_2(tmp_path, capsys, text,
                                                   prefix):
     path = tmp_path / "bad.json"

@@ -1,3 +1,5 @@
+from __future__ import annotations
+
 import hashlib
 import math
 import random
@@ -11,45 +13,43 @@ import pytest
 
 from parasched.analysis import TESTS
 from parasched.decomposition import (Segment, SegmentationResult, Subtask,
-                                     TimingDiagram, dbf_and_load, decompose,
-                                     segment_omega, segment_workload,
-                                     timing_diagram)
+                                     dbf_and_load, decompose, segment_omega,
+                                     segment_workload, timing_diagram)
 from parasched.errors import (ConstrainedDeadline, CycleDetected,
-                              DeadlineExceedsPeriod, NonPositiveWcet)
+                              DeadlineExceedsPeriod, MalformedTaskSet,
+                              NonPositiveWcet)
 from parasched.gen import PAPER_SCALE, GenConfig, gen_taskset
 from parasched.model import DagTask, TaskMetrics, scale_to_ints, validate
 from conftest import (chain_task, diamond_task, fig1_task, fork_task,
-                      rational_variant, sample_cases)
+                      rational_variant, sample_cases, verify_sets)
 import reference
 from reference import (DegenerateWindow, OracleTooLarge, build_segments,
                        segmentation_oracle)
 
 
-def _is_heavy(seg: SegmentationResult, s: Segment) -> bool:
+def _is_heavy(task: DagTask, s: Segment) -> bool:
     """A segment is heavy when its load is above the task's: c*L > C*e."""
-    return s.c * seg.critical_path > seg.work * s.e
+    return s.c * task.metrics.critical_path > task.metrics.work * s.e
 
 
 def test_diamond_timing_diagram():
     t = diamond_task()
     td = timing_diagram(t)
-    assert td.critical_path == 6
-    assert td.rdy[0] == 0 and td.fsh[0] == 1
-    assert td.rdy[1] == 1 and td.fsh[1] == 5
-    assert td.rdy[2] == 1 and td.fsh[2] == 5
-    assert td.rdy[3] == 5 and td.fsh[3] == 6
+    assert (t.den, t.cpl_int) == (1, 6)
+    assert t.rdy_int == [0, 1, 1, 5]
+    assert td.fsh_int == [1, 5, 5, 6]
 
 
 def test_windows_are_wide_enough(corpus):
     for task in corpus[:200]:
         td = timing_diagram(task)
         for v in task.real_vertex_ids:
-            assert td.fsh[v] - td.rdy[v] >= task.wcets[v]
+            assert td.fsh_int[v] - task.rdy_int[v] >= task.wcet_int[v]
 
 
 def test_segments_partition_critical_path():
     t = fig1_task()
-    segs = build_segments(timing_diagram(t))
+    segs = build_segments(t, timing_diagram(t))
     assert segs[0].start == 0
     assert segs[-1].end == 8
     for a, b in zip(segs, segs[1:]):
@@ -60,9 +60,10 @@ def test_segment_boundaries_align_with_windows(corpus):
     # every vertex window is exactly a union of consecutive segments
     for task in corpus[:200]:
         td = timing_diagram(task)
-        bounds = {s.start for s in build_segments(td)} | {td.critical_path}
+        bounds = {s.start * task.den for s in build_segments(task, td)} \
+            | {task.cpl_int}
         for v in task.real_vertex_ids:
-            assert td.rdy[v] in bounds and td.fsh[v] in bounds
+            assert task.rdy_int[v] in bounds and td.fsh_int[v] in bounds
 
 
 def test_workload_is_conserved(corpus):
@@ -83,11 +84,11 @@ def test_workload_is_conserved(corpus):
         loads = [0] * len(seg.load)
         for i, v, portion in seg.pieces:
             assert portion > 0
-            assert td.rdy_int[v] <= seg.cuts[i] < seg.cuts[i + 1] \
+            assert task.rdy_int[v] <= seg.cuts[i] < seg.cuts[i + 1] \
                 <= td.fsh_int[v], (task.id, i, v)
             placed[v] += portion
             loads[i] += portion
-        assert placed == [w * td.cpl_int for w in task.wcet_int], task.id
+        assert placed == [w * task.cpl_int for w in task.wcet_int], task.id
         assert loads == seg.load, task.id
 
 
@@ -106,11 +107,11 @@ def test_fork_omega_matches_oracle():
 
 def test_omega_identity_and_range(corpus):
     for task in corpus[:300]:
-        seg = decompose(task).segmentation
-        heavy = [s for s in seg.segments if _is_heavy(seg, s)]
-        c_out = sum((s.c - seg.work / seg.critical_path * s.e
+        seg, met = decompose(task).segmentation, task.metrics
+        heavy = [s for s in seg.segments if _is_heavy(task, s)]
+        c_out = sum((s.c - met.work / met.critical_path * s.e
                      for s in heavy), Fraction(0))
-        assert seg.omega == 1 + c_out / seg.work
+        assert seg.omega == 1 + c_out / met.work
         assert 1 <= seg.omega < 2
 
 
@@ -219,10 +220,8 @@ def test_load_matches_window_enumeration_on_rational_wcets(corpus):
 
 def test_load_matches_window_enumeration_on_verify_sets():
     # the sets the benchmark's verify workload computes the load of
-    for seed, util in ((1, 0.5), (2, 0.6), (3, 0.9)):
-        config = GenConfig(n_tasks=3, p=0.1, m=4, util=util,
-                           n_vertices=(14, 16), period_mode="gamma-formula")
-        for task in gen_taskset(config, seed=seed):
+    for tasks in verify_sets():
+        for task in tasks:
             dt = decompose(task).decomposed
             assert dbf_and_load(dt) == _brute_load(dt)
 
@@ -240,6 +239,14 @@ def test_constrained_deadline_is_rejected():
         decompose(fig1_task(period=40, deadline=9))
 
 
+def test_shape_without_a_period_is_rejected():
+    # a shape has the integer core but no period to stretch the segments to
+    shape = DagTask("shape", [(0, 1), (1, 2)], [(0, 1)])
+    for run in (segment_omega, decompose):
+        with pytest.raises(MalformedTaskSet, match="task shape: no period"):
+            run(shape)
+
+
 def test_load_bounded_on_sample(corpus):
     for task in corpus[:60]:
         dec = decompose(task, compute_load=True)
@@ -249,11 +256,11 @@ def test_load_bounded_on_sample(corpus):
 def test_paper_worked_segmentation_threshold():
     # C/L = 2 for the six-vertex example; phase-2 fills light segments
     # exactly to the threshold, so no light segment exceeds it.
-    dec = decompose(fig1_task())
-    seg = dec.segmentation
+    task = fig1_task()
+    seg, met = decompose(task).segmentation, task.metrics
     for s in seg.segments:
-        if not _is_heavy(seg, s):
-            assert s.c * seg.critical_path <= seg.work * s.e
+        if not _is_heavy(task, s):
+            assert s.c * met.critical_path <= met.work * s.e
 
 
 def test_segment_omega_is_decompose_omega(corpus):
@@ -272,13 +279,14 @@ def test_segment_omega_builds_no_fraction_views(monkeypatch):
         return results[-1]
 
     monkeypatch.setattr(dec, "segment_workload", keep)
-    omega = segment_omega(fig1_task())
+    task = fig1_task()
+    omega, met = segment_omega(task), task.metrics
     (seg,) = results
     assert "segments" not in vars(seg)
     # read on demand, the views agree with the ints and ``segments`` is kept
-    assert seg.omega == omega == reference.c_heavy(seg) / seg.work \
-        + reference.l_light(seg) / seg.critical_path
-    assert sum(s.c for s in seg.segments) == seg.work == sum(
+    assert seg.omega == omega == reference.c_heavy(seg) / met.work \
+        + reference.l_light(seg) / met.critical_path
+    assert sum(s.c for s in seg.segments) == met.work == sum(
         (sum(slot.values()) for slot in reference.assignment(seg).values()),
         Fraction(0))
     assert "segments" in vars(seg)
@@ -287,8 +295,8 @@ def test_segment_omega_builds_no_fraction_views(monkeypatch):
 # The Fraction segmentation that the integer core replaced, copied verbatim
 # with its helpers, as the reference the core must match bit for bit.
 
-def _covered(td: TimingDiagram, vid, seg: Segment) -> bool:
-    return td.rdy[vid] <= seg.start and seg.end <= td.fsh[vid]
+def _covered(diagram: _ReferenceDiagram, vid, seg: Segment) -> bool:
+    return diagram.rdy[vid] <= seg.start and seg.end <= diagram.fsh[vid]
 
 
 @dataclass
@@ -298,7 +306,7 @@ class _Part:
     fsh: Fraction
 
 
-def _reference_segment_workload(task: DagTask, td: TimingDiagram,
+def _reference_segment_workload(task: DagTask, diagram: _ReferenceDiagram,
                                 segments: list,
                                 metrics: Optional[TaskMetrics] = None
                                 ) -> SimpleNamespace:
@@ -316,7 +324,8 @@ def _reference_segment_workload(task: DagTask, td: TimingDiagram,
     segments = [replace(s) for s in segments]
 
     # earliest-fsh order; ties broken by ascending vertex id
-    parts = [_Part(v, task.wcets[v], td.fsh[v]) for v in task.real_vertex_ids]
+    parts = [_Part(v, task.wcets[v], diagram.fsh[v])
+             for v in task.real_vertex_ids]
     parts.sort(key=lambda p: (p.fsh, p.vid))
 
     assignment = {s.index: {} for s in segments}
@@ -333,7 +342,7 @@ def _reference_segment_workload(task: DagTask, td: TimingDiagram,
     # Phase 1: single-segment vertices
     remaining = []
     for part in parts:
-        cover = [s for s in segments if _covered(td, part.vid, s)]
+        cover = [s for s in segments if _covered(diagram, part.vid, s)]
         if len(cover) == 1:
             put(cover[0], part, part.c)
         else:
@@ -345,7 +354,8 @@ def _reference_segment_workload(task: DagTask, td: TimingDiagram,
         if not is_light(seg):
             continue
         while True:
-            part = next((p for p in parts if _covered(td, p.vid, seg)), None)
+            part = next((p for p in parts
+                         if _covered(diagram, p.vid, seg)), None)
             if part is None:
                 break
             capacity = (work * seg.e - seg.c * cpl) / cpl
@@ -372,7 +382,7 @@ def _reference_segment_workload(task: DagTask, td: TimingDiagram,
 
     # Phase 3: leftovers go to covered segments (all at or above threshold)
     for part in parts:
-        cover = [s for s in segments if _covered(td, part.vid, s)]
+        cover = [s for s in segments if _covered(diagram, part.vid, s)]
         left = part.c
         pieces = 0
         for seg in cover:
@@ -409,9 +419,9 @@ def _reference_segment_workload(task: DagTask, td: TimingDiagram,
 def _reference_omega(task: DagTask) -> Fraction:
     """Omega from the Fraction reference pipeline alone."""
     met = _reference_validate(task)
-    td = _reference_timing_diagram(task, met)
+    diagram = _reference_timing_diagram(task, met)
     return _reference_segment_workload(
-        task, td, _reference_build_segments(td), met).omega
+        task, diagram, _reference_build_segments(diagram), met).omega
 
 
 def test_d_our_verdict_matches_its_certificate():
@@ -448,10 +458,10 @@ def test_d_our_verdict_matches_its_certificate():
 def _assert_same_segmentation(tasks):
     for task in tasks:
         met = validate(task)
-        td = timing_diagram(task)
-        segments = build_segments(td)
-        new = segment_workload(task, td)
-        ref = _reference_segment_workload(task, td, segments, met)
+        new = segment_workload(task, timing_diagram(task))
+        ref_diagram = _reference_timing_diagram(task, met)
+        ref = _reference_segment_workload(
+            task, ref_diagram, _reference_build_segments(ref_diagram), met)
         assert [(s.start, s.end, s.c) for s in new.segments] \
             == [(s.start, s.end, s.c) for s in ref.segments], task.id
         assert reference.assignment(new) == {
@@ -583,13 +593,13 @@ def _reference_timing_diagram(task: DagTask,
                              critical_path=metrics.critical_path)
 
 
-def _reference_build_segments(td: _ReferenceDiagram) -> list:
+def _reference_build_segments(diagram: _ReferenceDiagram) -> list:
     """Cut [0, L] at every distinct rdy/fsh value."""
-    if td.critical_path == 0:
+    if diagram.critical_path == 0:
         raise DegenerateWindow("critical path has zero length")
-    boundaries = {Fraction(0), td.critical_path}
-    boundaries.update(td.rdy.values())
-    boundaries.update(td.fsh.values())
+    boundaries = {Fraction(0), diagram.critical_path}
+    boundaries.update(diagram.rdy.values())
+    boundaries.update(diagram.fsh.values())
     points = sorted(boundaries)
     return [Segment(index=i, start=a, end=b)
             for i, (a, b) in enumerate(zip(points, points[1:]))]
@@ -599,11 +609,15 @@ def _assert_same_core(tasks):
     for task in tasks:
         met, ref_met = validate(task), _reference_validate(task)
         assert met == ref_met, task.id
-        td, ref_td = timing_diagram(task), _reference_timing_diagram(task)
-        assert (td.rdy, td.fsh, td.critical_path) \
-            == (ref_td.rdy, ref_td.fsh, ref_td.critical_path), task.id
-        assert build_segments(td) == _reference_build_segments(ref_td), \
-            task.id
+        td, ref_diagram = timing_diagram(task), _reference_timing_diagram(task)
+        den = task.den
+        assert (dict(enumerate(task.rdy_int)), dict(enumerate(td.fsh_int)),
+                task.cpl_int) \
+            == ({v: t * den for v, t in ref_diagram.rdy.items()},
+                {v: t * den for v, t in ref_diagram.fsh.items()},
+                ref_diagram.critical_path * den), task.id
+        assert build_segments(task, td) \
+            == _reference_build_segments(ref_diagram), task.id
 
 
 def test_core_matches_reference_on_corpus(corpus):
@@ -652,20 +666,20 @@ def _reference_distribute_laxity(task: DagTask,
     With lam = rho = omega, heavy segments get d = c*T/(omega*C) and light
     segments d = e*T/(omega*L); the stretched lengths sum to T exactly.
     """
-    omega = seg.omega
+    omega, met = seg.omega, task.metrics
     period = task.period
     stretched = []
     for s in seg.segments:
-        if _is_heavy(seg, s):
-            d = s.c * period / (omega * seg.work)
+        if _is_heavy(task, s):
+            d = s.c * period / (omega * met.work)
         else:
-            d = s.e * period / (omega * seg.critical_path)
+            d = s.e * period / (omega * met.critical_path)
         stretched.append(replace(s, d=d))
     assert sum(s.d for s in stretched) == period, "stretched lengths != T"
     return stretched
 
 
-def _reference_reassemble(task: DagTask, td: TimingDiagram,
+def _reference_reassemble(task: DagTask, diagram: _ReferenceDiagram,
                           stretched: list) -> _ReferenceDecomposedTask:
     """One sporadic subtask per vertex.
 
@@ -686,8 +700,8 @@ def _reference_reassemble(task: DagTask, td: TimingDiagram,
     for v in task.real_vertex_ids:
         subtasks.append(Subtask(
             origin=v,
-            release=pos[td.rdy[v]],
-            deadline=pos[td.fsh[v]],
+            release=pos[diagram.rdy[v]],
+            deadline=pos[diagram.fsh[v]],
             wcet=Fraction(task.wcet_int[v], task.den),
         ))
     return _ReferenceDecomposedTask(task_id=task.id, period=task.period,
@@ -745,7 +759,8 @@ def _assert_same_decomposition(tasks):
     for task in tasks:
         dec = decompose(task, compute_load=True)
         stretched = _reference_distribute_laxity(task, dec.segmentation)
-        ref = _reference_reassemble(task, timing_diagram(task), stretched)
+        ref = _reference_reassemble(task, _reference_timing_diagram(task),
+                                    stretched)
         assert dec.stretched == stretched, task.id
         dt = dec.decomposed
         assert (dt.task_id, dt.period, dt.subtasks) \
@@ -769,10 +784,7 @@ def test_decomposition_matches_reference_on_rational_wcets(corpus):
 def test_decomposition_matches_reference_on_verify_and_paper_scale_sets():
     # the verify workload's sets (gamma-formula periods), then two sets of
     # two paper-scale tasks
-    tasks = [task for seed, util in ((1, 0.5), (2, 0.6), (3, 0.9))
-             for task in gen_taskset(GenConfig(
-                 n_tasks=3, p=0.1, m=4, util=util, n_vertices=(14, 16),
-                 period_mode="gamma-formula"), seed=seed)]
+    tasks = [task for tasks in verify_sets() for task in tasks]
     assert any(t.period.denominator > 1 for t in tasks)
     config = GenConfig(p=0.05, n_vertices=PAPER_SCALE, n_tasks=2)
     tasks += [task for seed in range(2)

@@ -142,6 +142,13 @@ def test_json_round_trip():
      "task 1: missing field 'deadline'"),
     ('{"tasks": [{"id": 1, "period": 4, "deadline": 4, "edges": [],'
      ' "vertices": [{"id": 0}]}]}', "task 0: missing field 'wcet'"),
+    ('{"tasks": [{"id": 0, "period": null, "deadline": null,'
+     ' "vertices": [{"id": 0, "wcet": 1}], "edges": []}]}',
+     "task 0: period or deadline is null"),
+    ('{"tasks": [{"id": 1, "period": 4, "deadline": 4, "edges": [],'
+     ' "vertices": [{"id": 0, "wcet": 1}]}, {"id": 2, "period": 4,'
+     ' "deadline": null, "edges": [], "vertices": [{"id": 0, "wcet": 1}]}]}',
+     "task 1: period or deadline is null"),
     ('{"sets": []}', "missing field 'tasks'"),
 ])
 def test_malformed_json_names_the_missing_field(text, message):

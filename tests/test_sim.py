@@ -14,7 +14,8 @@ from parasched.gen import PAPER_SCALE, GenConfig, gen_taskset
 from parasched.model import DagTask, validate
 from parasched.sim import (GedfReport, simulate_dispatcher, simulate_gedf,
                            simulate_uniform)
-from conftest import chain_task, fig1_task, random_small_task, rational_variant
+from conftest import (chain_task, fig1_task, random_small_task,
+                      rational_variant, verify_sets)
 from reference import migrations
 
 SPEEDS = [1, Fraction(1, 2), Fraction(1, 4)]
@@ -208,10 +209,7 @@ def _assert_gedf_matches_reference(decs, m, horizon):
 def test_gedf_matches_reference_on_verify_sets():
     # the sets the benchmark's verify workload simulates, on 1, 2 and 4
     # processors over two of the largest periods
-    for seed, util in ((1, 0.5), (2, 0.6), (3, 0.9)):
-        config = GenConfig(n_tasks=3, p=0.1, m=4, util=util,
-                           n_vertices=(14, 16), period_mode="gamma-formula")
-        tasks = gen_taskset(config, seed=seed)
+    for tasks in verify_sets():
         decs = [decompose(t).decomposed for t in tasks]
         horizon = 2 * max(t.period for t in tasks)
         assert horizon.denominator > 1
@@ -260,9 +258,7 @@ def test_gedf_memory_does_not_grow_with_the_horizon():
     # a verify-shaped set that meets every deadline on 4 processors: the
     # engine holds the next job of each subtask and the live ones, so ten
     # times the horizon must not take ten times the memory
-    config = GenConfig(n_tasks=3, p=0.1, m=4, util=0.5,
-                       n_vertices=(14, 16), period_mode="gamma-formula")
-    tasks = gen_taskset(config, seed=1)
+    tasks = verify_sets()[0]
     decs = [decompose(t).decomposed for t in tasks]
     period = max(t.period for t in tasks)
     simulate_gedf(decs, 4, 2 * period)     # one-time allocations go here
