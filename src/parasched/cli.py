@@ -89,22 +89,19 @@ def cmd_analyze(args):
     return 0
 
 
-def _jsonable(obj):
-    """``obj`` for ``json.dumps``: rationals as strings, a dataclass as its
-    fields in declaration order (as ``asdict`` gives them), in one walk."""
+def _json_default(obj):
+    """``json.dumps``'s hook for what JSON lacks: a rational as a string, a
+    dataclass as its fields in declaration order (as ``asdict`` gives
+    them)."""
     if isinstance(obj, Fraction):
         return format_rational(obj)
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
     if is_dataclass(obj):
-        return {f.name: _jsonable(getattr(obj, f.name)) for f in fields(obj)}
-    return obj
+        return {f.name: getattr(obj, f.name) for f in fields(obj)}
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 def _write_row(fp, row) -> None:
-    fp.write(json.dumps(_jsonable(row)) + "\n")
+    fp.write(json.dumps(row, default=_json_default) + "\n")
 
 
 def cmd_simulate(args):

@@ -37,3 +37,8 @@ class UtilizationInfeasible(ParaschedError, RuntimeError):
 class InvalidSpeeds(ParaschedError, ValueError):
     """A list of processor speeds or load bounds that is empty or holds a
     value that is not positive."""
+
+
+class InvalidChoice(ParaschedError, ValueError):
+    """A simulator's ``order`` or ``choice`` callback picked a vertex that
+    is not eligible."""

@@ -19,9 +19,22 @@ the LCM of the speed denominators; times are ints over ``den``, which
 starts at the task's ``den``; and work is in units of 1/(scale * den), so
 a processor of speed sigma does sigma * dt work in dt ticks.  Before a
 division by sigma whose result is not a whole tick, ``den`` and every
-time and remaining work are multiplied by sigma / gcd(work, sigma).
+time and remaining work are multiplied by sigma / gcd(work, sigma); an
+untouched vertex's work is its WCET times ``unit``, which takes every
+such factor, so only the started or split ones keep theirs.
 Fractions are built for what is returned: the response time at once, the
 trace lists on first read.
+
+The two single-DAG engines keep readiness as it changes: each real
+vertex counts its unfinished real predecessors (the dummies are done
+from the start), and a vertex's end lowers its successors' counts.
+``simulate_uniform`` keeps the eligible vertices in a sorted list.
+``simulate_dispatcher`` keeps its ready list of unassigned parts, in the
+order that decides the default pick, with the set of those eligible, and
+maps each split head to its remainder: the head's end makes the
+remainder eligible, and only the last part's end counts for the
+successors.  The ``order``/``choice`` callbacks get a copy of the
+eligible ids, and a pick that is not eligible raises ``InvalidChoice``.
 """
 
 from __future__ import annotations
@@ -36,7 +49,13 @@ from operator import itemgetter
 from typing import Callable, Optional, Sequence
 
 from .decomposition import DecomposedTask
+from .errors import InvalidChoice
 from .model import DagTask, scale_speeds
+
+# a ready GEDF job's deadline, and its key for reporting misses in
+# release order
+_DEADLINE = itemgetter(0)
+_RELEASE_ORDER = itemgetter(3, 0, 1)
 
 
 @dataclass
@@ -79,6 +98,16 @@ class SimTrace:
                 for t, den, index, exe, deadline in self.assignment_ints]
 
 
+def _waiting(task: DagTask, n: int) -> list:
+    """Each real vertex's count of real predecessors: the dummy source is
+    done from the start."""
+    waiting = [len(p) for p in task.pred[:n]]
+    for d in task.dummy_ids:
+        for v in task.succ[d]:
+            waiting[v] -= 1
+    return waiting
+
+
 def simulate_uniform(task: DagTask, speeds: Sequence,
                      order: Optional[Callable] = None,
                      migration: bool = True) -> SimTrace:
@@ -88,65 +117,90 @@ def simulate_uniform(task: DagTask, speeds: Sequence,
     (default: ascending id), are placed on the fastest processors.  With
     ``migration=False`` a started vertex stays pinned to its processor and
     only idle processors pick up fresh work.  Raises ``InvalidSpeeds``
-    unless there is a speed and all are positive.
+    unless there is a speed and all are positive, and ``InvalidChoice``
+    if ``order`` returns anything but a permutation of ``ids``.
     """
     scale, speeds = scale_speeds(speeds)
     speeds.sort(reverse=True)
     den = task.den
-    remaining = {v: task.wcet_int[v] * scale      # unfinished, in id order
-                 for v in task.real_vertex_ids}
-    done = set(task.dummy_ids)
+    wcet, succ = task.wcet_int, task.succ
+    n = unfinished = len(wcet) - len(task.dummy_ids)
+    waiting = _waiting(task, n)     # unfinished real predecessors
+    ready = [v for v in range(n) if not waiting[v]]     # ascending id
+    unit = scale        # an unstarted vertex's work is wcet[v] * unit
+    left = {}           # started, unfinished vertex -> remaining work
     where = {}          # vertex -> processor index it last ran on
     events, intervals = [], []
     t = 0
 
-    while remaining:
-        eligible = [v for v in remaining if done.issuperset(task.pred[v])]
-        assert eligible, "deadlock in precedence graph"
+    while unfinished:
+        assert ready, "deadlock in precedence graph"
+        eligible = ready
         if order is not None:
-            eligible = list(order(Fraction(t, den), eligible))
+            now = Fraction(t, den)
+            eligible = list(order(now, ready[:]))
+            try:
+                ok = (len(eligible) == len(ready)
+                      and set(eligible) == set(ready))
+            except TypeError:   # an unhashable id
+                ok = False
+            if not ok:
+                raise InvalidChoice(
+                    f"order at t={now} returned {eligible}, not a "
+                    f"permutation of the eligible vertices {ready}")
 
         # processor index -> vertex; without migration, pinned vertices
         # keep their processor and fresh ones take the free ones in order
         if migration:
             running = dict(enumerate(eligible[:len(speeds)]))
         else:
-            running = {where[v]: v for v in eligible if v in where}
+            running, fresh = {}, []
+            for v in eligible:
+                if v in where:
+                    running[where[v]] = v
+                else:
+                    fresh.append(v)
             free = [i for i in range(len(speeds)) if i not in running]
-            running.update(zip(free, [v for v in eligible if v not in where]))
+            running.update(zip(free, fresh))
 
-        for idx, v in running.items():
-            if v in where and where[v] != idx:
-                events.append((t, den, "migrate", v, where[v], idx))
-            elif v not in where:
-                events.append((t, den, "start", v, idx))
-            where[v] = idx
-
-        # advance to the earliest completion, the least work / speed
+        # record starts and migrations, and find the earliest completion,
+        # the least work / speed
         work = speed = None
         for idx, v in running.items():
-            if work is None or remaining[v] * speed < work * speeds[idx]:
-                work, speed = remaining[v], speeds[idx]
+            if v not in where:
+                events.append((t, den, "start", v, idx))
+                left[v] = wcet[v] * unit
+            elif where[v] != idx:
+                events.append((t, den, "migrate", v, where[v], idx))
+            where[v] = idx
+            if work is None or left[v] * speed < work * speeds[idx]:
+                work, speed = left[v], speeds[idx]
         k = speed // math.gcd(work, speed)
         if k > 1:   # work / speed is not a whole tick: refine the tick
-            den, t, work = den * k, t * k, work * k
-            for v in remaining:
-                remaining[v] *= k
+            den, t, work, unit = den * k, t * k, work * k, unit * k
+            for v in left:
+                left[v] *= k
         dt = work // speed
         assert dt > 0
-        intervals.append((t, t + dt, den, dict(running)))
+        intervals.append((t, t + dt, den, running))
         t += dt
         for idx, v in running.items():
-            remaining[v] -= dt * speeds[idx]
-            if remaining[v] == 0:
-                del remaining[v]
-                done.add(v)
+            left[v] -= dt * speeds[idx]
+            if not left[v]:
+                del left[v]
+                unfinished -= 1
                 events.append((t, den, "finish", v, idx))
+                ready.remove(v)
+                for w in succ[v]:
+                    if w < n:
+                        waiting[w] -= 1
+                        if not waiting[w]:
+                            bisect.insort(ready, w)
 
     return SimTrace(Fraction(t, den), 0, scale, events, intervals, [])
 
 
-@dataclass
+@dataclass(slots=True)
 class _Container:
     index: int
     delta: int
@@ -165,55 +219,80 @@ def simulate_dispatcher(task: DagTask, deltas: Sequence,
     empty earlier, the vertex is split at that deadline and its remainder
     goes back to the head of the ready list.  Occupied containers empty
     exactly at their deadlines.  Raises ``InvalidSpeeds`` unless there is
-    a load bound and all are positive.
+    a load bound and all are positive, and ``InvalidChoice`` if ``choice``
+    names a vertex that is not eligible.
     """
     scale, deltas = scale_speeds([getattr(d, "load", d) for d in deltas])
     containers = [_Container(i, d) for i, d in enumerate(deltas)]
+    by_speed = sorted(containers, key=lambda c: (-c.delta, c.index))
+    busy = 0
     den = task.den
-    vids = task.real_vertex_ids
-    # ready list S: [key, remaining work]; vertex keys are the id or
-    # (id, suffix) for split parts
-    s_list = [[v, task.wcet_int[v] * scale] for v in vids]
-    pred_of = {v: set(task.pred[v]) for v in vids}
-    done = set(task.dummy_ids)
+    wcet, succ = task.wcet_int, task.succ
+    n = len(wcet) - len(task.dummy_ids)
+    waiting = _waiting(task, n)     # unfinished real predecessors
+    # the ready list S holds the keys of the unassigned parts, the id or
+    # (id, suffix) for split parts; ``eligible`` holds those whose
+    # predecessors are done, and ``after`` maps each split head to its
+    # remainder, which becomes eligible when the head ends
+    s_list = list(range(n))
+    eligible = {v for v in s_list if not waiting[v]}
+    after = {}
+    unit = scale        # an unsplit vertex's work is wcet[v] * unit
+    rest = {}           # remainder key -> its work
     events, assignments = [], []
     split_count = 0
     t = 0
 
-    def eligible():
-        return [entry for entry in s_list if pred_of[entry[0]] <= done]
-
-    while s_list or any(c.exe is not None for c in containers):
+    while s_list or busy:
         # vacate containers whose deadline is now
         for c in containers:
-            if c.deadline is not None and c.deadline == t:
-                done.add(c.exe)
-                events.append((t, den, "finish", c.exe, c.index))
+            if c.deadline == t:
+                key = c.exe
+                events.append((t, den, "finish", key, c.index))
                 c.deadline = None
                 c.exe = None
+                busy -= 1
+                if key in after:
+                    eligible.add(after.pop(key))
+                else:   # the vertex's last part
+                    for w in succ[key if type(key) is int else key[0]]:
+                        if w < n:
+                            waiting[w] -= 1
+                            if not waiting[w]:
+                                eligible.add(w)
 
-        while True:
-            empty = [c for c in containers if c.deadline is None]
-            elig = eligible()
-            if not empty or not elig:
-                break
-            if choice is not None:
-                key = choice(Fraction(t, den), [e[0] for e in elig])
-                entry = next(e for e in elig if e[0] == key)
+        while eligible and busy < len(containers):
+            if choice is None:
+                for i, v in enumerate(s_list):
+                    if v in eligible:
+                        break
             else:
-                entry = elig[0]
-            s_list.remove(entry)
-            v, c_v = entry
-            phi = max(empty, key=lambda c: (c.delta, -c.index))
-            faster = [c.deadline for c in containers
-                      if c.deadline is not None and c.delta > phi.delta]
-            d_prime = min(faster) if faster else None
+                now = Fraction(t, den)
+                ids = [key for key in s_list if key in eligible]
+                v = choice(now, ids)
+                if v not in ids:
+                    raise InvalidChoice(
+                        f"choice at t={now} named {v!r}, not one of the "
+                        f"eligible vertices {ids}")
+                i = s_list.index(v)
+            v = s_list.pop(i)
+            eligible.remove(v)
+            c_v = rest.pop(v) if type(v) is tuple else wcet[v] * unit
+            for phi in by_speed:    # the fastest empty container
+                if phi.deadline is None:
+                    break
+            d_prime = None          # the first deadline of a faster one
+            for c in by_speed:
+                if c.delta <= phi.delta:
+                    break
+                if d_prime is None or c.deadline < d_prime:
+                    d_prime = c.deadline
             if d_prime is None or (d_prime - t) * phi.delta >= c_v:
                 k = phi.delta // math.gcd(c_v, phi.delta)
                 if k > 1:   # as in simulate_uniform
-                    den, t, c_v = den * k, t * k, c_v * k
-                    for waiting in s_list:
-                        waiting[1] *= k
+                    den, t, c_v, unit = den * k, t * k, c_v * k, unit * k
+                    for key in rest:
+                        rest[key] *= k
                     for c in containers:
                         if c.deadline is not None:
                             c.deadline *= k
@@ -222,25 +301,22 @@ def simulate_dispatcher(task: DagTask, deltas: Sequence,
             else:
                 phi.deadline = d_prime
                 head = (d_prime - t) * phi.delta
-                v1 = (v, "'") if not isinstance(v, tuple) else (v[0], v[1] + "'")
-                v2 = (v, "''") if not isinstance(v, tuple) else (v[0], v[1] + "''")
+                orig, mark = (v, "") if type(v) is int else v
+                v1, v2 = (orig, mark + "'"), (orig, mark + "''")
                 phi.exe = v1
                 # the remainder inherits v's role in the graph
-                pred_of[v2] = {v1}
-                for w, ps in pred_of.items():
-                    if v in ps:
-                        ps.discard(v)
-                        ps.add(v2)
-                s_list.insert(0, [v2, c_v - head])
+                after[v1] = v2
+                rest[v2] = c_v - head
+                s_list.insert(0, v2)
                 split_count += 1
                 events.append((t, den, "split", v, head, c_v - head))
+            busy += 1
             assignments.append((t, den, phi.index, phi.exe, phi.deadline))
 
-        future = [c.deadline for c in containers if c.deadline is not None]
-        if not future:
+        if not busy:
             assert not s_list, "stuck with unassigned vertices"
             break
-        t = min(future)
+        t = min([c.deadline for c in containers if c.deadline is not None])
 
     return SimTrace(Fraction(t, den), split_count, scale, events, [],
                     assignments)
@@ -271,7 +347,9 @@ def simulate_gedf(tasks: Sequence[DecomposedTask], m: int,
     kept in EDF order, by (deadline, key); the first m run, and the late
     ones, a prefix of that order, are reported in release order as
     ((task_id, subtask, k), deadline, remaining work), with the deadline
-    and the work as Fractions."""
+    and the work as Fractions.  Raises ``ValueError`` unless m >= 1."""
+    if m < 1:
+        raise ValueError("m must be >= 1")
     horizon = Fraction(horizon)
     den = math.lcm(horizon.denominator, *(dt.den for dt in tasks))
     end = horizon.numerator * (den // horizon.denominator)
@@ -297,14 +375,18 @@ def simulate_gedf(tasks: Sequence[DecomposedTask], m: int,
             bisect.insort(ready, [deadline, (pos, si, k), wcet, release])
         run = ready[:m]
         # next event: a completion, a release, or the horizon
-        step = min([j[2] for j in run] + [heap[0][0] - t])
+        step = heap[0][0] - t
+        for j in run:
+            if j[2] < step:
+                step = j[2]
         for j in run:
             j[2] -= step
         t += step
         ready[:m] = [j for j in run if j[2]]
-        late = bisect.bisect_right(ready, t, key=itemgetter(0))
-        misses += sorted(ready[:late], key=itemgetter(3, 0, 1))
-        del ready[:late]
+        if ready and ready[0][0] <= t:
+            late = bisect.bisect_right(ready, t, key=_DEADLINE)
+            misses += sorted(ready[:late], key=_RELEASE_ORDER)
+            del ready[:late]
     return GedfReport(misses=[((tasks[pos].task_id, si, k),
                                Fraction(deadline, den), Fraction(left, den))
                               for deadline, (pos, si, k), left, _ in misses],

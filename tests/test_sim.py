@@ -9,7 +9,7 @@ import pytest
 from parasched.analysis import (TESTS, UniformPlatform, uniform_response_bound,
                                 weak_response_bound)
 from parasched.decomposition import decompose
-from parasched.errors import InvalidSpeeds, ParaschedError
+from parasched.errors import InvalidChoice, InvalidSpeeds, ParaschedError
 from parasched.gen import PAPER_SCALE, GenConfig, gen_taskset
 from parasched.model import DagTask, validate
 from parasched.sim import (GedfReport, simulate_dispatcher, simulate_gedf,
@@ -274,6 +274,15 @@ def test_gedf_memory_does_not_grow_with_the_horizon():
     assert peak(200) <= 2 * peak(20)
 
 
+@pytest.mark.parametrize("m", [0, -1])
+def test_gedf_rejects_fewer_than_one_processor(m):
+    # a slice ready[:m] would run no job at 0, and all but the last at -1
+    task = fig1_task()
+    dec = decompose(task).decomposed
+    with pytest.raises(ValueError, match="m must be >= 1"):
+        simulate_gedf([dec], m, 10 * task.period)
+
+
 def test_gedf_matches_reference_on_rational_wcets():
     tasks = [DagTask("a", [(0, "1/3"), (1, "5/7"), (2, 1)],
                      [(0, 1), (0, 2)], period="9/4", deadline="9/4"),
@@ -530,6 +539,54 @@ def test_sims_pass_fractions_to_the_callbacks():
                                               choice=choice).assignments
     assert all(type(t) is Fraction for t in seen)
     assert any(t.denominator > 1 for t in seen)
+
+
+def test_callbacks_get_a_copy(corpus):
+    # callbacks that reverse their argument in place: the engines' own
+    # ready structures must not change with it
+    def order(t, eligible):
+        eligible.reverse()
+        return eligible
+
+    def choice(t, eligible):
+        eligible.reverse()
+        return eligible[0]
+
+    for task in [fig1_task()] + corpus[:40]:
+        for speeds in SPEED_SETS:
+            for mig in (True, False):
+                assert simulate_uniform(task, speeds, order=order,
+                                        migration=mig).events \
+                    == _reference_simulate_uniform(task, speeds, order=order,
+                                                   migration=mig).events
+            got = simulate_dispatcher(task, speeds, choice=choice)
+            ref = _reference_simulate_dispatcher(task, speeds, choice=choice)
+            assert (got.events, got.assignments) \
+                == (ref.events, ref.assignments)
+
+
+@pytest.mark.parametrize("run", [
+    lambda: simulate_uniform(fig1_task(), [1, Fraction(1, 2)],
+                             order=lambda t, e: [99]),
+    lambda: simulate_uniform(fig1_task(), [1, Fraction(1, 2)],
+                             order=lambda t, e: [1]),
+    lambda: simulate_uniform(fig1_task(), [1, Fraction(1, 2)],
+                             order=lambda t, e: e + e, migration=False),
+    lambda: simulate_uniform(fig1_task(), [1, Fraction(1, 2)],
+                             order=lambda t, e: e[:-1]),
+    lambda: simulate_dispatcher(fig1_task(), [1, Fraction(1, 2)],
+                                choice=lambda t, e: 99),
+    lambda: simulate_dispatcher(fig1_task(), [1, Fraction(1, 2)],
+                                choice=lambda t, e: 1),
+], ids=["uniform-unknown", "uniform-not-ready", "uniform-twice",
+        "uniform-missing", "dispatcher-unknown", "dispatcher-not-ready"])
+def test_callback_picking_an_ineligible_vertex_raises(run):
+    # at t = 0 only vertex 0, fig1's source, is eligible
+    with pytest.raises(InvalidChoice, match="t=0") as info:
+        run()
+    assert isinstance(info.value, ParaschedError)
+    assert isinstance(info.value, ValueError)
+    assert "eligible vertices [0]" in str(info.value)
 
 
 def test_trace_lists_and_wcets_are_built_on_first_read():
