@@ -134,7 +134,7 @@ def gli_capacity_test(tasks: Sequence[DagTask], m: int) -> Verdict:
     if not _within_gli(x):
         return Verdict("gli-capacity", False, reason=f"U_sum/m = {x} > 1/b")
     for task in tasks:
-        x = task.metrics.critical_path / task.deadline
+        x = task.metrics.elasticity          # L/T, and here T = D
         if not _within_gli(x):
             return Verdict("gli-capacity", False,
                            reason=f"task {task.id}: L/D = {x} > 1/b")
@@ -142,8 +142,11 @@ def gli_capacity_test(tasks: Sequence[DagTask], m: int) -> Verdict:
 
 
 def _within_gli(x: Fraction) -> bool:
-    y = 3 - 2 * x
-    return y >= 0 and y * y >= 5
+    """x <= 1/b, decided on x = num/den as ints: 3 - 2x >= 0 and
+    (3 - 2x)^2 >= 5, both sides times den > 0 (den^2)."""
+    num, den = x.numerator, x.denominator
+    y = 3 * den - 2 * num
+    return y >= 0 and y * y >= 5 * den * den
 
 
 def uniform_response_bound(metrics: TaskMetrics,

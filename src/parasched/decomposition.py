@@ -103,10 +103,15 @@ def timing_diagram(task: DagTask) -> TimingDiagram:
     """Latest finish times, segment cuts and vertex windows, as ints.
 
     fsh(v) = min over successors of rdy(u), L for the sink, on the ready
-    times the task keeps; the cuts are every distinct rdy and fsh value (0
-    and L among them), and a vertex window is the segments lo..hi-1."""
+    times the task keeps, found by lowering fsh of each predecessor from L
+    along the edges; the cuts are every distinct rdy and fsh value (0 and
+    L among them), and a vertex window is the segments lo..hi-1."""
     rdy, cpl = task.rdy_int, task.cpl_int
-    fsh = [min(map(rdy.__getitem__, s)) if s else cpl for s in task.succ]
+    fsh = [cpl] * len(rdy)
+    for r, before in zip(rdy, task.pred):
+        for u in before:
+            if r < fsh[u]:
+                fsh[u] = r
     cuts = sorted({*rdy, *fsh})
     index = dict(zip(cuts, range(len(cuts)))).__getitem__
     return TimingDiagram(fsh_int=fsh, cuts=cuts, windows=(

@@ -5,6 +5,10 @@ fix a random topological order, and keep each forward edge with
 probability p.  Periods come in two flavours: a target-utilization split
 of a configured total (UUniFast-style), or the gamma-noise formula
 T = (L + C/(0.4*m*U)) * (1 + 0.25*Gamma(2,1)).
+
+A set is a function of (config, seed), drawn as ``randint`` and
+``shuffle`` would draw it (see ``gen_structure``); ``GenConfig`` rejects
+a vertex-count or WCET range that is not ints 1 <= lo <= hi.
 """
 
 from __future__ import annotations
@@ -36,8 +40,13 @@ class GenConfig:
             raise ValueError("utilization must be positive")
         if self.m < 1 or self.n_tasks < 1:
             raise ValueError("m and n_tasks must be >= 1")
-        if self.wcet_range[0] < 1:
-            raise ValueError("WCETs must be positive")
+        for name in ("n_vertices", "wcet_range"):
+            bounds = getattr(self, name)
+            if not (isinstance(bounds, (tuple, list)) and len(bounds) == 2
+                    and type(bounds[0]) is type(bounds[1]) is int
+                    and 1 <= bounds[0] <= bounds[1]):
+                raise ValueError(f"{name} must be a pair of ints lo, hi "
+                                 f"with 1 <= lo <= hi, got {bounds!r}")
 
 
 PAPER_SCALE = (50, 250)
@@ -45,15 +54,38 @@ PAPER_SCALE = (50, 250)
 
 def gen_structure(config: GenConfig, rng: random.Random, task_id):
     """One DAG without a period yet: vertices, WCETs, G(n,p) edges over a
-    random topological order."""
-    n = rng.randint(*config.n_vertices)
-    wcets = [rng.randint(*config.wcet_range) for _ in range(n)]
+    random topological order.  n, the WCETs and the order draw through
+    ``rng.getrandbits`` with ``Random._randbelow``'s rejection loop, the
+    edges through ``rng.random``: CPython's ``randint``/``shuffle`` stream,
+    except for a ``Random`` subclass overriding ``random()`` alone, whose
+    ``_randbelow`` the stdlib builds on ``random()``."""
+    bits, draw, p = rng.getrandbits, rng.random, config.p
+    lo, hi = config.n_vertices
+    span = hi - lo + 1
+    k = span.bit_length()
+    n = bits(k)
+    while n >= span:
+        n = bits(k)
+    n += lo
+    lo, hi = config.wcet_range
+    span = hi - lo + 1
+    k = span.bit_length()
+    vertices = []
+    for v in range(n):
+        w = bits(k)
+        while w >= span:
+            w = bits(k)
+        vertices.append((v, lo + w))
     order = list(range(n))
-    rng.shuffle(order)
-    draw, p = rng.random, config.p       # locals for the O(n^2) loop
+    for i in range(n - 1, 0, -1):       # shuffle: swap i with j in 0..i
+        k = (i + 1).bit_length()
+        j = bits(k)
+        while j > i:
+            j = bits(k)
+        order[i], order[j] = order[j], order[i]
     edges = [(u, order[b]) for a, u in enumerate(order)
              for b in range(a + 1, n) if draw() < p]
-    return task_id, list(enumerate(wcets)), edges
+    return task_id, vertices, edges
 
 
 def uunifast(total: Fraction, n: int, rng: random.Random) -> list:
@@ -121,6 +153,6 @@ def gen_taskset(config: GenConfig,
     for shape, share in zip(shapes, shares):
         period = gen_period(shape.work, shape.critical_path, config, rng,
                             target_util=share)
-        assert period > shape.critical_path
+        assert period * shape.den > shape.cpl_int
         tasks.append(shape.with_period(period))
     return tasks

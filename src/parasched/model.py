@@ -10,7 +10,6 @@ WCET denominators, and results come back as ``fractions.Fraction`` values.
 
 from __future__ import annotations
 
-import copy
 import json
 import math
 import operator
@@ -84,8 +83,11 @@ class DagTask:
     integer core that ``with_period`` shares: ``den``, the LCM of the WCET
     denominators; the WCETs (``wcet_int``), earliest ready times
     (``rdy_int``), C (``work_int``) and L (``cpl_int``), all times ``den``.
-    Int WCETs are read as they are, with no Fraction per input; ``wcets``,
-    built on first read, maps each vertex to its WCET as a Fraction.
+    Int WCETs are read as they are, with no Fraction per input; ``wcets``
+    (each vertex's WCET), ``work`` (C) and ``critical_path`` (L), the
+    Fraction views, are built on first read, once per shape: ``with_period``
+    copies the shape's attributes, so a timed copy inherits what the shape
+    has built.
     ``edges`` holds the input edges only: the dummies' edges are in
     ``succ``/``pred`` alone.  A task with a
     period also checks its timing and keeps ``validate``'s result as
@@ -158,7 +160,8 @@ class DagTask:
 
     def with_period(self, period) -> "DagTask":
         """This DAG, sharing its integer core, with period and deadline T."""
-        task = copy.copy(self)
+        task = object.__new__(type(self))
+        task.__dict__.update(self.__dict__)
         task.period = task.deadline = as_fraction(period)
         task.metrics = validate(task)
         return task
@@ -168,12 +171,12 @@ class DagTask:
         """Each vertex's WCET as a Fraction, dummies included."""
         return {v: Fraction(w, self.den) for v, w in enumerate(self.wcet_int)}
 
-    @property
+    @cached_property
     def work(self) -> Fraction:
         """C, the summed WCET of the real vertices."""
         return Fraction(self.work_int, self.den)
 
-    @property
+    @cached_property
     def critical_path(self) -> Fraction:
         """L, the summed WCET of the longest path."""
         return Fraction(self.cpl_int, self.den)
@@ -228,11 +231,13 @@ def validate(task: DagTask) -> TaskMetrics:
         raise DeadlineExceedsPeriod(
             f"task {task.id}: D={task.deadline} > T={task.period}")
     work, critical_path = task.work, task.critical_path
-    density = work / task.deadline
+    utilization = work / task.period
+    density = (utilization if task.deadline == task.period
+               else work / task.deadline)
     return TaskMetrics(
         work=work,
         critical_path=critical_path,
-        utilization=work / task.period,
+        utilization=utilization,
         density=density,
         elasticity=critical_path / task.period,
         heavy=density > 1,

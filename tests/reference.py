@@ -1,7 +1,8 @@
 """Reference code that the tests compare the package against and that no
 CLI path, registered test or simulator runs: an exact max-flow oracle for
 the optimal Omega, the Fraction segments it cuts, the Fraction F-LI, SF1
-and SF2 plans that the int plans must match, a single-DAG generator, the
+and SF2 plans that the int plans must match, the generator's structure
+drawn through ``randint`` and ``shuffle``, a single-DAG generator, the
 speed and capacity bounds of a decomposed set, and readers of views and
 records that only the tests take."""
 
@@ -367,6 +368,19 @@ def speed_requirement(summary: TaskSetSummary, m: int) -> Fraction:
     omega = summary.omega_top
     return (omega * summary.u_sum / m
             + omega * summary.gamma_top * (1 - Fraction(1, m)))
+
+
+def randint_gen_structure(config: GenConfig, rng: random.Random, task_id):
+    """``gen.gen_structure`` as written on ``randint`` and ``shuffle``: the
+    draw stream the direct ``getrandbits`` form must reproduce."""
+    n = rng.randint(*config.n_vertices)
+    wcets = [rng.randint(*config.wcet_range) for _ in range(n)]
+    order = list(range(n))
+    rng.shuffle(order)
+    draw, p = rng.random, config.p
+    edges = [(u, order[b]) for a, u in enumerate(order)
+             for b in range(a + 1, n) if draw() < p]
+    return task_id, list(enumerate(wcets)), edges
 
 
 def gen_dag(config: GenConfig, rng: random.Random, task_id=0) -> DagTask:

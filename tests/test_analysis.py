@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from parasched.analysis import (UniformPlatform, _fewest_bins,
+from parasched.analysis import (UniformPlatform, _fewest_bins, _within_gli,
                                 decomposed_test, federated_allocate,
                                 gedf_density_test, gli_capacity_test,
                                 uniform_response_bound, weak_response_bound)
@@ -130,6 +130,31 @@ def test_gli_capacity_is_exact_at_the_utilization_bound():
     assert not v.schedulable
     assert v.reason.startswith("U_sum/m = ")
     assert gli_capacity_test([parallel(below)], 1).schedulable
+
+
+def _within_gli_by_fractions(x: Fraction) -> bool:
+    y = 3 - 2 * x
+    return y >= 0 and y * y >= 5
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.fractions(),
+                 st.fractions(min_value=0, max_value=1,
+                              max_denominator=10 ** 12)))
+def test_within_gli_on_ints_matches_fractions(x):
+    assert _within_gli(x) == _within_gli_by_fractions(x)
+
+
+def test_within_gli_on_both_sides_of_one_over_b():
+    # F(k)/F(k+2), Fibonacci ratios, converge to 1/b = (3 - sqrt(5))/2
+    # from below for even k and from above for odd k
+    fib = [0, 1]
+    while len(fib) < 100:
+        fib.append(fib[-1] + fib[-2])
+    for k in range(2, 98):
+        x = Fraction(fib[k], fib[k + 2])
+        assert _within_gli(x) == _within_gli_by_fractions(x) \
+            == (k % 2 == 0), k
 
 
 def test_response_bounds_formulas():

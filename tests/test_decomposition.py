@@ -10,6 +10,8 @@ from types import SimpleNamespace
 from typing import Optional
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from parasched.analysis import TESTS
 from parasched.decomposition import (Segment, SegmentationResult, Subtask,
@@ -38,6 +40,42 @@ def test_diamond_timing_diagram():
     assert (t.den, t.cpl_int) == (1, 6)
     assert t.rdy_int == [0, 1, 1, 5]
     assert td.fsh_int == [1, 5, 5, 6]
+
+
+def _assert_fsh_is_earliest_successor_ready(task):
+    rdy, fsh = task.rdy_int, timing_diagram(task).fsh_int
+    assert fsh == [min(rdy[u] for u in after) if after else task.cpl_int
+                   for after in task.succ], task.id
+
+
+def test_fsh_is_earliest_successor_ready_on_corpus(corpus):
+    for task in corpus:
+        _assert_fsh_is_earliest_successor_ready(task)
+
+
+@st.composite
+def _multi_end_dags(draw):
+    """A DAG with at least two sources and two sinks: a forward-edge
+    subset over a shuffled order, with the two first and the two last
+    vertices of that order kept free of in- and out-edges respectively."""
+    n = draw(st.integers(min_value=2, max_value=14))
+    order = draw(st.permutations(range(n)))
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)
+             if b > 1 and a < n - 2]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs),
+                         max_size=len(pairs)))
+    sixths = draw(st.lists(st.integers(min_value=1, max_value=180),
+                           min_size=n, max_size=n))
+    return DagTask("h", [(v, Fraction(w, 6)) for v, w in enumerate(sixths)],
+                   [(order[a], order[b])
+                    for (a, b), kept in zip(pairs, keep) if kept])
+
+
+@settings(max_examples=200, deadline=None)
+@given(_multi_end_dags())
+def test_fsh_is_earliest_successor_ready_with_dummies(task):
+    assert len(task.dummy_ids) == 2
+    _assert_fsh_is_earliest_successor_ready(task)
 
 
 def test_windows_are_wide_enough(corpus):

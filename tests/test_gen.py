@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from parasched.gen import (PAPER_SCALE, GenConfig, gen_period, gen_structure,
                            gen_taskset, uunifast)
 from parasched.model import dump_taskset, validate
-from reference import gen_dag
+from reference import gen_dag, randint_gen_structure
 
 
 def test_config_validation():
@@ -131,3 +131,42 @@ def test_gen_taskset_digest_is_pinned():
 def test_wcet_range_must_be_positive():
     with pytest.raises(ValueError):
         GenConfig(wcet_range=(0, 10))
+
+
+@pytest.mark.parametrize("field, bounds", [
+    ("n_vertices", (5, 3)),
+    ("wcet_range", (100, 50)),
+    ("n_vertices", (0, 0)),
+    ("n_vertices", (10.0, 50)),
+    ("wcet_range", (50, 100.5)),
+], ids=["n-reversed", "wcet-reversed", "n-zero", "n-float", "wcet-float"])
+def test_bad_ranges_are_rejected_at_construction(field, bounds):
+    with pytest.raises(ValueError, match=field):
+        GenConfig(**{field: bounds})
+
+
+def _spans(top):
+    """Span 1, power-of-two spans and any span up to ``top``."""
+    return st.one_of(st.just(1), st.sampled_from(
+        [2 ** k for k in range(1, top.bit_length())]),
+        st.integers(min_value=1, max_value=top))
+
+
+@st.composite
+def _ranges(draw, spans, top):
+    lo = draw(st.integers(min_value=1, max_value=top))
+    return draw(st.sampled_from([(1, 1), (lo, lo + draw(spans) - 1)]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=0, max_value=2 ** 64),
+       _ranges(_spans(64), 40), _ranges(_spans(2 ** 40), 1000),
+       st.one_of(st.sampled_from([0.0, 1.0]),
+                 st.floats(min_value=0, max_value=1)))
+def test_structure_draws_the_randint_stream(seed, n_vertices, wcet_range, p):
+    config = GenConfig(p=p, n_vertices=n_vertices, wcet_range=wcet_range)
+    ours, theirs = random.Random(seed), random.Random(seed)
+    for i in range(3):
+        assert gen_structure(config, ours, i) \
+            == randint_gen_structure(config, theirs, i)
+    assert ours.getstate() == theirs.getstate()
