@@ -20,7 +20,7 @@ from typing import Callable, NamedTuple, Sequence
 from .decomposition import segment_omega
 from .errors import ConstrainedDeadline
 from .model import (DagTask, TaskMetrics, TaskSetSummary, Verdict,
-                    scale_speeds, summarize)
+                    as_fraction, scale_speeds, summarize)
 from .semifed import (_classify, _containers, _order, _plan, _worst_fit,
                       sf1, sf2)
 
@@ -42,7 +42,7 @@ class UniformPlatform:
 def gedf_density_test(ell_sum: Fraction, delta_top: Fraction, m: int
                       ) -> Verdict:
     """Global EDF density/load test: ell_sum <= m - (m-1) * delta_top."""
-    ell_sum, delta_top = Fraction(ell_sum), Fraction(delta_top)
+    ell_sum, delta_top = as_fraction(ell_sum), as_fraction(delta_top)
     ok = ell_sum <= m - (m - 1) * delta_top
     min_m = None
     if delta_top < 1:
@@ -124,7 +124,9 @@ def gli_capacity_test(tasks: Sequence[DagTask], m: int) -> Verdict:
     L_i/D_i <= 1/b with b = (3+sqrt(5))/2.  Exact: x <= 1/b =
     (3-sqrt(5))/2 holds iff 3-2x >= 0 and (3-2x)^2 >= 5.  The bound is
     stated for implicit deadlines, so a task with D < T is rejected, named
-    in the reason."""
+    in the reason.  Raises ``ValueError`` unless m >= 1."""
+    if m < 1:
+        raise ValueError("m must be >= 1")
     for task in tasks:
         if task.deadline != task.period:
             return Verdict("gli-capacity", False, reason=(

@@ -79,7 +79,7 @@ class Subtask:
 
 @dataclass(frozen=True)
 class DecomposedTask:
-    """One sporadic subtask per real vertex, as ints over ``den``: the
+    """One sporadic subtask per vertex, as ints over ``den``: the
     period and each subtask's release, deadline and WCET times ``den``;
     ``subtasks`` builds them as Fractions on first read."""
     task_id: object
@@ -102,7 +102,7 @@ class DecomposedTask:
 def timing_diagram(task: DagTask) -> TimingDiagram:
     """Latest finish times, segment cuts and vertex windows, as ints.
 
-    fsh(v) = min over successors of rdy(u), L for the sink, on the ready
+    fsh(v) = min over successors of rdy(u), L for a sink, on the ready
     times the task keeps, found by lowering fsh of each predecessor from L
     along the edges; the cuts are every distinct rdy and fsh value (0 and
     L among them), and a vertex window is the segments lo..hi-1."""
@@ -144,12 +144,12 @@ def segment_workload(task: DagTask, td: TimingDiagram) -> SegmentationResult:
     split_count = 0
 
     # earliest-fsh order; the stable sort keeps ascending ids on ties
-    real = sorted(task.real_vertex_ids, key=his.__getitem__)
+    order = sorted(range(len(wcet)), key=his.__getitem__)
     rest = {}                                # workload not yet placed
     starting = [[] for _ in lengths]         # the parts whose window begins
 
     # Phase 1: single-segment vertices
-    for v in real:
+    for v in order:
         lo, w = los[v], wcet[v] * l_int
         if his[v] - lo == 1:
             load[lo] += w
@@ -245,13 +245,13 @@ def reassemble(task: DagTask, td: TimingDiagram, laxity: list
     unit = task.period / laxity[-1]
     den = math.lcm(unit.denominator, task.den)
     step, grain = unit.numerator * (den // unit.denominator), den // task.den
-    (los, his), real = td.windows, task.real_vertex_ids
+    los, his = td.windows
     return DecomposedTask(
         task_id=task.id, period=task.period, den=den,
-        period_int=step * laxity[-1], origins=real,
-        releases=[step * laxity[los[v]] for v in real],
-        deadlines=[step * laxity[his[v]] for v in real],
-        wcets=[grain * task.wcet_int[v] for v in real])
+        period_int=step * laxity[-1], origins=task.real_vertex_ids,
+        releases=[step * laxity[k] for k in los],
+        deadlines=[step * laxity[k] for k in his],
+        wcets=[grain * w for w in task.wcet_int])
 
 
 # Periods past the first whose deadlines ``dbf_and_load`` takes as window

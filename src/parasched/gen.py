@@ -8,11 +8,13 @@ T = (L + C/(0.4*m*U)) * (1 + 0.25*Gamma(2,1)).
 
 A set is a function of (config, seed), drawn as ``randint`` and
 ``shuffle`` would draw it (see ``gen_structure``); ``GenConfig`` rejects
-a vertex-count or WCET range that is not ints 1 <= lo <= hi.
+a vertex-count or WCET range that is not ints 1 <= lo <= hi, a ``util``
+that is not positive and finite, and an unknown ``period_mode``.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -36,8 +38,11 @@ class GenConfig:
     def __post_init__(self):
         if not 0 <= self.p <= 1:
             raise ValueError("edge probability must be in [0, 1]")
-        if self.util <= 0:
-            raise ValueError("utilization must be positive")
+        if not (math.isfinite(self.util) and self.util > 0):
+            raise ValueError(f"util must be positive and finite, got "
+                             f"{self.util!r}")
+        if self.period_mode not in ("target-utilization", "gamma-formula"):
+            raise ValueError(f"unknown period_mode {self.period_mode!r}")
         if self.m < 1 or self.n_tasks < 1:
             raise ValueError("m and n_tasks must be >= 1")
         for name in ("n_vertices", "wcet_range"):
@@ -115,12 +120,10 @@ def gen_period(work, critical_path, config: GenConfig, rng: random.Random,
         if target_util is None:
             raise ValueError("target-utilization mode needs a share")
         return work / Fraction(target_util)
-    if config.period_mode == "gamma-formula":
-        noise = Fraction(rng.gammavariate(2.0, 1.0))
-        base = critical_path + work / (Fraction(2, 5) * config.m
-                                       * Fraction(config.util))
-        return base * (1 + Fraction(1, 4) * noise)
-    raise ValueError(f"unknown period mode {config.period_mode!r}")
+    noise = Fraction(rng.gammavariate(2.0, 1.0))
+    base = critical_path + work / (Fraction(2, 5) * config.m
+                                   * Fraction(config.util))
+    return base * (1 + Fraction(1, 4) * noise)
 
 
 def gen_taskset(config: GenConfig,

@@ -1,11 +1,10 @@
 """DAG task model: representation, validation and basic metrics.
 
 A task is a directed acyclic graph of WCET-labelled vertices with a period
-and a relative deadline.  Multi-source / multi-sink graphs are augmented
-with zero-WCET dummy head/tail vertices on construction, so every task has
-exactly one source and one sink.  All quantities on the analysis path are
-exact: each task keeps its structure as integers scaled by the LCM of its
-WCET denominators, and results come back as ``fractions.Fraction`` values.
+and a relative deadline; a task may have several sources and sinks.  All
+quantities on the analysis path are exact: each task keeps its structure
+as integers scaled by the LCM of its WCET denominators, and results come
+back as ``fractions.Fraction`` values.
 """
 
 from __future__ import annotations
@@ -56,9 +55,12 @@ def scale_to_ints(values) -> tuple[int, list]:
 
 def scale_speeds(speeds) -> tuple[int, list]:
     """``scale_to_ints`` for processor speeds or load bounds, in the given
-    order; raises ``InvalidSpeeds`` unless there is at least one and every
-    one is positive."""
-    speeds = [Fraction(s) for s in speeds]
+    order, read by ``as_fraction``; raises ``InvalidSpeeds`` unless there
+    is at least one and every one is a positive number."""
+    try:
+        speeds = [as_fraction(s) for s in speeds]
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        raise InvalidSpeeds(f"speeds must be numbers ({exc})") from None
     if not speeds or min(speeds) <= 0:
         raise InvalidSpeeds("speeds must be positive, and at least one; "
                             f"got [{', '.join(map(str, speeds))}]")
@@ -75,9 +77,8 @@ def format_rational(value: Fraction):
 class DagTask:
     """Immutable DAG task.
 
-    Vertex ids must be dense integers 0..n-1.  If the graph has several
-    sources (or sinks), a dummy vertex with WCET 0 is appended; dummy ids
-    are listed in ``dummy_ids``.  Built without a period, a task is a shape
+    Vertex ids must be dense integers 0..n-1, and a task may have several
+    sources and sinks.  Built without a period, a task is a shape
     that ``with_period`` times.  Construction checks the structure once
     (``MalformedTaskSet``, ``CycleDetected``) and keeps a period-free
     integer core that ``with_period`` shares: ``den``, the LCM of the WCET
@@ -87,11 +88,10 @@ class DagTask:
     (each vertex's WCET), ``work`` (C) and ``critical_path`` (L), the
     Fraction views, are built on first read, once per shape: ``with_period``
     copies the shape's attributes, so a timed copy inherits what the shape
-    has built.
-    ``edges`` holds the input edges only: the dummies' edges are in
-    ``succ``/``pred`` alone.  A task with a
-    period also checks its timing and keeps ``validate``'s result as
-    ``metrics``; a shape's ``metrics`` is None.
+    has built.  ``succ``/``pred`` describe the graph of ``edges``, the
+    input edges without repeats.  A task with a period also checks its
+    timing and keeps ``validate``'s result as ``metrics``; a shape's
+    ``metrics`` is None.
     """
 
     def __init__(self, task_id, vertices, edges, period=None, deadline=None):
@@ -126,32 +126,22 @@ class DagTask:
                 raise CycleDetected(f"task {task_id}: self loop on vertex {u}")
             succ[u].append(v)
             pred[v].append(u)
-        wcets = [w for _, w in vertices]
-        for inward, outward in ((pred, succ), (succ, pred)):
-            ends = [v for v in range(n) if not inward[v]]
-            if len(ends) > 1:   # several sources, then sinks: one dummy
-                for v in ends:
-                    inward[v].append(len(wcets))
-                inward.append([])
-                outward.append(ends)
-                wcets.append(0)
         self.edges = tuple(edges)
         self.succ, self.pred = succ, pred
-        self.dummy_ids = frozenset(range(n, len(wcets)))
-        self.den, ints = scale_to_ints(wcets)
+        self.den, ints = scale_to_ints([w for _, w in vertices])
         # Kahn's algorithm, pushing each finish time on to the successors
-        indeg = [len(p) for p in self.pred]
+        indeg = [len(p) for p in pred]
         order = [v for v, d in enumerate(indeg) if not d]
-        rdy = [0] * len(ints)
+        rdy = [0] * n
         for v in order:
             finish = rdy[v] + ints[v]
-            for u in self.succ[v]:
+            for u in succ[v]:
                 if rdy[u] < finish:
                     rdy[u] = finish
                 indeg[u] -= 1
                 if not indeg[u]:
                     order.append(u)
-        if len(order) != len(ints):
+        if len(order) != n:
             raise CycleDetected(f"task {task_id} contains a cycle")
         self.wcet_int, self.rdy_int = ints, rdy
         self.work_int = sum(ints)
@@ -168,12 +158,12 @@ class DagTask:
 
     @cached_property
     def wcets(self) -> dict:
-        """Each vertex's WCET as a Fraction, dummies included."""
+        """Each vertex's WCET as a Fraction."""
         return {v: Fraction(w, self.den) for v, w in enumerate(self.wcet_int)}
 
     @cached_property
     def work(self) -> Fraction:
-        """C, the summed WCET of the real vertices."""
+        """C, the summed WCET of the vertices."""
         return Fraction(self.work_int, self.den)
 
     @cached_property
@@ -183,12 +173,12 @@ class DagTask:
 
     @property
     def real_vertex_ids(self):
-        return list(range(len(self.wcet_int) - len(self.dummy_ids)))
+        return list(range(len(self.wcet_int)))
 
 
 @dataclass(frozen=True)
 class TaskMetrics:
-    work: Fraction          # C, dummies excluded
+    work: Fraction          # C
     critical_path: Fraction  # L
     utilization: Fraction   # U = C / T
     density: Fraction       # C / D
@@ -219,12 +209,11 @@ class Verdict:
 
 def validate(task: DagTask) -> TaskMetrics:
     """Check the task's timing invariants and read C, L, U, density and
-    elasticity off its integer core; C sums real vertices only."""
+    elasticity off its integer core."""
     if task.period is None:
         raise MalformedTaskSet(f"task {task.id}: no period")
-    real = task.wcet_int[:len(task.wcet_int) - len(task.dummy_ids)]
-    if min(real) <= 0:
-        vid = next(v for v, w in enumerate(real) if w <= 0)
+    if min(task.wcet_int) <= 0:
+        vid = next(v for v, w in enumerate(task.wcet_int) if w <= 0)
         raise NonPositiveWcet(
             f"task {task.id}: vertex {vid} has WCET {task.wcets[vid]}")
     if task.deadline > task.period:

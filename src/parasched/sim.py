@@ -25,9 +25,9 @@ such factor, so only the started or split ones keep theirs.
 Fractions are built for what is returned: the response time at once, the
 trace lists on first read.
 
-The two single-DAG engines keep readiness as it changes: each real
-vertex counts its unfinished real predecessors (the dummies are done
-from the start), and a vertex's end lowers its successors' counts.
+The two single-DAG engines keep readiness as it changes: each vertex
+counts its unfinished predecessors, and a vertex's end lowers its
+successors' counts; a task may have several sources and sinks.
 ``simulate_uniform`` keeps the eligible vertices in a sorted list.
 ``simulate_dispatcher`` keeps its ready list of unassigned parts, in the
 order that decides the default pick, with the set of those eligible, and
@@ -50,7 +50,7 @@ from typing import Callable, Optional, Sequence
 
 from .decomposition import DecomposedTask
 from .errors import InvalidChoice
-from .model import DagTask, scale_speeds
+from .model import DagTask, as_fraction, scale_speeds
 
 # a ready GEDF job's deadline, and its key for reporting misses in
 # release order
@@ -98,16 +98,6 @@ class SimTrace:
                 for t, den, index, exe, deadline in self.assignment_ints]
 
 
-def _waiting(task: DagTask, n: int) -> list:
-    """Each real vertex's count of real predecessors: the dummy source is
-    done from the start."""
-    waiting = [len(p) for p in task.pred[:n]]
-    for d in task.dummy_ids:
-        for v in task.succ[d]:
-            waiting[v] -= 1
-    return waiting
-
-
 def simulate_uniform(task: DagTask, speeds: Sequence,
                      order: Optional[Callable] = None,
                      migration: bool = True) -> SimTrace:
@@ -124,8 +114,8 @@ def simulate_uniform(task: DagTask, speeds: Sequence,
     speeds.sort(reverse=True)
     den = task.den
     wcet, succ = task.wcet_int, task.succ
-    n = unfinished = len(wcet) - len(task.dummy_ids)
-    waiting = _waiting(task, n)     # unfinished real predecessors
+    n = unfinished = len(wcet)
+    waiting = [len(p) for p in task.pred]   # unfinished predecessors
     ready = [v for v in range(n) if not waiting[v]]     # ascending id
     unit = scale        # an unstarted vertex's work is wcet[v] * unit
     left = {}           # started, unfinished vertex -> remaining work
@@ -192,10 +182,9 @@ def simulate_uniform(task: DagTask, speeds: Sequence,
                 events.append((t, den, "finish", v, idx))
                 ready.remove(v)
                 for w in succ[v]:
-                    if w < n:
-                        waiting[w] -= 1
-                        if not waiting[w]:
-                            bisect.insort(ready, w)
+                    waiting[w] -= 1
+                    if not waiting[w]:
+                        bisect.insort(ready, w)
 
     return SimTrace(Fraction(t, den), 0, scale, events, intervals, [])
 
@@ -228,13 +217,12 @@ def simulate_dispatcher(task: DagTask, deltas: Sequence,
     busy = 0
     den = task.den
     wcet, succ = task.wcet_int, task.succ
-    n = len(wcet) - len(task.dummy_ids)
-    waiting = _waiting(task, n)     # unfinished real predecessors
+    waiting = [len(p) for p in task.pred]   # unfinished predecessors
     # the ready list S holds the keys of the unassigned parts, the id or
     # (id, suffix) for split parts; ``eligible`` holds those whose
     # predecessors are done, and ``after`` maps each split head to its
     # remainder, which becomes eligible when the head ends
-    s_list = list(range(n))
+    s_list = list(range(len(wcet)))
     eligible = {v for v in s_list if not waiting[v]}
     after = {}
     unit = scale        # an unsplit vertex's work is wcet[v] * unit
@@ -256,10 +244,9 @@ def simulate_dispatcher(task: DagTask, deltas: Sequence,
                     eligible.add(after.pop(key))
                 else:   # the vertex's last part
                     for w in succ[key if type(key) is int else key[0]]:
-                        if w < n:
-                            waiting[w] -= 1
-                            if not waiting[w]:
-                                eligible.add(w)
+                        waiting[w] -= 1
+                        if not waiting[w]:
+                            eligible.add(w)
 
         while eligible and busy < len(containers):
             if choice is None:
@@ -350,7 +337,7 @@ def simulate_gedf(tasks: Sequence[DecomposedTask], m: int,
     and the work as Fractions.  Raises ``ValueError`` unless m >= 1."""
     if m < 1:
         raise ValueError("m must be >= 1")
-    horizon = Fraction(horizon)
+    horizon = as_fraction(horizon)
     den = math.lcm(horizon.denominator, *(dt.den for dt in tasks))
     end = horizon.numerator * (den // horizon.denominator)
     # each subtask's next job as (release, deadline, key, wcet, period),

@@ -178,9 +178,7 @@ def test_criterion_07_split_count_bounds(corpus):
         whole, frac = math.floor(g), g - math.floor(g)
         heavy = DagTask(task.id, [(v, task.wcets[v])
                                   for v in task.real_vertex_ids],
-                        [e for e in task.edges
-                         if not set(e) & task.dummy_ids],
-                        period=d, deadline=d)
+                        task.edges, period=d, deadline=d)
         n = len(heavy.real_vertex_ids)
 
         one_piece = [Fraction(1)] * whole + ([frac] if frac else [])

@@ -37,6 +37,10 @@ def test_platform_sorts_speeds():
     p = UniformPlatform([Fraction(1, 2), 2, 1])
     assert p.speeds == (2, 1, Fraction(1, 2))
     assert p.total_speed == Fraction(7, 2)
+    # a float speed is read as its decimal, as task times are
+    p = UniformPlatform([0.1, 0.3])
+    assert p.speeds == (Fraction(3, 10), Fraction(1, 10))
+    assert p.total_speed == Fraction(2, 5)
 
 
 def test_gedf_density_test_threshold():
@@ -46,6 +50,8 @@ def test_gedf_density_test_threshold():
     assert not gedf_density_test(Fraction(5, 2) + Fraction(1, 100),
                                  Fraction(1, 2), 4).schedulable
     assert v.min_m == 4
+    # float loads are read as their decimals
+    assert gedf_density_test(0.3, 0.1, 2).detail["bound"] == Fraction(19, 10)
 
 
 def test_decomposed_test_min_m_is_tight():
@@ -115,6 +121,12 @@ def test_gli_capacity_boundary():
     tight = [chain_task(1, wcet=1, period=Fraction(100, 13))
              for _ in range(3)]  # U_sum = 0.39 > 1/b ~ 0.382
     assert not gli_capacity_test(tight, 1).schedulable
+
+
+@pytest.mark.parametrize("m", [0, -1])
+def test_gli_capacity_rejects_fewer_than_one_processor(m):
+    with pytest.raises(ValueError, match="m must be >= 1"):
+        gli_capacity_test([chain_task(2, wcet=1, period=100)], m)
 
 
 def test_gli_capacity_is_exact_at_the_utilization_bound():

@@ -531,7 +531,9 @@ def test_missing_file_is_one_line_with_status_2(tmp_path, capsys, argv):
 
 
 @pytest.mark.parametrize("argv", [["--n-tasks", "1"],
-                                  ["--m", "1", "--util", "100"]])
+                                  ["--m", "1", "--util", "100"],
+                                  ["--p", "1", "--n-tasks", "1", "--m", "2",
+                                   "--util", "0.6"]])
 def test_infeasible_utilization_is_one_line_with_status_2(tmp_path, capsys,
                                                           argv):
     out = tmp_path / "set.json"

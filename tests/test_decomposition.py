@@ -54,11 +54,13 @@ def test_fsh_is_earliest_successor_ready_on_corpus(corpus):
 
 
 @st.composite
-def _multi_end_dags(draw):
-    """A DAG with at least two sources and two sinks: a forward-edge
-    subset over a shuffled order, with the two first and the two last
-    vertices of that order kept free of in- and out-edges respectively."""
-    n = draw(st.integers(min_value=2, max_value=14))
+def _multi_end_dags(draw, n=None):
+    """A DAG on n vertices (2..14 when not given) with at least two
+    sources and two sinks: a forward-edge subset over a shuffled order,
+    with the two first and the two last vertices of that order kept free
+    of in- and out-edges respectively."""
+    if n is None:
+        n = draw(st.integers(min_value=2, max_value=14))
     order = draw(st.permutations(range(n)))
     pairs = [(a, b) for a in range(n) for b in range(a + 1, n)
              if b > 1 and a < n - 2]
@@ -73,9 +75,26 @@ def _multi_end_dags(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(_multi_end_dags())
-def test_fsh_is_earliest_successor_ready_with_dummies(task):
-    assert len(task.dummy_ids) == 2
+def test_fsh_is_earliest_successor_ready_with_several_sources_and_sinks(
+        task):
+    assert sum(not before for before in task.pred) >= 2
+    assert sum(not after for after in task.succ) >= 2
     _assert_fsh_is_earliest_successor_ready(task)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data(), st.integers(min_value=2, max_value=14))
+def test_a_task_keeps_the_graph_it_was_given(data, n):
+    # no vertex or edge is added for the several sources and sinks
+    task = data.draw(_multi_end_dags(n))
+    td = timing_diagram(task)
+    assert len(task.wcet_int) == n
+    assert len(task.rdy_int) == len(td.fsh_int) == len(task.wcets) == n
+    assert len(task.succ) == len(task.pred) == n
+    assert sorted((u, v) for v, before in enumerate(task.pred)
+                  for u in before) == sorted(task.edges)
+    assert sorted((u, v) for u, after in enumerate(task.succ)
+                  for v in after) == sorted(task.edges)
 
 
 def test_windows_are_wide_enough(corpus):
@@ -182,8 +201,6 @@ def test_reassembled_precedence_and_windows(corpus):
         dec = decompose(task)
         sub = {st.origin: st for st in dec.decomposed.subtasks}
         for u, v in task.edges:
-            if u in task.dummy_ids or v in task.dummy_ids:
-                continue
             assert sub[u].deadline <= sub[v].release
         feasible = dec.omega * dec.metrics.elasticity <= 1
         for st in dec.decomposed.subtasks:
@@ -578,11 +595,10 @@ def _reference_topological_order(task):
 def _reference_validate(task: DagTask) -> TaskMetrics:
     """Check the task invariants and compute C, L, U, density, elasticity.
 
-    C sums real vertices only; L is the longest path, computed in
-    topological order (dummies carry zero WCET so they never change it).
+    C sums the WCETs; L is the longest path, computed in topological order.
     """
     for vid, wcet in task.wcets.items():
-        if vid not in task.dummy_ids and wcet <= 0:
+        if wcet <= 0:
             raise NonPositiveWcet(f"vertex {vid} has WCET {wcet}")
     if task.deadline > task.period:
         raise DeadlineExceedsPeriod(
@@ -670,7 +686,8 @@ def test_core_matches_reference_on_rational_wcets(corpus):
 
 
 def test_core_matches_reference_on_multi_source_and_sink_dags():
-    # sparse G(n, p) DAGs with rational WCETs: both dummies in most
+    # sparse G(n, p) DAGs with rational WCETs, most with several sources
+    # and sinks
     rng = random.Random(14)
     tasks = []
     for i in range(300):
@@ -682,7 +699,8 @@ def test_core_matches_reference_on_multi_source_and_sink_dags():
                  for b in range(a + 1, n) if rng.random() < 0.15]
         shape = DagTask(i, vertices, edges)
         tasks.append(shape.with_period(shape.critical_path + 1))
-    assert sum(len(t.dummy_ids) == 2 for t in tasks) > 200
+    assert sum(sum(not p for p in t.pred) >= 2
+               and sum(not s for s in t.succ) >= 2 for t in tasks) > 200
     _assert_same_core(tasks)
 
 

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from parasched.errors import UtilizationInfeasible
 from parasched.gen import (PAPER_SCALE, GenConfig, gen_period, gen_structure,
                            gen_taskset, uunifast)
 from parasched.model import dump_taskset, validate
@@ -32,8 +33,7 @@ def test_seed_reproducibility_byte_for_byte():
 def test_p_zero_gives_edgeless_dag():
     cfg = GenConfig(seed=5, p=0.0, period_mode="gamma-formula")
     task = gen_dag(cfg, random.Random(5))
-    real_edges = [e for e in task.edges if not set(e) & task.dummy_ids]
-    assert not real_edges
+    assert not task.edges
     met = validate(task)
     assert met.critical_path == max(task.wcets[v]
                                     for v in task.real_vertex_ids)
@@ -139,10 +139,20 @@ def test_wcet_range_must_be_positive():
     ("n_vertices", (0, 0)),
     ("n_vertices", (10.0, 50)),
     ("wcet_range", (50, 100.5)),
-], ids=["n-reversed", "wcet-reversed", "n-zero", "n-float", "wcet-float"])
+    ("period_mode", "bogus"),
+    ("util", float("inf")),
+    ("util", float("nan")),
+], ids=["n-reversed", "wcet-reversed", "n-zero", "n-float", "wcet-float",
+        "mode-unknown", "util-inf", "util-nan"])
 def test_bad_ranges_are_rejected_at_construction(field, bounds):
     with pytest.raises(ValueError, match=field):
         GenConfig(**{field: bounds})
+
+
+def test_too_sequential_a_set_is_utilization_infeasible():
+    # one chain (C = L) cannot have utilization 6/5 and a period above L
+    with pytest.raises(UtilizationInfeasible):
+        gen_taskset(GenConfig(p=1.0, n_tasks=1, m=2, util=0.6))
 
 
 def _spans(top):

@@ -63,22 +63,22 @@ def test_deadline_beyond_period_rejected():
         validate(DagTask(0, [(0, 1)], [], period=5, deadline=6))
 
 
-def test_dummy_source_and_sink():
+def test_several_sources_and_sinks():
     t = DagTask(0, [(0, 2), (1, 3)], [], 10, 10)
-    assert len(t.dummy_ids) == 2
-    assert t.wcets[source(t)] == 0
-    assert t.wcets[sink(t)] == 0
-    # dummies do not count toward the workload
+    # both vertices are sources and sinks, and no vertex is added
+    assert t.wcets == {0: 2, 1: 3}
+    assert t.succ == t.pred == [[], []]
     assert validate(t).work == 5
     assert validate(t).critical_path == 3
 
 
 def test_edges_hold_the_input_edges_only():
-    # two sources and two sinks: the dummies' edges are in succ/pred alone
+    # two sources and two sinks: succ/pred hold the input graph, no more
     t = DagTask(0, [(0, 1), (1, 1), (2, 1), (3, 1)],
                 [(0, 2), (1, 2), (0, 2), [1, 3]], 10, 10)
     assert t.edges == ((0, 2), (1, 2), (1, 3))
-    assert (t.succ[0], t.succ[4], t.pred[5]) == ([2], [0, 1], [2, 3])
+    assert t.succ == [[2], [2, 3], [], []]
+    assert t.pred == [[], [], [0, 1], [1]]
 
 
 @pytest.mark.parametrize("edges, error, message", [
@@ -97,23 +97,23 @@ def test_malformed_edge_is_named(edges, error, message):
 
 
 def test_int_fraction_and_string_wcets_build_the_same_core():
-    # two sources and two sinks, so the dummies' int 0 is in the core too
+    # two sources and two sinks, and the core holds the five vertices only
     edges = [(0, 2), (1, 2), (2, 3), (2, 4)]
     wcets = [3, 1, 4, 1, 5]
     built = [DagTask(0, [(v, convert(w)) for v, w in enumerate(wcets)],
                      edges, 20, 20)
              for convert in (int, Fraction, lambda w: f"{w}/1")]
     ints, *others = built
-    assert ints.wcets == {0: 3, 1: 1, 2: 4, 3: 1, 4: 5, 5: 0, 6: 0}
+    assert ints.wcets == {0: 3, 1: 1, 2: 4, 3: 1, 4: 5}
     assert all(type(w) is Fraction for w in ints.wcets.values())
     for task in others:
         assert (task.den, task.wcet_int, task.wcets) \
             == (ints.den, ints.wcet_int, ints.wcets)
 
 
-def test_single_vertex_no_dummies():
+def test_single_vertex_is_source_and_sink():
     t = DagTask(0, [(0, 4)], [], 10, 10)
-    assert not t.dummy_ids
+    assert t.wcet_int == [4]
     assert source(t) == sink(t) == 0
 
 
@@ -128,10 +128,7 @@ def test_json_round_trip():
         assert a.period == b.period
         assert {v: a.wcets[v] for v in a.real_vertex_ids} \
             == {v: b.wcets[v] for v in b.real_vertex_ids}
-        assert sorted(set(a.edges) - {e for e in a.edges
-                                      if set(e) & a.dummy_ids}) \
-            == sorted(set(b.edges) - {e for e in b.edges
-                                      if set(e) & b.dummy_ids})
+        assert sorted(a.edges) == sorted(b.edges)
 
 
 @pytest.mark.parametrize("text, message", [

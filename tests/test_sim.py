@@ -283,6 +283,22 @@ def test_gedf_rejects_fewer_than_one_processor(m):
         simulate_gedf([dec], m, 10 * task.period)
 
 
+def test_float_speeds_bounds_and_horizons_read_as_decimals():
+    chain = chain_task(5, wcet=1)
+    uni = simulate_uniform(chain, [0.3])
+    assert uni.response_time == Fraction(50, 3)
+    assert uni.events == simulate_uniform(chain, [Fraction(3, 10)]).events
+    task = fig1_task()
+    disp = simulate_dispatcher(task, [0.7, 0.3])
+    exact = simulate_dispatcher(task, [Fraction(7, 10), Fraction(3, 10)])
+    assert (disp.response_time, disp.assignments) \
+        == (exact.response_time, exact.assignments)
+    dec = decompose(task).decomposed
+    report = simulate_gedf([dec], 1, 0.3)
+    assert report.horizon == Fraction(3, 10)
+    assert report.misses == simulate_gedf([dec], 1, Fraction(3, 10)).misses
+
+
 def test_gedf_matches_reference_on_rational_wcets():
     tasks = [DagTask("a", [(0, "1/3"), (1, "5/7"), (2, 1)],
                      [(0, 1), (0, 2)], period="9/4", deadline="9/4"),
@@ -619,7 +635,8 @@ def test_trace_lists_and_wcets_are_built_on_first_read():
 
 
 @pytest.mark.parametrize("speeds", [[], [0], [-1], [1, 0],
-                                    [Fraction(-1, 2), 2]])
+                                    [Fraction(-1, 2), 2], ["fast"], [None],
+                                    [1, float("nan")], ["1/0"]])
 def test_bad_speeds_raise_a_parasched_error(speeds):
     runs = (lambda: simulate_uniform(fig1_task(), speeds),
             lambda: simulate_uniform(fig1_task(), speeds, migration=False),
