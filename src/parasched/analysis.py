@@ -20,7 +20,7 @@ from typing import Callable, NamedTuple, Sequence
 from .decomposition import segment_omega
 from .errors import ConstrainedDeadline
 from .model import (DagTask, TaskMetrics, TaskSetSummary, Verdict,
-                    as_fraction, scale_speeds, summarize)
+                    as_fraction, check_m, scale_speeds, summarize)
 from .semifed import (_classify, _containers, _order, _plan, _worst_fit,
                       sf1, sf2)
 
@@ -41,7 +41,9 @@ class UniformPlatform:
 
 def gedf_density_test(ell_sum: Fraction, delta_top: Fraction, m: int
                       ) -> Verdict:
-    """Global EDF density/load test: ell_sum <= m - (m-1) * delta_top."""
+    """Global EDF density/load test: ell_sum <= m - (m-1) * delta_top.
+    Raises ``ValueError`` unless m is an int >= 1."""
+    check_m(m)
     ell_sum, delta_top = as_fraction(ell_sum), as_fraction(delta_top)
     ok = ell_sum <= m - (m - 1) * delta_top
     min_m = None
@@ -63,7 +65,9 @@ def decomposed_test(summary: TaskSetSummary, m: int) -> Verdict:
     subtask's density is <= Omega*Gamma_i (Gamma_i = L_i/T_i).  The
     global-EDF density bound after Goossens, Funk and Baruah (2003),
     summed density <= m - (m-1)*delta_max, with Omega_top for every Omega,
-    then reads as the test above."""
+    then reads as the test above.  Raises ``ValueError`` unless m is an
+    int >= 1."""
+    check_m(m)
     omega, gamma_top = summary.omega_top, summary.gamma_top
     if omega is None:
         raise ValueError("summary lacks omega_top; run the decomposition")
@@ -84,7 +88,9 @@ def federated_allocate(tasks: Sequence[DagTask], m: int) -> Verdict:
     up, so a heavy task gets ceil(gamma) dedicated processors; light tasks
     are partitioned by worst-fit decreasing EDF.  Task model: sporadic DAG
     tasks with D <= T, heavy iff C > D, gamma = (C-L)/(D-L); a heavy task
-    with L >= D is rejected, named in ``detail["task"]``."""
+    with L >= D is rejected, named in ``detail["task"]``.  Raises
+    ``ValueError`` unless m is an int >= 1."""
+    check_m(m)
     plan = _classify(tasks, "federated")
     if isinstance(plan, Verdict):
         return plan
@@ -124,9 +130,8 @@ def gli_capacity_test(tasks: Sequence[DagTask], m: int) -> Verdict:
     L_i/D_i <= 1/b with b = (3+sqrt(5))/2.  Exact: x <= 1/b =
     (3-sqrt(5))/2 holds iff 3-2x >= 0 and (3-2x)^2 >= 5.  The bound is
     stated for implicit deadlines, so a task with D < T is rejected, named
-    in the reason.  Raises ``ValueError`` unless m >= 1."""
-    if m < 1:
-        raise ValueError("m must be >= 1")
+    in the reason.  Raises ``ValueError`` unless m is an int >= 1."""
+    check_m(m)
     for task in tasks:
         if task.deadline != task.period:
             return Verdict("gli-capacity", False, reason=(
@@ -168,7 +173,8 @@ def weak_response_bound(metrics: TaskMetrics,
 def _decomposed(tasks, m) -> Verdict:
     """D-OUR from each task's Omega; a task outside the decomposition's
     implicit-deadline model makes it reject, and the other tests still
-    run."""
+    run.  Raises ``ValueError`` unless m is an int >= 1."""
+    check_m(m)
     try:
         omegas = [segment_omega(t) for t in tasks]
     except ConstrainedDeadline as exc:

@@ -254,51 +254,54 @@ def reassemble(task: DagTask, td: TimingDiagram, laxity: list
         wcets=[grain * w for w in task.wcet_int])
 
 
-# Periods past the first whose deadlines ``dbf_and_load`` takes as window
-# ends.
-_HYPER_WINDOWS = 2
-
-
 def dbf_and_load(dt: DecomposedTask) -> Fraction:
-    """Load max(dbf(t)/t) of a decomposed task's demand bound function.
+    """Load max(dbf(t)/t) of a decomposed task's demand bound function,
+    from the windows that end in the first period.
 
-    The load is attained with the window starting at some subtask release
-    and ending at some subtask absolute deadline: dbf is a step function
-    that only jumps at deadlines, and sliding the start right to the next
-    release can only shrink t without losing demand.  Deadlines within
-    ``_HYPER_WINDOWS`` extra periods cover the maximum because demand
-    grows by exactly C per period afterwards, which can only dilute the
-    ratio already achieved within the first windows.
+    Each subtask has a release r in [0, T) and a deadline d in (r, T],
+    and its jobs are (r + kT, d + kT) for every k; demand(s, e) sums the
+    WCET of the jobs released at or after s and due by e.  The load is
+    attained with the window starting at some release and ending at some
+    deadline: dbf only jumps at deadlines, and sliding the start right to
+    the next release can only shrink t without losing demand.
 
-    The load is a running-sum sweep: the jobs k*T + (release, deadline)
-    with 0 <= k <= ``_HYPER_WINDOWS`` are sorted once by absolute
-    deadline, and their distinct deadlines are exactly the candidate
-    window ends.  For each distinct window start, one pass over that list
-    adds the WCET of every job released at or after the start and takes
-    the ratio at each distinct deadline.  For n subtasks that is one
-    O(n log n) sort plus O(n^2) for the passes, against O(n^4) for
-    evaluating the demand of every window.  The sweep runs on the task's
-    ints over ``den`` and keeps the best ratio as a pair of ints
-    compared by cross-multiplication; the load is built as a Fraction
-    once, at the end.
+    No window that ends in a later period sets the maximum.  Take a start
+    s in [0, T), write C for the summed WCET, and use the mediant
+    inequality (a + b)/(x + y) <= max(a/x, b/y) for x, y > 0:
+    - An end e > 2T counts the jobs of demand(s, e - T), shifted by T,
+      and the one job of each subtask released in [s, s + T), which is
+      due by 2T.  So demand(s, e) = demand(s, e - T) + C over the length
+      (e - T - s) + T, which is at most max(ratio(s, e - T), C/T); and
+      C/T is the ratio of [0, T].  By induction on the period, such a
+      window is covered by one that ends in the first two periods.
+    - An end T + d, with d in (0, T], counts the first-period jobs
+      released at or after s, all due by T, and the second-period jobs
+      due by T + d, all released after s; the later periods' are due
+      after 2T.  That is A(s) + P(d), where A(s) sums the subtasks with
+      r >= s and P(d) those with deadline at most d, over the length
+      (T - s) + d.  It is at most max(A(s)/(T - s), P(d)/d), the ratios
+      of [s, T] and [0, d], two windows that end in the first period.
+
+    The load is then a running-sum sweep over the subtasks sorted once by
+    deadline: for each distinct release s, one pass adds the WCET of each
+    subtask released at or after s and takes the ratio at its deadline;
+    a ratio taken before the last of several equal deadlines is at most
+    the one taken at the last.  For n subtasks that is one O(n log n)
+    sort plus at most n passes of n steps, against O(n^4) for evaluating
+    the demand of every window.  The sweep runs on the task's ints over
+    ``den`` and keeps the best ratio as a pair of ints compared by
+    cross-multiplication; the load is built as a Fraction once, at the
+    end.
     """
-    # Window starts are releases, which lie in [0, T), so no job with k < 0
-    # starts inside a window; window ends are the deadlines with
-    # k <= _HYPER_WINDOWS, and every job with a larger k ends after them.
-    period = dt.period_int
-    triples = list(zip(dt.deadlines, dt.releases, dt.wcets))
-    jobs = sorted((end + k * period, release + k * period, wcet)
-                  for end, release, wcet in triples
-                  for k in range(_HYPER_WINDOWS + 1))
+    jobs = sorted(zip(dt.deadlines, dt.releases, dt.wcets))
     best, best_t = 0, 1             # the load so far, as best / best_t
-    for start in {release for _, release, _ in triples}:
+    for start in set(dt.releases):
         total = 0
-        for i, (end, release, wcet) in enumerate(jobs):
+        for end, release, wcet in jobs:
             if release >= start:
                 total += wcet
-            if end > start and (i + 1 == len(jobs) or jobs[i + 1][0] != end) \
-                    and total * best_t > best * (end - start):
-                best, best_t = total, end - start
+                if total * best_t > best * (end - start):
+                    best, best_t = total, end - start
     return Fraction(best, best_t)
 
 
@@ -355,9 +358,9 @@ def decompose(task: DagTask, compute_load: bool = False) -> Decomposition:
     """Run the full pipeline on one implicit-deadline task; raises
     ``ConstrainedDeadline`` for D != T.
 
-    The dbf-based load is only computed on request (one sort and one pass
-    per release, within O(n^2 log n) in the vertex count n, and not needed
-    for the omega-based tests)."""
+    The dbf-based load is only computed on request: one sort and one pass
+    over the n subtasks per distinct release, O(n^2) in the vertex count
+    n, and not needed for the omega-based tests."""
     td, seg = _segmentation(task)
     laxity = distribute_laxity(task, seg)
     dt = reassemble(task, td, laxity)

@@ -17,6 +17,7 @@ from fractions import Fraction
 
 from .analysis import TESTS
 from .gen import GenConfig, gen_taskset
+from .model import check_m
 
 METHODS = tuple(TESTS)
 
@@ -66,18 +67,21 @@ def check_methods(methods) -> tuple:
 
 
 def run_methods(tasks, m: int, methods=METHODS) -> dict:
-    """Apply each schedulability test to one task set on m processors."""
+    """Apply each schedulability test to one task set on m processors;
+    ValueError unless m is an int >= 1."""
     methods = check_methods(methods)
-    if m < 1:
-        raise ValueError("m must be >= 1")
+    check_m(m)
     return {name: TESTS[name].run(tasks, m).schedulable for name in methods}
 
 
 def _bucket_config(axis: str, bucket, base: GenConfig):
-    """Generation config and processor count for one bucket."""
+    """Generation config and processor count for one bucket; ValueError
+    for a processors bucket that is not an integer >= 1."""
     if axis == "utilization":
         return replace(base, util=float(bucket)), base.m
     if axis == "processors":
+        if int(bucket) != bucket:
+            raise ValueError(f"processors bucket {bucket} is not an integer")
         cfg = replace(base, m=int(bucket))      # ValueError for m < 1
         # total utilization stays fixed at base.util * base.m
         total = Fraction(base.util) * base.m

@@ -8,8 +8,10 @@ T = (L + C/(0.4*m*U)) * (1 + 0.25*Gamma(2,1)).
 
 A set is a function of (config, seed), drawn as ``randint`` and
 ``shuffle`` would draw it (see ``gen_structure``); ``GenConfig`` rejects
-a vertex-count or WCET range that is not ints 1 <= lo <= hi, a ``util``
-that is not positive and finite, and an unknown ``period_mode``.
+an ``m`` or ``n_tasks`` that is not an int >= 1, a ``p`` or ``util`` that
+is not an int, float or Fraction, a ``p`` outside [0, 1], a ``util`` that
+is not positive and finite, a vertex-count or WCET range that is not ints
+1 <= lo <= hi, and an unknown ``period_mode``.
 """
 
 from __future__ import annotations
@@ -24,6 +26,9 @@ from .errors import UtilizationInfeasible
 from .model import DagTask
 
 
+_REALS = frozenset({int, float, Fraction})   # by type(), so no bool
+
+
 @dataclass
 class GenConfig:
     seed: int = 1
@@ -36,15 +41,23 @@ class GenConfig:
     period_mode: str = "target-utilization"   # or "gamma-formula"
 
     def __post_init__(self):
+        if type(self.p) not in _REALS or type(self.util) not in _REALS:
+            name = "p" if type(self.p) not in _REALS else "util"
+            raise ValueError(f"{name} must be an int, float or Fraction, "
+                             f"got {getattr(self, name)!r}")
         if not 0 <= self.p <= 1:
-            raise ValueError("edge probability must be in [0, 1]")
+            raise ValueError(f"edge probability p must be in [0, 1], got "
+                             f"{self.p!r}")
         if not (math.isfinite(self.util) and self.util > 0):
             raise ValueError(f"util must be positive and finite, got "
                              f"{self.util!r}")
         if self.period_mode not in ("target-utilization", "gamma-formula"):
             raise ValueError(f"unknown period_mode {self.period_mode!r}")
-        if self.m < 1 or self.n_tasks < 1:
-            raise ValueError("m and n_tasks must be >= 1")
+        if not (type(self.m) is type(self.n_tasks) is int
+                and self.m >= 1 and self.n_tasks >= 1):
+            name = "m" if type(self.m) is not int or self.m < 1 else "n_tasks"
+            raise ValueError(f"{name} must be an int >= 1, got "
+                             f"{getattr(self, name)!r}")
         for name in ("n_vertices", "wcet_range"):
             bounds = getattr(self, name)
             if not (isinstance(bounds, (tuple, list)) and len(bounds) == 2

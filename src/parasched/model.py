@@ -44,6 +44,15 @@ def as_fraction(value) -> Fraction:
     raise TypeError(f"cannot interpret {value!r} as a rational")
 
 
+def check_m(m) -> None:
+    """Raise ``ValueError`` unless the processor count m is an int >= 1;
+    a bool or a float is not."""
+    if type(m) is not int:
+        raise ValueError(f"m must be an int, got {m!r}")
+    if m < 1:
+        raise ValueError("m must be >= 1")
+
+
 def scale_to_ints(values) -> tuple[int, list]:
     """``den``, the LCM of the denominators of ``values`` (ints or
     Fractions), and each value times ``den`` as an int."""
@@ -89,9 +98,9 @@ class DagTask:
     Fraction views, are built on first read, once per shape: ``with_period``
     copies the shape's attributes, so a timed copy inherits what the shape
     has built.  ``succ``/``pred`` describe the graph of ``edges``, the
-    input edges without repeats.  A task with a period also checks its
-    timing and keeps ``validate``'s result as ``metrics``; a shape's
-    ``metrics`` is None.
+    input edges without repeats.  A task with a period, whose deadline
+    defaults to the period, also checks its timing and keeps
+    ``validate``'s result as ``metrics``; a shape's ``metrics`` is None.
     """
 
     def __init__(self, task_id, vertices, edges, period=None, deadline=None):
@@ -100,7 +109,8 @@ class DagTask:
         try:
             if period is not None:
                 self.period = as_fraction(period)
-                self.deadline = as_fraction(deadline)
+                self.deadline = (self.period if deadline is None
+                                 else as_fraction(deadline))
             vertices = sorted((vid, w if type(w) is int else as_fraction(w))
                               for vid, w in vertices)
             edges = list(dict.fromkeys((u, v) for u, v in edges))

@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import MalformedTaskSet
-from .model import DagTask, Verdict
+from .model import DagTask, Verdict, check_m
 
 
 @dataclass(frozen=True)
@@ -125,7 +125,9 @@ def sf1(tasks: Sequence[DagTask], m: int) -> Verdict:
     container per heavy task; containers and light tasks partitioned by
     worst-fit decreasing.  Task model: sporadic DAG tasks with D <= T, heavy
     iff C > D, gamma = (C-L)/(D-L); a heavy task with L >= D is rejected,
-    named in ``detail["task"]``."""
+    named in ``detail["task"]``.  Raises ``ValueError`` unless m is an int
+    >= 1."""
+    check_m(m)
     plan = _classify(tasks, "sf1")
     if isinstance(plan, Verdict):
         return plan
@@ -154,8 +156,9 @@ def sf2(tasks: Sequence[DagTask], m: int) -> Verdict:
     33/100, 21/50, 13/100, 2/5 and 33/50 pass SF1 (and F-LI); stage 1
     orders by delta* = 99/199, so the container lands beside lights, its
     bin goes over 1, and the remainders do not fit ("remainder partition
-    failure").
+    failure").  Raises ``ValueError`` unless m is an int >= 1.
     """
+    check_m(m)
     plan = _classify(tasks, "sf2")
     if isinstance(plan, Verdict):
         return plan

@@ -50,7 +50,7 @@ from typing import Callable, Optional, Sequence
 
 from .decomposition import DecomposedTask
 from .errors import InvalidChoice
-from .model import DagTask, as_fraction, scale_speeds
+from .model import DagTask, as_fraction, check_m, scale_speeds
 
 # a ready GEDF job's deadline, and its key for reporting misses in
 # release order
@@ -334,10 +334,12 @@ def simulate_gedf(tasks: Sequence[DecomposedTask], m: int,
     kept in EDF order, by (deadline, key); the first m run, and the late
     ones, a prefix of that order, are reported in release order as
     ((task_id, subtask, k), deadline, remaining work), with the deadline
-    and the work as Fractions.  Raises ``ValueError`` unless m >= 1."""
-    if m < 1:
-        raise ValueError("m must be >= 1")
+    and the work as Fractions.  Raises ``ValueError`` unless m is an int
+    >= 1 and the horizon is positive."""
+    check_m(m)
     horizon = as_fraction(horizon)
+    if horizon <= 0:
+        raise ValueError(f"horizon must be positive, got {horizon}")
     den = math.lcm(horizon.denominator, *(dt.den for dt in tasks))
     end = horizon.numerator * (den // horizon.denominator)
     # each subtask's next job as (release, deadline, key, wcet, period),

@@ -5,11 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from parasched.analysis import (UniformPlatform, _fewest_bins, _within_gli,
-                                decomposed_test, federated_allocate,
-                                gedf_density_test, gli_capacity_test,
-                                uniform_response_bound, weak_response_bound)
-from parasched.model import DagTask, TaskSetSummary, scale_to_ints, validate
+from parasched.analysis import (TESTS, UniformPlatform, _fewest_bins,
+                                _within_gli, decomposed_test,
+                                federated_allocate, gedf_density_test,
+                                gli_capacity_test, uniform_response_bound,
+                                weak_response_bound)
+from parasched.decomposition import segment_omega
+from parasched.model import (DagTask, TaskSetSummary, scale_to_ints,
+                             summarize, validate)
 from parasched.semifed import ContainerTask
 from conftest import chain_task, fig1_task
 from reference import (capacity_bound, capacity_requirement,
@@ -127,6 +130,23 @@ def test_gli_capacity_boundary():
 def test_gli_capacity_rejects_fewer_than_one_processor(m):
     with pytest.raises(ValueError, match="m must be >= 1"):
         gli_capacity_test([chain_task(2, wcet=1, period=100)], m)
+
+
+def _decomposed_on_summary(tasks, m):
+    return decomposed_test(
+        summarize(tasks, omegas=[segment_omega(t) for t in tasks]), m)
+
+
+@pytest.mark.parametrize("m", [0, -1, 2.5])
+@pytest.mark.parametrize("run", [
+    *(method.run for method in TESTS.values()), _decomposed_on_summary,
+    lambda tasks, m: gedf_density_test(Fraction(1, 2), Fraction(1, 4), m),
+], ids=[*TESTS, "decomposed_test", "gedf_density_test"])
+def test_tests_take_only_an_int_m_of_at_least_one(run, m):
+    # a one-chain set: D-OUR accepted it at m = 0, and G-LI raised a bare
+    # AttributeError at m = 2.5
+    with pytest.raises(ValueError, match="m must be"):
+        run([chain_task(2, wcet=1, period=100)], m)
 
 
 def test_gli_capacity_is_exact_at_the_utilization_bound():

@@ -287,6 +287,21 @@ def test_load_stable_beyond_two_hyper_windows(corpus):
         assert dbf_and_load(dt) == _brute_load(dt, hyper_windows=4)
 
 
+@pytest.mark.parametrize("name", ["corpus", "verify", "rational"])
+def test_no_window_past_the_first_period_sets_the_brute_load(corpus, name):
+    # the theorem dbf_and_load rests on, checked on the reference alone;
+    # the load over k <= 1 extra periods lies between those over 0 and 4
+    rng = random.Random(13)
+    tasks = {"corpus": corpus,
+             "verify": [t for tasks in verify_sets() for t in tasks],
+             "rational": [rational_variant(t, rng) for t in corpus[:200]]
+             }[name]
+    for task in tasks:
+        dt = decompose(task).decomposed
+        assert _brute_load(dt, hyper_windows=0) \
+            == _brute_load(dt, hyper_windows=4), task.id
+
+
 def test_constrained_deadline_is_rejected():
     # stretching to T = 40 would give subtask deadlines up to 40 > D = 9,
     # and D-OUR would accept a C = 16 task on one processor

@@ -4,8 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from parasched.experiment import (DEFAULT_BUCKETS, METHODS, emit,
-                                  run_methods, sweep, trial_seed)
+from parasched.experiment import (DEFAULT_BUCKETS, METHODS, _bucket_config,
+                                  emit, run_methods, sweep, trial_seed)
 import parasched.model
 from parasched.gen import GenConfig, gen_taskset
 from parasched.model import DagTask
@@ -167,3 +167,14 @@ def test_fewer_than_one_processor_is_rejected():
         sweep("processors", GenConfig(n_tasks=1), 1, buckets=[0])
     with pytest.raises(ValueError):
         GenConfig(m=0)
+
+
+def test_a_processor_count_that_is_not_an_int_is_rejected():
+    # run_methods raised a bare AttributeError, and a processors bucket of
+    # 2.5 ran as m = 2 and was reported as 2.5
+    with pytest.raises(ValueError, match="m must be an int"):
+        run_methods([_unit_chain(0, 2, 100)], 2.5)
+    with pytest.raises(ValueError, match="processors bucket 2.5"):
+        _bucket_config("processors", 2.5, GenConfig(n_tasks=1))
+    cfg, m = _bucket_config("processors", Fraction(4), GenConfig(n_tasks=1))
+    assert cfg.m == m == 4

@@ -142,8 +142,17 @@ def test_wcet_range_must_be_positive():
     ("period_mode", "bogus"),
     ("util", float("inf")),
     ("util", float("nan")),
+    ("n_tasks", 2.5),
+    ("n_tasks", 0),
+    ("m", True),
+    ("m", 4.0),
+    ("p", "0.1"),
+    ("util", "0.5"),
+    ("util", None),
 ], ids=["n-reversed", "wcet-reversed", "n-zero", "n-float", "wcet-float",
-        "mode-unknown", "util-inf", "util-nan"])
+        "mode-unknown", "util-inf", "util-nan", "n_tasks-float",
+        "n_tasks-zero", "m-bool", "m-float", "p-str", "util-str",
+        "util-none"])
 def test_bad_ranges_are_rejected_at_construction(field, bounds):
     with pytest.raises(ValueError, match=field):
         GenConfig(**{field: bounds})

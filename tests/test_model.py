@@ -179,6 +179,13 @@ def test_with_period_shares_the_core():
     assert validate(task).utilization == Fraction(7, 10)
 
 
+def test_deadline_defaults_to_the_period():
+    vertices, edges = [(0, 2), (1, 3)], [(0, 1)]
+    task = DagTask(0, vertices, edges, period=10)
+    assert task.period == task.deadline == 10
+    assert task.metrics == DagTask(0, vertices, edges).with_period(10).metrics
+
+
 def test_timing_is_checked_at_construction():
     with pytest.raises(DeadlineExceedsPeriod):
         DagTask(0, [(0, 1)], [], period=5, deadline=6)

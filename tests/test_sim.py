@@ -283,6 +283,17 @@ def test_gedf_rejects_fewer_than_one_processor(m):
         simulate_gedf([dec], m, 10 * task.period)
 
 
+@pytest.mark.parametrize("m, horizon, match", [
+    (1.5, 10, "m must be an int"), (True, 10, "m must be an int"),
+    (2, 0, "horizon must be positive"), (2, -5, "horizon must be positive"),
+])
+def test_gedf_rejects_a_bad_m_or_horizon(m, horizon, match):
+    # a horizon of -5 gave an empty report, and m = 1.5 a bare TypeError
+    dec = decompose(fig1_task()).decomposed
+    with pytest.raises(ValueError, match=match):
+        simulate_gedf([dec], m, horizon)
+
+
 def test_float_speeds_bounds_and_horizons_read_as_decimals():
     chain = chain_task(5, wcet=1)
     uni = simulate_uniform(chain, [0.3])
