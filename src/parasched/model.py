@@ -98,22 +98,32 @@ class DagTask:
     Fraction views, are built on first read, once per shape: ``with_period``
     copies the shape's attributes, so a timed copy inherits what the shape
     has built.  ``succ``/``pred`` describe the graph of ``edges``, the
-    input edges without repeats.  A task with a period, whose deadline
-    defaults to the period, also checks its timing and keeps
-    ``validate``'s result as ``metrics``; a shape's ``metrics`` is None.
+    input edges without repeats: a tuple edge is kept as the object given,
+    and a list or other pair is converted to a tuple once.  The vertex
+    pairs are sorted by id as given, and only their WCETs are converted.
+    A task with a period, whose deadline defaults to the period, also
+    checks its timing and keeps ``validate``'s result as ``metrics``; a
+    shape's ``metrics`` is None, and a deadline without a period is
+    malformed.
     """
 
     def __init__(self, task_id, vertices, edges, period=None, deadline=None):
         self.id = task_id
         self.period = self.deadline = None
+        if period is None and deadline is not None:
+            raise MalformedTaskSet(
+                f"task {task_id}: a deadline needs a period")
         try:
             if period is not None:
                 self.period = as_fraction(period)
                 self.deadline = (self.period if deadline is None
                                  else as_fraction(deadline))
-            vertices = sorted((vid, w if type(w) is int else as_fraction(w))
-                              for vid, w in vertices)
-            edges = list(dict.fromkeys((u, v) for u, v in edges))
+            vertices = sorted(vertices, key=operator.itemgetter(0))
+            wcets = [w if type(w) is int else as_fraction(w)
+                     for _, w in vertices]
+            self.edges = edges = tuple(dict.fromkeys(map(tuple, edges)))
+            if not {*map(len, edges)} <= {2}:
+                raise ValueError("an edge is not a pair")
         except (TypeError, ValueError, ZeroDivisionError) as exc:
             raise MalformedTaskSet(
                 f"task {task_id}: bad vertex, edge or time ({exc})") from None
@@ -136,9 +146,8 @@ class DagTask:
                 raise CycleDetected(f"task {task_id}: self loop on vertex {u}")
             succ[u].append(v)
             pred[v].append(u)
-        self.edges = tuple(edges)
         self.succ, self.pred = succ, pred
-        self.den, ints = scale_to_ints([w for _, w in vertices])
+        self.den, ints = scale_to_ints(wcets)
         # Kahn's algorithm, pushing each finish time on to the successors
         indeg = [len(p) for p in pred]
         order = [v for v, d in enumerate(indeg) if not d]

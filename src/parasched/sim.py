@@ -335,9 +335,13 @@ def simulate_gedf(tasks: Sequence[DecomposedTask], m: int,
     ones, a prefix of that order, are reported in release order as
     ((task_id, subtask, k), deadline, remaining work), with the deadline
     and the work as Fractions.  Raises ``ValueError`` unless m is an int
-    >= 1 and the horizon is positive."""
+    >= 1 and the horizon is a positive number."""
     check_m(m)
-    horizon = as_fraction(horizon)
+    try:
+        horizon = as_fraction(horizon)
+    except (TypeError, ValueError, ZeroDivisionError):
+        raise ValueError(
+            f"horizon must be a number, got {horizon!r}") from None
     if horizon <= 0:
         raise ValueError(f"horizon must be positive, got {horizon}")
     den = math.lcm(horizon.denominator, *(dt.den for dt in tasks))

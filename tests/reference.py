@@ -2,7 +2,8 @@
 CLI path, registered test or simulator runs: an exact max-flow oracle for
 the optimal Omega, the Fraction segments it cuts, the Fraction F-LI, SF1
 and SF2 plans that the int plans must match, the generator's structure
-drawn through ``randint`` and ``shuffle``, a single-DAG generator, the
+drawn through ``randint`` and ``shuffle``, the ``DagTask`` constructor
+that copies every input pair, a single-DAG generator, the
 speed and capacity bounds of a decomposed set, and readers of views and
 records that only the tests take."""
 
@@ -10,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import math
+import operator
 import random
 from collections import deque
 from dataclasses import dataclass
@@ -18,10 +20,12 @@ from typing import Optional, Sequence
 
 from parasched.decomposition import (Segment, SegmentationResult,
                                      TimingDiagram, timing_diagram)
-from parasched.errors import MalformedTaskSet, ParaschedError
+from parasched.errors import (CycleDetected, MalformedTaskSet,
+                              ParaschedError)
 from parasched.experiment import ExperimentRecord
 from parasched.gen import GenConfig, gen_period, gen_structure
-from parasched.model import DagTask, TaskMetrics, TaskSetSummary, Verdict
+from parasched.model import (DagTask, TaskMetrics, TaskSetSummary, Verdict,
+                             as_fraction, scale_to_ints, validate)
 from parasched.semifed import ContainerTask
 from parasched.sim import SimTrace
 
@@ -381,6 +385,69 @@ def randint_gen_structure(config: GenConfig, rng: random.Random, task_id):
     edges = [(u, order[b]) for a, u in enumerate(order)
              for b in range(a + 1, n) if draw() < p]
     return task_id, list(enumerate(wcets)), edges
+
+
+class PairCopyDagTask(DagTask):
+    """``DagTask`` built from a copy of every input pair: each vertex is
+    re-created as (id, converted WCET) before the sort, and each edge as
+    (u, v), the unpacking that rejects a non-pair, before the dedupe.  A
+    deadline given without a period is dropped.  ``DagTask`` must build
+    the same core and raise the same error type."""
+
+    def __init__(self, task_id, vertices, edges, period=None, deadline=None):
+        self.id = task_id
+        self.period = self.deadline = None
+        try:
+            if period is not None:
+                self.period = as_fraction(period)
+                self.deadline = (self.period if deadline is None
+                                 else as_fraction(deadline))
+            vertices = sorted((vid, w if type(w) is int else as_fraction(w))
+                              for vid, w in vertices)
+            edges = list(dict.fromkeys((u, v) for u, v in edges))
+        except (TypeError, ValueError, ZeroDivisionError) as exc:
+            raise MalformedTaskSet(
+                f"task {task_id}: bad vertex, edge or time ({exc})") from None
+        if period is not None and min(self.period, self.deadline) <= 0:
+            raise MalformedTaskSet(
+                f"task {task_id}: period and deadline must be positive")
+        n = len(vertices)
+        if not n or any(type(vid) is not int or vid != i
+                        for i, (vid, _) in enumerate(vertices)):
+            raise MalformedTaskSet(f"task {task_id}: vertex ids must be "
+                                   "dense integers 0..n-1, n >= 1")
+        succ = [[] for _ in range(n)]
+        pred = [[] for _ in range(n)]
+        for u, v in edges:
+            if not (type(u) is type(v) is int and 0 <= u < n and 0 <= v < n):
+                raise MalformedTaskSet(
+                    f"task {task_id}: edge ({u}, {v}) references an unknown "
+                    "vertex")
+            if u == v:
+                raise CycleDetected(f"task {task_id}: self loop on vertex {u}")
+            succ[u].append(v)
+            pred[v].append(u)
+        self.edges = tuple(edges)
+        self.succ, self.pred = succ, pred
+        self.den, ints = scale_to_ints([w for _, w in vertices])
+        # Kahn's algorithm, pushing each finish time on to the successors
+        indeg = [len(p) for p in pred]
+        order = [v for v, d in enumerate(indeg) if not d]
+        rdy = [0] * n
+        for v in order:
+            finish = rdy[v] + ints[v]
+            for u in succ[v]:
+                if rdy[u] < finish:
+                    rdy[u] = finish
+                indeg[u] -= 1
+                if not indeg[u]:
+                    order.append(u)
+        if len(order) != n:
+            raise CycleDetected(f"task {task_id} contains a cycle")
+        self.wcet_int, self.rdy_int = ints, rdy
+        self.work_int = sum(ints)
+        self.cpl_int = max(map(operator.add, rdy, ints))
+        self.metrics = None if period is None else validate(self)
 
 
 def gen_dag(config: GenConfig, rng: random.Random, task_id=0) -> DagTask:

@@ -1,16 +1,21 @@
 import io
+import json
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from parasched.errors import (CycleDetected, DeadlineExceedsPeriod,
                               EmptyTaskSet, MalformedTaskSet,
                               NonPositiveWcet)
+from parasched.gen import PAPER_SCALE, GenConfig, gen_structure, gen_taskset
 from parasched.model import (DagTask, as_fraction, dump_taskset,
                              format_rational, load_taskset, summarize,
                              validate)
-from conftest import diamond_task, fig1_task
-from reference import sink, source
+from conftest import diamond_task, fig1_task, rational_variant, verify_sets
+from reference import PairCopyDagTask, sink, source
 
 
 def test_as_fraction_handles_decimal_floats():
@@ -73,10 +78,12 @@ def test_several_sources_and_sinks():
 
 
 def test_edges_hold_the_input_edges_only():
-    # two sources and two sinks: succ/pred hold the input graph, no more
-    t = DagTask(0, [(0, 1), (1, 1), (2, 1), (3, 1)],
-                [(0, 2), (1, 2), (0, 2), [1, 3]], 10, 10)
+    # two sources and two sinks: succ/pred hold the input graph, no more;
+    # a tuple edge is kept as the object given
+    edges = [(0, 2), (1, 2), (0, 2), [1, 3]]
+    t = DagTask(0, [(0, 1), (1, 1), (2, 1), (3, 1)], edges, 10, 10)
     assert t.edges == ((0, 2), (1, 2), (1, 3))
+    assert t.edges[0] is edges[0] and t.edges[1] is edges[1]
     assert t.succ == [[2], [2, 3], [], []]
     assert t.pred == [[], [], [0, 1], [1]]
 
@@ -89,11 +96,42 @@ def test_edges_hold_the_input_edges_only():
     ([(0, True)], MalformedTaskSet,
      "task 0: edge (0, True) references an unknown vertex"),
     ([(0, 1, 2)], MalformedTaskSet, "task 0: bad vertex, edge or time"),
+    ([(0, 1), (0, 1, 2)], MalformedTaskSet,
+     "task 0: bad vertex, edge or time"),
+    # an edge that is not a pair comes first, wherever it stands
+    ([(1, 1), (0, 1, 2)], MalformedTaskSet,
+     "task 0: bad vertex, edge or time"),
+    ([(0, 5), (0,)], MalformedTaskSet, "task 0: bad vertex, edge or time"),
+    ([(0, 1), 5], MalformedTaskSet, "task 0: bad vertex, edge or time"),
+    (5, MalformedTaskSet, "task 0: bad vertex, edge or time"),
+    (["ab"], MalformedTaskSet,
+     "task 0: edge (a, b) references an unknown vertex"),
+    (((u, v) for u, v in [(0, 1), (1, 1)]), CycleDetected,
+     "task 0: self loop on vertex 1"),
+    ((e for e in [(0, 1), [0, 1, 2]]), MalformedTaskSet,
+     "task 0: bad vertex, edge or time"),
 ])
 def test_malformed_edge_is_named(edges, error, message):
     with pytest.raises(error) as info:
         DagTask(0, [(0, 1), (1, 1)], edges, 5, 5)
     assert type(info.value) is error and message in str(info.value)
+
+
+@pytest.mark.parametrize("vertices", [
+    [(0, 1), (0, "1/2")], [(0, 2), (1, 1), (0, Fraction(1, 2))],
+    [(0, 1), (0, "x")], [[0, 1], (0, 2.5)],
+])
+def test_repeated_vertex_ids_with_mixed_wcet_types_are_malformed(vertices):
+    with pytest.raises(MalformedTaskSet) as info:
+        DagTask(0, vertices, [])
+    assert type(info.value) is MalformedTaskSet
+
+
+def test_a_deadline_needs_a_period():
+    # the deadline was dropped, leaving a shape with no period
+    with pytest.raises(MalformedTaskSet,
+                       match="task t: a deadline needs a period"):
+        DagTask("t", [(0, 1)], [], deadline=5)
 
 
 def test_int_fraction_and_string_wcets_build_the_same_core():
@@ -202,3 +240,167 @@ def test_with_period_recomputes_the_metrics():
         == (Fraction(1, 4), Fraction(1, 4))
     assert task.metrics.utilization == Fraction(1, 2)
     assert DagTask(0, [(0, 2)], []).metrics is None
+
+
+# --- the constructor against the one that copies every input pair ---------
+
+def _core(task) -> tuple:
+    return (task.edges, task.succ, task.pred, task.den, task.wcet_int,
+            task.rdy_int, task.work_int, task.cpl_int, task.period,
+            task.deadline, task.metrics)
+
+
+def _build(cls, make):
+    """What ``cls`` builds from the arguments ``make()`` returns: a task,
+    or the error it raises."""
+    try:
+        return cls(*make())
+    except Exception as exc:
+        return exc
+
+
+def _assert_builds_as_reference(make):
+    """``make()`` returns fresh constructor arguments, so a generator of
+    edges is read once per build.  Returns the task, or the error."""
+    built, copied = _build(DagTask, make), _build(PairCopyDagTask, make)
+    if isinstance(built, Exception) or isinstance(copied, Exception):
+        assert type(built) is type(copied)
+    else:
+        assert _core(built) == _core(copied)
+    return built
+
+
+def _assert_keeps_tuple_edges(task, edges):
+    """``task.edges`` holds each edge's first occurrence, and a tuple edge
+    as the object given."""
+    first = {}
+    for edge in edges:
+        first.setdefault(tuple(edge), edge)
+    assert task.edges == tuple(first)
+    assert all(kept is first[kept] for kept in task.edges
+               if type(first[kept]) is tuple)
+
+
+def _parts(task) -> tuple:
+    vertices = (list(enumerate(task.wcet_int)) if task.den == 1
+                else list(task.wcets.items()))
+    return task.id, vertices, list(task.edges), task.period, task.deadline
+
+
+def test_constructor_builds_as_reference_on_corpus(corpus):
+    rng = random.Random(5)
+    tasks = corpus + [rational_variant(t, rng) for t in corpus[:200]]
+    for task in tasks:
+        args = _parts(task)
+        built = _assert_builds_as_reference(lambda: args)
+        assert _core(built) == _core(task)
+        _assert_keeps_tuple_edges(built, args[2])
+
+
+@pytest.mark.parametrize("scale, sets", [((10, 50), 200), (PAPER_SCALE, 50)])
+def test_constructor_builds_as_reference_on_generated_sets(scale, sets):
+    # the sweep workloads' sets, each task rebuilt from the generator's own
+    # output (gen_taskset draws the shapes first) and its period
+    utils = (0.3, 0.5, 0.7, 0.9)
+    for seed in range(sets):
+        config = GenConfig(n_tasks=5, p=0.05, m=8, util=utils[seed % 4],
+                           n_vertices=scale)
+        rng = random.Random(seed)
+        for i, task in enumerate(gen_taskset(config, seed=seed)):
+            args = (*gen_structure(config, rng, i), task.period,
+                    task.deadline)
+            built = _assert_builds_as_reference(lambda: args)
+            assert _core(built) == _core(task)
+            _assert_keeps_tuple_edges(built, args[2])
+
+
+def test_constructor_builds_as_reference_on_verify_json():
+    # the JSON loader hands edges over as lists and times as strings
+    for tasks in verify_sets():
+        buf = io.StringIO()
+        dump_taskset(tasks, buf)
+        for data in json.loads(buf.getvalue())["tasks"]:
+            args = (data["id"], [(v["id"], v["wcet"])
+                                 for v in data["vertices"]],
+                    data["edges"], data["period"], data["deadline"])
+            assert type(_assert_builds_as_reference(lambda: args)) is DagTask
+
+
+_RATIONALS = st.builds(Fraction, st.integers(min_value=1, max_value=99),
+                       st.integers(min_value=1, max_value=12))
+_WCETS = st.one_of(st.integers(min_value=1, max_value=20), _RATIONALS,
+                   _RATIONALS.map(str))
+
+
+@st.composite
+def _dag_args(draw):
+    n = draw(st.integers(min_value=1, max_value=8))
+    listed = draw(st.permutations(range(n)))
+    wcets = draw(st.lists(_WCETS, min_size=n, max_size=n))
+    order = draw(st.permutations(range(n)))
+    index = st.integers(min_value=0, max_value=n - 1)
+    edges = [(order[min(a, b)], order[max(a, b)])
+             for a, b in draw(st.lists(st.tuples(index, index), min_size=n,
+                                       max_size=14))
+             if a != b]
+    edges += draw(st.lists(st.sampled_from(edges), max_size=3)) \
+        if edges else []
+    # bit k of a mask gives pair k as a list, not a tuple
+    lists = draw(st.integers(min_value=0, max_value=(1 << 25) - 1))
+    edges = [list(e) if lists >> k & 1 else e for k, e in enumerate(edges)]
+    if edges and draw(st.booleans()):     # a string pair names no vertex
+        k = draw(st.integers(min_value=0, max_value=len(edges) - 1))
+        edges[k] = "".join(map(str, edges[k]))
+    lists = draw(st.integers(min_value=0, max_value=(1 << n) - 1))
+    vertices = [[v, wcets[v]] if lists >> v & 1 else (v, wcets[v])
+                for v in listed]
+    period = draw(st.one_of(st.none(), st.integers(min_value=1, max_value=200),
+                            _RATIONALS.map(lambda r: str(r * 20))))
+    return 0, vertices, edges, period, draw(st.booleans())
+
+
+@settings(max_examples=100, deadline=None)
+@given(_dag_args())
+def test_constructor_builds_as_reference_on_any_dag(args):
+    *args, as_generator = args
+    if as_generator:
+        built = _assert_builds_as_reference(
+            lambda: (*args[:2], (e for e in args[2]), *args[3:]))
+    else:
+        built = _assert_builds_as_reference(lambda: args)
+    if type(built) is DagTask:
+        _assert_keeps_tuple_edges(built, args[2])
+
+
+@pytest.mark.parametrize("vertices, edges, period, deadline", [
+    ([(0, 1), (1, 1)], [(0, 1), (0, 1, 2)], None, None),   # not a pair
+    ([(0, 1), (1, 1)], [(1, 1), (0,)], None, None),
+    ([(0, 1), (1, 1)], [(0, 5), [0, 1, 2]], None, None),
+    ([(0, 1), (1, 1)], [(0, 1), 5], None, None),           # not iterable
+    ([(0, 1), (1, 1)], 5, None, None),
+    ([(0, 1), (1, 1)], [[0, [1]]], None, None),            # unhashable
+    ([(0, 1), (1, 1)], [(0, 2)], None, None),              # out of range
+    ([(0, 1), (1, 1)], [(-1, 0)], None, None),
+    ([(0, 1), (1, 1)], ["01", (0, 1)], None, None),
+    ([(0, 1), (1, 1)], [(0, True)], None, None),           # bool
+    ([(0, 1), (1, 1)], [(1, 1)], None, None),              # self loop
+    ([(0, 1), (1, 1), (2, 1)], [(0, 1), (1, 2), (2, 0)], 9, 9),  # cycle
+    ([(0, 1), (2, 1)], [], None, None),                    # vertex ids
+    ([(0, 1), ("a", 1)], [], None, None),
+    ([], [], None, None),
+    ([(0, 1, 2)], [], None, None),
+    ([5], [], None, None),
+    (5, [], None, None),
+    ([(0, True)], [], None, None),
+    ([(0, "x")], [], None, None),
+    ([(0, "1/0")], [], None, None),
+    ([(0, 1), (0, "1/2")], [], None, None),
+    ([(0, 1)], [], "abc", None),                           # times
+    ([(0, 1)], [], 5, 0),
+    ([(0, 0)], [], 5, 5),
+    ([(0, 1)], [], 5, 6),
+])
+def test_malformed_input_raises_as_reference(vertices, edges, period,
+                                             deadline):
+    args = (0, vertices, edges, period, deadline)
+    assert isinstance(_assert_builds_as_reference(lambda: args), Exception)

@@ -286,9 +286,13 @@ def test_gedf_rejects_fewer_than_one_processor(m):
 @pytest.mark.parametrize("m, horizon, match", [
     (1.5, 10, "m must be an int"), (True, 10, "m must be an int"),
     (2, 0, "horizon must be positive"), (2, -5, "horizon must be positive"),
+    (2, None, "horizon must be a number, got None"),
+    (2, "abc", "horizon must be a number, got 'abc'"),
+    (2, "1/0", "horizon must be a number, got '1/0'"),
 ])
 def test_gedf_rejects_a_bad_m_or_horizon(m, horizon, match):
-    # a horizon of -5 gave an empty report, and m = 1.5 a bare TypeError
+    # a horizon of -5 gave an empty report, m = 1.5 and a horizon of None
+    # a bare TypeError, and "1/0" a ZeroDivisionError
     dec = decompose(fig1_task()).decomposed
     with pytest.raises(ValueError, match=match):
         simulate_gedf([dec], m, horizon)
