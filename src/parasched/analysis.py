@@ -130,14 +130,15 @@ def gli_capacity_test(tasks: Sequence[DagTask], m: int) -> Verdict:
     L_i/D_i <= 1/b with b = (3+sqrt(5))/2.  Exact: x <= 1/b =
     (3-sqrt(5))/2 holds iff 3-2x >= 0 and (3-2x)^2 >= 5.  The bound is
     stated for implicit deadlines, so a task with D < T is rejected, named
-    in the reason.  Raises ``ValueError`` unless m is an int >= 1."""
+    in the reason.  Raises ``ValueError`` unless m is an int >= 1, and
+    ``EmptyTaskSet`` (from ``summarize``) for no task at all."""
     check_m(m)
     for task in tasks:
         if task.deadline != task.period:
             return Verdict("gli-capacity", False, reason=(
                 f"task {task.id}: D={task.deadline} != T={task.period}; "
                 "the bound assumes implicit deadlines"))
-    x = sum((t.metrics.utilization for t in tasks), Fraction(0)) / m
+    x = summarize(tasks).u_sum / m
     if not _within_gli(x):
         return Verdict("gli-capacity", False, reason=f"U_sum/m = {x} > 1/b")
     for task in tasks:

@@ -87,8 +87,9 @@ class DagTask:
     """Immutable DAG task.
 
     Vertex ids must be dense integers 0..n-1, and a task may have several
-    sources and sinks.  Built without a period, a task is a shape
-    that ``with_period`` times.  Construction checks the structure once
+    sources and sinks.  A built task is a shape, whose ``period``,
+    ``deadline`` and ``metrics`` are None; ``with_period`` times it.
+    Construction checks the structure once
     (``MalformedTaskSet``, ``CycleDetected``) and keeps a period-free
     integer core that ``with_period`` shares: ``den``, the LCM of the WCET
     denominators; the WCETs (``wcet_int``), earliest ready times
@@ -101,23 +102,12 @@ class DagTask:
     input edges without repeats: a tuple edge is kept as the object given,
     and a list or other pair is converted to a tuple once.  The vertex
     pairs are sorted by id as given, and only their WCETs are converted.
-    A task with a period, whose deadline defaults to the period, also
-    checks its timing and keeps ``validate``'s result as ``metrics``; a
-    shape's ``metrics`` is None, and a deadline without a period is
-    malformed.
     """
 
-    def __init__(self, task_id, vertices, edges, period=None, deadline=None):
+    def __init__(self, task_id, vertices, edges):
         self.id = task_id
-        self.period = self.deadline = None
-        if period is None and deadline is not None:
-            raise MalformedTaskSet(
-                f"task {task_id}: a deadline needs a period")
+        self.period = self.deadline = self.metrics = None
         try:
-            if period is not None:
-                self.period = as_fraction(period)
-                self.deadline = (self.period if deadline is None
-                                 else as_fraction(deadline))
             vertices = sorted(vertices, key=operator.itemgetter(0))
             wcets = [w if type(w) is int else as_fraction(w)
                      for _, w in vertices]
@@ -127,9 +117,6 @@ class DagTask:
         except (TypeError, ValueError, ZeroDivisionError) as exc:
             raise MalformedTaskSet(
                 f"task {task_id}: bad vertex, edge or time ({exc})") from None
-        if period is not None and min(self.period, self.deadline) <= 0:
-            raise MalformedTaskSet(
-                f"task {task_id}: period and deadline must be positive")
         n = len(vertices)
         if not n or any(type(vid) is not int or vid != i
                         for i, (vid, _) in enumerate(vertices)):
@@ -165,13 +152,23 @@ class DagTask:
         self.wcet_int, self.rdy_int = ints, rdy
         self.work_int = sum(ints)
         self.cpl_int = max(map(operator.add, rdy, ints))
-        self.metrics = None if period is None else validate(self)
 
-    def with_period(self, period) -> "DagTask":
-        """This DAG, sharing its integer core, with period and deadline T."""
+    def with_period(self, period, deadline=None) -> "DagTask":
+        """This DAG, sharing its integer core, with period T, deadline D (T
+        when not given) and ``validate``'s result as ``metrics``.  A T or D
+        that is not a positive number raises ``MalformedTaskSet``."""
+        try:
+            period = as_fraction(period)
+            deadline = period if deadline is None else as_fraction(deadline)
+        except (TypeError, ValueError, ZeroDivisionError) as exc:
+            raise MalformedTaskSet(
+                f"task {self.id}: bad period or deadline ({exc})") from None
+        if period.numerator <= 0 or deadline.numerator <= 0:
+            raise MalformedTaskSet(
+                f"task {self.id}: period and deadline must be positive")
         task = object.__new__(type(self))
         task.__dict__.update(self.__dict__)
-        task.period = task.deadline = as_fraction(period)
+        task.period, task.deadline = period, deadline
         task.metrics = validate(task)
         return task
 
@@ -286,6 +283,8 @@ def summarize(tasks: Sequence[DagTask],
 # Rational values are serialized as "num/den" strings (or plain numbers).
 
 def task_to_dict(task: DagTask) -> dict:
+    if task.period is None:
+        raise MalformedTaskSet(f"task {task.id}: no period")
     return {
         "id": task.id,
         "period": format_rational(task.period),
@@ -305,22 +304,18 @@ def task_from_dict(data: dict, index: int = 0) -> DagTask:
     if not isinstance(data, dict):
         raise MalformedTaskSet(f"task {index}: not a JSON object")
     try:
-        fields = dict(
-            task_id=data["id"],
-            vertices=[(v["id"], v["wcet"]) for v in data["vertices"]],
-            edges=data["edges"],
-            period=data["period"],
-            deadline=data["deadline"],
-        )
+        task_id, vertices, edges, period, deadline = (
+            data["id"], [(v["id"], v["wcet"]) for v in data["vertices"]],
+            data["edges"], data["period"], data["deadline"])
     except KeyError as exc:
         raise MalformedTaskSet(
             f"task {index}: missing field {exc.args[0]!r}") from None
     except TypeError:
         raise MalformedTaskSet(
             f"task {index}: 'vertices' is not a list of objects") from None
-    if None in (fields["period"], fields["deadline"]):
+    if None in (period, deadline):
         raise MalformedTaskSet(f"task {index}: period or deadline is null")
-    return DagTask(**fields)
+    return DagTask(task_id, vertices, edges).with_period(period, deadline)
 
 
 def dump_taskset(tasks: Iterable[DagTask], fp) -> None:

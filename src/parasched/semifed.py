@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import MalformedTaskSet
+from .errors import EmptyTaskSet, MalformedTaskSet
 from .model import DagTask, Verdict, check_m
 
 
@@ -41,7 +41,9 @@ def _classify(tasks, test: str):
     heavy task whose gamma is not an integer; ``lights`` holds (id, C/D)
     for each light task.  Or ``test``'s rejection naming a heavy task with
     L >= D.  A heavy task id repeated as a string raises
-    MalformedTaskSet."""
+    MalformedTaskSet, and no task at all EmptyTaskSet."""
+    if not tasks:
+        raise EmptyTaskSet(f"{test}: cannot test an empty task set")
     dedicated = {}
     fractional = []
     lights = []

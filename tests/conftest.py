@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from parasched.gen import PAPER_SCALE, GenConfig, gen_taskset
-from parasched.model import DagTask, validate
+from parasched.model import DagTask
 
 
 def fig1_task(period=14, deadline=None):
@@ -15,23 +15,21 @@ def fig1_task(period=14, deadline=None):
     a deadline is given."""
     vertices = [(0, 1), (1, 5), (2, 3), (3, 4), (4, 2), (5, 1)]
     edges = [(0, 1), (0, 2), (0, 3), (2, 4), (3, 4), (1, 5), (4, 5)]
-    return DagTask("fig1", vertices, edges, period=period,
-                   deadline=period if deadline is None else deadline)
+    return DagTask("fig1", vertices, edges).with_period(period, deadline)
 
 
 def diamond_task(period=10):
     """0 -> {1, 2} -> 3 with WCETs 1, 4, 2, 1."""
     vertices = [(0, 1), (1, 4), (2, 2), (3, 1)]
     edges = [(0, 1), (0, 2), (1, 3), (2, 3)]
-    return DagTask("diamond", vertices, edges, period=period, deadline=period)
+    return DagTask("diamond", vertices, edges).with_period(period)
 
 
 def chain_task(length, wcet=3, period=None):
     vertices = [(i, wcet) for i in range(length)]
     edges = [(i, i + 1) for i in range(length - 1)]
     period = period if period is not None else wcet * length * 2
-    return DagTask(f"chain{length}", vertices, edges, period=period,
-                   deadline=period)
+    return DagTask(f"chain{length}", vertices, edges).with_period(period)
 
 
 def fork_task(width, period=None):
@@ -41,8 +39,7 @@ def fork_task(width, period=None):
     edges = [(0, i) for i in range(1, width + 1)] \
         + [(i, width + 1) for i in range(1, width + 1)]
     period = period if period is not None else 4 * (width + 3)
-    return DagTask(f"fork{width}", vertices, edges, period=period,
-                   deadline=period)
+    return DagTask(f"fork{width}", vertices, edges).with_period(period)
 
 
 def random_small_task(rng, task_id, max_vertices=8):
@@ -68,10 +65,9 @@ def rational_variant(task, rng):
     vertices = [(v, Fraction(rng.randint(1, 40), rng.randint(1, 12)))
                 for v in real]
     edges = [(u, v) for u, v in task.edges if u in real and v in real]
-    cpl = validate(DagTask(task.id, vertices, edges, period=10 ** 6,
-                           deadline=10 ** 6)).critical_path
-    period = cpl + Fraction(rng.randint(1, 80), rng.randint(1, 4))
-    return DagTask(task.id, vertices, edges, period=period, deadline=period)
+    shape = DagTask(task.id, vertices, edges)
+    return shape.with_period(
+        shape.critical_path + Fraction(rng.randint(1, 80), rng.randint(1, 4)))
 
 
 def build_corpus(count=1000, seed=2024):

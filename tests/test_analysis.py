@@ -115,8 +115,8 @@ def test_gli_capacity_boundary():
     easy = chain_task(2, wcet=1, period=100)
     assert gli_capacity_test([easy], 4).schedulable
     # the same chain with D < T is outside the bound's task model
-    constrained = DagTask("c", [(0, 1), (1, 1)], [(0, 1)], period=100,
-                          deadline=90)
+    constrained = DagTask("c", [(0, 1), (1, 1)],
+                          [(0, 1)]).with_period(100, 90)
     v = gli_capacity_test([easy, constrained], 4)
     assert not v.schedulable
     assert v.reason.startswith("task c: D=90 != T=100")
@@ -153,8 +153,8 @@ def test_gli_capacity_is_exact_at_the_utilization_bound():
     # 1/b = (3 - sqrt(5))/2 = 0.3819660112501051517954...; ten parallel
     # unit vertices keep L/D = U/10 far below it
     def parallel(u):
-        return DagTask("par", [(i, 1) for i in range(10)], [],
-                       period=10 / u, deadline=10 / u)
+        return DagTask("par", [(i, 1) for i in range(10)],
+                       []).with_period(10 / u)
 
     above = Fraction(381966011250106, 10 ** 15)   # 8.5e-16 above 1/b
     below = Fraction(381966011250105, 10 ** 15)   # 1.5e-16 below 1/b

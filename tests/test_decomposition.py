@@ -226,28 +226,31 @@ def test_dbf_and_load_basics():
 
 def _brute_load(dt, hyper_windows=2):
     """Reference load: ``demand`` on every (release, k*T + deadline)
-    window, O(n^4)."""
-    period = dt.period
-    subtasks = dt.subtasks
+    window, O(n^4), on the task's ints over ``den``; the best ratio is
+    kept as a pair of ints, and its Fraction built once."""
+    period = dt.period_int
+    jobs = list(zip(dt.releases, dt.deadlines, dt.wcets))
 
     def demand(start, end):
-        total = Fraction(0)
-        for st in subtasks:
-            k_min = math.ceil((start - st.release) / period)
-            k_max = math.floor((end - st.deadline) / period)
+        total = 0
+        for release, deadline, wcet in jobs:
+            k_min = -((release - start) // period)  # ceil((start - r) / T)
+            k_max = (end - deadline) // period
             if k_max >= k_min:
-                total += (k_max - k_min + 1) * st.wcet
+                total += (k_max - k_min + 1) * wcet
         return total
 
-    load = Fraction(0)
-    for st_a in subtasks:
+    best, best_t = 0, 1
+    for start in dt.releases:
         for k in range(hyper_windows + 1):
-            for st_b in subtasks:
-                end = k * period + st_b.deadline
-                t = end - st_a.release
+            for deadline in dt.deadlines:
+                end = k * period + deadline
+                t = end - start
                 if t > 0:
-                    load = max(load, demand(st_a.release, end) / t)
-    return load
+                    total = demand(start, end)
+                    if total * best_t > best * t:
+                        best, best_t = total, t
+    return Fraction(best, best_t)
 
 
 def test_load_matches_window_enumeration_on_corpus(corpus):

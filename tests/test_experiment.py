@@ -7,6 +7,8 @@ import pytest
 from parasched.experiment import (DEFAULT_BUCKETS, METHODS, _bucket_config,
                                   emit, run_methods, sweep, trial_seed)
 import parasched.model
+from parasched.analysis import TESTS
+from parasched.errors import EmptyTaskSet
 from parasched.gen import GenConfig, gen_taskset
 from parasched.model import DagTask
 
@@ -17,7 +19,7 @@ from reference import parse_csv
 def _unit_chain(task_id, length, period):
     verts = [(i, 1) for i in range(length)]
     edges = [(i, i + 1) for i in range(length - 1)]
-    return DagTask(task_id, verts, edges, period=period, deadline=period)
+    return DagTask(task_id, verts, edges).with_period(period)
 
 
 def test_trial_seed_deterministic_and_distinct():
@@ -65,6 +67,14 @@ def test_run_methods_rejects_constrained_deadline_in_dour_only():
     verdicts = run_methods([fig1_task(period=14, deadline=9)], 9)
     assert verdicts == {"D-OUR": False, "F-LI": True, "SF1": True,
                         "SF2": True, "G-LI": False}
+
+
+@pytest.mark.parametrize("name", list(TESTS))
+def test_every_test_rejects_an_empty_task_set(name):
+    with pytest.raises(EmptyTaskSet):
+        TESTS[name].run([], 4)
+    with pytest.raises(EmptyTaskSet):
+        run_methods([], 4, methods=(name,))
 
 
 def test_sweep_deterministic():

@@ -45,31 +45,31 @@ def test_light_task_not_heavy():
 
 def test_vertex_ids_must_be_dense():
     with pytest.raises(ValueError):
-        DagTask(0, [(0, 1), (2, 1)], [], 10, 10)
+        DagTask(0, [(0, 1), (2, 1)], [])
 
 
 def test_cycle_detected():
     with pytest.raises(CycleDetected):
-        DagTask(0, [(0, 1), (1, 1), (2, 1)], [(0, 1), (1, 2), (2, 0)], 9, 9)
+        DagTask(0, [(0, 1), (1, 1), (2, 1)], [(0, 1), (1, 2), (2, 0)])
 
 
 def test_self_loop_rejected():
     with pytest.raises(CycleDetected):
-        DagTask(0, [(0, 1)], [(0, 0)], 5, 5)
+        DagTask(0, [(0, 1)], [(0, 0)])
 
 
 def test_nonpositive_wcet_rejected():
     with pytest.raises(NonPositiveWcet):
-        validate(DagTask(0, [(0, 0)], [], 5, 5))
+        DagTask(0, [(0, 0)], []).with_period(5)
 
 
 def test_deadline_beyond_period_rejected():
     with pytest.raises(DeadlineExceedsPeriod):
-        validate(DagTask(0, [(0, 1)], [], period=5, deadline=6))
+        DagTask(0, [(0, 1)], []).with_period(5, 6)
 
 
 def test_several_sources_and_sinks():
-    t = DagTask(0, [(0, 2), (1, 3)], [], 10, 10)
+    t = DagTask(0, [(0, 2), (1, 3)], []).with_period(10)
     # both vertices are sources and sinks, and no vertex is added
     assert t.wcets == {0: 2, 1: 3}
     assert t.succ == t.pred == [[], []]
@@ -81,7 +81,7 @@ def test_edges_hold_the_input_edges_only():
     # two sources and two sinks: succ/pred hold the input graph, no more;
     # a tuple edge is kept as the object given
     edges = [(0, 2), (1, 2), (0, 2), [1, 3]]
-    t = DagTask(0, [(0, 1), (1, 1), (2, 1), (3, 1)], edges, 10, 10)
+    t = DagTask(0, [(0, 1), (1, 1), (2, 1), (3, 1)], edges)
     assert t.edges == ((0, 2), (1, 2), (1, 3))
     assert t.edges[0] is edges[0] and t.edges[1] is edges[1]
     assert t.succ == [[2], [2, 3], [], []]
@@ -113,7 +113,7 @@ def test_edges_hold_the_input_edges_only():
 ])
 def test_malformed_edge_is_named(edges, error, message):
     with pytest.raises(error) as info:
-        DagTask(0, [(0, 1), (1, 1)], edges, 5, 5)
+        DagTask(0, [(0, 1), (1, 1)], edges)
     assert type(info.value) is error and message in str(info.value)
 
 
@@ -127,19 +127,12 @@ def test_repeated_vertex_ids_with_mixed_wcet_types_are_malformed(vertices):
     assert type(info.value) is MalformedTaskSet
 
 
-def test_a_deadline_needs_a_period():
-    # the deadline was dropped, leaving a shape with no period
-    with pytest.raises(MalformedTaskSet,
-                       match="task t: a deadline needs a period"):
-        DagTask("t", [(0, 1)], [], deadline=5)
-
-
 def test_int_fraction_and_string_wcets_build_the_same_core():
     # two sources and two sinks, and the core holds the five vertices only
     edges = [(0, 2), (1, 2), (2, 3), (2, 4)]
     wcets = [3, 1, 4, 1, 5]
     built = [DagTask(0, [(v, convert(w)) for v, w in enumerate(wcets)],
-                     edges, 20, 20)
+                     edges)
              for convert in (int, Fraction, lambda w: f"{w}/1")]
     ints, *others = built
     assert ints.wcets == {0: 3, 1: 1, 2: 4, 3: 1, 4: 5}
@@ -150,7 +143,7 @@ def test_int_fraction_and_string_wcets_build_the_same_core():
 
 
 def test_single_vertex_is_source_and_sink():
-    t = DagTask(0, [(0, 4)], [], 10, 10)
+    t = DagTask(0, [(0, 4)], [])
     assert t.wcet_int == [4]
     assert source(t) == sink(t) == 0
 
@@ -218,21 +211,89 @@ def test_with_period_shares_the_core():
 
 
 def test_deadline_defaults_to_the_period():
-    vertices, edges = [(0, 2), (1, 3)], [(0, 1)]
-    task = DagTask(0, vertices, edges, period=10)
+    shape = DagTask(0, [(0, 2), (1, 3)], [(0, 1)])
+    task = shape.with_period(10)
     assert task.period == task.deadline == 10
-    assert task.metrics == DagTask(0, vertices, edges).with_period(10).metrics
+    assert task.metrics == shape.with_period(10, 10).metrics
 
 
 def test_timing_is_checked_at_construction():
+    # the timed task is built by with_period, which validates it once
     with pytest.raises(DeadlineExceedsPeriod):
-        DagTask(0, [(0, 1)], [], period=5, deadline=6)
+        DagTask(0, [(0, 1)], []).with_period(5, 6)
     with pytest.raises(NonPositiveWcet, match="task 0: vertex 1 has WCET 0"):
-        DagTask(0, [(0, 1), (1, 0)], [(0, 1)], period=5, deadline=5)
+        DagTask(0, [(0, 1), (1, 0)], [(0, 1)]).with_period(5, 5)
+
+
+_BAD_TIMES = [
+    (-5, None, MalformedTaskSet,
+     "period and deadline must be positive"),
+    (0, None, MalformedTaskSet,
+     "period and deadline must be positive"),
+    ("abc", None, MalformedTaskSet, "bad period or deadline"),
+    (None, None, MalformedTaskSet, "bad period or deadline"),
+    (float("nan"), None, MalformedTaskSet, "bad period or deadline"),
+    (float("inf"), None, MalformedTaskSet, "bad period or deadline"),
+    (True, None, MalformedTaskSet, "bad period or deadline"),
+    ("1/0", None, MalformedTaskSet, "bad period or deadline"),
+    (5, 0, MalformedTaskSet,
+     "period and deadline must be positive"),
+    (5, "-1/2", MalformedTaskSet,
+     "period and deadline must be positive"),
+    (5, "abc", MalformedTaskSet, "bad period or deadline"),
+    (5, 6, DeadlineExceedsPeriod, "D=6 > T=5"),
+]
+
+
+@pytest.mark.parametrize("period, deadline, error, message", _BAD_TIMES)
+def test_with_period_rejects_a_bad_time(period, deadline, error, message):
+    shape = DagTask(0, [(0, 1)], [])
+    with pytest.raises(error) as info:
+        shape.with_period(period, deadline)
+    assert type(info.value) is error
+    assert str(info.value).startswith(f"task 0: {message}")
+    assert shape.period is shape.deadline is shape.metrics is None
+
+
+@pytest.mark.parametrize("period, deadline, error, message", _BAD_TIMES)
+def test_load_taskset_rejects_a_bad_time(period, deadline, error, message):
+    # JSON carries NaN and infinity as Python's json module writes them,
+    # and a null period is named as such
+    text = json.dumps({"tasks": [{
+        "id": 0, "period": period,
+        "deadline": period if deadline is None else deadline,
+        "vertices": [{"id": 0, "wcet": 1}], "edges": []}]})
+    if period is None:
+        message = "period or deadline is null"
+    with pytest.raises(error) as info:
+        load_taskset(io.StringIO(text))
+    assert type(info.value) is error
+    assert str(info.value).startswith(f"task 0: {message}")
+
+
+def test_structure_is_checked_before_timing():
+    # a cycle with period 0: the shape is built, and rejected, before any
+    # time is read; the one-step reference reads the times first
+    args = (0, [(0, 1), (1, 1)], [(0, 1), (1, 0)], 0, 0)
+    with pytest.raises(MalformedTaskSet):
+        PairCopyDagTask(*args)
+    with pytest.raises(CycleDetected):
+        _timed(*args)
+    text = json.dumps({"tasks": [{
+        "id": 0, "period": 0, "deadline": 0, "edges": [[0, 1], [1, 0]],
+        "vertices": [{"id": 0, "wcet": 1}, {"id": 1, "wcet": 1}]}]})
+    with pytest.raises(CycleDetected):
+        load_taskset(io.StringIO(text))
+
+
+def test_dumping_a_shape_is_malformed():
+    with pytest.raises(MalformedTaskSet) as info:
+        dump_taskset([DagTask("t", [(0, 1)], [])], io.StringIO())
+    assert str(info.value) == "task t: no period"
 
 
 def test_with_period_recomputes_the_metrics():
-    task = DagTask(0, [(0, 2), (1, 3)], [(0, 1)], period=10, deadline=10)
+    task = DagTask(0, [(0, 2), (1, 3)], [(0, 1)]).with_period(10, 10)
     assert task.metrics.utilization == Fraction(1, 2)
     longer = task.with_period(20)
     assert longer.metrics == validate(longer)
@@ -242,7 +303,7 @@ def test_with_period_recomputes_the_metrics():
     assert DagTask(0, [(0, 2)], []).metrics is None
 
 
-# --- the constructor against the one that copies every input pair ---------
+# --- the two-step build against the one that copies every input pair ----
 
 def _core(task) -> tuple:
     return (task.edges, task.succ, task.pred, task.den, task.wcet_int,
@@ -250,19 +311,27 @@ def _core(task) -> tuple:
             task.deadline, task.metrics)
 
 
-def _build(cls, make):
-    """What ``cls`` builds from the arguments ``make()`` returns: a task,
-    or the error it raises."""
+def _timed(task_id, vertices, edges, period=None, deadline=None):
+    """The shape of the DAG, timed by ``with_period`` when a period is
+    given; like the one-step build, it ignores a deadline without one."""
+    shape = DagTask(task_id, vertices, edges)
+    return shape if period is None else shape.with_period(period, deadline)
+
+
+def _build(build, make):
+    """What ``build`` makes of the arguments ``make()`` returns: a task, or
+    the error it raises."""
     try:
-        return cls(*make())
+        return build(*make())
     except Exception as exc:
         return exc
 
 
 def _assert_builds_as_reference(make):
-    """``make()`` returns fresh constructor arguments, so a generator of
-    edges is read once per build.  Returns the task, or the error."""
-    built, copied = _build(DagTask, make), _build(PairCopyDagTask, make)
+    """``make()`` returns fresh (id, vertices, edges, period, deadline)
+    arguments, so a generator of edges is read once per build.  Returns
+    the task, or the error."""
+    built, copied = _build(_timed, make), _build(PairCopyDagTask, make)
     if isinstance(built, Exception) or isinstance(copied, Exception):
         assert type(built) is type(copied)
     else:

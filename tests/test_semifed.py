@@ -14,7 +14,7 @@ import reference
 from parasched.analysis import (TESTS, UniformPlatform, federated_allocate,
                                 uniform_response_bound)
 from parasched.cli import main
-from parasched.errors import MalformedTaskSet
+from parasched.errors import EmptyTaskSet, MalformedTaskSet
 from parasched.gen import GenConfig, gen_taskset
 from parasched.model import DagTask, TaskMetrics, Verdict, dump_taskset
 from parasched.semifed import ContainerTask, sf1, sf2
@@ -357,6 +357,17 @@ def _stub_set(gammas, densities):
         + [light_stub(len(gammas) + i, d)[0] for i, d in enumerate(densities)]
 
 
+def _rejects_empty(tasks, m) -> bool:
+    """True, once F-LI, SF1 and SF2 have each raised EmptyTaskSet, for an
+    empty set; False for any other."""
+    if tasks:
+        return False
+    for test in (federated_allocate, sf1, sf2):
+        with pytest.raises(EmptyTaskSet):
+            test(tasks, m)
+    return True
+
+
 _STUB_SETS = (st.lists(st.fractions(min_value=Fraction(101, 100),
                                     max_value=Fraction(9, 2)), max_size=5),
               st.lists(st.fractions(min_value=Fraction(1, 100),
@@ -379,6 +390,8 @@ def test_sf1_accepts_every_set_f_li_accepts_on_sample():
 def test_sf1_accepts_every_set_f_li_accepts_on_stub_sets(gammas, densities,
                                                          m):
     tasks = _stub_set(gammas, densities)
+    if _rejects_empty(tasks, m):
+        return
     if federated_allocate(tasks, m).schedulable:
         assert sf1(tasks, m).schedulable
 
@@ -501,6 +514,8 @@ def test_accepted_plans_hold_on_sample(corpus):
 @given(*_STUB_SETS)
 def test_accepted_plans_hold_on_stub_sets(gammas, densities, m):
     tasks = _stub_set(gammas, densities)
+    if _rejects_empty(tasks, m):
+        return
     for v in _assert_matches_reference(tasks, m):
         if v.schedulable:
             _check_plan(tasks, m, v)
@@ -509,7 +524,7 @@ def test_accepted_plans_hold_on_stub_sets(gammas, densities, m):
 def _fork(task_id):
     """A fork task with C = 20, L = 12 and D = T = 14, so gamma = 4."""
     return DagTask(task_id, list(enumerate((1, 10, 8, 1))),
-                   [(0, 1), (0, 2), (1, 3), (2, 3)], period=14, deadline=14)
+                   [(0, 1), (0, 2), (1, 3), (2, 3)]).with_period(14)
 
 
 def test_repeated_heavy_id_is_malformed():
@@ -527,8 +542,8 @@ def test_critical_path_at_deadline_rejects_alike(tmp_path, capsys):
     path = tmp_path / "set.json"
     with open(path, "w") as fp:
         dump_taskset([DagTask(0, [(i, 4) for i in range(3)],
-                              [(0, 1), (1, 2)], period=10, deadline=10),
-                      DagTask(1, [(0, 1)], [], period=10, deadline=10)], fp)
+                              [(0, 1), (1, 2)]).with_period(10),
+                      DagTask(1, [(0, 1)], []).with_period(10)], fp)
     assert main(["analyze", str(path), "--m", "4"]) == 0
     rows = {row["test"]: row for row in
             map(json.loads, capsys.readouterr().out.splitlines())}

@@ -222,8 +222,8 @@ def test_gedf_reports_simultaneous_misses_in_release_order():
     # three chains whose last subtasks share the deadline 8 and all miss
     # there on one processor: released c (at 4), a (5), b (48/7), they are
     # reported in that order, not in the EDF order a, b, c
-    tasks = [DagTask(tid, list(enumerate(wcets)), [(0, 1), (1, 2)],
-                     period=8, deadline=8)
+    tasks = [DagTask(tid, list(enumerate(wcets)),
+                     [(0, 1), (1, 2)]).with_period(8)
              for tid, wcets in (("a", (1, 4, 3)), ("b", (4, 2, 1)),
                                 ("c", (1, 1, 2)))]
     decs = [decompose(t).decomposed for t in tasks]
@@ -241,8 +241,8 @@ def test_gedf_ties_go_by_task_position_not_id():
     # equal tasks whose ids do not ascend in input order, of both types:
     # the run is the one the ids 0, 1, 2 give, with the ids mapped back
     def run(ids):
-        tasks = [DagTask(tid, [(0, 2), (1, 2)], [(0, 1)], period=4,
-                         deadline=4) for tid in ids]
+        tasks = [DagTask(tid, [(0, 2), (1, 2)], [(0, 1)]).with_period(4)
+                 for tid in ids]
         decs = [decompose(t).decomposed for t in tasks]
         return _assert_gedf_matches_reference(decs, 1, 12).misses
 
@@ -316,9 +316,9 @@ def test_float_speeds_bounds_and_horizons_read_as_decimals():
 
 def test_gedf_matches_reference_on_rational_wcets():
     tasks = [DagTask("a", [(0, "1/3"), (1, "5/7"), (2, 1)],
-                     [(0, 1), (0, 2)], period="9/4", deadline="9/4"),
-             DagTask("b", [(0, "5/7"), (1, "1/3")], [(0, 1)],
-                     period="3/2", deadline="3/2")]
+                     [(0, 1), (0, 2)]).with_period("9/4", "9/4"),
+             DagTask("b", [(0, "5/7"), (1, "1/3")],
+                     [(0, 1)]).with_period("3/2", "3/2")]
     decs = [decompose(t).decomposed for t in tasks]
     for m in (1, 2):
         report = _assert_gedf_matches_reference(decs, m, Fraction(67, 5))
