@@ -21,8 +21,7 @@ from .decomposition import segment_omega
 from .errors import ConstrainedDeadline
 from .model import (DagTask, TaskMetrics, TaskSetSummary, Verdict,
                     as_fraction, check_m, scale_speeds, summarize)
-from .semifed import (_classify, _containers, _order, _plan, _worst_fit,
-                      sf1, sf2)
+from .semifed import _classify, _order, _plan, _worst_fit, sf1, sf2
 
 
 class UniformPlatform:
@@ -90,21 +89,19 @@ def federated_allocate(tasks: Sequence[DagTask], m: int) -> Verdict:
     tasks with D <= T, heavy iff C > D, gamma = (C-L)/(D-L); a heavy task
     with L >= D is rejected, named in ``detail["task"]``.  Raises
     ``ValueError`` unless m is an int >= 1."""
-    check_m(m)
-    plan = _classify(tasks, "federated")
+    plan = _classify(tasks, m, "federated")
     if isinstance(plan, Verdict):
         return plan
-    dedicated, fractional, lights = plan
-    for owner, _, _ in fractional:
-        dedicated[owner] += 1
+    dedicated, k, den, containers = plan
+    for container in containers[:k]:
+        dedicated[container[2]] += 1
     used = sum(dedicated.values())
     detail = {"dedicated": dedicated}
     if used > m:
         return Verdict("federated", False,
                        reason=f"needs {used} dedicated processors",
                        detail=detail)
-    den, containers = _containers([], lights)
-    ordered = _order(containers, 0)
+    ordered = _order(containers[k:], 0)   # worst-fit is scale-free
     bins = [[] for _ in range(m - used)]
     fits = _worst_fit(ordered, bins, den)
     min_m = used + _fewest_bins(ordered, den, m - used, fits)

@@ -19,8 +19,8 @@ from fractions import Fraction
 from itertools import accumulate
 from typing import Optional
 
-from .errors import ConstrainedDeadline, MalformedTaskSet
-from .model import DagTask, TaskMetrics
+from .errors import ConstrainedDeadline
+from .model import DagTask, TaskMetrics, check_timed
 
 
 @dataclass(frozen=True)
@@ -337,8 +337,7 @@ def _segmentation(task: DagTask) -> tuple[TimingDiagram, SegmentationResult]:
     deadlines past D.  Such a task raises ``ConstrainedDeadline``, and a
     shape, which has no period, ``MalformedTaskSet``.
     """
-    if task.period is None:
-        raise MalformedTaskSet(f"task {task.id}: no period")
+    check_timed(task)
     if task.deadline != task.period:
         raise ConstrainedDeadline(
             f"task {task.id}: D={task.deadline} != T={task.period}; the "

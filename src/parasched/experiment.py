@@ -92,9 +92,8 @@ def _bucket_config(axis: str, bucket, base: GenConfig):
 def sweep(axis: str, base: GenConfig, trials: int,
           buckets=None, methods=METHODS) -> list:
     """Acceptance ratios per (bucket, method); deterministic under
-    base.seed.  ValueError on a bucket equal to an earlier one."""
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    base.seed.  ValueError on trials not an int >= 1 or a repeated bucket."""
+    check_m(trials, "trials")
     if axis not in DEFAULT_BUCKETS:
         raise ValueError(f"unknown sweep axis {axis!r}")
     methods = check_methods(methods)

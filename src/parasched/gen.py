@@ -23,7 +23,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .errors import UtilizationInfeasible
-from .model import DagTask
+from .model import DagTask, check_m
 
 
 _REALS = frozenset({int, float, Fraction})   # by type(), so no bool
@@ -53,11 +53,8 @@ class GenConfig:
                              f"{self.util!r}")
         if self.period_mode not in ("target-utilization", "gamma-formula"):
             raise ValueError(f"unknown period_mode {self.period_mode!r}")
-        if not (type(self.m) is type(self.n_tasks) is int
-                and self.m >= 1 and self.n_tasks >= 1):
-            name = "m" if type(self.m) is not int or self.m < 1 else "n_tasks"
-            raise ValueError(f"{name} must be an int >= 1, got "
-                             f"{getattr(self, name)!r}")
+        check_m(self.m)
+        check_m(self.n_tasks, "n_tasks")
         for name in ("n_vertices", "wcet_range"):
             bounds = getattr(self, name)
             if not (isinstance(bounds, (tuple, list)) and len(bounds) == 2

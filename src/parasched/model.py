@@ -44,13 +44,19 @@ def as_fraction(value) -> Fraction:
     raise TypeError(f"cannot interpret {value!r} as a rational")
 
 
-def check_m(m) -> None:
-    """Raise ``ValueError`` unless the processor count m is an int >= 1;
-    a bool or a float is not."""
-    if type(m) is not int:
-        raise ValueError(f"m must be an int, got {m!r}")
-    if m < 1:
-        raise ValueError("m must be >= 1")
+def check_m(value, name: str = "m") -> None:
+    """Raise ``ValueError`` unless the count ``name``, by default the
+    processor count m, is an int >= 1; a bool or a float is not."""
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an int, got {value!r}")
+    if value < 1:
+        raise ValueError(f"{name} must be >= 1")
+
+
+def check_timed(task) -> None:
+    """Raise ``MalformedTaskSet`` for a shape, which has no period."""
+    if task.period is None:
+        raise MalformedTaskSet(f"task {task.id}: no period")
 
 
 def scale_to_ints(values) -> tuple[int, list]:
@@ -194,12 +200,14 @@ class DagTask:
 
 @dataclass(frozen=True)
 class TaskMetrics:
+    """A timed task's quantities, computed once, by ``validate``."""
     work: Fraction          # C
     critical_path: Fraction  # L
     utilization: Fraction   # U = C / T
     density: Fraction       # C / D
     elasticity: Fraction    # L / T
     heavy: bool             # density > 1
+    gamma: Optional[Fraction]  # (C - L) / (D - L); None when L >= D
 
 
 @dataclass(frozen=True)
@@ -224,10 +232,10 @@ class Verdict:
 
 
 def validate(task: DagTask) -> TaskMetrics:
-    """Check the task's timing invariants and read C, L, U, density and
-    elasticity off its integer core."""
-    if task.period is None:
-        raise MalformedTaskSet(f"task {task.id}: no period")
+    """Check the task's timing invariants and read C, L, U, density,
+    elasticity and gamma off its integer core: with D = a/b, gamma =
+    (work_int - cpl_int)*b / (a*den - cpl_int*b), or None when L >= D."""
+    check_timed(task)
     if min(task.wcet_int) <= 0:
         vid = next(v for v, w in enumerate(task.wcet_int) if w <= 0)
         raise NonPositiveWcet(
@@ -239,6 +247,8 @@ def validate(task: DagTask) -> TaskMetrics:
     utilization = work / task.period
     density = (utilization if task.deadline == task.period
                else work / task.deadline)
+    cpl, b = task.cpl_int, task.deadline.denominator
+    gap = task.deadline.numerator * task.den - cpl * b       # (D - L)*b*den
     return TaskMetrics(
         work=work,
         critical_path=critical_path,
@@ -246,6 +256,7 @@ def validate(task: DagTask) -> TaskMetrics:
         density=density,
         elasticity=critical_path / task.period,
         heavy=density > 1,
+        gamma=Fraction((task.work_int - cpl) * b, gap) if gap > 0 else None,
     )
 
 
@@ -264,6 +275,8 @@ def summarize(tasks: Sequence[DagTask],
     if not tasks:
         raise EmptyTaskSet("cannot summarize an empty task set")
     if metrics is None:
+        for task in tasks:
+            check_timed(task)
         metrics = [t.metrics for t in tasks]
     return TaskSetSummary(
         u_sum=sum((m.utilization for m in metrics), Fraction(0)),
@@ -283,8 +296,7 @@ def summarize(tasks: Sequence[DagTask],
 # Rational values are serialized as "num/den" strings (or plain numbers).
 
 def task_to_dict(task: DagTask) -> dict:
-    if task.period is None:
-        raise MalformedTaskSet(f"task {task.id}: no period")
+    check_timed(task)
     return {
         "id": task.id,
         "period": format_rational(task.period),
@@ -299,7 +311,7 @@ def task_from_dict(data: dict, index: int = 0) -> DagTask:
     """Build a task from its JSON form; ``index`` is its place in the set.
 
     Raises ``MalformedTaskSet`` naming the task index and the missing field,
-    or a null period or deadline.
+    or the task id for a null period or deadline.
     """
     if not isinstance(data, dict):
         raise MalformedTaskSet(f"task {index}: not a JSON object")
@@ -314,7 +326,7 @@ def task_from_dict(data: dict, index: int = 0) -> DagTask:
         raise MalformedTaskSet(
             f"task {index}: 'vertices' is not a list of objects") from None
     if None in (period, deadline):
-        raise MalformedTaskSet(f"task {index}: period or deadline is null")
+        raise MalformedTaskSet(f"task {task_id}: period or deadline is null")
     return DagTask(task_id, vertices, edges).with_period(period, deadline)
 
 

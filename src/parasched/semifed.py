@@ -7,10 +7,12 @@ packing).  Containers and light tasks share the remaining processors under
 partitioned EDF with worst-fit packing.  Federated scheduling (F-LI) is
 the same plan with each fractional container rounded up to a processor.
 
-Each test classifies the tasks once and decides on ints: the loads and
-split bounds of one call are scaled to ``den``, the LCM of their
-denominators, so every sum, compare and tie-break is one over ints.  The
-``ContainerTask`` Fractions are built only for an accepting plan.
+One classification, ``_classify``, serves the three plans.  It reads
+gamma, heaviness and density from ``task.metrics``, which ``validate``
+computes once per task, and scales the loads and split bounds of one call
+to ``den``, the LCM of their denominators, so every sum, compare and
+tie-break is one over ints.  The ``ContainerTask`` Fractions are built
+only for an accepting plan.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import EmptyTaskSet, MalformedTaskSet
-from .model import DagTask, Verdict, check_m
+from .model import DagTask, Verdict, check_m, check_timed
 
 
 @dataclass(frozen=True)
@@ -34,59 +36,48 @@ class ContainerTask:
     label: str = ""
 
 
-def _classify(tasks, test: str):
-    """The plan F-LI, SF1 and SF2 share, as ints: (dedicated, fractional,
-    lights).  ``dedicated`` maps each heavy task's id to floor(gamma);
-    ``fractional`` holds (id, p, q), gamma = p/q in lowest terms, for each
-    heavy task whose gamma is not an integer; ``lights`` holds (id, C/D)
-    for each light task.  Or ``test``'s rejection naming a heavy task with
-    L >= D.  A heavy task id repeated as a string raises
-    MalformedTaskSet, and no task at all EmptyTaskSet."""
+def _classify(tasks, m: int, test: str):
+    """The plan F-LI, SF1 and SF2 share, read off each task's metrics as
+    ints: (dedicated, k, den, containers).  ``dedicated`` maps each heavy
+    task's id to floor(gamma).  ``containers`` holds (load, delta*, owner,
+    label, density), load and delta* times ``den``, the LCM of their
+    denominators: first the k of the heavy tasks whose gamma = p/q is not
+    an integer, with load frac(gamma) = r/q and delta* = max(frac/2,
+    frac/gamma), the minimal larger part when it is divided in two (r/p
+    when gamma <= 2, r/(2q) above); then the light tasks, whose load and
+    delta* are their density.  Or ``test``'s rejection naming a heavy task
+    with L >= D.  Raises ``ValueError`` unless m is an int >= 1,
+    ``EmptyTaskSet`` for no task, and ``MalformedTaskSet`` for a shape or
+    a heavy task id repeated as a string."""
+    check_m(m)
     if not tasks:
         raise EmptyTaskSet(f"{test}: cannot test an empty task set")
-    dedicated = {}
-    fractional = []
-    lights = []
+    # rows (owner, label, r, b, d, x): load r/b, delta* r/d, density x
+    dedicated, fractional, lights = {}, [], []
     for task in tasks:
+        check_timed(task)
         met = task.metrics
         if not met.heavy:
-            lights.append((task.id, met.density))
+            x = met.density
+            lights.append((task.id, "light", x.numerator, x.denominator,
+                           x.denominator, x))
             continue
         if str(task.id) in map(str, dedicated):
             raise MalformedTaskSet(f"heavy task id {task.id!r} repeats")
-        # gamma = (C-L)/(D-L) on the numerators and denominators of C, L, D
-        c, cpl, d = met.work, met.critical_path, task.deadline
-        slack = d.numerator * cpl.denominator - cpl.numerator * d.denominator
-        if slack <= 0:
+        if met.gamma is None:
             return Verdict(test, False,
                            reason="critical path exceeds deadline",
                            detail={"task": task.id})
-        p = (c.numerator * cpl.denominator
-             - cpl.numerator * c.denominator) * d.denominator
-        q = slack * c.denominator
-        g = math.gcd(p, q)
-        p, q = p // g, q // g
+        p, q = met.gamma.numerator, met.gamma.denominator
         dedicated[task.id] = p // q
         if q > 1:
-            fractional.append((task.id, p, q))
-    return dedicated, fractional, lights
-
-
-def _containers(fractional, lights):
-    """The containers over one denominator: ``den`` and, fractional ones
-    first, (load, delta*, owner, label, density) with load and delta* times
-    ``den``; a light task's delta* is its load, and it keeps its density
-    for the plan.  The container of gamma = p/q has load frac(gamma) = r/q
-    and delta* = max(frac/2, frac/gamma), the minimal larger part when it
-    is divided in two: r/p when gamma <= 2, r/(2q) above; each row below
-    holds r and the two denominators."""
-    rows = [(owner, "frac", p % q, q, min(p, 2 * q), None)
-            for owner, p, q in fractional] + [
-        (owner, "light", x.numerator, x.denominator, x.denominator, x)
-        for owner, x in lights]
+            fractional.append((task.id, "frac", p % q, q, min(p, 2 * q),
+                               None))
+    rows = fractional + lights
     den = math.lcm(*(row[3] for row in rows), *(row[4] for row in rows))
-    return den, [(r * (den // b), r * (den // d), owner, label, x)
-                 for owner, label, r, b, d, x in rows]
+    return dedicated, len(fractional), den, [
+        (r * (den // b), r * (den // d), owner, label, x)
+        for owner, label, r, b, d, x in rows]
 
 
 def _order(containers, field: int) -> list:
@@ -129,15 +120,13 @@ def sf1(tasks: Sequence[DagTask], m: int) -> Verdict:
     iff C > D, gamma = (C-L)/(D-L); a heavy task with L >= D is rejected,
     named in ``detail["task"]``.  Raises ``ValueError`` unless m is an int
     >= 1."""
-    check_m(m)
-    plan = _classify(tasks, "sf1")
+    plan = _classify(tasks, m, "sf1")
     if isinstance(plan, Verdict):
         return plan
-    dedicated, fractional, lights = plan
+    dedicated, _, den, containers = plan
     used = sum(dedicated.values())
     if used > m:
         return Verdict("sf1", False, reason="insufficient dedicated")
-    den, containers = _containers(fractional, lights)
     bins = [[] for _ in range(m - used)]
     if not _worst_fit(_order(containers, 0), bins, den):
         return Verdict("sf1", False, reason="partition failure")
@@ -160,16 +149,13 @@ def sf2(tasks: Sequence[DagTask], m: int) -> Verdict:
     bin goes over 1, and the remainders do not fit ("remainder partition
     failure").  Raises ``ValueError`` unless m is an int >= 1.
     """
-    check_m(m)
-    plan = _classify(tasks, "sf2")
+    plan = _classify(tasks, m, "sf2")
     if isinstance(plan, Verdict):
         return plan
-    dedicated, fractional, lights = plan
+    dedicated, _, den, containers = plan
     used = sum(dedicated.values())
     if used > m:
         return Verdict("sf2", False, reason="insufficient dedicated")
-    den, containers = _containers(fractional, lights)
-
     bins = [[] for _ in range(m - used)]
     loads = [0] * len(bins)
     open_bins = [(0, i) for i in range(len(bins))]   # (delta* sum, index)

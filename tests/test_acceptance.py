@@ -39,8 +39,9 @@ def _heavy_stub(tid, g):
     c, l = Fraction(16), Fraction(8)
     d = (c - l) / Fraction(g) + l
     met = TaskMetrics(work=c, critical_path=l, utilization=c / d,
-                      density=c / d, elasticity=l / d, heavy=True)
-    return SimpleNamespace(id=tid, deadline=d, metrics=met), met
+                      density=c / d, elasticity=l / d, heavy=True,
+                      gamma=Fraction(g))
+    return SimpleNamespace(id=tid, period=d, deadline=d, metrics=met), met
 
 
 def _light_stub(tid, density):
@@ -48,8 +49,9 @@ def _light_stub(tid, density):
     d = Fraction(3) / density
     met = TaskMetrics(work=Fraction(3), critical_path=Fraction(1),
                       utilization=density, density=density,
-                      elasticity=Fraction(1) / d, heavy=False)
-    return SimpleNamespace(id=tid, deadline=d, metrics=met), met
+                      elasticity=Fraction(1) / d, heavy=False,
+                      gamma=Fraction(2) / (d - 1))
+    return SimpleNamespace(id=tid, period=d, deadline=d, metrics=met), met
 
 
 def test_criterion_01_container_packing_goldens():

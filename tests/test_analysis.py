@@ -10,9 +10,10 @@ from parasched.analysis import (TESTS, UniformPlatform, _fewest_bins,
                                 federated_allocate, gedf_density_test,
                                 gli_capacity_test, uniform_response_bound,
                                 weak_response_bound)
-from parasched.decomposition import segment_omega
+from parasched.decomposition import decompose, segment_omega
+from parasched.errors import MalformedTaskSet
 from parasched.model import (DagTask, TaskSetSummary, scale_to_ints,
-                             summarize, validate)
+                             summarize, task_to_dict, validate)
 from parasched.semifed import ContainerTask
 from conftest import chain_task, fig1_task
 from reference import (capacity_bound, capacity_requirement,
@@ -221,3 +222,23 @@ def test_fewest_bins_matches_the_search_from_one(loads, known):
     den, sizes = scale_to_ints(sorted(loads, reverse=True))
     assert _fewest_bins([(size,) for size in sizes], den, known,
                         fits(known)) == expected
+
+
+_SHAPE_READERS = {
+    **{name: (lambda ts, method=method: method.run(ts, 2))
+       for name, method in TESTS.items()},
+    "summarize": summarize,
+    **{f.__name__: (lambda ts, f=f: [f(t) for t in ts])
+       for f in (task_to_dict, decompose, segment_omega)},
+}
+
+
+@pytest.mark.parametrize("run", _SHAPE_READERS.values(), ids=_SHAPE_READERS)
+@pytest.mark.parametrize("timed", [[], [fig1_task()]], ids=["alone",
+                                                           "after-fig1"])
+def test_a_shape_is_malformed_wherever_it_is_read(run, timed):
+    # every reader names the shape through one rule, not AttributeError
+    shape = DagTask("t", [(0, 2), (1, 3)], [(0, 1)])
+    with pytest.raises(MalformedTaskSet) as info:
+        run(timed + [shape])
+    assert str(info.value) == "task t: no period"

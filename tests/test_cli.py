@@ -226,7 +226,7 @@ def test_malformed_dag_is_one_line_with_status_2(tmp_path, capsys, vertices,
      b'"vertices": [[0, 1]]}]}', "task 0: "),     # vertex not an object
     (b'{"tasks": [{"id": "x", "period": null, "deadline": null, '
      b'"edges": [], "vertices": [{"id": 0, "wcet": 1}]}]}',
-     "task 0: period or deadline is null"),
+     "task x: period or deadline is null"),
 ], ids=["not-json", "not-text", "list", "tasks-string", "task-number",
         "vertex-list", "null-period"])
 def test_malformed_file_is_one_line_with_status_2(tmp_path, capsys, text,

@@ -611,7 +611,8 @@ def _reference_topological_order(task):
 
 
 def _reference_validate(task: DagTask) -> TaskMetrics:
-    """Check the task invariants and compute C, L, U, density, elasticity.
+    """Check the task invariants and compute C, L, U, density, elasticity
+    and gamma.
 
     C sums the WCETs; L is the longest path, computed in topological order.
     """
@@ -639,6 +640,8 @@ def _reference_validate(task: DagTask) -> TaskMetrics:
         density=density,
         elasticity=critical_path / task.period,
         heavy=density > 1,
+        gamma=((work - critical_path) / (task.deadline - critical_path)
+               if critical_path < task.deadline else None),
     )
 
 

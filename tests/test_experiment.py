@@ -169,6 +169,19 @@ def test_sweep_op_validates_each_task_once(monkeypatch):
         assert sorted(calls) == [0, 1, 2, 3]
 
 
+@pytest.mark.parametrize("trials, message", [
+    (2.5, "trials must be an int, got 2.5"),
+    (True, "trials must be an int, got True"),
+    (0, "trials must be >= 1"),
+    ("3", "trials must be an int, got '3'"),
+])
+def test_trials_must_be_an_int_of_at_least_one(trials, message):
+    # a count, like m: a float, a bool or a string is not one
+    with pytest.raises(ValueError) as info:
+        sweep("p", GenConfig(n_tasks=1), trials)
+    assert str(info.value) == message
+
+
 def test_fewer_than_one_processor_is_rejected():
     tasks = [_unit_chain(0, 2, 100)]
     with pytest.raises(ValueError):

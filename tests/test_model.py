@@ -15,7 +15,8 @@ from parasched.model import (DagTask, as_fraction, dump_taskset,
                              format_rational, load_taskset, summarize,
                              validate)
 from conftest import diamond_task, fig1_task, rational_variant, verify_sets
-from reference import PairCopyDagTask, sink, source
+from reference import (CriticalPathExceedsDeadline, PairCopyDagTask,
+                       capacity_requirement, sink, source)
 
 
 def test_as_fraction_handles_decimal_floats():
@@ -176,7 +177,7 @@ def test_json_round_trip():
     ('{"tasks": [{"id": 1, "period": 4, "deadline": 4, "edges": [],'
      ' "vertices": [{"id": 0, "wcet": 1}]}, {"id": 2, "period": 4,'
      ' "deadline": null, "edges": [], "vertices": [{"id": 0, "wcet": 1}]}]}',
-     "task 1: period or deadline is null"),
+     "task 2: period or deadline is null"),
     ('{"sets": []}', "missing field 'tasks'"),
 ])
 def test_malformed_json_names_the_missing_field(text, message):
@@ -473,3 +474,67 @@ def test_malformed_input_raises_as_reference(vertices, edges, period,
                                              deadline):
     args = (0, vertices, edges, period, deadline)
     assert isinstance(_assert_builds_as_reference(lambda: args), Exception)
+
+
+def _assert_gamma_is_the_reference(tasks):
+    """Each task's gamma is (C - L)/(D - L) in Fractions, and None exactly
+    where the reference raises for L >= D; returns whether each kind was
+    seen."""
+    seen = set()
+    for task in tasks:
+        try:
+            expected = capacity_requirement(task.work, task.critical_path,
+                                            task.deadline)
+        except CriticalPathExceedsDeadline:
+            expected = None
+        gamma = task.metrics.gamma
+        assert (type(gamma), gamma) == (type(expected), expected), task.id
+        seen.add(gamma is None)
+    return seen
+
+
+def test_gamma_is_the_reference_on_the_corpus_and_its_variants(corpus):
+    rng = random.Random(31)
+    assert _assert_gamma_is_the_reference(
+        corpus + [rational_variant(t, rng) for t in corpus[:300]]) == {False}
+
+
+def test_gamma_is_the_reference_on_generated_sets():
+    sets = [gen_taskset(GenConfig(n_tasks=5, p=0.05, util=util,
+                                  n_vertices=scale), seed=seed)
+            for scale in ((10, 50), PAPER_SCALE) for seed in range(2)
+            for util in (0.3, 0.9)] + list(verify_sets())
+    assert _assert_gamma_is_the_reference(
+        [task for tasks in sets for task in tasks]) == {False}
+
+
+def test_gamma_reads_the_deadline():
+    # C = 16, L = 8: (16 - 8)/(D - 8), whatever T is
+    tasks = [fig1_task(period=40, deadline=d) for d in (8, 9, 12, 40)]
+    assert [t.metrics.gamma for t in tasks] \
+        == [None, Fraction(8), Fraction(2), Fraction(1, 4)]
+    assert _assert_gamma_is_the_reference(tasks) == {False, True}
+
+
+@st.composite
+def _constrained_tasks(draw):
+    """A DAG timed with D < T, its D drawn on either side of L and of C."""
+    n = draw(st.integers(min_value=1, max_value=8))
+    wcets = draw(st.lists(st.one_of(st.integers(min_value=1, max_value=20),
+                                    _RATIONALS), min_size=n, max_size=n))
+    index = st.integers(min_value=0, max_value=n - 1)
+    edges = sorted({(min(a, b), max(a, b)) for a, b in draw(
+        st.lists(st.tuples(index, index), max_size=14)) if a != b})
+    shape = DagTask(0, list(enumerate(wcets)), edges)
+    low, high = shape.critical_path / 2, 2 * shape.work
+    deadline = draw(st.one_of(st.just(shape.critical_path), st.fractions(
+        min_value=0, max_value=1, max_denominator=60).map(
+            lambda x: low + (high - low) * x)))
+    return shape.with_period(deadline + draw(_RATIONALS), deadline)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_constrained_tasks())
+def test_gamma_is_the_reference_on_any_constrained_dag(task):
+    assert task.deadline < task.period
+    _assert_gamma_is_the_reference([task])

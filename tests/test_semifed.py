@@ -1,4 +1,3 @@
-import functools
 import json
 import math
 import random
@@ -30,8 +29,9 @@ def heavy_stub(tid, g, c=16, l=8):
     c, l = Fraction(c), Fraction(l)
     d = (c - l) / Fraction(g) + l
     met = TaskMetrics(work=c, critical_path=l, utilization=c / d,
-                      density=c / d, elasticity=l / d, heavy=True)
-    return SimpleNamespace(id=tid, deadline=d, metrics=met), met
+                      density=c / d, elasticity=l / d, heavy=True,
+                      gamma=Fraction(g))
+    return SimpleNamespace(id=tid, period=d, deadline=d, metrics=met), met
 
 
 def light_stub(tid, density):
@@ -39,8 +39,9 @@ def light_stub(tid, density):
     d = Fraction(3) / density
     met = TaskMetrics(work=Fraction(3), critical_path=Fraction(1),
                       utilization=density, density=density,
-                      elasticity=Fraction(1) / d, heavy=False)
-    return SimpleNamespace(id=tid, deadline=d, metrics=met), met
+                      elasticity=Fraction(1) / d, heavy=False,
+                      gamma=Fraction(2) / (d - 1))
+    return SimpleNamespace(id=tid, period=d, deadline=d, metrics=met), met
 
 
 def appendix_set():
@@ -242,7 +243,6 @@ def _reference_sf2(tasks, m):
                                         "bins": [b.items for b in bins]})
 
 
-@functools.cache
 def test_worst_fit_matches_trial_sums_on_sample(monkeypatch):
     # the int plans against the Fraction ones packing by trial sums
     cases = sample_cases()
