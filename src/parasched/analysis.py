@@ -89,19 +89,17 @@ def federated_allocate(tasks: Sequence[DagTask], m: int) -> Verdict:
     tasks with D <= T, heavy iff C > D, gamma = (C-L)/(D-L); a heavy task
     with L >= D is rejected, named in ``detail["task"]``.  Raises
     ``ValueError`` unless m is an int >= 1."""
-    plan = _classify(tasks, m, "federated")
+    plan = _classify(tasks, m, "federated", round_up=True)
     if isinstance(plan, Verdict):
         return plan
-    dedicated, k, den, containers = plan
-    for container in containers[:k]:
-        dedicated[container[2]] += 1
+    dedicated, den, containers = plan
     used = sum(dedicated.values())
     detail = {"dedicated": dedicated}
     if used > m:
         return Verdict("federated", False,
                        reason=f"needs {used} dedicated processors",
                        detail=detail)
-    ordered = _order(containers[k:], 0)   # worst-fit is scale-free
+    ordered = _order(containers, 0)
     bins = [[] for _ in range(m - used)]
     fits = _worst_fit(ordered, bins, den)
     min_m = used + _fewest_bins(ordered, den, m - used, fits)

@@ -23,7 +23,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .errors import UtilizationInfeasible
-from .model import DagTask, check_m
+from .model import DagTask, _drawn_shape, check_m
 
 
 _REALS = frozenset({int, float, Fraction})   # by type(), so no bool
@@ -67,9 +67,13 @@ class GenConfig:
 PAPER_SCALE = (50, 250)
 
 
-def gen_structure(config: GenConfig, rng: random.Random, task_id):
-    """One DAG without a period yet: vertices, WCETs, G(n,p) edges over a
-    random topological order.  n, the WCETs and the order draw through
+def gen_structure(config: GenConfig, rng: random.Random,
+                  task_id) -> DagTask:
+    """One DAG shape, without a period yet: vertices, WCETs, G(n,p) edges
+    over a random topological order.  The shape is built from these draws
+    with the drawn order as its topological order, and without the checks
+    ``DagTask`` runs on a caller's input, which every draw meets by
+    construction.  n, the WCETs and the order draw through
     ``rng.getrandbits`` with ``Random._randbelow``'s rejection loop, the
     edges through ``rng.random``: CPython's ``randint``/``shuffle`` stream,
     except for a ``Random`` subclass overriding ``random()`` alone, whose
@@ -85,12 +89,12 @@ def gen_structure(config: GenConfig, rng: random.Random, task_id):
     lo, hi = config.wcet_range
     span = hi - lo + 1
     k = span.bit_length()
-    vertices = []
-    for v in range(n):
+    wcets = []
+    for _ in range(n):
         w = bits(k)
         while w >= span:
             w = bits(k)
-        vertices.append((v, lo + w))
+        wcets.append(lo + w)
     order = list(range(n))
     for i in range(n - 1, 0, -1):       # shuffle: swap i with j in 0..i
         k = (i + 1).bit_length()
@@ -100,7 +104,7 @@ def gen_structure(config: GenConfig, rng: random.Random, task_id):
         order[i], order[j] = order[j], order[i]
     edges = [(u, order[b]) for a, u in enumerate(order)
              for b in range(a + 1, n) if draw() < p]
-    return task_id, vertices, edges
+    return _drawn_shape(task_id, wcets, edges, order)
 
 
 def uunifast(total: Fraction, n: int, rng: random.Random) -> list:
@@ -145,8 +149,7 @@ def gen_taskset(config: GenConfig,
     sum to util*m exactly.
     """
     rng = random.Random(config.seed if seed is None else seed)
-    shapes = [DagTask(*gen_structure(config, rng, i))
-              for i in range(config.n_tasks)]
+    shapes = [gen_structure(config, rng, i) for i in range(config.n_tasks)]
 
     total = Fraction(config.util) * config.m
     if config.period_mode == "target-utilization":

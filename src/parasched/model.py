@@ -59,6 +59,15 @@ def check_timed(task) -> None:
         raise MalformedTaskSet(f"task {task.id}: no period")
 
 
+def check_wcets(task) -> None:
+    """Raise ``NonPositiveWcet`` naming the first vertex whose WCET is not
+    positive; a shape is not checked for it until it is timed."""
+    if min(task.wcet_int) <= 0:
+        vid = next(v for v, w in enumerate(task.wcet_int) if w <= 0)
+        raise NonPositiveWcet(
+            f"task {task.id}: vertex {vid} has WCET {task.wcets[vid]}")
+
+
 def scale_to_ints(values) -> tuple[int, list]:
     """``den``, the LCM of the denominators of ``values`` (ints or
     Fractions), and each value times ``den`` as an int."""
@@ -95,9 +104,11 @@ class DagTask:
     Vertex ids must be dense integers 0..n-1, and a task may have several
     sources and sinks.  A built task is a shape, whose ``period``,
     ``deadline`` and ``metrics`` are None; ``with_period`` times it.
-    Construction checks the structure once
-    (``MalformedTaskSet``, ``CycleDetected``) and keeps a period-free
-    integer core that ``with_period`` shares: ``den``, the LCM of the WCET
+    Construction checks the caller's structure once (``MalformedTaskSet``,
+    ``CycleDetected``), finds a topological order by Kahn's algorithm, and
+    keeps a period-free integer core that ``with_period`` shares; a shape
+    the generator draws is built from its own draw order, unchecked, by
+    ``_drawn_shape``.  The core: ``den``, the LCM of the WCET
     denominators; the WCETs (``wcet_int``), earliest ready times
     (``rdy_int``), C (``work_int``) and L (``cpl_int``), all times ``den``.
     Int WCETs are read as they are, with no Fraction per input; ``wcets``
@@ -111,13 +122,11 @@ class DagTask:
     """
 
     def __init__(self, task_id, vertices, edges):
-        self.id = task_id
-        self.period = self.deadline = self.metrics = None
         try:
             vertices = sorted(vertices, key=operator.itemgetter(0))
             wcets = [w if type(w) is int else as_fraction(w)
                      for _, w in vertices]
-            self.edges = edges = tuple(dict.fromkeys(map(tuple, edges)))
+            edges = tuple(dict.fromkeys(map(tuple, edges)))
             if not {*map(len, edges)} <= {2}:
                 raise ValueError("an edge is not a pair")
         except (TypeError, ValueError, ZeroDivisionError) as exc:
@@ -139,22 +148,32 @@ class DagTask:
                 raise CycleDetected(f"task {task_id}: self loop on vertex {u}")
             succ[u].append(v)
             pred[v].append(u)
-        self.succ, self.pred = succ, pred
-        self.den, ints = scale_to_ints(wcets)
-        # Kahn's algorithm, pushing each finish time on to the successors
+        # Kahn's algorithm: a topological order, or a cycle
         indeg = [len(p) for p in pred]
         order = [v for v, d in enumerate(indeg) if not d]
-        rdy = [0] * n
         for v in order:
-            finish = rdy[v] + ints[v]
             for u in succ[v]:
-                if rdy[u] < finish:
-                    rdy[u] = finish
                 indeg[u] -= 1
                 if not indeg[u]:
                     order.append(u)
         if len(order) != n:
             raise CycleDetected(f"task {task_id} contains a cycle")
+        self._set_core(task_id, wcets, edges, succ, pred, order)
+
+    def _set_core(self, task_id, wcets, edges, succ, pred, order) -> None:
+        """Set a shape's attributes: the id, no timing, and the integer core
+        of the DAG with these WCETs (ints or Fractions), edge tuple and
+        ``succ``/``pred`` lists, ``order`` being a topological order."""
+        self.id = task_id
+        self.period = self.deadline = self.metrics = None
+        self.edges, self.succ, self.pred = edges, succ, pred
+        self.den, ints = scale_to_ints(wcets)
+        rdy = [0] * len(ints)
+        for v in order:     # push each finish time on to the successors
+            finish = rdy[v] + ints[v]
+            for u in succ[v]:
+                if rdy[u] < finish:
+                    rdy[u] = finish
         self.wcet_int, self.rdy_int = ints, rdy
         self.work_int = sum(ints)
         self.cpl_int = max(map(operator.add, rdy, ints))
@@ -198,6 +217,22 @@ class DagTask:
         return list(range(len(self.wcet_int)))
 
 
+def _drawn_shape(task_id, wcets: list, edges: list, order: list) -> DagTask:
+    """The shape ``gen.gen_structure`` drew, built unchecked: ``wcets`` are
+    the n vertices' int WCETs, ``edges`` distinct (u, v) pairs of ids in
+    0..n-1, each with u before v in ``order``, which is the topological
+    order; so no dedupe, no id, type or range scan, and no Kahn pass."""
+    n = len(wcets)
+    succ = [[] for _ in range(n)]
+    pred = [[] for _ in range(n)]
+    for u, v in edges:
+        succ[u].append(v)
+        pred[v].append(u)
+    task = object.__new__(DagTask)
+    task._set_core(task_id, wcets, tuple(edges), succ, pred, order)
+    return task
+
+
 @dataclass(frozen=True)
 class TaskMetrics:
     """A timed task's quantities, computed once, by ``validate``."""
@@ -236,10 +271,7 @@ def validate(task: DagTask) -> TaskMetrics:
     elasticity and gamma off its integer core: with D = a/b, gamma =
     (work_int - cpl_int)*b / (a*den - cpl_int*b), or None when L >= D."""
     check_timed(task)
-    if min(task.wcet_int) <= 0:
-        vid = next(v for v, w in enumerate(task.wcet_int) if w <= 0)
-        raise NonPositiveWcet(
-            f"task {task.id}: vertex {vid} has WCET {task.wcets[vid]}")
+    check_wcets(task)
     if task.deadline > task.period:
         raise DeadlineExceedsPeriod(
             f"task {task.id}: D={task.deadline} > T={task.period}")

@@ -36,19 +36,21 @@ class ContainerTask:
     label: str = ""
 
 
-def _classify(tasks, m: int, test: str):
+def _classify(tasks, m: int, test: str, round_up: bool = False):
     """The plan F-LI, SF1 and SF2 share, read off each task's metrics as
-    ints: (dedicated, k, den, containers).  ``dedicated`` maps each heavy
-    task's id to floor(gamma).  ``containers`` holds (load, delta*, owner,
-    label, density), load and delta* times ``den``, the LCM of their
-    denominators: first the k of the heavy tasks whose gamma = p/q is not
-    an integer, with load frac(gamma) = r/q and delta* = max(frac/2,
-    frac/gamma), the minimal larger part when it is divided in two (r/p
-    when gamma <= 2, r/(2q) above); then the light tasks, whose load and
-    delta* are their density.  Or ``test``'s rejection naming a heavy task
-    with L >= D.  Raises ``ValueError`` unless m is an int >= 1,
-    ``EmptyTaskSet`` for no task, and ``MalformedTaskSet`` for a shape or
-    a heavy task id repeated as a string."""
+    ints: (dedicated, den, containers).  ``dedicated`` maps each heavy
+    task's id to floor(gamma), or to ceil(gamma) with ``round_up``, as
+    F-LI has it.  ``containers`` holds (load, delta*, owner, label,
+    density), load and delta* times ``den``, the LCM of their
+    denominators: first, unless ``round_up``, those of the heavy tasks
+    whose gamma = p/q is not an integer, with load frac(gamma) = r/q and
+    delta* = max(frac/2, frac/gamma), the minimal larger part when it is
+    divided in two (r/p when gamma <= 2, r/(2q) above); then the light
+    tasks, whose load and delta* are their density.  Or ``test``'s
+    rejection naming a heavy task with L >= D.  Raises ``ValueError``
+    unless m is an int >= 1, ``EmptyTaskSet`` for no task, and
+    ``MalformedTaskSet`` for a shape or a heavy task id repeated as a
+    string."""
     check_m(m)
     if not tasks:
         raise EmptyTaskSet(f"{test}: cannot test an empty task set")
@@ -69,13 +71,13 @@ def _classify(tasks, m: int, test: str):
                            reason="critical path exceeds deadline",
                            detail={"task": task.id})
         p, q = met.gamma.numerator, met.gamma.denominator
-        dedicated[task.id] = p // q
-        if q > 1:
+        dedicated[task.id] = -(-p // q) if round_up else p // q
+        if q > 1 and not round_up:
             fractional.append((task.id, "frac", p % q, q, min(p, 2 * q),
                                None))
     rows = fractional + lights
     den = math.lcm(*(row[3] for row in rows), *(row[4] for row in rows))
-    return dedicated, len(fractional), den, [
+    return dedicated, den, [
         (r * (den // b), r * (den // d), owner, label, x)
         for owner, label, r, b, d, x in rows]
 
@@ -123,7 +125,7 @@ def sf1(tasks: Sequence[DagTask], m: int) -> Verdict:
     plan = _classify(tasks, m, "sf1")
     if isinstance(plan, Verdict):
         return plan
-    dedicated, _, den, containers = plan
+    dedicated, den, containers = plan
     used = sum(dedicated.values())
     if used > m:
         return Verdict("sf1", False, reason="insufficient dedicated")
@@ -152,7 +154,7 @@ def sf2(tasks: Sequence[DagTask], m: int) -> Verdict:
     plan = _classify(tasks, m, "sf2")
     if isinstance(plan, Verdict):
         return plan
-    dedicated, _, den, containers = plan
+    dedicated, den, containers = plan
     used = sum(dedicated.values())
     if used > m:
         return Verdict("sf2", False, reason="insufficient dedicated")

@@ -453,7 +453,7 @@ class PairCopyDagTask(DagTask):
 def gen_dag(config: GenConfig, rng: random.Random, task_id=0) -> DagTask:
     """A single DAG; the period comes from the gamma formula so that no
     utilization split is needed."""
-    shape = DagTask(*gen_structure(config, rng, task_id))
+    shape = gen_structure(config, rng, task_id)
     cfg = config if config.period_mode == "gamma-formula" else GenConfig(
         **{**config.__dict__, "period_mode": "gamma-formula"})
     return shape.with_period(

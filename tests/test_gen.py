@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 from parasched.errors import UtilizationInfeasible
 from parasched.gen import (PAPER_SCALE, GenConfig, gen_period, gen_structure,
                            gen_taskset, uunifast)
-from parasched.model import dump_taskset, validate
-from reference import gen_dag, randint_gen_structure
+from parasched.model import DagTask, dump_taskset, validate
+from reference import PairCopyDagTask, gen_dag, randint_gen_structure
 
 
 def test_config_validation():
@@ -104,9 +104,9 @@ def test_structure_respects_vertex_range():
     cfg = GenConfig(seed=2, n_vertices=(3, 6))
     rng = random.Random(2)
     for i in range(50):
-        _, verts, _ = gen_structure(cfg, rng, i)
-        assert 3 <= len(verts) <= 6
-        assert all(50 <= w <= 100 for _, w in verts)
+        shape = gen_structure(cfg, rng, i)
+        assert 3 <= len(shape.wcet_int) <= 6
+        assert all(50 <= w <= 100 for w in shape.wcet_int)
 
 
 # sha256 over the JSON of gen_taskset at seeds 0-4, desk and paper scale,
@@ -186,6 +186,57 @@ def test_structure_draws_the_randint_stream(seed, n_vertices, wcet_range, p):
     config = GenConfig(p=p, n_vertices=n_vertices, wcet_range=wcet_range)
     ours, theirs = random.Random(seed), random.Random(seed)
     for i in range(3):
-        assert gen_structure(config, ours, i) \
+        shape = gen_structure(config, ours, i)
+        assert (shape.id, list(enumerate(shape.wcet_int)), list(shape.edges)) \
             == randint_gen_structure(config, theirs, i)
     assert ours.getstate() == theirs.getstate()
+
+
+# --- a generated shape against its checked build --------------------------
+
+_CORE = ("edges", "succ", "pred", "den", "wcet_int", "rdy_int", "work_int",
+         "cpl_int")
+
+
+def _assert_checked_builds_match(shapes):
+    """Each generated shape (or a timed task, which shares its shape's
+    core) has the core that ``DagTask`` and the reference constructor build
+    from its id, WCETs and edges."""
+    for shape in shapes:
+        args = (shape.id, list(enumerate(shape.wcet_int)), shape.edges)
+        core = [getattr(shape, name) for name in _CORE]
+        for build in (DagTask, PairCopyDagTask):
+            assert [getattr(build(*args), name) for name in _CORE] == core
+
+
+@pytest.mark.parametrize("scale, sets", [((10, 50), 200), (PAPER_SCALE, 20)])
+def test_generated_shapes_match_their_checked_build(scale, sets):
+    # the sweep workloads' sets
+    utils = (0.3, 0.5, 0.7, 0.9)
+    for seed in range(sets):
+        config = GenConfig(n_tasks=5, p=0.05, m=8, util=utils[seed % 4],
+                           n_vertices=scale)
+        _assert_checked_builds_match(gen_taskset(config, seed=seed))
+
+
+@pytest.mark.parametrize("n_vertices", [(1, 1), (10, 50)])
+@pytest.mark.parametrize("p", [0, 1, Fraction(1, 3)])
+def test_generated_shapes_match_their_checked_build_at_any_p(p, n_vertices):
+    rng = random.Random(9)
+    shapes = [gen_structure(GenConfig(p=p, n_vertices=n_vertices), rng, i)
+              for i in range(40)]
+    assert all(s.period is s.deadline is s.metrics is None for s in shapes)
+    _assert_checked_builds_match(shapes)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(min_value=0, max_value=2 ** 64),
+       _ranges(_spans(64), 40), _ranges(_spans(2 ** 40), 1000),
+       st.one_of(st.sampled_from([0.0, 1.0, Fraction(1, 3)]),
+                 st.floats(min_value=0, max_value=1)))
+def test_generated_shapes_match_their_checked_build_on_any_config(
+        seed, n_vertices, wcet_range, p):
+    config = GenConfig(p=p, n_vertices=n_vertices, wcet_range=wcet_range)
+    rng = random.Random(seed)
+    _assert_checked_builds_match(gen_structure(config, rng, i)
+                                 for i in range(3))

@@ -1,7 +1,8 @@
 """Every name a module imports is used in it, so a deletion leaves no dead
 import behind.  ``__init__.py`` is skipped: it imports to re-export.  And
 every private top-level function or class of the package is named in it
-outside its own definition, so no helper outlives its last reader."""
+outside its own definition, so no helper outlives its last reader.  Only
+the generator builds a shape without the constructor's checks."""
 
 import ast
 from pathlib import Path
@@ -52,7 +53,7 @@ def _names(node) -> set:
         elif isinstance(sub, ast.Attribute):
             names.add(sub.attr)
         elif isinstance(sub, ast.alias):
-            names.add(sub.asname or sub.name)
+            names.update(filter(None, (sub.name, sub.asname)))
     return names
 
 
@@ -86,3 +87,28 @@ def test_the_check_sees_an_unread_private_def():
 def test_every_private_def_has_a_reader():
     assert unread_private_defs(
         {path.name: path.read_text() for path in SRC}) == []
+
+
+def modules_naming(sources: dict, name: str) -> set:
+    """The modules that name ``name`` outside a top-level definition of
+    it."""
+    return {module for module, source in sources.items()
+            for node in ast.parse(source).body
+            if getattr(node, "name", None) != name and name in _names(node)}
+
+
+def test_the_check_sees_every_module_naming_a_def():
+    sources = {"a": "def _f():\n    return _f()\n",
+               "b": "from a import _f as g\n",
+               "c": "import a\na._f()\n",
+               "d": "def f():\n    return '_f'\n"}
+    assert modules_naming(sources, "_f") == {"b", "c"}
+
+
+def test_only_the_generator_builds_unchecked_shapes():
+    # load_taskset, task_from_dict, the CLI and a user's DagTask(...) all
+    # take the checked constructor
+    sources = {path.name: path.read_text()
+               for path in [*SRC, *ROOT.glob("tests/*.py")]}
+    assert modules_naming(sources, "_drawn_shape") == {"gen.py"}
+    assert modules_naming(sources, "_set_core") == {"model.py"}

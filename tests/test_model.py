@@ -377,8 +377,9 @@ def test_constructor_builds_as_reference_on_generated_sets(scale, sets):
                            n_vertices=scale)
         rng = random.Random(seed)
         for i, task in enumerate(gen_taskset(config, seed=seed)):
-            args = (*gen_structure(config, rng, i), task.period,
-                    task.deadline)
+            shape = gen_structure(config, rng, i)
+            args = (shape.id, list(enumerate(shape.wcet_int)),
+                    list(shape.edges), task.period, task.deadline)
             built = _assert_builds_as_reference(lambda: args)
             assert _core(built) == _core(task)
             _assert_keeps_tuple_edges(built, args[2])

@@ -9,7 +9,8 @@ import pytest
 from parasched.analysis import (TESTS, UniformPlatform, uniform_response_bound,
                                 weak_response_bound)
 from parasched.decomposition import decompose
-from parasched.errors import InvalidChoice, InvalidSpeeds, ParaschedError
+from parasched.errors import (InvalidChoice, InvalidSpeeds, NonPositiveWcet,
+                              ParaschedError)
 from parasched.gen import PAPER_SCALE, GenConfig, gen_taskset
 from parasched.model import DagTask, validate
 from parasched.sim import (GedfReport, simulate_dispatcher, simulate_gedf,
@@ -662,3 +663,16 @@ def test_bad_speeds_raise_a_parasched_error(speeds):
             run()
         assert isinstance(info.value, ParaschedError)
         assert isinstance(info.value, ValueError)
+
+
+@pytest.mark.parametrize("wcet", [0, -1, Fraction(-1, 2)])
+@pytest.mark.parametrize("run", [
+    lambda task: simulate_uniform(task, [1, "1/2"]),
+    lambda task: simulate_uniform(task, [1, "1/2"], migration=False),
+    lambda task: simulate_dispatcher(task, [1, "1/2"]),
+], ids=["uniform", "uniform-pinned", "dispatcher"])
+def test_single_dag_sims_reject_a_nonpositive_wcet(run, wcet):
+    # a shape is not validated, so the engine checks the WCETs it reads
+    task = DagTask(0, [(0, 2), (1, wcet), (2, 1)], [(0, 1), (1, 2)])
+    with pytest.raises(NonPositiveWcet, match=f"vertex 1 has WCET {wcet}"):
+        run(task)
