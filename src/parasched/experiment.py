@@ -123,20 +123,20 @@ def _bucket_str(bucket) -> str:
         else str(bucket)
 
 
+_FIELDS = ("axis", "bucket", "method", "accepted", "total", "ratio", "seed")
+
+
 def emit(records, fp, fmt: str = "csv") -> None:
-    """Write records as CSV (stable row order) or JSON lines."""
+    """Write records as CSV (stable row order) or JSON lines, one row of
+    ``_FIELDS`` per record."""
+    rows = ({**{name: getattr(r, name) for name in _FIELDS},
+             "bucket": _bucket_str(r.bucket)} for r in records)
     if fmt == "csv":
-        writer = csv.writer(fp)
-        writer.writerow(["axis", "bucket", "method", "accepted", "total",
-                         "ratio", "seed"])
-        for r in records:
-            writer.writerow([r.axis, _bucket_str(r.bucket), r.method,
-                             r.accepted, r.total, repr(r.ratio), r.seed])
+        writer = csv.DictWriter(fp, _FIELDS)
+        writer.writeheader()
+        writer.writerows(rows)
     elif fmt == "jsonl":
-        for r in records:
-            fp.write(json.dumps({
-                "axis": r.axis, "bucket": _bucket_str(r.bucket),
-                "method": r.method, "accepted": r.accepted,
-                "total": r.total, "ratio": r.ratio, "seed": r.seed}) + "\n")
+        for row in rows:
+            fp.write(json.dumps(row) + "\n")
     else:
         raise ValueError(f"unknown format {fmt!r}")

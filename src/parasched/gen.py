@@ -71,9 +71,9 @@ def gen_structure(config: GenConfig, rng: random.Random,
                   task_id) -> DagTask:
     """One DAG shape, without a period yet: vertices, WCETs, G(n,p) edges
     over a random topological order.  The shape is built from these draws
-    with the drawn order as its topological order, and without the checks
-    ``DagTask`` runs on a caller's input, which every draw meets by
-    construction.  n, the WCETs and the order draw through
+    with the drawn order as its topological order, and without the
+    structure checks ``DagTask`` runs on a caller's input, which every draw
+    meets by construction.  n, the WCETs and the order draw through
     ``rng.getrandbits`` with ``Random._randbelow``'s rejection loop, the
     edges through ``rng.random``: CPython's ``randint``/``shuffle`` stream,
     except for a ``Random`` subclass overriding ``random()`` alone, whose

@@ -59,15 +59,6 @@ def check_timed(task) -> None:
         raise MalformedTaskSet(f"task {task.id}: no period")
 
 
-def check_wcets(task) -> None:
-    """Raise ``NonPositiveWcet`` naming the first vertex whose WCET is not
-    positive; a shape is not checked for it until it is timed."""
-    if min(task.wcet_int) <= 0:
-        vid = next(v for v, w in enumerate(task.wcet_int) if w <= 0)
-        raise NonPositiveWcet(
-            f"task {task.id}: vertex {vid} has WCET {task.wcets[vid]}")
-
-
 def scale_to_ints(values) -> tuple[int, list]:
     """``den``, the LCM of the denominators of ``values`` (ints or
     Fractions), and each value times ``den`` as an int."""
@@ -107,8 +98,10 @@ class DagTask:
     Construction checks the caller's structure once (``MalformedTaskSet``,
     ``CycleDetected``), finds a topological order by Kahn's algorithm, and
     keeps a period-free integer core that ``with_period`` shares; a shape
-    the generator draws is built from its own draw order, unchecked, by
-    ``_drawn_shape``.  The core: ``den``, the LCM of the WCET
+    the generator draws is built from its own draw order, with no structure
+    check, by ``_drawn_shape``.  Both build the core in ``_set_core``,
+    which raises ``NonPositiveWcet`` for a WCET <= 0, so every vertex of
+    every task has a positive WCET.  The core: ``den``, the LCM of the WCET
     denominators; the WCETs (``wcet_int``), earliest ready times
     (``rdy_int``), C (``work_int``) and L (``cpl_int``), all times ``den``.
     Int WCETs are read as they are, with no Fraction per input; ``wcets``
@@ -163,11 +156,17 @@ class DagTask:
     def _set_core(self, task_id, wcets, edges, succ, pred, order) -> None:
         """Set a shape's attributes: the id, no timing, and the integer core
         of the DAG with these WCETs (ints or Fractions), edge tuple and
-        ``succ``/``pred`` lists, ``order`` being a topological order."""
+        ``succ``/``pred`` lists, ``order`` being a topological order.
+        Raises ``NonPositiveWcet`` naming the first vertex whose WCET is
+        not positive."""
         self.id = task_id
         self.period = self.deadline = self.metrics = None
         self.edges, self.succ, self.pred = edges, succ, pred
         self.den, ints = scale_to_ints(wcets)
+        if min(ints) <= 0:
+            vid = next(v for v, w in enumerate(ints) if w <= 0)
+            raise NonPositiveWcet(
+                f"task {task_id}: vertex {vid} has WCET {wcets[vid]}")
         rdy = [0] * len(ints)
         for v in order:     # push each finish time on to the successors
             finish = rdy[v] + ints[v]
@@ -218,10 +217,11 @@ class DagTask:
 
 
 def _drawn_shape(task_id, wcets: list, edges: list, order: list) -> DagTask:
-    """The shape ``gen.gen_structure`` drew, built unchecked: ``wcets`` are
-    the n vertices' int WCETs, ``edges`` distinct (u, v) pairs of ids in
-    0..n-1, each with u before v in ``order``, which is the topological
-    order; so no dedupe, no id, type or range scan, and no Kahn pass."""
+    """The shape ``gen.gen_structure`` drew: ``wcets`` are the n vertices'
+    int WCETs, ``edges`` distinct (u, v) pairs of ids in 0..n-1, each with
+    u before v in ``order``, which is the topological order; so no dedupe,
+    no id, type or range scan, and no Kahn pass.  ``_set_core`` still
+    checks the WCETs, as for every shape."""
     n = len(wcets)
     succ = [[] for _ in range(n)]
     pred = [[] for _ in range(n)]
@@ -267,11 +267,11 @@ class Verdict:
 
 
 def validate(task: DagTask) -> TaskMetrics:
-    """Check the task's timing invariants and read C, L, U, density,
-    elasticity and gamma off its integer core: with D = a/b, gamma =
-    (work_int - cpl_int)*b / (a*den - cpl_int*b), or None when L >= D."""
+    """Check the task's timing (its WCETs were checked when its DAG was
+    built) and read C, L, U, density, elasticity and gamma off its integer
+    core: with D = a/b, gamma = (work_int - cpl_int)*b / (a*den -
+    cpl_int*b), or None when L >= D."""
     check_timed(task)
-    check_wcets(task)
     if task.deadline > task.period:
         raise DeadlineExceedsPeriod(
             f"task {task.id}: D={task.deadline} > T={task.period}")

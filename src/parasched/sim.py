@@ -50,7 +50,7 @@ from typing import Callable, Optional, Sequence
 
 from .decomposition import DecomposedTask
 from .errors import InvalidChoice
-from .model import DagTask, as_fraction, check_m, check_wcets, scale_speeds
+from .model import DagTask, as_fraction, check_m, scale_speeds
 
 # a ready GEDF job's deadline, and its key for reporting misses in
 # release order
@@ -108,10 +108,8 @@ def simulate_uniform(task: DagTask, speeds: Sequence,
     ``migration=False`` a started vertex stays pinned to its processor and
     only idle processors pick up fresh work.  Raises ``InvalidSpeeds``
     unless there is a speed and all are positive, and ``InvalidChoice``
-    if ``order`` returns anything but a permutation of ``ids``, and
-    ``NonPositiveWcet`` for a vertex whose WCET is not positive.
+    if ``order`` returns anything but a permutation of ``ids``.
     """
-    check_wcets(task)
     scale, speeds = scale_speeds(speeds)
     speeds.sort(reverse=True)
     den = task.den
@@ -210,11 +208,9 @@ def simulate_dispatcher(task: DagTask, deltas: Sequence,
     empty earlier, the vertex is split at that deadline and its remainder
     goes back to the head of the ready list.  Occupied containers empty
     exactly at their deadlines.  Raises ``InvalidSpeeds`` unless there is
-    a load bound and all are positive, ``InvalidChoice`` if ``choice``
-    names a vertex that is not eligible, and ``NonPositiveWcet`` for a
-    vertex whose WCET is not positive.
+    a load bound and all are positive, and ``InvalidChoice`` if
+    ``choice`` names a vertex that is not eligible.
     """
-    check_wcets(task)
     scale, deltas = scale_speeds([getattr(d, "load", d) for d in deltas])
     containers = [_Container(i, d) for i, d in enumerate(deltas)]
     by_speed = sorted(containers, key=lambda c: (-c.delta, c.index))

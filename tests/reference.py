@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 from parasched.decomposition import (Segment, SegmentationResult,
                                      TimingDiagram, timing_diagram)
 from parasched.errors import (CycleDetected, MalformedTaskSet,
-                              ParaschedError)
+                              NonPositiveWcet, ParaschedError)
 from parasched.experiment import ExperimentRecord
 from parasched.gen import GenConfig, gen_period, gen_structure
 from parasched.model import (DagTask, TaskMetrics, TaskSetSummary, Verdict,
@@ -430,6 +430,10 @@ class PairCopyDagTask(DagTask):
         self.edges = tuple(edges)
         self.succ, self.pred = succ, pred
         self.den, ints = scale_to_ints([w for _, w in vertices])
+        for vid, wcet in vertices:
+            if wcet <= 0:
+                raise NonPositiveWcet(
+                    f"task {task_id}: vertex {vid} has WCET {wcet}")
         # Kahn's algorithm, pushing each finish time on to the successors
         indeg = [len(p) for p in pred]
         order = [v for v, d in enumerate(indeg) if not d]

@@ -4,8 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from parasched.experiment import (DEFAULT_BUCKETS, METHODS, _bucket_config,
-                                  emit, run_methods, sweep, trial_seed)
+from parasched.experiment import (DEFAULT_BUCKETS, METHODS, ExperimentRecord,
+                                  _bucket_config, emit, run_methods, sweep,
+                                  trial_seed)
 import parasched.model
 from parasched.analysis import TESTS
 from parasched.errors import EmptyTaskSet
@@ -143,6 +144,36 @@ def test_emit_empty_records_still_writes_header():
         "axis,bucket,method,accepted,total,ratio,seed"]
     buf.seek(0)
     assert parse_csv(buf) == []
+
+
+def test_emit_golden_bytes():
+    # two buckets (a fractional and a whole one) by two methods
+    records = [ExperimentRecord("utilization", bucket, method, accepted, 3, 7)
+               for bucket, method, accepted in [
+                   (Fraction(1, 2), "SF1", 3), (Fraction(1, 2), "F-LI", 2),
+                   (Fraction(1), "SF1", 1), (Fraction(1), "F-LI", 0)]]
+    buf = io.StringIO(newline="")
+    emit(records, buf)
+    assert buf.getvalue() == (
+        "axis,bucket,method,accepted,total,ratio,seed\r\n"
+        "utilization,0.5,SF1,3,3,1.0,7\r\n"
+        "utilization,0.5,F-LI,2,3,0.6666666666666666,7\r\n"
+        "utilization,1,SF1,1,3,0.3333333333333333,7\r\n"
+        "utilization,1,F-LI,0,3,0.0,7\r\n")
+    buf = io.StringIO()
+    emit(records, buf, fmt="jsonl")
+    assert buf.getvalue() == "".join(
+        '{"axis": "utilization", "bucket": "%s", "method": "%s", '
+        '"accepted": %d, "total": 3, "ratio": %s, "seed": 7}\n' % row
+        for row in [("0.5", "SF1", 3, "1.0"),
+                    ("0.5", "F-LI", 2, "0.6666666666666666"),
+                    ("1", "SF1", 1, "0.3333333333333333"),
+                    ("1", "F-LI", 0, "0.0")])
+    for fmt, empty in [("csv", "axis,bucket,method,accepted,total,ratio,"
+                               "seed\r\n"), ("jsonl", "")]:
+        buf = io.StringIO()
+        emit([], buf, fmt=fmt)
+        assert buf.getvalue() == empty
 
 
 def test_emit_unknown_format():

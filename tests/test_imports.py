@@ -2,7 +2,8 @@
 import behind.  ``__init__.py`` is skipped: it imports to re-export.  And
 every private top-level function or class of the package is named in it
 outside its own definition, so no helper outlives its last reader.  Only
-the generator builds a shape without the constructor's checks."""
+the generator builds a shape without the constructor's structure checks,
+and only the model raises ``NonPositiveWcet``, when a DAG is built."""
 
 import ast
 from pathlib import Path
@@ -112,3 +113,29 @@ def test_only_the_generator_builds_unchecked_shapes():
                for path in [*SRC, *ROOT.glob("tests/*.py")]}
     assert modules_naming(sources, "_drawn_shape") == {"gen.py"}
     assert modules_naming(sources, "_set_core") == {"model.py"}
+
+
+def functions_naming(source: str, name: str) -> set:
+    """The functions and methods in ``source`` that name ``name``."""
+    return {node.name for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.FunctionDef) and name in _names(node)}
+
+
+def test_the_check_sees_a_module_raising_an_error_it_does_not_define():
+    sources = {"errors.py": "class E(Exception):\n    pass\n",
+               "model.py": "from .errors import E\nraise E('x')\n",
+               "sim.py": "from . import errors\n"
+                         "def f():\n    raise errors.E('x')\n",
+               "gen.py": "def g():\n    return 'E'\n"}
+    assert modules_naming(sources, "E") == {"model.py", "sim.py"}
+    assert functions_naming(sources["sim.py"], "E") == {"f"}
+
+
+def test_only_the_model_checks_wcets():
+    # errors.py defines the error, and only DagTask._set_core, which every
+    # shape passes through, raises it: no simulator, analysis or second
+    # helper checks WCETs
+    sources = {path.name: path.read_text() for path in SRC}
+    assert modules_naming(sources, "NonPositiveWcet") == {"model.py"}
+    assert functions_naming(sources["model.py"], "NonPositiveWcet") \
+        == {"_set_core"}

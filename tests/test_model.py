@@ -64,6 +64,24 @@ def test_nonpositive_wcet_rejected():
         DagTask(0, [(0, 0)], []).with_period(5)
 
 
+@pytest.mark.parametrize("wcet", [0, -1, Fraction(-1, 2)])
+def test_constructor_rejects_a_nonpositive_wcet(wcet):
+    # every shape's core is checked once, when the DAG is built, so no
+    # simulator or analysis reads a WCET <= 0
+    with pytest.raises(NonPositiveWcet, match=f"vertex 1 has WCET {wcet}"):
+        DagTask(0, [(0, 2), (1, wcet), (2, 1)], [(0, 1), (1, 2)])
+
+
+def test_load_taskset_rejects_a_nonpositive_wcet():
+    text = json.dumps({"tasks": [{
+        "id": 0, "period": 9, "deadline": 9, "edges": [[0, 1], [1, 2]],
+        "vertices": [{"id": 0, "wcet": 2}, {"id": 1, "wcet": "-1/2"},
+                     {"id": 2, "wcet": 1}]}]})
+    with pytest.raises(NonPositiveWcet,
+                       match="task 0: vertex 1 has WCET -1/2"):
+        load_taskset(io.StringIO(text))
+
+
 def test_deadline_beyond_period_rejected():
     with pytest.raises(DeadlineExceedsPeriod):
         DagTask(0, [(0, 1)], []).with_period(5, 6)
@@ -284,6 +302,20 @@ def test_structure_is_checked_before_timing():
         "id": 0, "period": 0, "deadline": 0, "edges": [[0, 1], [1, 0]],
         "vertices": [{"id": 0, "wcet": 1}, {"id": 1, "wcet": 1}]}]})
     with pytest.raises(CycleDetected):
+        load_taskset(io.StringIO(text))
+
+
+def test_structure_then_wcets_then_timing():
+    # a cycle is found before the WCETs are read, and a WCET <= 0 before
+    # the times
+    with pytest.raises(CycleDetected):
+        DagTask(0, [(0, 0), (1, 1)], [(0, 1), (1, 0)])
+    with pytest.raises(NonPositiveWcet, match="task 0: vertex 0 has WCET 0"):
+        DagTask(0, [(0, 0)], []).with_period(0)
+    text = json.dumps({"tasks": [{
+        "id": 0, "period": 0, "deadline": 0, "edges": [],
+        "vertices": [{"id": 0, "wcet": 0}]}]})
+    with pytest.raises(NonPositiveWcet, match="task 0: vertex 0 has WCET 0"):
         load_taskset(io.StringIO(text))
 
 
