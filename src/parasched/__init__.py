@@ -3,9 +3,9 @@ real-time DAG tasks on multiprocessors."""
 
 from .model import (DagTask, TaskMetrics, TaskSetSummary, dump_taskset,
                     load_taskset, summarize, validate)
-from .decomposition import (Decomposition, decompose, segment_omega,
-                            timing_diagram, segment_workload,
-                            distribute_laxity, reassemble, dbf_and_load)
+from .decomposition import (Decomposition, decompose, timing_diagram,
+                            segment_workload, distribute_laxity, reassemble,
+                            dbf_and_load)
 from .analysis import (UniformPlatform, Verdict, decomposed_test,
                        federated_allocate, gedf_density_test,
                        gli_capacity_test, uniform_response_bound,

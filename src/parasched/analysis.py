@@ -17,7 +17,7 @@ import math
 from fractions import Fraction
 from typing import Callable, NamedTuple, Sequence
 
-from .decomposition import segment_omega
+from .decomposition import decompose
 from .errors import ConstrainedDeadline
 from .model import (DagTask, TaskMetrics, TaskSetSummary, Verdict,
                     as_fraction, check_m, scale_speeds, summarize)
@@ -172,7 +172,7 @@ def _decomposed(tasks, m) -> Verdict:
     run.  Raises ``ValueError`` unless m is an int >= 1."""
     check_m(m)
     try:
-        omegas = [segment_omega(t) for t in tasks]
+        omegas = [decompose(t).omega for t in tasks]
     except ConstrainedDeadline as exc:
         return Verdict("decomposed", False, reason=str(exc))
     return decomposed_test(summarize(tasks, omegas=omegas), m)

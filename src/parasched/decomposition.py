@@ -305,69 +305,66 @@ def dbf_and_load(dt: DecomposedTask) -> Fraction:
     return Fraction(best, best_t)
 
 
-@dataclass(frozen=True)
+@dataclass
 class Decomposition:
-    """Everything the downstream tests need from one task's decomposition;
-    ``stretched`` is built on first read."""
-    metrics: TaskMetrics
+    """One task's decomposition.  ``decompose`` runs the timing diagram and
+    the segmentation, which ``omega`` reads; ``laxity``, ``decomposed``,
+    ``max_vertex_density`` and ``stretched`` each run once, when first
+    read, and ``load`` is None unless ``decompose(compute_load=True)``."""
+    task: DagTask
+    diagram: TimingDiagram
     segmentation: SegmentationResult
-    laxity: list                     # distribute_laxity's prefix sums X
-    decomposed: DecomposedTask
-    load: Optional[Fraction]         # only when decompose(compute_load=True)
-    max_vertex_density: Fraction
+    load: Optional[Fraction] = None
+
+    @property
+    def metrics(self) -> TaskMetrics:
+        return self.task.metrics
 
     @property
     def omega(self) -> Fraction:
         return self.segmentation.omega
 
     @cached_property
+    def laxity(self) -> list:           # distribute_laxity's prefix sums X
+        return distribute_laxity(self.task, self.segmentation)
+
+    @cached_property
+    def decomposed(self) -> DecomposedTask:
+        return reassemble(self.task, self.diagram, self.laxity)
+
+    @cached_property
+    def max_vertex_density(self) -> Fraction:
+        dt = self.decomposed
+        best, span = 0, 1               # max wcet / window, as best / span
+        for w, r, d in zip(dt.wcets, dt.releases, dt.deadlines):
+            if w * span > best * (d - r):
+                best, span = w, d - r
+        return Fraction(best, span)
+
+    @cached_property
     def stretched(self) -> list:
         """The segments, each with its stretched length d = T*x_s/N."""
-        unit, lax = self.decomposed.period / self.laxity[-1], self.laxity
+        unit, lax = self.task.period / self.laxity[-1], self.laxity
         return [replace(s, d=unit * (b - a)) for s, a, b
                 in zip(self.segmentation.segments, lax, lax[1:])]
 
 
-def _segmentation(task: DagTask) -> tuple[TimingDiagram, SegmentationResult]:
-    """The pipeline up to the segmentation, shared by ``segment_omega``
-    and ``decompose``.
+def decompose(task: DagTask, compute_load: bool = False) -> Decomposition:
+    """Check the task, then run the timing diagram and the segmentation;
+    the later stages wait for a first read (see ``Decomposition``), but
+    ``compute_load=True`` runs the laxity, reassembly and load now.
 
     The model is implicit-deadline only: the laxity step stretches the
     segments to the period, so a task with D < T would get subtask
     deadlines past D.  Such a task raises ``ConstrainedDeadline``, and a
-    shape, which has no period, ``MalformedTaskSet``.
-    """
+    shape, which has no period, ``MalformedTaskSet``."""
     check_timed(task)
     if task.deadline != task.period:
         raise ConstrainedDeadline(
             f"task {task.id}: D={task.deadline} != T={task.period}; the "
             "decomposition assumes implicit deadlines")
     td = timing_diagram(task)
-    return td, segment_workload(task, td)
-
-
-def segment_omega(task: DagTask) -> Fraction:
-    """The structure characteristic value omega of one implicit-deadline
-    task, without the laxity, reassembly and load steps that only
-    ``decompose`` needs.  Raises ``ConstrainedDeadline`` for D != T."""
-    return _segmentation(task)[1].omega
-
-
-def decompose(task: DagTask, compute_load: bool = False) -> Decomposition:
-    """Run the full pipeline on one implicit-deadline task; raises
-    ``ConstrainedDeadline`` for D != T.
-
-    The dbf-based load is only computed on request: one sort and one pass
-    over the n subtasks per distinct release, O(n^2) in the vertex count
-    n, and not needed for the omega-based tests."""
-    td, seg = _segmentation(task)
-    laxity = distribute_laxity(task, seg)
-    dt = reassemble(task, td, laxity)
-    load = dbf_and_load(dt) if compute_load else None
-    best, span = 0, 1               # max wcet / window, as best / span
-    for w, r, d in zip(dt.wcets, dt.releases, dt.deadlines):
-        if w * span > best * (d - r):
-            best, span = w, d - r
-    return Decomposition(metrics=task.metrics, segmentation=seg,
-                         laxity=laxity, decomposed=dt, load=load,
-                         max_vertex_density=Fraction(best, span))
+    dec = Decomposition(task, td, segment_workload(task, td))
+    if compute_load:
+        dec.load = dbf_and_load(dec.decomposed)
+    return dec

@@ -122,21 +122,13 @@ def uunifast(total: Fraction, n: int, rng: random.Random) -> list:
     return parts
 
 
-def gen_period(work, critical_path, config: GenConfig, rng: random.Random,
-               target_util: Optional[Fraction] = None) -> Fraction:
-    """A valid period (> L) for a task with total work C and critical path L.
-
-    target-utilization mode: T = C / u_i for the given utilization share.
-    gamma-formula mode: T = (L + C/(0.4*m*U)) * (1 + 0.25*Gamma(2,1)).
-    """
-    work, critical_path = Fraction(work), Fraction(critical_path)
-    if config.period_mode == "target-utilization":
-        if target_util is None:
-            raise ValueError("target-utilization mode needs a share")
-        return work / Fraction(target_util)
+def gen_period(work, critical_path, config: GenConfig,
+               rng: random.Random) -> Fraction:
+    """The gamma-formula period T = (L + C/(0.4*m*U)) * (1 + 0.25*Gamma(2,1))
+    of a task with total work C and critical path L; T > L."""
     noise = Fraction(rng.gammavariate(2.0, 1.0))
-    base = critical_path + work / (Fraction(2, 5) * config.m
-                                   * Fraction(config.util))
+    base = Fraction(critical_path) + Fraction(work) / (
+        Fraction(2, 5) * config.m * Fraction(config.util))
     return base * (1 + Fraction(1, 4) * noise)
 
 
@@ -145,14 +137,15 @@ def gen_taskset(config: GenConfig,
     """A full task set; deterministic for a given (config, seed).
 
     In target-utilization mode the utilization shares are resampled until
-    every task gets a valid period (T > L, i.e. u_i < C_i/L_i); the shares
-    sum to util*m exactly.
+    every task gets a valid period T = C/u_i > L, i.e. u_i < C_i/L_i; the
+    shares sum to util*m exactly.  In gamma-formula mode each period comes
+    from ``gen_period``.
     """
     rng = random.Random(config.seed if seed is None else seed)
     shapes = [gen_structure(config, rng, i) for i in range(config.n_tasks)]
 
-    total = Fraction(config.util) * config.m
     if config.period_mode == "target-utilization":
+        total = Fraction(config.util) * config.m
         limits = [Fraction(t.work_int, t.cpl_int) for t in shapes]
         for _ in range(10000):
             shares = uunifast(total, config.n_tasks, rng)
@@ -162,13 +155,13 @@ def gen_taskset(config: GenConfig,
             raise UtilizationInfeasible(
                 "could not draw valid utilization shares; total utilization "
                 "too sequential")
+        periods = [t.work / u for t, u in zip(shapes, shares)]
     else:
-        shares = [None] * config.n_tasks
+        periods = [gen_period(t.work, t.critical_path, config, rng)
+                   for t in shapes]
 
     tasks = []
-    for shape, share in zip(shapes, shares):
-        period = gen_period(shape.work, shape.critical_path, config, rng,
-                            target_util=share)
+    for shape, period in zip(shapes, periods):
         assert period * shape.den > shape.cpl_int
         tasks.append(shape.with_period(period))
     return tasks

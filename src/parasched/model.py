@@ -247,6 +247,9 @@ class TaskMetrics:
 
 @dataclass(frozen=True)
 class TaskSetSummary:
+    """``summarize``'s aggregates.  ``gamma_top`` is Gamma_top = max L_i/T_i,
+    not ``TaskMetrics.gamma`` = (C-L)/(D-L); the decomposition's three
+    stay None unless ``summarize`` is given them."""
     u_sum: Fraction
     gamma_top: Fraction
     omega_top: Optional[Fraction] = None

@@ -211,7 +211,7 @@ def simulate_dispatcher(task: DagTask, deltas: Sequence,
     a load bound and all are positive, and ``InvalidChoice`` if
     ``choice`` names a vertex that is not eligible.
     """
-    scale, deltas = scale_speeds([getattr(d, "load", d) for d in deltas])
+    scale, deltas = scale_speeds(deltas)
     containers = [_Container(i, d) for i, d in enumerate(deltas)]
     by_speed = sorted(containers, key=lambda c: (-c.delta, c.index))
     busy = 0

@@ -3,11 +3,12 @@
 import functools
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
 from parasched.gen import PAPER_SCALE, GenConfig, gen_taskset
-from parasched.model import DagTask
+from parasched.model import DagTask, TaskMetrics
 
 
 def fig1_task(period=14, deadline=None):
@@ -56,6 +57,27 @@ def random_small_task(rng, task_id, max_vertices=8):
     period = shape.critical_path + Fraction(rng.randint(1, 80),
                                             rng.randint(1, 4))
     return shape.with_period(period)
+
+
+def heavy_stub(tid, g, c=16, l=8):
+    """A task/metrics pair with capacity requirement exactly g (C=16, L=8
+    unless given)."""
+    c, l = Fraction(c), Fraction(l)
+    d = (c - l) / Fraction(g) + l
+    met = TaskMetrics(work=c, critical_path=l, utilization=c / d,
+                      density=c / d, elasticity=l / d, heavy=True,
+                      gamma=Fraction(g))
+    return SimpleNamespace(id=tid, period=d, deadline=d, metrics=met), met
+
+
+def light_stub(tid, density):
+    density = Fraction(density)
+    d = Fraction(3) / density
+    met = TaskMetrics(work=Fraction(3), critical_path=Fraction(1),
+                      utilization=density, density=density,
+                      elasticity=Fraction(1) / d, heavy=False,
+                      gamma=Fraction(2) / (d - 1))
+    return SimpleNamespace(id=tid, period=d, deadline=d, metrics=met), met
 
 
 def rational_variant(task, rng):

@@ -458,10 +458,8 @@ def gen_dag(config: GenConfig, rng: random.Random, task_id=0) -> DagTask:
     """A single DAG; the period comes from the gamma formula so that no
     utilization split is needed."""
     shape = gen_structure(config, rng, task_id)
-    cfg = config if config.period_mode == "gamma-formula" else GenConfig(
-        **{**config.__dict__, "period_mode": "gamma-formula"})
     return shape.with_period(
-        gen_period(shape.work, shape.critical_path, cfg, rng))
+        gen_period(shape.work, shape.critical_path, config, rng))
 
 
 # --- readers of views and records that only the tests take ----------------

@@ -9,7 +9,6 @@ import math
 import random
 import time
 from fractions import Fraction
-from types import SimpleNamespace
 
 from parasched.analysis import (UniformPlatform, decomposed_test,
                                 federated_allocate, gedf_density_test,
@@ -18,12 +17,11 @@ from parasched.decomposition import decompose
 from parasched.experiment import (DEFAULT_BUCKETS, _bucket_config, sweep,
                                   trial_seed)
 from parasched.gen import GenConfig, gen_taskset
-from parasched.model import (DagTask, TaskMetrics, TaskSetSummary, summarize,
-                             validate)
+from parasched.model import DagTask, TaskSetSummary, summarize, validate
 from parasched.semifed import sf1, sf2
 from parasched.sim import simulate_dispatcher, simulate_gedf, simulate_uniform
 
-from conftest import fig1_task, random_small_task
+from conftest import fig1_task, heavy_stub, light_stub, random_small_task
 from reference import capacity_bound, capacity_requirement, segmentation_oracle
 
 
@@ -35,29 +33,10 @@ def _verdict(n, ok, note=""):
     assert ok, line
 
 
-def _heavy_stub(tid, g):
-    c, l = Fraction(16), Fraction(8)
-    d = (c - l) / Fraction(g) + l
-    met = TaskMetrics(work=c, critical_path=l, utilization=c / d,
-                      density=c / d, elasticity=l / d, heavy=True,
-                      gamma=Fraction(g))
-    return SimpleNamespace(id=tid, period=d, deadline=d, metrics=met), met
-
-
-def _light_stub(tid, density):
-    density = Fraction(density)
-    d = Fraction(3) / density
-    met = TaskMetrics(work=Fraction(3), critical_path=Fraction(1),
-                      utilization=density, density=density,
-                      elasticity=Fraction(1) / d, heavy=False,
-                      gamma=Fraction(2) / (d - 1))
-    return SimpleNamespace(id=tid, period=d, deadline=d, metrics=met), met
-
-
 def test_criterion_01_container_packing_goldens():
     t0 = time.monotonic()
-    pairs = [_heavy_stub(1, Fraction(8, 5)), _heavy_stub(2, Fraction(8, 5)),
-             _heavy_stub(3, Fraction(3, 2)), _light_stub(4, Fraction(3, 10))]
+    pairs = [heavy_stub(1, Fraction(8, 5)), heavy_stub(2, Fraction(8, 5)),
+             heavy_stub(3, Fraction(3, 2)), light_stub(4, Fraction(3, 10))]
     tasks = [p[0] for p in pairs]
 
     fed = federated_allocate(tasks, 7)

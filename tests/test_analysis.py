@@ -10,7 +10,7 @@ from parasched.analysis import (TESTS, UniformPlatform, _fewest_bins,
                                 federated_allocate, gedf_density_test,
                                 gli_capacity_test, uniform_response_bound,
                                 weak_response_bound)
-from parasched.decomposition import decompose, segment_omega
+from parasched.decomposition import decompose
 from parasched.errors import MalformedTaskSet
 from parasched.model import (DagTask, TaskSetSummary, scale_to_ints,
                              summarize, task_to_dict, validate)
@@ -56,6 +56,11 @@ def test_gedf_density_test_threshold():
     assert v.min_m == 4
     # float loads are read as their decimals
     assert gedf_density_test(0.3, 0.1, 2).detail["bound"] == Fraction(19, 10)
+    # delta_top >= 1: the bound is ell_sum <= 1 on any m, so one processor
+    # is the fewest when it holds, and no count helps when it does not
+    for delta in (Fraction(1), Fraction(3, 2)):
+        assert gedf_density_test(Fraction(1), delta, 4).min_m == 1
+        assert gedf_density_test(Fraction(101, 100), delta, 4).min_m is None
 
 
 def test_decomposed_test_min_m_is_tight():
@@ -67,6 +72,12 @@ def test_decomposed_test_min_m_is_tight():
     m = v.min_m
     assert decomposed_test(s, m).schedulable
     assert not decomposed_test(s, m - 1).schedulable
+
+
+def test_decomposed_test_needs_omega_top():
+    s = TaskSetSummary(u_sum=Fraction(4), gamma_top=Fraction(1, 5))
+    with pytest.raises(ValueError, match="lacks omega_top"):
+        decomposed_test(s, 8)
 
 
 def test_decomposed_test_degenerate():
@@ -135,7 +146,7 @@ def test_gli_capacity_rejects_fewer_than_one_processor(m):
 
 def _decomposed_on_summary(tasks, m):
     return decomposed_test(
-        summarize(tasks, omegas=[segment_omega(t) for t in tasks]), m)
+        summarize(tasks, omegas=[decompose(t).omega for t in tasks]), m)
 
 
 @pytest.mark.parametrize("m", [0, -1, 2.5])
@@ -229,7 +240,7 @@ _SHAPE_READERS = {
        for name, method in TESTS.items()},
     "summarize": summarize,
     **{f.__name__: (lambda ts, f=f: [f(t) for t in ts])
-       for f in (task_to_dict, decompose, segment_omega)},
+       for f in (task_to_dict, decompose)},
 }
 
 

@@ -312,6 +312,11 @@ def test_verdict_rows_match_asdict():
                 assert _row(verdict) == _row(asdict(verdict))
 
 
+def test_a_row_value_json_cannot_hold_raises_type_error():
+    with pytest.raises(TypeError, match="set is not JSON serializable"):
+        _row({"kind": "summary", "vertices": {1, 2}})
+
+
 def test_analyze_resolves_its_command_at_call_time(taskset_path, capsys,
                                                    monkeypatch):
     argv = ["analyze", str(taskset_path), "--m", "4"]

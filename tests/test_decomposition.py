@@ -3,7 +3,7 @@ from __future__ import annotations
 import hashlib
 import math
 import random
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from types import SimpleNamespace
@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from parasched.analysis import TESTS
 from parasched.decomposition import (Segment, SegmentationResult, Subtask,
-                                     dbf_and_load, decompose, segment_omega,
+                                     dbf_and_load, decompose,
                                      segment_workload, timing_diagram)
 from parasched.errors import (ConstrainedDeadline, CycleDetected,
                               DeadlineExceedsPeriod, MalformedTaskSet,
@@ -315,9 +315,8 @@ def test_constrained_deadline_is_rejected():
 def test_shape_without_a_period_is_rejected():
     # a shape has the integer core but no period to stretch the segments to
     shape = DagTask("shape", [(0, 1), (1, 2)], [(0, 1)])
-    for run in (segment_omega, decompose):
-        with pytest.raises(MalformedTaskSet, match="task shape: no period"):
-            run(shape)
+    with pytest.raises(MalformedTaskSet, match="task shape: no period"):
+        decompose(shape)
 
 
 def test_load_bounded_on_sample(corpus):
@@ -336,14 +335,15 @@ def test_paper_worked_segmentation_threshold():
             assert s.c * met.critical_path <= met.work * s.e
 
 
-def test_segment_omega_is_decompose_omega(corpus):
+def test_decompose_omega_is_the_segmentation_omega(corpus):
     for task in corpus[:300]:
-        assert segment_omega(task) == decompose(task).omega
+        assert decompose(task).omega \
+            == segment_workload(task, timing_diagram(task)).omega
     with pytest.raises(ConstrainedDeadline, match="fig1"):
-        segment_omega(fig1_task(period=40, deadline=9))
+        decompose(fig1_task(period=40, deadline=9))
 
 
-def test_segment_omega_builds_no_fraction_views(monkeypatch):
+def test_omega_builds_no_fraction_views(monkeypatch):
     import parasched.decomposition as dec
     original, results = dec.segment_workload, []
 
@@ -353,7 +353,7 @@ def test_segment_omega_builds_no_fraction_views(monkeypatch):
 
     monkeypatch.setattr(dec, "segment_workload", keep)
     task = fig1_task()
-    omega, met = segment_omega(task), task.metrics
+    omega, met = decompose(task).omega, task.metrics
     (seg,) = results
     assert "segments" not in vars(seg)
     # read on demand, the views agree with the ints and ``segments`` is kept
@@ -363,6 +363,32 @@ def test_segment_omega_builds_no_fraction_views(monkeypatch):
         (sum(slot.values()) for slot in reference.assignment(seg).values()),
         Fraction(0))
     assert "segments" in vars(seg)
+
+
+def test_decompose_runs_the_later_stages_once_when_first_read(monkeypatch):
+    import parasched.decomposition as dec
+    calls = Counter()
+    for name in ("distribute_laxity", "reassemble", "dbf_and_load"):
+        def counted(*args, name=name, run=getattr(dec, name)):
+            calls[name] += 1
+            return run(*args)
+        monkeypatch.setattr(dec, name, counted)
+    task = fig1_task()
+    d = decompose(task)
+    assert (d.omega, d.metrics, d.load) == (Fraction(9, 8), task.metrics,
+                                            None)
+    assert not calls
+    for _ in range(2):
+        assert (len(d.decomposed.wcets), len(d.stretched),
+                d.max_vertex_density) == (6, 4, Fraction(9, 14))
+    assert calls == {"distribute_laxity": 1, "reassemble": 1}
+    calls.clear()
+    d = decompose(task, compute_load=True)
+    assert calls == {"distribute_laxity": 1, "reassemble": 1,
+                     "dbf_and_load": 1}
+    assert (d.load, d.max_vertex_density) == (Fraction(9, 7),
+                                              Fraction(9, 14))
+    assert sum(calls.values()) == 3
 
 
 # The Fraction segmentation that the integer core replaced, copied verbatim
@@ -500,7 +526,7 @@ def _reference_omega(task: DagTask) -> Fraction:
 def test_d_our_verdict_matches_its_certificate():
     # D-OUR accepts on m processors iff m >= (U_sum - Gamma_top) /
     # (1/Omega_top - Gamma_top), recomputed here from each task's metrics
-    # and its reference Omega, apart from decomposed_test and segment_omega
+    # and its reference Omega, apart from decomposed_test and decompose
     config = GenConfig(p=0.05, n_vertices=PAPER_SCALE, util=0.4)
     cases = sample_cases() + [(gen_taskset(config, seed=seed), m)
                               for seed in (1, 2, 3) for m in (2, 8)]

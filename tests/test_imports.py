@@ -3,7 +3,8 @@ import behind.  ``__init__.py`` is skipped: it imports to re-export.  And
 every private top-level function or class of the package is named in it
 outside its own definition, so no helper outlives its last reader.  Only
 the generator builds a shape without the constructor's structure checks,
-and only the model raises ``NonPositiveWcet``, when a DAG is built."""
+only the model raises ``NonPositiveWcet``, when a DAG is built, and only
+the decomposition runs its stages after the segmentation."""
 
 import ast
 from pathlib import Path
@@ -139,3 +140,32 @@ def test_only_the_model_checks_wcets():
     assert modules_naming(sources, "NonPositiveWcet") == {"model.py"}
     assert functions_naming(sources["model.py"], "NonPositiveWcet") \
         == {"_set_core"}
+
+
+def modules_calling(sources: dict, name: str) -> set:
+    """The modules that call ``name``, by its bare name or as an
+    attribute."""
+    return {module for module, source in sources.items()
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call) and name in (
+                getattr(node.func, "id", None),
+                getattr(node.func, "attr", None))}
+
+
+def test_the_check_sees_every_module_calling_a_function():
+    sources = {"decomposition.py": "def f():\n    pass\nx = f()\n",
+               "analysis.py": "from .decomposition import f\n"
+                              "def g():\n    return f()\n",
+               "sim.py": "from . import decomposition\n"
+                         "y = decomposition.f(1)\n",
+               "__init__.py": "from .decomposition import f\n"}
+    assert modules_calling(sources, "f") \
+        == {"decomposition.py", "analysis.py", "sim.py"}
+
+
+def test_only_decompose_runs_the_stages_after_the_segmentation():
+    # every reader of subtasks or loads goes through ``decompose``, whose
+    # result runs each later stage once, when first read
+    sources = {path.name: path.read_text() for path in SRC}
+    for name in ("distribute_laxity", "reassemble", "dbf_and_load"):
+        assert modules_calling(sources, name) == {"decomposition.py"}, name

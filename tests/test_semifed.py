@@ -3,7 +3,6 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -15,33 +14,13 @@ from parasched.analysis import (TESTS, UniformPlatform, federated_allocate,
 from parasched.cli import main
 from parasched.errors import EmptyTaskSet, MalformedTaskSet
 from parasched.gen import GenConfig, gen_taskset
-from parasched.model import DagTask, TaskMetrics, Verdict, dump_taskset
+from parasched.model import DagTask, Verdict, dump_taskset
 from parasched.semifed import ContainerTask, sf1, sf2
-from conftest import chain_task, fig1_task, rational_variant, sample_cases
+from conftest import (chain_task, fig1_task, heavy_stub, light_stub,
+                      rational_variant, sample_cases)
 from reference import (Bin, CriticalPathExceedsDeadline, capacity_requirement,
                        delta_star, fewest_bins, gamma, item_id, scrape,
                        worst_fit_partition)
-
-
-def heavy_stub(tid, g, c=16, l=8):
-    """A task/metrics pair with capacity requirement exactly g (C=16, L=8
-    unless given)."""
-    c, l = Fraction(c), Fraction(l)
-    d = (c - l) / Fraction(g) + l
-    met = TaskMetrics(work=c, critical_path=l, utilization=c / d,
-                      density=c / d, elasticity=l / d, heavy=True,
-                      gamma=Fraction(g))
-    return SimpleNamespace(id=tid, period=d, deadline=d, metrics=met), met
-
-
-def light_stub(tid, density):
-    density = Fraction(density)
-    d = Fraction(3) / density
-    met = TaskMetrics(work=Fraction(3), critical_path=Fraction(1),
-                      utilization=density, density=density,
-                      elasticity=Fraction(1) / d, heavy=False,
-                      gamma=Fraction(2) / (d - 1))
-    return SimpleNamespace(id=tid, period=d, deadline=d, metrics=met), met
 
 
 def appendix_set():

@@ -13,6 +13,7 @@ from parasched.errors import (InvalidChoice, InvalidSpeeds, NonPositiveWcet,
                               ParaschedError)
 from parasched.gen import PAPER_SCALE, GenConfig, gen_taskset
 from parasched.model import DagTask, validate
+from parasched.semifed import ContainerTask
 from parasched.sim import (GedfReport, simulate_dispatcher, simulate_gedf,
                            simulate_uniform)
 from conftest import (chain_task, fig1_task, random_small_task,
@@ -606,12 +607,15 @@ def test_callbacks_get_a_copy(corpus):
                              order=lambda t, e: e + e, migration=False),
     lambda: simulate_uniform(fig1_task(), [1, Fraction(1, 2)],
                              order=lambda t, e: e[:-1]),
+    lambda: simulate_uniform(fig1_task(), [1, Fraction(1, 2)],
+                             order=lambda t, e: [e]),
     lambda: simulate_dispatcher(fig1_task(), [1, Fraction(1, 2)],
                                 choice=lambda t, e: 99),
     lambda: simulate_dispatcher(fig1_task(), [1, Fraction(1, 2)],
                                 choice=lambda t, e: 1),
 ], ids=["uniform-unknown", "uniform-not-ready", "uniform-twice",
-        "uniform-missing", "dispatcher-unknown", "dispatcher-not-ready"])
+        "uniform-missing", "uniform-unhashable", "dispatcher-unknown",
+        "dispatcher-not-ready"])
 def test_callback_picking_an_ineligible_vertex_raises(run):
     # at t = 0 only vertex 0, fig1's source, is eligible
     with pytest.raises(InvalidChoice, match="t=0") as info:
@@ -652,7 +656,8 @@ def test_trace_lists_and_wcets_are_built_on_first_read():
 
 @pytest.mark.parametrize("speeds", [[], [0], [-1], [1, 0],
                                     [Fraction(-1, 2), 2], ["fast"], [None],
-                                    [1, float("nan")], ["1/0"]])
+                                    [1, float("nan")], ["1/0"],
+                                    [ContainerTask(0, 1, 1)]])
 def test_bad_speeds_raise_a_parasched_error(speeds):
     runs = (lambda: simulate_uniform(fig1_task(), speeds),
             lambda: simulate_uniform(fig1_task(), speeds, migration=False),
