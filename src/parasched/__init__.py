@@ -1,8 +1,8 @@
 """Schedulability analysis, decomposition and simulation of parallel
 real-time DAG tasks on multiprocessors."""
 
-from .model import (DagTask, TaskMetrics, TaskSetSummary, dump_taskset,
-                    load_taskset, summarize, validate)
+from .model import (DagTask, TaskMetrics, TaskSet, TaskSetSummary,
+                    dump_taskset, load_taskset, summarize, validate)
 from .decomposition import (Decomposition, decompose, timing_diagram,
                             segment_workload, distribute_laxity, reassemble,
                             dbf_and_load)

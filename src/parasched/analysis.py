@@ -14,14 +14,15 @@ from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import replace
 from fractions import Fraction
 from typing import Callable, NamedTuple, Sequence
 
 from .decomposition import decompose
 from .errors import ConstrainedDeadline
-from .model import (DagTask, TaskMetrics, TaskSetSummary, Verdict,
-                    as_fraction, check_m, scale_speeds, summarize)
-from .semifed import _classify, _order, _plan, _worst_fit, sf1, sf2
+from .model import (DagTask, TaskMetrics, TaskSet, TaskSetSummary, Verdict,
+                    as_fraction, check_m, scale_speeds)
+from .semifed import _classified, _order, _plan, _worst_fit, sf1, sf2
 
 
 class UniformPlatform:
@@ -85,21 +86,23 @@ def federated_allocate(tasks: Sequence[DagTask], m: int) -> Verdict:
     """Federated scheduling (Li et al., ECRTS 2014; Baruah, DATE 2015 for
     D < T): SF1's classification with each fractional container rounded
     up, so a heavy task gets ceil(gamma) dedicated processors; light tasks
-    are partitioned by worst-fit decreasing EDF.  Task model: sporadic DAG
-    tasks with D <= T, heavy iff C > D, gamma = (C-L)/(D-L); a heavy task
-    with L >= D is rejected, named in ``detail["task"]``.  Raises
-    ``ValueError`` unless m is an int >= 1."""
-    plan = _classify(tasks, m, "federated", round_up=True)
+    are partitioned by worst-fit decreasing EDF on the shared ``den``,
+    which scales every load alike.  Task model: sporadic DAG tasks with
+    D <= T, heavy iff C > D, gamma = (C-L)/(D-L); a heavy task with L >= D
+    is rejected, named in ``detail["task"]``.  Raises ``ValueError`` unless
+    m is an int >= 1."""
+    plan = _classified(tasks, m, "federated")
     if isinstance(plan, Verdict):
         return plan
-    dedicated, den, containers = plan
+    floors, den, fractional, lights = plan
+    dedicated = {**floors, **{c[2]: floors[c[2]] + 1 for c in fractional}}
     used = sum(dedicated.values())
     detail = {"dedicated": dedicated}
     if used > m:
         return Verdict("federated", False,
                        reason=f"needs {used} dedicated processors",
                        detail=detail)
-    ordered = _order(containers, 0)
+    ordered = _order(lights, 0)
     bins = [[] for _ in range(m - used)]
     fits = _worst_fit(ordered, bins, den)
     min_m = used + _fewest_bins(ordered, den, m - used, fits)
@@ -126,14 +129,15 @@ def gli_capacity_test(tasks: Sequence[DagTask], m: int) -> Verdict:
     (3-sqrt(5))/2 holds iff 3-2x >= 0 and (3-2x)^2 >= 5.  The bound is
     stated for implicit deadlines, so a task with D < T is rejected, named
     in the reason.  Raises ``ValueError`` unless m is an int >= 1, and
-    ``EmptyTaskSet`` (from ``summarize``) for no task at all."""
+    ``EmptyTaskSet`` for no task at all."""
     check_m(m)
+    tasks = TaskSet.of(tasks, "gli-capacity")
     for task in tasks:
         if task.deadline != task.period:
             return Verdict("gli-capacity", False, reason=(
                 f"task {task.id}: D={task.deadline} != T={task.period}; "
                 "the bound assumes implicit deadlines"))
-    x = summarize(tasks).u_sum / m
+    x = tasks.summary.u_sum / m
     if not _within_gli(x):
         return Verdict("gli-capacity", False, reason=f"U_sum/m = {x} > 1/b")
     for task in tasks:
@@ -169,13 +173,15 @@ def weak_response_bound(metrics: TaskMetrics,
 def _decomposed(tasks, m) -> Verdict:
     """D-OUR from each task's Omega; a task outside the decomposition's
     implicit-deadline model makes it reject, and the other tests still
-    run.  Raises ``ValueError`` unless m is an int >= 1."""
+    run.  Raises ``ValueError`` unless m is an int >= 1, and
+    ``EmptyTaskSet`` for no task."""
     check_m(m)
+    tasks = TaskSet.of(tasks, "decomposed")
     try:
         omegas = [decompose(t).omega for t in tasks]
     except ConstrainedDeadline as exc:
         return Verdict("decomposed", False, reason=str(exc))
-    return decomposed_test(summarize(tasks, omegas=omegas), m)
+    return decomposed_test(replace(tasks.summary, omega_top=max(omegas)), m)
 
 
 class Method(NamedTuple):

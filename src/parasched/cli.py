@@ -22,7 +22,7 @@ from .errors import ParaschedError
 from .experiment import (METHODS, GenConfig, check_distinct, check_methods,
                          emit, sweep)
 from .gen import PAPER_SCALE, gen_taskset
-from .model import dump_taskset, format_rational, load_taskset
+from .model import TaskSet, dump_taskset, format_rational, load_taskset
 from .sim import simulate_dispatcher, simulate_gedf, simulate_uniform
 
 
@@ -80,8 +80,10 @@ def cmd_decompose(args):
 
 
 def cmd_analyze(args):
-    """One JSON row per selected test, in registry order."""
-    tasks = _load(args.taskset)
+    """One JSON row per selected test, in registry order.  The set is
+    wrapped once, as a ``TaskSet``, so the tests share one summary and one
+    classification, which go when the command returns."""
+    tasks = TaskSet.of(_load(args.taskset))
     with _out(args.out) as fp:
         for method in TESTS.values():
             if args.test in (method.flag, "all"):

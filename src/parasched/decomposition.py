@@ -133,19 +133,22 @@ def segment_workload(task: DagTask, td: TimingDiagram) -> SegmentationResult:
     test c*L <= C*e then reads w <= C_int*e_int and the phase-2 capacity
     (C*e - c*L)/L is C_int*e_int - w.  The result keeps these ints, with a
     (segment, vertex, portion) piece per placement; omega is its one
-    Fraction, and its views build the rest when read.
+    Fraction, and its views build the rest when read.  Each call sorts the
+    vertices by fsh once, for phases 1 and 3, and phase 2's heap compares
+    ints, not tuples; nothing is kept past the call.
     """
     (los, his), ends = td.windows, td.cuts
     l_int, c_int, wcet = task.cpl_int, task.work_int, task.wcet_int
     lengths = [b - a for a, b in zip(ends, ends[1:])]
     caps = [c_int * e for e in lengths]      # C/L threshold, workload units
-    load = [0] * len(lengths)
+    nseg, n = len(lengths), len(wcet)
+    load = [0] * nseg
     pieces = []
     split_count = 0
 
     # earliest-fsh order; the stable sort keeps ascending ids on ties
-    order = sorted(range(len(wcet)), key=his.__getitem__)
-    rest = {}                                # workload not yet placed
+    order = sorted(range(n), key=his.__getitem__)
+    rest = [0] * n                           # workload not yet placed
     starting = [[] for _ in lengths]         # the parts whose window begins
 
     # Phase 1: single-segment vertices
@@ -159,35 +162,40 @@ def segment_workload(task: DagTask, td: TimingDiagram) -> SegmentationResult:
             starting[lo].append(v)
 
     # Phase 2: fill light segments up to the threshold, in time order.  The
-    # heap holds the parts whose window has begun, keyed by fsh; a split
-    # remainder sorts ahead of its equal-fsh peers, the latest first, or
-    # the EDF-like fill loses its optimality.  Parts whose window has ended
-    # are dropped when they reach the top.
+    # heap holds the parts whose window has begun as ints that order them
+    # by (fsh, rank, vertex).  A split remainder ranks nseg - its split
+    # number (a segment splits at most once), ahead of its equal-fsh peers,
+    # the latest first, or the EDF-like fill loses its optimality; a whole
+    # vertex ranks nseg.  Parts whose window has ended are dropped when
+    # they reach the top.
+    stride = (nseg + 1) * n                  # one fsh step of a key
     heap = []
     for i, cap in enumerate(caps):
         for v in starting[i]:
-            heapq.heappush(heap, (his[v], 1, v, v))
+            heapq.heappush(heap, his[v] * stride + nseg * n + v)
         capacity = cap - load[i]
+        ended = (i + 1) * stride             # the keys of fsh <= i lie below
         while heap and capacity > 0:
-            hi, _, _, v = heap[0]
-            if hi <= i:
+            key = heap[0]
+            if key < ended:
                 heapq.heappop(heap)
-            elif rest[v] > capacity:    # split where the load meets C/L
+            elif rest[v := key % n] > capacity:     # split at C/L
                 pieces.append((i, v, capacity))
                 rest[v] -= capacity
                 capacity = 0
                 split_count += 1
-                heapq.heapreplace(heap, (hi, 0, -split_count, v))
+                heapq.heapreplace(heap, key - key % stride
+                                  + (nseg - split_count) * n + v)
             else:                       # the whole part fits
-                w = rest.pop(v)
-                pieces.append((i, v, w))
-                capacity -= w
+                pieces.append((i, v, rest[v]))
+                capacity -= rest[v]
+                rest[v] = 0
                 heapq.heappop(heap)
         load[i] = cap - capacity
 
     # Phase 3: leftovers go to covered segments (all at or above threshold)
-    for v, left in rest.items():
-        lo = los[v]
+    for v in filter(rest.__getitem__, order):
+        lo, left = los[v], rest[v]
         for i in range(lo, his[v]):
             assert load[i] >= caps[i], \
                 "phase 3 reached a below-threshold segment"

@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from .analysis import TESTS
 from .gen import GenConfig, gen_taskset
-from .model import check_m
+from .model import TaskSet, check_m
 
 METHODS = tuple(TESTS)
 
@@ -68,9 +68,12 @@ def check_methods(methods) -> tuple:
 
 def run_methods(tasks, m: int, methods=METHODS) -> dict:
     """Apply each schedulability test to one task set on m processors;
-    ValueError unless m is an int >= 1."""
+    ValueError unless m is an int >= 1.  The set is wrapped once, as a
+    ``TaskSet``, so the tests share one summary and one classification,
+    which go when the call returns."""
     methods = check_methods(methods)
     check_m(m)
+    tasks = TaskSet.of(tasks)
     return {name: TESTS[name].run(tasks, m).schedulable for name in methods}
 
 

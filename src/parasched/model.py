@@ -313,13 +313,40 @@ def summarize(tasks: Sequence[DagTask],
         for task in tasks:
             check_timed(task)
         metrics = [t.metrics for t in tasks]
+    den, utils = scale_to_ints([m.utilization for m in metrics])
     return TaskSetSummary(
-        u_sum=sum((m.utilization for m in metrics), Fraction(0)),
+        u_sum=Fraction(sum(utils), den),
         gamma_top=max(m.elasticity for m in metrics),
         omega_top=max(omegas) if omegas else None,
         delta_top=max(max_densities) if max_densities else None,
         ell_sum=sum(loads, Fraction(0)) if loads else None,
     )
+
+
+class TaskSet(tuple):
+    """One call's tasks, with ``summary`` (``summarize``'s U_sum and
+    Gamma_top) and ``classification`` (``semifed._classify``) each built
+    on first read.  ``run_methods`` and ``parasched analyze`` wrap a set
+    once for the five tests; nothing is kept on the tasks or the module,
+    so the cache goes with the view when the call returns."""
+
+    @classmethod
+    def of(cls, tasks, test: str = "") -> "TaskSet":
+        """``tasks`` as a view, itself when it is one; given a ``test``,
+        ``EmptyTaskSet`` in its name for no task."""
+        view = tasks if isinstance(tasks, cls) else cls(tasks)
+        if test and not view:
+            raise EmptyTaskSet(f"{test}: cannot test an empty task set")
+        return view
+
+    @cached_property
+    def summary(self) -> TaskSetSummary:
+        return summarize(self)
+
+    @cached_property
+    def classification(self):
+        from .semifed import _classify      # semifed imports this module
+        return _classify(self)
 
 
 # --- task-set JSON schema -------------------------------------------------

@@ -7,12 +7,12 @@ packing).  Containers and light tasks share the remaining processors under
 partitioned EDF with worst-fit packing.  Federated scheduling (F-LI) is
 the same plan with each fractional container rounded up to a processor.
 
-One classification, ``_classify``, serves the three plans.  It reads
-gamma, heaviness and density from ``task.metrics``, which ``validate``
-computes once per task, and scales the loads and split bounds of one call
-to ``den``, the LCM of their denominators, so every sum, compare and
-tie-break is one over ints.  The ``ContainerTask`` Fractions are built
-only for an accepting plan.
+One classification, ``_classify``, serves the three plans, once per
+``TaskSet``.  It reads gamma, heaviness and density from ``task.metrics``,
+which ``validate`` computes once per task, and scales the loads and split
+bounds of one set to ``den``, the LCM of their denominators, so every sum,
+compare and tie-break is one over ints.  The ``ContainerTask`` Fractions
+are built only for an accepting plan.
 """
 
 from __future__ import annotations
@@ -23,8 +23,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import EmptyTaskSet, MalformedTaskSet
-from .model import DagTask, Verdict, check_m, check_timed
+from .errors import MalformedTaskSet
+from .model import DagTask, TaskSet, Verdict, check_m, check_timed
 
 
 @dataclass(frozen=True)
@@ -36,24 +36,19 @@ class ContainerTask:
     label: str = ""
 
 
-def _classify(tasks, m: int, test: str, round_up: bool = False):
-    """The plan F-LI, SF1 and SF2 share, read off each task's metrics as
-    ints: (dedicated, den, containers).  ``dedicated`` maps each heavy
-    task's id to floor(gamma), or to ceil(gamma) with ``round_up``, as
-    F-LI has it.  ``containers`` holds (load, delta*, owner, label,
-    density), load and delta* times ``den``, the LCM of their
-    denominators: first, unless ``round_up``, those of the heavy tasks
-    whose gamma = p/q is not an integer, with load frac(gamma) = r/q and
-    delta* = max(frac/2, frac/gamma), the minimal larger part when it is
-    divided in two (r/p when gamma <= 2, r/(2q) above); then the light
-    tasks, whose load and delta* are their density.  Or ``test``'s
-    rejection naming a heavy task with L >= D.  Raises ``ValueError``
-    unless m is an int >= 1, ``EmptyTaskSet`` for no task, and
-    ``MalformedTaskSet`` for a shape or a heavy task id repeated as a
-    string."""
-    check_m(m)
-    if not tasks:
-        raise EmptyTaskSet(f"{test}: cannot test an empty task set")
+def _classify(tasks):
+    """The m-independent plan F-LI, SF1 and SF2 share, read off each
+    task's metrics as ints: (dedicated, den, fractional, lights).
+    ``dedicated`` maps each heavy task's id to floor(gamma).  The rows are
+    (load, delta*, owner, label, density), load and delta* times ``den``,
+    the LCM of their denominators: in ``fractional``, those of the heavy
+    tasks whose gamma = p/q is not an integer, with load frac(gamma) = r/q
+    and delta* = max(frac/2, frac/gamma), the minimal larger part when it
+    is divided in two (r/p when gamma <= 2, r/(2q) above); in ``lights``,
+    the light tasks, whose load and delta* are their density.  Or the first
+    heavy task with L >= D.  Raises ``MalformedTaskSet`` for a shape or a
+    heavy task id repeated as a string.  ``TaskSet.classification`` calls
+    it, once per view, and the view lives for one call."""
     # rows (owner, label, r, b, d, x): load r/b, delta* r/d, density x
     dedicated, fractional, lights = {}, [], []
     for task in tasks:
@@ -67,19 +62,29 @@ def _classify(tasks, m: int, test: str, round_up: bool = False):
         if str(task.id) in map(str, dedicated):
             raise MalformedTaskSet(f"heavy task id {task.id!r} repeats")
         if met.gamma is None:
-            return Verdict(test, False,
-                           reason="critical path exceeds deadline",
-                           detail={"task": task.id})
+            return task
         p, q = met.gamma.numerator, met.gamma.denominator
-        dedicated[task.id] = -(-p // q) if round_up else p // q
-        if q > 1 and not round_up:
+        dedicated[task.id] = p // q
+        if q > 1:
             fractional.append((task.id, "frac", p % q, q, min(p, 2 * q),
                                None))
     rows = fractional + lights
     den = math.lcm(*(row[3] for row in rows), *(row[4] for row in rows))
-    return dedicated, den, [
-        (r * (den // b), r * (den // d), owner, label, x)
-        for owner, label, r, b, d, x in rows]
+    rows = [(r * (den // b), r * (den // d), owner, label, x)
+            for owner, label, r, b, d, x in rows]
+    return dedicated, den, rows[:len(fractional)], rows[len(fractional):]
+
+
+def _classified(tasks, m: int, test: str):
+    """``tasks``' shared classification, or ``test``'s rejection naming a
+    heavy task with L >= D.  Raises ``ValueError`` unless m is an int >= 1,
+    and ``EmptyTaskSet`` for no task."""
+    check_m(m)
+    plan = TaskSet.of(tasks, test).classification
+    if isinstance(plan, tuple):
+        return plan
+    return Verdict(test, False, reason="critical path exceeds deadline",
+                   detail={"task": plan.id})
 
 
 def _order(containers, field: int) -> list:
@@ -107,8 +112,9 @@ def _worst_fit(containers, bins: list, cap: int, heap=None) -> bool:
 
 
 def _plan(dedicated, bins, den) -> dict:
-    """An accepting plan's ``detail``, its containers as Fractions."""
-    return {"dedicated": dedicated, "bins": [[
+    """An accepting plan's ``detail``: its containers as Fractions, and a
+    copy of the shared ``dedicated``."""
+    return {"dedicated": dict(dedicated), "bins": [[
         ContainerTask(owner, x, x, True, label) if x is not None else
         ContainerTask(owner, Fraction(load, den), Fraction(bound, den),
                       False, label)
@@ -122,15 +128,15 @@ def sf1(tasks: Sequence[DagTask], m: int) -> Verdict:
     iff C > D, gamma = (C-L)/(D-L); a heavy task with L >= D is rejected,
     named in ``detail["task"]``.  Raises ``ValueError`` unless m is an int
     >= 1."""
-    plan = _classify(tasks, m, "sf1")
+    plan = _classified(tasks, m, "sf1")
     if isinstance(plan, Verdict):
         return plan
-    dedicated, den, containers = plan
+    dedicated, den, fractional, lights = plan
     used = sum(dedicated.values())
     if used > m:
         return Verdict("sf1", False, reason="insufficient dedicated")
     bins = [[] for _ in range(m - used)]
-    if not _worst_fit(_order(containers, 0), bins, den):
+    if not _worst_fit(_order(fractional + lights, 0), bins, den):
         return Verdict("sf1", False, reason="partition failure")
     return Verdict("sf1", True, detail=_plan(dedicated, bins, den))
 
@@ -151,10 +157,10 @@ def sf2(tasks: Sequence[DagTask], m: int) -> Verdict:
     bin goes over 1, and the remainders do not fit ("remainder partition
     failure").  Raises ``ValueError`` unless m is an int >= 1.
     """
-    plan = _classify(tasks, m, "sf2")
+    plan = _classified(tasks, m, "sf2")
     if isinstance(plan, Verdict):
         return plan
-    dedicated, den, containers = plan
+    dedicated, den, fractional, lights = plan
     used = sum(dedicated.values())
     if used > m:
         return Verdict("sf2", False, reason="insufficient dedicated")
@@ -162,7 +168,7 @@ def sf2(tasks: Sequence[DagTask], m: int) -> Verdict:
     loads = [0] * len(bins)
     open_bins = [(0, i) for i in range(len(bins))]   # (delta* sum, index)
     remainders = []
-    for c in _order(containers, 1):
+    for c in _order(fractional + lights, 1):
         if not open_bins or open_bins[0][0] + c[1] > den:
             return Verdict("sf2", False, reason="sched* failure")
         bound_sum, i = open_bins[0]

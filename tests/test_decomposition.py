@@ -608,6 +608,22 @@ def test_decomposition_digest_is_pinned(corpus):
     assert digest.hexdigest() == CORPUS_DIGEST
 
 
+# sha256 over the segmentation's ints of every corpus task: the loads, the
+# pieces in the order they were placed, the split count, the heavy and
+# light sums and omega, taken before phase 2's heap held int keys
+SEGMENTATION_DIGEST = \
+    "53cf22ec0d8288c49c3ae84a7a6e38a69e9e9742326b63965d2863f4aeabc946"
+
+
+def test_segmentation_digest_is_pinned(corpus):
+    digest = hashlib.sha256()
+    for task in corpus:
+        seg = segment_workload(task, timing_diagram(task))
+        digest.update(repr((seg.load, seg.pieces, seg.split_count,
+                            seg.heavy, seg.light, str(seg.omega))).encode())
+    assert digest.hexdigest() == SEGMENTATION_DIGEST
+
+
 # The Fraction task model that the integer core replaced: the topological
 # sort, ``validate``, ``timing_diagram`` and ``build_segments``, copied
 # verbatim but for the names, as the reference the core must match.

@@ -1,5 +1,6 @@
 import io
 import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -8,10 +9,12 @@ from parasched.experiment import (DEFAULT_BUCKETS, METHODS, ExperimentRecord,
                                   _bucket_config, emit, run_methods, sweep,
                                   trial_seed)
 import parasched.model
+import parasched.semifed
 from parasched.analysis import TESTS
+from parasched.cli import main
 from parasched.errors import EmptyTaskSet
 from parasched.gen import GenConfig, gen_taskset
-from parasched.model import DagTask
+from parasched.model import DagTask, dump_taskset
 
 from conftest import fig1_task
 from reference import parse_csv
@@ -72,10 +75,50 @@ def test_run_methods_rejects_constrained_deadline_in_dour_only():
 
 @pytest.mark.parametrize("name", list(TESTS))
 def test_every_test_rejects_an_empty_task_set(name):
-    with pytest.raises(EmptyTaskSet):
+    # the message names the test as its verdicts do
+    message = f"{TESTS[name].run([fig1_task()], 4).test}: cannot test an " \
+        "empty task set"
+    with pytest.raises(EmptyTaskSet) as info:
         TESTS[name].run([], 4)
-    with pytest.raises(EmptyTaskSet):
+    assert str(info.value) == message
+    with pytest.raises(EmptyTaskSet) as info:
         run_methods([], 4, methods=(name,))
+    assert str(info.value) == message
+
+
+def _count_calls(monkeypatch) -> Counter:
+    """Calls of the classification and the raw-set summary, counted in the
+    modules that define them."""
+    counts = Counter()
+    for module, name in ((parasched.semifed, "_classify"),
+                         (parasched.model, "summarize")):
+        def counted(*args, _name=name, _run=getattr(module, name)):
+            counts[_name] += 1
+            return _run(*args)
+        monkeypatch.setattr(module, name, counted)
+    return counts
+
+
+def test_each_task_set_is_classified_and_summarized_once_per_call(
+        monkeypatch, tmp_path, capsys):
+    sets = [gen_taskset(GenConfig(n_tasks=5, p=0.05, util=util), seed=seed)
+            for seed in range(3) for util in (0.3, 0.6, 0.9)]
+    counts = _count_calls(monkeypatch)
+    for tasks in sets:
+        run_methods(tasks, 8)
+    assert counts == {"_classify": len(sets), "summarize": len(sets)}
+    path = tmp_path / "set.json"
+    with open(path, "w") as fp:
+        dump_taskset(sets[0], fp)
+    counts.clear()
+    assert main(["analyze", str(path), "--m", "8", "--test", "all"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == len(TESTS)
+    assert counts == {"_classify": 1, "summarize": 1}
+    # the view lives for one call: two calls on one list build two
+    counts.clear()
+    for name in ("SF1", "F-LI", "D-OUR", "G-LI"):
+        TESTS[name].run(sets[0], 8)
+    assert counts == {"_classify": 2, "summarize": 2}
 
 
 def test_sweep_deterministic():

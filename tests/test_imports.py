@@ -3,8 +3,9 @@ import behind.  ``__init__.py`` is skipped: it imports to re-export.  And
 every private top-level function or class of the package is named in it
 outside its own definition, so no helper outlives its last reader.  Only
 the generator builds a shape without the constructor's structure checks,
-only the model raises ``NonPositiveWcet``, when a DAG is built, and only
-the decomposition runs its stages after the segmentation."""
+only the model raises ``NonPositiveWcet``, when a DAG is built, only the
+decomposition runs its stages after the segmentation, and only the
+``TaskSet`` view summarizes or classifies a task set."""
 
 import ast
 from pathlib import Path
@@ -169,3 +170,27 @@ def test_only_decompose_runs_the_stages_after_the_segmentation():
     sources = {path.name: path.read_text() for path in SRC}
     for name in ("distribute_laxity", "reassemble", "dbf_and_load"):
         assert modules_calling(sources, name) == {"decomposition.py"}, name
+
+
+def test_the_check_sees_a_second_summarizer():
+    sources = {"model.py": "def summarize(ts):\n    pass\n"
+                           "class TaskSet(tuple):\n"
+                           "    def summary(self):\n"
+                           "        return summarize(self)\n",
+               "analysis.py": "from .model import summarize\n"
+                              "def g(ts):\n    return summarize(ts)\n",
+               "gen.py": "from .model import summarize\n"}
+    assert modules_calling(sources, "summarize") == {"model.py",
+                                                     "analysis.py"}
+    assert functions_naming(sources["model.py"], "summarize") == {"summary"}
+
+
+def test_only_the_view_summarizes_and_classifies():
+    # the five tests read one raw-set summary and one classification per
+    # TaskSet, so no test builds its own
+    sources = {path.name: path.read_text() for path in SRC}
+    assert modules_calling(sources, "summarize") == {"model.py"}
+    assert functions_naming(sources["model.py"], "summarize") == {"summary"}
+    assert modules_calling(sources, "_classify") == {"model.py"}
+    assert functions_naming(sources["model.py"], "_classify") \
+        == {"classification"}

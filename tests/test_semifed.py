@@ -14,7 +14,7 @@ from parasched.analysis import (TESTS, UniformPlatform, federated_allocate,
 from parasched.cli import main
 from parasched.errors import EmptyTaskSet, MalformedTaskSet
 from parasched.gen import GenConfig, gen_taskset
-from parasched.model import DagTask, Verdict, dump_taskset
+from parasched.model import DagTask, TaskSet, Verdict, dump_taskset
 from parasched.semifed import ContainerTask, sf1, sf2
 from conftest import (chain_task, fig1_task, heavy_stub, light_stub,
                       rational_variant, sample_cases)
@@ -498,6 +498,55 @@ def test_accepted_plans_hold_on_stub_sets(gammas, densities, m):
     for v in _assert_matches_reference(tasks, m):
         if v.schedulable:
             _check_plan(tasks, m, v)
+
+
+def _outcome(run, tasks, m):
+    """A test's verdict as its fields, or the type and message of what it
+    raised."""
+    try:
+        v = run(tasks, m)
+    except Exception as exc:        # a stub has no DAG for D-OUR
+        return type(exc), str(exc)
+    return v.test, v.schedulable, v.min_m, v.reason, v.detail
+
+
+def _assert_the_view_changes_no_verdict(tasks, m):
+    # the five tests share one view, in registry order, so each reads what
+    # the earlier ones built; each must answer as on a list of its own
+    view = TaskSet.of(tasks)
+    for name, method in TESTS.items():
+        assert _outcome(method.run, view, m) \
+            == _outcome(method.run, list(tasks), m), (name, m)
+
+
+def test_the_view_changes_no_verdict_on_corpus_and_sample(corpus):
+    for i in range(0, len(corpus), 5):
+        _assert_the_view_changes_no_verdict(corpus[i:i + 5], 1 + i % 8)
+    for tasks, m in sample_cases():
+        _assert_the_view_changes_no_verdict(tasks, m)
+
+
+@settings(max_examples=200, deadline=None)
+@given(*_STUB_SETS)
+def test_the_view_changes_no_verdict_on_stub_sets(gammas, densities, m):
+    _assert_the_view_changes_no_verdict(_stub_set(gammas, densities), m)
+
+
+def test_the_view_changes_no_verdict_on_error_paths():
+    shape = DagTask("t", [(0, 2), (1, 3)], [(0, 1)])
+    # task 0: a chain of three WCET-4 vertices, L = 12 >= D = 10
+    long = DagTask(0, [(i, 4) for i in range(3)], [(0, 1), (1, 2)])
+    cases = [[], [shape], [fig1_task(), shape],
+             [long.with_period(10), chain_task(1, wcet=1, period=2)],
+             [_fork(0), _fork("0")]]
+    for tasks in cases:
+        _assert_the_view_changes_no_verdict(tasks, 4)
+    # the shared rejection of the long task is rebuilt in each plan's name
+    view = TaskSet.of(cases[3])
+    assert [(v.test, v.reason, v.detail) for v in (
+        TESTS[name].run(view, 4) for name in ("F-LI", "SF1", "SF2"))] \
+        == [(test, "critical path exceeds deadline", {"task": 0})
+            for test in ("federated", "sf1", "sf2")]
 
 
 def _fork(task_id):
