@@ -1,38 +1,129 @@
-"""Every name a module imports is used in it, so a deletion leaves no dead
-import behind.  ``__init__.py`` is skipped: it imports to re-export.  And
-every private top-level function or class of the package is named in it
-outside its own definition, so no helper outlives its last reader.  Only
-the generator builds a shape without the constructor's structure checks,
-only the model raises ``NonPositiveWcet``, when a DAG is built, only the
-decomposition runs its stages after the segmentation, and only the
-``TaskSet`` view summarizes or classifies a task set."""
+"""Static guards, all read from one index per module (see ``index``):
+
+- each name a module of the package, the tests or the benchmark imports
+  is read in it as a bare name, so a deletion leaves no dead import
+  behind (``__init__.py`` imports to re-export and is skipped);
+- each private top-level function or class of the package is referenced
+  outside its own definition, so no helper outlives its last reader;
+- each name in ``ONLY`` is read by exactly the functions its row lists:
+  only the generator builds a shape without the constructor's structure
+  checks, only ``DagTask._set_core`` checks WCETs, only ``with_period``
+  validates, ``decompose`` is the one decomposition entry, and only the
+  ``TaskSet`` view summarizes or classifies a task set."""
 
 import ast
+from collections import defaultdict, namedtuple
+from functools import cache
 from pathlib import Path
 
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = sorted(ROOT.glob("src/parasched/*.py"))
-FILES = sorted(p for p in [*SRC, *ROOT.glob("tests/*.py")]
+TESTS = sorted(ROOT.glob("tests/*.py"))
+FILES = sorted(p for p in [*SRC, *TESTS, *ROOT.glob("perfbench/*.py")]
                if p.name != "__init__.py")
 
 
-def unused_imports(source: str) -> list:
-    """The names bound by the module's imports that nothing else names."""
+Index = namedtuple("Index", "imports refs defs")
+
+
+def _bindings(node) -> list:
+    """(name bound, name imported) of each alias of an import ``node``."""
+    if not isinstance(node, (ast.Import, ast.ImportFrom)) \
+            or getattr(node, "module", None) == "__future__":
+        return []
+    return [(alias.asname, alias.name.rpartition(".")[2]) if alias.asname
+            else (alias.name.partition(".")[0],) * 2 for alias in node.names]
+
+
+@cache
+def index(source: str) -> Index:
+    """A module's ``imports``, each name an import binds mapped to (line,
+    name imported); its ``refs``, each name it references mapped to
+    (function, kind) pairs, the function the qualified name of the
+    innermost enclosing def (None at module level), the kind "name",
+    "attr" or "import"; and its top-level ``defs``, mapped to their lines.
+    A bare name an import binds reads itself and the name it imports, and
+    no def references itself.  Cached: a source is parsed once per run."""
     tree = ast.parse(source)
-    imported = {}
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                name = alias.asname or alias.name.partition(".")[0]
-                imported[name] = node.lineno
-        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
-            for alias in node.names:
-                imported[alias.asname or alias.name] = node.lineno
-    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    return sorted((line, name) for name, line in imported.items()
-                  if name not in used)
+    imports = {bound: (node.lineno, name) for node in ast.walk(tree)
+               for bound, name in _bindings(node)}
+    refs = defaultdict(set)
+
+    def visit(node, scope: tuple) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            scope = (*scope, node.name)
+        found = [(name, "import") for _, name in _bindings(node)]
+        if isinstance(node, ast.Name):
+            found = [(node.id, "name"),
+                     (imports.get(node.id, (0, node.id))[1], "name")]
+        elif isinstance(node, ast.Attribute):
+            found = [(node.attr, "attr")]
+        for name, kind in found:
+            if name not in scope:
+                refs[name].add((".".join(scope) or None, kind))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, ())
+    return Index(imports, dict(refs),
+                 {node.name: node.lineno for node in tree.body
+                  if isinstance(node, (ast.FunctionDef, ast.ClassDef))})
+
+
+def unused_imports(source: str) -> list:
+    """(line, name) of each name the module's imports bind and nothing
+    reads as a bare name."""
+    imports, refs, _ = index(source)
+    return sorted((line, name) for name, (line, _) in imports.items()
+                  if all(kind != "name" for _, kind in refs.get(name, ())))
+
+
+def unread_private_defs(sources: dict) -> list:
+    """(module, line, name) of each private top-level function or class
+    that no module references outside the definition itself."""
+    return [(module, line, name) for module, source in sources.items()
+            for name, line in index(source).defs.items()
+            if name.startswith("_") and not name.endswith("__")
+            and not any(name in index(other).refs
+                        for other in sources.values())]
+
+
+def referrers(sources: dict, name: str) -> set:
+    """The (module, function) pairs that read ``name``, as a bare name or
+    an attribute; an import alone reads nothing."""
+    return {(module, function) for module, source in sources.items()
+            for function, kind in index(source).refs.get(name, ())
+            if kind != "import"}
+
+
+TOY = """\
+import os
+import sys
+import foo
+import m as q
+from m import f as g
+def f(x):
+    return f(x.foo)
+def h():
+    return g() + q.f()
+def k():
+    sys.exit("f")
+y = f(1)
+"""
+
+
+def test_the_index_reads_aliases_as_what_they_import():
+    refs = index(TOY).refs
+    assert refs["f"] == {("h", "name"), ("h", "attr"), (None, "name"),
+                         (None, "import")}
+    assert refs["m"] == {("h", "name"), (None, "import")}
+    assert refs["foo"] == {("f", "attr"), (None, "import")}
+    assert referrers({"toy.py": TOY}, "f") == {("toy.py", "h"),
+                                               ("toy.py", None)}
+    # an attribute x.foo does not use ``import foo``
+    assert unused_imports(TOY) == [(1, "os"), (3, "foo")]
 
 
 def test_the_check_sees_an_unused_import():
@@ -44,36 +135,6 @@ def test_the_check_sees_an_unused_import():
                          ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
-
-
-def _names(node) -> set:
-    """Every name ``node`` reads, binds, imports or looks up as an
-    attribute."""
-    names = set()
-    for sub in ast.walk(node):
-        if isinstance(sub, ast.Name):
-            names.add(sub.id)
-        elif isinstance(sub, ast.Attribute):
-            names.add(sub.attr)
-        elif isinstance(sub, ast.alias):
-            names.update(filter(None, (sub.name, sub.asname)))
-    return names
-
-
-def unread_private_defs(sources: dict) -> list:
-    """(module, line, name) of each private top-level function or class
-    that no module names outside the definition itself."""
-    defs, named = [], []
-    for module, source in sources.items():
-        for node in ast.parse(source).body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) \
-                    and node.name.startswith("_") \
-                    and not node.name.endswith("__"):
-                defs.append((module, node))
-            named.append((node, _names(node)))
-    return [(module, node.lineno, node.name) for module, node in defs
-            if not any(node.name in names
-                       for other, names in named if other is not node)]
 
 
 def test_the_check_sees_an_unread_private_def():
@@ -92,105 +153,34 @@ def test_every_private_def_has_a_reader():
         {path.name: path.read_text() for path in SRC}) == []
 
 
-def modules_naming(sources: dict, name: str) -> set:
-    """The modules that name ``name`` outside a top-level definition of
-    it."""
-    return {module for module, source in sources.items()
-            for node in ast.parse(source).body
-            if getattr(node, "name", None) != name and name in _names(node)}
-
-
-def test_the_check_sees_every_module_naming_a_def():
-    sources = {"a": "def _f():\n    return _f()\n",
-               "b": "from a import _f as g\n",
-               "c": "import a\na._f()\n",
-               "d": "def f():\n    return '_f'\n"}
-    assert modules_naming(sources, "_f") == {"b", "c"}
-
-
-def test_only_the_generator_builds_unchecked_shapes():
+# Each restricted name and the (module, function) pairs that may read it,
+# in the package and, for a private name, in the tests too.
+ONLY = {
     # load_taskset, task_from_dict, the CLI and a user's DagTask(...) all
     # take the checked constructor
-    sources = {path.name: path.read_text()
-               for path in [*SRC, *ROOT.glob("tests/*.py")]}
-    assert modules_naming(sources, "_drawn_shape") == {"gen.py"}
-    assert modules_naming(sources, "_set_core") == {"model.py"}
-
-
-def functions_naming(source: str, name: str) -> set:
-    """The functions and methods in ``source`` that name ``name``."""
-    return {node.name for node in ast.walk(ast.parse(source))
-            if isinstance(node, ast.FunctionDef) and name in _names(node)}
-
-
-def test_the_check_sees_a_module_raising_an_error_it_does_not_define():
-    sources = {"errors.py": "class E(Exception):\n    pass\n",
-               "model.py": "from .errors import E\nraise E('x')\n",
-               "sim.py": "from . import errors\n"
-                         "def f():\n    raise errors.E('x')\n",
-               "gen.py": "def g():\n    return 'E'\n"}
-    assert modules_naming(sources, "E") == {"model.py", "sim.py"}
-    assert functions_naming(sources["sim.py"], "E") == {"f"}
-
-
-def test_only_the_model_checks_wcets():
-    # errors.py defines the error, and only DagTask._set_core, which every
-    # shape passes through, raises it: no simulator, analysis or second
-    # helper checks WCETs
-    sources = {path.name: path.read_text() for path in SRC}
-    assert modules_naming(sources, "NonPositiveWcet") == {"model.py"}
-    assert functions_naming(sources["model.py"], "NonPositiveWcet") \
-        == {"_set_core"}
-
-
-def modules_calling(sources: dict, name: str) -> set:
-    """The modules that call ``name``, by its bare name or as an
-    attribute."""
-    return {module for module, source in sources.items()
-            for node in ast.walk(ast.parse(source))
-            if isinstance(node, ast.Call) and name in (
-                getattr(node.func, "id", None),
-                getattr(node.func, "attr", None))}
-
-
-def test_the_check_sees_every_module_calling_a_function():
-    sources = {"decomposition.py": "def f():\n    pass\nx = f()\n",
-               "analysis.py": "from .decomposition import f\n"
-                              "def g():\n    return f()\n",
-               "sim.py": "from . import decomposition\n"
-                         "y = decomposition.f(1)\n",
-               "__init__.py": "from .decomposition import f\n"}
-    assert modules_calling(sources, "f") \
-        == {"decomposition.py", "analysis.py", "sim.py"}
-
-
-def test_only_decompose_runs_the_stages_after_the_segmentation():
+    "_drawn_shape": {("gen.py", "gen_structure")},
+    "_set_core": {("model.py", "DagTask.__init__"),
+                  ("model.py", "_drawn_shape")},
+    # every shape passes through _set_core: no simulator, analysis or
+    # second helper checks WCETs
+    "NonPositiveWcet": {("model.py", "DagTask._set_core")},
+    "validate": {("model.py", "DagTask.with_period")},
     # every reader of subtasks or loads goes through ``decompose``, whose
     # result runs each later stage once, when first read
-    sources = {path.name: path.read_text() for path in SRC}
-    for name in ("distribute_laxity", "reassemble", "dbf_and_load"):
-        assert modules_calling(sources, name) == {"decomposition.py"}, name
-
-
-def test_the_check_sees_a_second_summarizer():
-    sources = {"model.py": "def summarize(ts):\n    pass\n"
-                           "class TaskSet(tuple):\n"
-                           "    def summary(self):\n"
-                           "        return summarize(self)\n",
-               "analysis.py": "from .model import summarize\n"
-                              "def g(ts):\n    return summarize(ts)\n",
-               "gen.py": "from .model import summarize\n"}
-    assert modules_calling(sources, "summarize") == {"model.py",
-                                                     "analysis.py"}
-    assert functions_naming(sources["model.py"], "summarize") == {"summary"}
-
-
-def test_only_the_view_summarizes_and_classifies():
+    "timing_diagram": {("decomposition.py", "decompose")},
+    "segment_workload": {("decomposition.py", "decompose")},
+    "distribute_laxity": {("decomposition.py", "Decomposition.laxity")},
+    "reassemble": {("decomposition.py", "Decomposition.decomposed")},
+    "dbf_and_load": {("decomposition.py", "decompose")},
     # the five tests read one raw-set summary and one classification per
     # TaskSet, so no test builds its own
-    sources = {path.name: path.read_text() for path in SRC}
-    assert modules_calling(sources, "summarize") == {"model.py"}
-    assert functions_naming(sources["model.py"], "summarize") == {"summary"}
-    assert modules_calling(sources, "_classify") == {"model.py"}
-    assert functions_naming(sources["model.py"], "_classify") \
-        == {"classification"}
+    "summarize": {("model.py", "TaskSet.summary")},
+    "_classify": {("model.py", "TaskSet.classification")},
+}
+
+
+@pytest.mark.parametrize("name", ONLY)
+def test_only_its_owners_read(name):
+    paths = [*SRC, *TESTS] if name.startswith("_") else SRC
+    assert referrers({path.name: path.read_text() for path in paths},
+                     name) == ONLY[name]

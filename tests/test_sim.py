@@ -276,16 +276,8 @@ def test_gedf_memory_does_not_grow_with_the_horizon():
     assert peak(200) <= 2 * peak(20)
 
 
-@pytest.mark.parametrize("m", [0, -1])
-def test_gedf_rejects_fewer_than_one_processor(m):
-    # a slice ready[:m] would run no job at 0, and all but the last at -1
-    task = fig1_task()
-    dec = decompose(task).decomposed
-    with pytest.raises(ValueError, match="m must be >= 1"):
-        simulate_gedf([dec], m, 10 * task.period)
-
-
 @pytest.mark.parametrize("m, horizon, match", [
+    (0, 10, "m must be >= 1"), (-1, 10, "m must be >= 1"),
     (1.5, 10, "m must be an int"), (True, 10, "m must be an int"),
     (2, 0, "horizon must be positive"), (2, -5, "horizon must be positive"),
     (2, None, "horizon must be a number, got None"),
@@ -293,8 +285,9 @@ def test_gedf_rejects_fewer_than_one_processor(m):
     (2, "1/0", "horizon must be a number, got '1/0'"),
 ])
 def test_gedf_rejects_a_bad_m_or_horizon(m, horizon, match):
-    # a horizon of -5 gave an empty report, m = 1.5 and a horizon of None
-    # a bare TypeError, and "1/0" a ZeroDivisionError
+    # a slice ready[:m] would run no job at m = 0, and all but the last at
+    # m = -1; a horizon of -5 gave an empty report, m = 1.5 and a horizon
+    # of None a bare TypeError, and "1/0" a ZeroDivisionError
     dec = decompose(fig1_task()).decomposed
     with pytest.raises(ValueError, match=match):
         simulate_gedf([dec], m, horizon)
