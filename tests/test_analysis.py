@@ -138,6 +138,12 @@ def test_gli_capacity_boundary():
     assert not gli_capacity_test(tight, 1).schedulable
 
 
+@pytest.mark.parametrize("m", [0, -1])
+def test_gli_capacity_rejects_fewer_than_one_processor(m):
+    with pytest.raises(ValueError, match="m must be >= 1"):
+        gli_capacity_test([chain_task(2, wcet=1, period=100)], m)
+
+
 def _decomposed_on_summary(tasks, m):
     return decomposed_test(
         summarize(tasks, omegas=[decompose(t).omega for t in tasks]), m)

@@ -153,6 +153,49 @@ def test_every_private_def_has_a_reader():
         {path.name: path.read_text() for path in SRC}) == []
 
 
+def test_the_check_sees_every_module_naming_a_def():
+    sources = {"a": "def _f():\n    return _f()\n",
+               "b": "from a import _f as g\ndef h():\n    return g()\n",
+               "c": "import a\na._f()\n",
+               "d": "def f():\n    return '_f'\n",
+               "e": "from a import _f\n"}
+    assert referrers(sources, "_f") == {("b", "h"), ("c", None)}
+
+
+def test_the_check_sees_a_module_raising_an_error_it_does_not_define():
+    sources = {"errors.py": "class E(Exception):\n    pass\n",
+               "model.py": "from .errors import E\nraise E('x')\n",
+               "sim.py": "from . import errors\n"
+                         "def f():\n    raise errors.E('x')\n",
+               "gen.py": "def g():\n    return 'E'\n"}
+    assert referrers(sources, "E") == {("model.py", None), ("sim.py", "f")}
+
+
+def test_the_check_sees_every_module_calling_a_function():
+    sources = {"decomposition.py": "def f():\n    pass\nx = f()\n",
+               "analysis.py": "from .decomposition import f\n"
+                              "def g():\n    return f()\n",
+               "sim.py": "from . import decomposition\n"
+                         "y = decomposition.f(1)\n",
+               "__init__.py": "from .decomposition import f\n"}
+    assert referrers(sources, "f") == {("decomposition.py", None),
+                                       ("analysis.py", "g"),
+                                       ("sim.py", None)}
+
+
+def test_the_check_sees_a_second_summarizer():
+    # a call through an aliased import is read as the name it imports
+    sources = {"model.py": "def summarize(ts):\n    pass\n"
+                           "class TaskSet(tuple):\n"
+                           "    def summary(self):\n"
+                           "        return summarize(self)\n",
+               "analysis.py": "from .model import summarize as _s\n"
+                              "def g(ts):\n    return _s(ts)\n",
+               "gen.py": "from .model import summarize\n"}
+    assert referrers(sources, "summarize") \
+        == {("model.py", "TaskSet.summary"), ("analysis.py", "g")}
+
+
 # Each restricted name and the (module, function) pairs that may read it,
 # in the package and, for a private name, in the tests too.
 ONLY = {
