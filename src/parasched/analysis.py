@@ -14,14 +14,13 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import replace
 from fractions import Fraction
 from typing import Callable, NamedTuple, Sequence
 
 from .decomposition import decompose
 from .errors import ConstrainedDeadline
 from .model import (DagTask, TaskMetrics, TaskSet, TaskSetSummary, Verdict,
-                    as_fraction, check_m, scale_speeds)
+                    _largest, as_fraction, check_m, scale_speeds)
 from .semifed import _classified, _order, _plan, _worst_fit, sf1, sf2
 
 
@@ -65,21 +64,30 @@ def decomposed_test(summary: TaskSetSummary, m: int) -> Verdict:
     subtask's density is <= Omega*Gamma_i (Gamma_i = L_i/T_i).  The
     global-EDF density bound after Goossens, Funk and Baruah (2003),
     summed density <= m - (m-1)*delta_max, with Omega_top for every Omega,
-    then reads as the test above.  Raises ``ValueError`` unless m is an
-    int >= 1."""
+    then reads as the test above, decided on the ints of Omega_top,
+    Gamma_top and U_sum.  Raises ``ValueError`` unless m is an int >= 1
+    and Omega_top > 0."""
     check_m(m)
     omega, gamma_top = summary.omega_top, summary.gamma_top
     if omega is None:
         raise ValueError("summary lacks omega_top; run the decomposition")
-    denom = 1 / omega - gamma_top
-    if denom <= 0:
+    (o_num, o_den), (g_num, g_den), (u_num, u_den) = (
+        x.as_integer_ratio() for x in (omega, gamma_top, summary.u_sum))
+    if o_num <= 0:
+        raise ValueError(f"omega_top must be positive, got {omega}")
+    gap = o_den * g_den - g_num * o_num     # (1/Omega - Gamma)*o_num*g_den
+    if gap <= 0:
         return Verdict("decomposed", False, reason="degenerate denominator",
-                       detail={"omega_gamma": omega * gamma_top})
-    need = (summary.u_sum - gamma_top) / denom
-    min_m = max(1, math.ceil(need))
-    return Verdict("decomposed", m >= need, min_m=min_m,
-                   reason="" if m >= need else f"needs m >= {min_m}",
-                   detail={"required": need})
+                       detail={"omega_gamma": Fraction(o_num * g_num,
+                                                       o_den * g_den)})
+    # need = (U_sum - Gamma) / (1/Omega - Gamma) = num/den
+    num = (u_num * g_den - g_num * u_den) * o_num * g_den
+    den = u_den * g_den * gap
+    min_m = max(1, -(-num // den))
+    ok = m * den >= num
+    return Verdict("decomposed", ok, min_m=min_m,
+                   reason="" if ok else f"needs m >= {min_m}",
+                   detail={"required": Fraction(num, den)})
 
 
 def federated_allocate(tasks: Sequence[DagTask], m: int) -> Verdict:
@@ -137,7 +145,8 @@ def gli_capacity_test(tasks: Sequence[DagTask], m: int) -> Verdict:
             return Verdict("gli-capacity", False, reason=(
                 f"task {task.id}: D={task.deadline} != T={task.period}; "
                 "the bound assumes implicit deadlines"))
-    x = tasks.summary.u_sum / m
+    u_sum = tasks.summary.u_sum
+    x = Fraction(u_sum.numerator, u_sum.denominator * m)
     if not _within_gli(x):
         return Verdict("gli-capacity", False, reason=f"U_sum/m = {x} > 1/b")
     for task in tasks:
@@ -181,7 +190,9 @@ def _decomposed(tasks, m) -> Verdict:
         omegas = [decompose(t).omega for t in tasks]
     except ConstrainedDeadline as exc:
         return Verdict("decomposed", False, reason=str(exc))
-    return decomposed_test(replace(tasks.summary, omega_top=max(omegas)), m)
+    summary = tasks.summary
+    return decomposed_test(TaskSetSummary(summary.u_sum, summary.gamma_top,
+                                          _largest(omegas)), m)
 
 
 class Method(NamedTuple):

@@ -170,27 +170,27 @@ def segment_workload(task: DagTask, td: TimingDiagram) -> SegmentationResult:
     # they reach the top.
     stride = (nseg + 1) * n                  # one fsh step of a key
     heap = []
+    push, pop, swap = heapq.heappush, heapq.heappop, heapq.heapreplace
     for i, cap in enumerate(caps):
         for v in starting[i]:
-            heapq.heappush(heap, his[v] * stride + nseg * n + v)
+            push(heap, his[v] * stride + nseg * n + v)
         capacity = cap - load[i]
         ended = (i + 1) * stride             # the keys of fsh <= i lie below
         while heap and capacity > 0:
             key = heap[0]
             if key < ended:
-                heapq.heappop(heap)
+                pop(heap)
             elif rest[v := key % n] > capacity:     # split at C/L
                 pieces.append((i, v, capacity))
                 rest[v] -= capacity
                 capacity = 0
                 split_count += 1
-                heapq.heapreplace(heap, key - key % stride
-                                  + (nseg - split_count) * n + v)
+                swap(heap, key - key % stride + (nseg - split_count) * n + v)
             else:                       # the whole part fits
                 pieces.append((i, v, rest[v]))
                 capacity -= rest[v]
                 rest[v] = 0
-                heapq.heappop(heap)
+                pop(heap)
         load[i] = cap - capacity
 
     # Phase 3: leftovers go to covered segments (all at or above threshold)
@@ -210,12 +210,15 @@ def segment_workload(task: DagTask, td: TimingDiagram) -> SegmentationResult:
 
     assert sum(load) == c_int * l_int, "workload not conserved"
 
-    heavy = sum(w for w, cap in zip(load, caps) if w > cap)
-    light = sum(e for w, cap, e in zip(load, caps, lengths) if w <= cap)
-    return SegmentationResult(
-        den=task.den, cuts=ends, load=load, pieces=pieces,
-        split_count=split_count, heavy=heavy, light=light,
-        omega=Fraction(heavy + light * c_int, l_int * c_int))
+    heavy = light = 0
+    for w, cap, e in zip(load, caps, lengths):
+        if w > cap:
+            heavy += w
+        else:
+            light += e
+    return SegmentationResult(task.den, ends, load, pieces, split_count,
+                              heavy, light, Fraction(heavy + light * c_int,
+                                                     l_int * c_int))
 
 
 def distribute_laxity(task: DagTask, seg: SegmentationResult) -> list:

@@ -108,17 +108,27 @@ def gen_structure(config: GenConfig, rng: random.Random,
 
 
 def uunifast(total: Fraction, n: int, rng: random.Random) -> list:
-    """Uniform split of `total` into n positive parts.  Draws are floats
-    but the parts are exact rationals summing to `total` exactly."""
-    total = Fraction(total)
+    """Uniform split of `total` into n positive parts (Bini and Buttazzo,
+    2005); ValueError unless n is an int >= 1 and `total` > 0.  Draws are
+    floats but the parts are exact rationals summing to `total` exactly."""
+    check_m(n, "n")
+    num, den = Fraction(total).as_integer_ratio()
+    if num <= 0:
+        raise ValueError(f"total must be positive, got {total}")
+    return [Fraction(a, b) for a, b in _split(num, den, n, rng)]
+
+
+def _split(num: int, den: int, n: int, rng: random.Random) -> list:
+    """``uunifast``'s parts of num/den as unreduced (numerator, denominator)
+    int pairs: each draw is a dyadic a/b, so the part cut off is
+    num*(b - a)/(den*b) and the rest num*a/(den*b)."""
     parts = []
-    remaining = total
     for i in range(n - 1, 0, -1):
-        draw = Fraction(rng.random() ** (1.0 / i))
-        nxt = remaining * draw
-        parts.append(remaining - nxt)
-        remaining = nxt
-    parts.append(remaining)
+        a, b = (rng.random() ** (1.0 / i)).as_integer_ratio()
+        den *= b
+        parts.append((num * (b - a), den))
+        num *= a
+    parts.append((num, den))
     return parts
 
 
@@ -138,30 +148,35 @@ def gen_taskset(config: GenConfig,
 
     In target-utilization mode the utilization shares are resampled until
     every task gets a valid period T = C/u_i > L, i.e. u_i < C_i/L_i; the
-    shares sum to util*m exactly.  In gamma-formula mode each period comes
-    from ``gen_period``.
+    shares sum to util*m exactly.  The shares, that test and T are ints
+    until each period is built, once, as a Fraction.  In gamma-formula
+    mode each period comes from ``gen_period``.
     """
     rng = random.Random(config.seed if seed is None else seed)
     shapes = [gen_structure(config, rng, i) for i in range(config.n_tasks)]
 
     if config.period_mode == "target-utilization":
-        total = Fraction(config.util) * config.m
-        limits = [Fraction(t.work_int, t.cpl_int) for t in shapes]
+        num, den = config.util.as_integer_ratio()
         for _ in range(10000):
-            shares = uunifast(total, config.n_tasks, rng)
-            if all(u < lim for u, lim in zip(shares, limits)):
+            # u = a/b < C/L, on the ints of u and the shape's core
+            shares = _split(num * config.m, den, config.n_tasks, rng)
+            if all(a * t.cpl_int < t.work_int * b
+                   for (a, b), t in zip(shares, shapes)):
                 break
         else:
             raise UtilizationInfeasible(
                 "could not draw valid utilization shares; total utilization "
                 "too sequential")
-        periods = [t.work / u for t, u in zip(shapes, shares)]
+        # T = C/u = (work_int/den) / (a/b)
+        periods = [Fraction(t.work_int * b, t.den * a)
+                   for t, (a, b) in zip(shapes, shares)]
     else:
         periods = [gen_period(t.work, t.critical_path, config, rng)
                    for t in shapes]
 
     tasks = []
     for shape, period in zip(shapes, periods):
-        assert period * shape.den > shape.cpl_int
+        assert period.numerator * shape.den \
+            > shape.cpl_int * period.denominator
         tasks.append(shape.with_period(period))
     return tasks

@@ -272,27 +272,40 @@ class Verdict:
 def validate(task: DagTask) -> TaskMetrics:
     """Check the task's timing (its WCETs were checked when its DAG was
     built) and read C, L, U, density, elasticity and gamma off its integer
-    core: with D = a/b, gamma = (work_int - cpl_int)*b / (a*den -
-    cpl_int*b), or None when L >= D."""
+    core.  With T = p/q and D = a/b, D > T and density > 1 are int
+    compares, and U, C/D, L/T and gamma = (work_int - cpl_int)*b /
+    (a*den - cpl_int*b), None when L >= D, are each built from one int
+    pair; a D equal to T shares U as its density."""
     check_timed(task)
-    if task.deadline > task.period:
+    den, work_int, cpl = task.den, task.work_int, task.cpl_int
+    (p, q), (a, b) = (task.period.as_integer_ratio(),
+                      task.deadline.as_integer_ratio())
+    if task.deadline is not task.period and a * q > p * b:
         raise DeadlineExceedsPeriod(
             f"task {task.id}: D={task.deadline} > T={task.period}")
-    work, critical_path = task.work, task.critical_path
-    utilization = work / task.period
-    density = (utilization if task.deadline == task.period
-               else work / task.deadline)
-    cpl, b = task.cpl_int, task.deadline.denominator
-    gap = task.deadline.numerator * task.den - cpl * b       # (D - L)*b*den
+    utilization = Fraction(work_int * q, den * p)
+    gap = a * den - cpl * b                  # (D - L)*b*den
     return TaskMetrics(
-        work=work,
-        critical_path=critical_path,
+        work=task.work,
+        critical_path=task.critical_path,
         utilization=utilization,
-        density=density,
-        elasticity=critical_path / task.period,
-        heavy=density > 1,
-        gamma=Fraction((task.work_int - cpl) * b, gap) if gap > 0 else None,
+        density=(utilization if a == p and b == q
+                 else Fraction(work_int * b, den * a)),
+        elasticity=Fraction(cpl * q, den * p),
+        heavy=work_int * b > den * a,
+        gamma=Fraction((work_int - cpl) * b, gap) if gap > 0 else None,
     )
+
+
+def _largest(values):
+    """The first largest of these numbers, by int cross-multiplication."""
+    best, *rest = values
+    num, den = best.as_integer_ratio()
+    for x in rest:
+        n, d = x.as_integer_ratio()
+        if n * den > num * d:
+            best, num, den = x, n, d
+    return best
 
 
 def summarize(tasks: Sequence[DagTask],
@@ -305,7 +318,8 @@ def summarize(tasks: Sequence[DagTask],
 
     ``metrics`` defaults to each task's own.  omegas / loads /
     max_densities come from the decomposition pipeline and are optional;
-    when absent the corresponding summary fields stay None.
+    when absent the corresponding summary fields stay None.  The maxima
+    are taken by int cross-multiplication.
     """
     if not tasks:
         raise EmptyTaskSet("cannot summarize an empty task set")
@@ -316,9 +330,9 @@ def summarize(tasks: Sequence[DagTask],
     den, utils = scale_to_ints([m.utilization for m in metrics])
     return TaskSetSummary(
         u_sum=Fraction(sum(utils), den),
-        gamma_top=max(m.elasticity for m in metrics),
-        omega_top=max(omegas) if omegas else None,
-        delta_top=max(max_densities) if max_densities else None,
+        gamma_top=_largest([m.elasticity for m in metrics]),
+        omega_top=_largest(omegas) if omegas else None,
+        delta_top=_largest(max_densities) if max_densities else None,
         ell_sum=sum(loads, Fraction(0)) if loads else None,
     )
 

@@ -1,7 +1,8 @@
 """Reference code that the tests compare the package against and that no
 CLI path, registered test or simulator runs: an exact max-flow oracle for
 the optimal Omega, the Fraction segments it cuts, the Fraction F-LI, SF1
-and SF2 plans that the int plans must match, the generator's structure
+and SF2 plans that the int plans must match, the Fraction forms of
+``uunifast``, ``validate`` and ``decomposed_test``, the generator's structure
 drawn through ``randint`` and ``shuffle``, the ``DagTask`` constructor
 that copies every input pair, a single-DAG generator, the
 speed and capacity bounds of a decomposed set, and readers of views and
@@ -20,8 +21,9 @@ from typing import Optional, Sequence
 
 from parasched.decomposition import (Segment, SegmentationResult,
                                      TimingDiagram, timing_diagram)
-from parasched.errors import (CycleDetected, MalformedTaskSet,
-                              NonPositiveWcet, ParaschedError)
+from parasched.errors import (CycleDetected, DeadlineExceedsPeriod,
+                              MalformedTaskSet, NonPositiveWcet,
+                              ParaschedError)
 from parasched.experiment import ExperimentRecord
 from parasched.gen import GenConfig, gen_period, gen_structure
 from parasched.model import (DagTask, TaskMetrics, TaskSetSummary, Verdict,
@@ -357,6 +359,62 @@ def fewest_bins(items) -> int:
     total = sum((i.load for i in items), Fraction(0))
     return next((k for k in range(max(1, math.ceil(total)), len(items) + 1)
                  if worst_fit_partition(items, k) is not None), len(items))
+
+
+# --- the Fraction forms of a sweep trial's arithmetic ---------------------
+#
+# ``gen.uunifast``, ``model.validate`` and ``analysis.decomposed_test`` as
+# they were before they decided on ints: each share, quantity and
+# comparison a Fraction.  The int forms must give equal values of equal
+# types, and equal verdicts.
+
+def fraction_uunifast(total, n: int, rng: random.Random) -> list:
+    """UUniFast with each share carried as a Fraction."""
+    total = Fraction(total)
+    parts = []
+    remaining = total
+    for i in range(n - 1, 0, -1):
+        draw = Fraction(rng.random() ** (1.0 / i))
+        nxt = remaining * draw
+        parts.append(remaining - nxt)
+        remaining = nxt
+    parts.append(remaining)
+    return parts
+
+
+def fraction_validate(task: DagTask) -> TaskMetrics:
+    """The metrics by Fraction arithmetic on C, L, T and D."""
+    if task.deadline > task.period:
+        raise DeadlineExceedsPeriod(
+            f"task {task.id}: D={task.deadline} > T={task.period}")
+    work, critical_path = task.work, task.critical_path
+    utilization = work / task.period
+    density = (utilization if task.deadline == task.period
+               else work / task.deadline)
+    return TaskMetrics(
+        work=work,
+        critical_path=critical_path,
+        utilization=utilization,
+        density=density,
+        elasticity=critical_path / task.period,
+        heavy=density > 1,
+        gamma=(capacity_requirement(work, critical_path, task.deadline)
+               if critical_path < task.deadline else None),
+    )
+
+
+def fraction_decomposed_test(summary: TaskSetSummary, m: int) -> Verdict:
+    """m >= (U_sum - Gamma_top) / (1/Omega_top - Gamma_top) in Fractions."""
+    omega, gamma_top = summary.omega_top, summary.gamma_top
+    denom = 1 / omega - gamma_top
+    if denom <= 0:
+        return Verdict("decomposed", False, reason="degenerate denominator",
+                       detail={"omega_gamma": omega * gamma_top})
+    need = (summary.u_sum - gamma_top) / denom
+    min_m = max(1, math.ceil(need))
+    return Verdict("decomposed", m >= need, min_m=min_m,
+                   reason="" if m >= need else f"needs m >= {min_m}",
+                   detail={"required": need})
 
 
 # --- bounds and generators ------------------------------------------------

@@ -17,7 +17,8 @@ from parasched.model import (DagTask, TaskSetSummary, scale_to_ints,
 from parasched.semifed import ContainerTask
 from conftest import chain_task, fig1_task
 from reference import (capacity_bound, capacity_requirement,
-                       speed_requirement, worst_fit_partition)
+                       fraction_decomposed_test, speed_requirement,
+                       worst_fit_partition)
 
 
 def test_capacity_requirement_golden():
@@ -86,6 +87,56 @@ def test_decomposed_test_degenerate():
                        omega_top=Fraction(3, 2), delta_top=None,
                        ell_sum=None)
     assert not decomposed_test(s, 10 ** 6).schedulable
+
+
+def _assert_decides_as_reference(summary, m):
+    """``decomposed_test`` gives the Fraction form's verdict: every field,
+    with the same types in ``min_m`` and ``detail``."""
+    got, expected = (decomposed_test(summary, m),
+                     fraction_decomposed_test(summary, m))
+    assert got == expected
+    assert [[type(x) for x in (v.schedulable, v.min_m, *v.detail.values())]
+            for v in (got, expected)] in ([[bool, int, Fraction]] * 2,
+                                          [[bool, type(None), Fraction]] * 2)
+    return got
+
+
+_POSITIVE = st.fractions(min_value=Fraction(1, 10 ** 6), max_value=100)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_POSITIVE, st.fractions(min_value=Fraction(1, 10 ** 6), max_value=1),
+       st.one_of(st.fractions(min_value=1, max_value=2), _POSITIVE),
+       st.one_of(st.integers(min_value=1, max_value=64),
+                 st.integers(min_value=1, max_value=10 ** 40)))
+def test_decomposed_test_matches_its_fraction_form(u_sum, gamma_top, omega,
+                                                   m):
+    _assert_decides_as_reference(
+        TaskSetSummary(u_sum, gamma_top, omega), m)
+
+
+@pytest.mark.parametrize("u_sum, gamma_top, omega, m, outcome", [
+    (4, Fraction(2, 3), Fraction(3, 2), 8, "degenerate denominator"),
+    (4, Fraction(4, 5), Fraction(3, 2), 10 ** 40, "degenerate denominator"),
+    (Fraction(1, 10), Fraction(1, 20), 1, 1, ""),          # need <= 1
+    (Fraction(1, 20), Fraction(1, 20), Fraction(7, 4), 1, ""),   # need 0
+    (4, Fraction(1, 5), Fraction(3, 2), 10 ** 40, ""),     # a very large m
+    (4, Fraction(1, 5), Fraction(3, 2), 3, "needs m >= 9"),
+    (Fraction(21, 5), Fraction(1, 5), 1, 5, ""),           # need = 5
+    (Fraction(21, 5), Fraction(1, 5), 1, 4, "needs m >= 5"),
+])
+def test_decomposed_test_matches_its_fraction_form_at_the_edges(
+        u_sum, gamma_top, omega, m, outcome):
+    summary = TaskSetSummary(Fraction(u_sum), gamma_top, Fraction(omega))
+    assert _assert_decides_as_reference(summary, m).reason == outcome
+
+
+@pytest.mark.parametrize("omega", [Fraction(0), Fraction(-3, 2)])
+def test_decomposed_test_needs_a_positive_omega_top(omega):
+    s = TaskSetSummary(u_sum=Fraction(4), gamma_top=Fraction(1, 5),
+                       omega_top=omega)
+    with pytest.raises(ValueError, match="omega_top must be positive"):
+        decomposed_test(s, 8)
 
 
 def test_capacity_bound_range():

@@ -1,6 +1,7 @@
 import io
 import sys
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -241,6 +242,36 @@ def test_sweep_op_validates_each_task_once(monkeypatch):
         calls.clear()
         run_methods(gen_taskset(config, seed=seed), config.m)
         assert sorted(calls) == [0, 1, 2, 3]
+
+
+# Fraction's arithmetic and ordering operators; equality is not counted
+_FRACTION_OPS = ("add", "radd", "sub", "rsub", "mul", "rmul", "truediv",
+                 "rtruediv", "floordiv", "rfloordiv", "mod", "rmod",
+                 "divmod", "rdivmod", "pow", "rpow", "neg", "lt", "le", "gt",
+                 "ge", "floor", "ceil")
+
+
+def test_a_sweep_trial_does_no_fraction_arithmetic(monkeypatch):
+    # sweep-desk's trials: from the drawn shares to the five verdicts, ints
+    # are compared and combined, and each Fraction is only built
+    base = GenConfig(n_tasks=5, p=0.05, m=8, n_vertices=(10, 50))
+    trials = [(replace(base, util=float(bucket)),
+               trial_seed(1, "utilization", bucket, trial))
+              for bucket in DEFAULT_BUCKETS["utilization"]
+              for trial in range(3)]
+    counts = Counter()
+    for op in _FRACTION_OPS:
+        def counted(*args, _op=op, _run=getattr(Fraction, f"__{op}__")):
+            counts[_op] += 1
+            return _run(*args)
+        monkeypatch.setattr(Fraction, f"__{op}__", counted)
+    outcomes = {name: set() for name in METHODS}
+    for cfg, seed in trials:
+        for name, ok in run_methods(gen_taskset(cfg, seed), 8).items():
+            outcomes[name].add(ok)
+    assert counts == Counter()
+    # every test accepted some of the sets and rejected others
+    assert outcomes == {name: {False, True} for name in METHODS}
 
 
 @pytest.mark.parametrize("trials, message", [

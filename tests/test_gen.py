@@ -12,7 +12,8 @@ from parasched.errors import UtilizationInfeasible
 from parasched.gen import (PAPER_SCALE, GenConfig, gen_period, gen_structure,
                            gen_taskset, uunifast)
 from parasched.model import DagTask, dump_taskset, validate
-from reference import PairCopyDagTask, gen_dag, randint_gen_structure
+from reference import (PairCopyDagTask, fraction_uunifast, gen_dag,
+                       randint_gen_structure)
 
 
 def test_config_validation():
@@ -69,6 +70,72 @@ def test_uunifast_sums_exactly(n, seed, total):
     assert sum(parts) == total
     assert all(p > 0 for p in parts)
     assert len(parts) == n
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=1, max_value=20),
+       st.integers(min_value=0, max_value=10 ** 6),
+       st.one_of(st.fractions(min_value=Fraction(1, 10 ** 6),
+                              max_value=Fraction(100)),
+                 st.integers(min_value=1, max_value=64),
+                 st.floats(min_value=1e-6, max_value=64)))
+def test_uunifast_matches_its_fraction_form(n, seed, total):
+    rng, ref = random.Random(seed), random.Random(seed)
+    parts = uunifast(total, n, rng)
+    assert parts == fraction_uunifast(total, n, ref)
+    assert {type(p) for p in parts} == {Fraction}
+    assert rng.random() == ref.random()     # the same draws were taken
+
+
+class _Draws(random.Random):
+    """A ``random()`` that returns the given draws, then 1/2."""
+
+    def __init__(self, draws):
+        super().__init__(0)
+        self.draws = list(draws)
+
+    def random(self):
+        return self.draws.pop(0) if self.draws else 0.5
+
+
+@pytest.mark.parametrize("draws", [[0.0], [1 - 2 ** -53] * 4, [5e-324],
+                                   [0.25, 0.0, 0.75]])
+def test_uunifast_matches_its_fraction_form_at_extreme_draws(draws):
+    # a zero draw leaves zero shares, as the Fraction form does
+    for total in (Fraction(7, 3), 5, 0.1):
+        assert uunifast(total, 5, _Draws(draws)) \
+            == fraction_uunifast(total, 5, _Draws(draws))
+
+
+@pytest.mark.parametrize("n, total, message", [
+    (0, 1, "n must be >= 1"), (-2, 1, "n must be >= 1"),
+    (2.0, 1, "n must be an int"), (True, 1, "n must be an int"),
+    (3, 0, "total must be positive"), (3, -1, "total must be positive"),
+    (3, Fraction(-1, 2), "total must be positive"),
+    (3, -0.5, "total must be positive")])
+def test_uunifast_rejects_a_bad_count_or_total(n, total, message):
+    # no count below 1 splits, and no total <= 0 has n positive parts
+    with pytest.raises(ValueError, match=message):
+        uunifast(total, n, random.Random(1))
+
+
+@pytest.mark.parametrize("util", [Fraction(7, 10), 1, 0.55, 0.1])
+def test_target_utilization_periods_match_the_fraction_draws(util):
+    # the shares, their limits and T = C/u, all in Fractions
+    cfg = GenConfig(n_tasks=4, p=0.1, m=4, util=util)
+    for seed in range(10):
+        rng = random.Random(seed)
+        shapes = [gen_structure(cfg, rng, i) for i in range(cfg.n_tasks)]
+        for _ in range(10000):
+            shares = fraction_uunifast(Fraction(util) * cfg.m, cfg.n_tasks,
+                                       rng)
+            if all(u < t.work / t.critical_path
+                   for u, t in zip(shares, shapes)):
+                break
+        else:
+            pytest.fail("no valid share draw")
+        assert [t.period for t in gen_taskset(cfg, seed)] \
+            == [t.work / u for t, u in zip(shapes, shares)]
 
 
 def test_gamma_formula_at_zero_noise():

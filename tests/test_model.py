@@ -1,6 +1,7 @@
 import io
 import json
 import random
+from dataclasses import fields
 from fractions import Fraction
 
 import pytest
@@ -11,12 +12,12 @@ from parasched.errors import (CycleDetected, DeadlineExceedsPeriod,
                               EmptyTaskSet, MalformedTaskSet,
                               NonPositiveWcet)
 from parasched.gen import PAPER_SCALE, GenConfig, gen_structure, gen_taskset
-from parasched.model import (DagTask, as_fraction, dump_taskset,
-                             format_rational, load_taskset, summarize,
-                             validate)
+from parasched.model import (DagTask, TaskMetrics, _largest, as_fraction,
+                             dump_taskset, format_rational, load_taskset,
+                             summarize, validate)
 from conftest import diamond_task, fig1_task, rational_variant, verify_sets
 from reference import (CriticalPathExceedsDeadline, PairCopyDagTask,
-                       capacity_requirement, sink, source)
+                       capacity_requirement, fraction_validate, sink, source)
 
 
 def test_as_fraction_handles_decimal_floats():
@@ -571,3 +572,72 @@ def _constrained_tasks(draw):
 def test_gamma_is_the_reference_on_any_constrained_dag(task):
     assert task.deadline < task.period
     _assert_gamma_is_the_reference([task])
+
+
+def _assert_validates_as_reference(task):
+    """``validate`` gives the Fraction form's metrics: equal values of
+    equal types, field by field."""
+    got, expected = validate(task), fraction_validate(task)
+    assert [(type(getattr(got, f.name)), getattr(got, f.name))
+            for f in fields(TaskMetrics)] \
+        == [(type(getattr(expected, f.name)), getattr(expected, f.name))
+            for f in fields(TaskMetrics)], task.id
+    return got
+
+
+@st.composite
+def _timed_tasks(draw):
+    """A DAG timed with D < T, or with D = T given as T itself, as another
+    Fraction of the same value, or as a JSON-loaded task has it."""
+    task = draw(_constrained_tasks())
+    d = task.deadline
+    kind = draw(st.sampled_from(["constrained", "same", "equal", "json"]))
+    if kind == "same":
+        return task.with_period(d)
+    if kind == "equal":
+        return task.with_period(d, Fraction(d.numerator, d.denominator))
+    if kind == "json":
+        buf = io.StringIO()
+        dump_taskset([task.with_period(d)], buf)
+        buf.seek(0)
+        (task,) = load_taskset(buf)
+        assert task.deadline is not task.period
+    return task
+
+
+@settings(max_examples=300, deadline=None)
+@given(_timed_tasks())
+def test_validate_matches_its_fraction_form(task):
+    met = _assert_validates_as_reference(task)
+    if task.deadline == task.period:    # C/D is U itself, as it was
+        assert met.density is met.utilization
+
+
+def test_validate_matches_its_fraction_form_on_the_corpus(corpus):
+    tasks = corpus + [t for seed in range(4) for t in gen_taskset(
+        GenConfig(n_tasks=5, p=0.05), seed=seed)]
+    heavy = {_assert_validates_as_reference(t).heavy for t in tasks}
+    assert heavy == {False, True}
+    # L >= D: gamma is None in both forms
+    assert _assert_validates_as_reference(
+        fig1_task(period=40, deadline=8)).gamma is None
+
+
+@pytest.mark.parametrize("deadline", [15, Fraction(141, 10), 10 ** 9])
+def test_validate_rejects_d_above_t_as_its_fraction_form(deadline):
+    task = object.__new__(DagTask)
+    task.__dict__.update(fig1_task(period=14).__dict__)
+    task.deadline = as_fraction(deadline)
+    with pytest.raises(DeadlineExceedsPeriod) as got:
+        validate(task)
+    with pytest.raises(DeadlineExceedsPeriod) as expected:
+        fraction_validate(task)
+    assert str(got.value) == str(expected.value)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.one_of(st.fractions(), st.integers(),
+                          st.floats(allow_nan=False, allow_infinity=False)),
+                min_size=1, max_size=8))
+def test_largest_is_the_first_max(values):
+    assert _largest(values) is max(values)
