@@ -108,9 +108,10 @@ def gen_structure(config: GenConfig, rng: random.Random,
 
 
 def uunifast(total: Fraction, n: int, rng: random.Random) -> list:
-    """Uniform split of `total` into n positive parts (Bini and Buttazzo,
-    2005); ValueError unless n is an int >= 1 and `total` > 0.  Draws are
-    floats but the parts are exact rationals summing to `total` exactly."""
+    """Uniform split of `total` into n non-negative parts (Bini and
+    Buttazzo, 2005); ValueError unless n is an int >= 1 and `total` > 0.
+    Draws are floats but the parts are exact rationals summing to `total`
+    exactly; a draw of exactly 0.0 gives zero parts."""
     check_m(n, "n")
     num, den = Fraction(total).as_integer_ratio()
     if num <= 0:
@@ -147,7 +148,7 @@ def gen_taskset(config: GenConfig,
     """A full task set; deterministic for a given (config, seed).
 
     In target-utilization mode the utilization shares are resampled until
-    every task gets a valid period T = C/u_i > L, i.e. u_i < C_i/L_i; the
+    every task gets a valid period T = C/u_i > L, i.e. 0 < u_i < C_i/L_i; the
     shares sum to util*m exactly.  The shares, that test and T are ints
     until each period is built, once, as a Fraction.  In gamma-formula
     mode each period comes from ``gen_period``.
@@ -158,9 +159,9 @@ def gen_taskset(config: GenConfig,
     if config.period_mode == "target-utilization":
         num, den = config.util.as_integer_ratio()
         for _ in range(10000):
-            # u = a/b < C/L, on the ints of u and the shape's core
+            # 0 < u = a/b < C/L, on the ints of u and the shape's core
             shares = _split(num * config.m, den, config.n_tasks, rng)
-            if all(a * t.cpl_int < t.work_int * b
+            if all(0 < a and a * t.cpl_int < t.work_int * b
                    for (a, b), t in zip(shares, shapes)):
                 break
         else:

@@ -91,7 +91,7 @@ def test_criterion_04_laxity_identities(corpus):
             continue
         seg_ok = all(s.c / s.d <= omega * met.utilization
                      and s.e / s.d <= omega * met.elasticity
-                     for s in dec.stretched if s.e > 0)
+                     for s in dec.stretched)
         by_origin = {st.origin: st for st in dec.decomposed.subtasks}
         prec_ok = all(by_origin[u].deadline <= by_origin[v].release
                       for u, v in task.edges
@@ -144,7 +144,10 @@ def test_criterion_06_dispatcher_golden_trace():
                              choice=choice)
     deadlines = [a[3] for a in tr.assignments]
     ok = deadlines == [1, 5, 5, 5, 9, 7, 9, 10, 11] and tr.response_time == 11
-    _verdict(6, ok, f"deadlines {deadlines}, finish {tr.response_time}")
+    ok = ok and tr.split_count == 3 and all(d > t for t, _, _, d
+                                            in tr.assignments)
+    _verdict(6, ok, f"deadlines {deadlines}, {tr.split_count} splits, "
+             f"finish {tr.response_time}")
 
 
 def test_criterion_07_split_count_bounds(corpus):

@@ -16,21 +16,8 @@ from parasched.model import (DagTask, TaskSetSummary, scale_to_ints,
                              summarize, task_to_dict, validate)
 from parasched.semifed import ContainerTask
 from conftest import chain_task, fig1_task
-from reference import (capacity_bound, capacity_requirement,
-                       fraction_decomposed_test, speed_requirement,
-                       worst_fit_partition)
-
-
-def test_capacity_requirement_golden():
-    assert capacity_requirement(16, 8, 14) == Fraction(4, 3)
-
-
-def test_uniformity_goldens():
-    assert UniformPlatform([1, Fraction(1, 3)]).uniformity == Fraction(1, 3)
-    assert UniformPlatform(
-        [1, Fraction(1, 4), Fraction(1, 12)]).uniformity == Fraction(1, 3)
-    assert UniformPlatform(
-        [1, Fraction(1, 6), Fraction(1, 6)]).uniformity == 1
+from reference import (capacity_bound, fraction_decomposed_test,
+                       speed_requirement, worst_fit_partition)
 
 
 def test_unit_speed_uniformity_is_m_minus_one():

@@ -239,11 +239,12 @@ def test_malformed_file_is_one_line_with_status_2(tmp_path, capsys, text,
 def test_python_m_parasched_runs_the_cli(taskset_path, capsys):
     argv = ["analyze", str(taskset_path), "--m", "4"]
     src = Path(parasched.__file__).resolve().parents[1]
-    proc = subprocess.run([sys.executable, "-m", "parasched", *argv],
-                          capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": str(src)})
-    assert proc.returncode == main(argv) == 0
-    assert proc.stdout == capsys.readouterr().out != ""
+    for module in ("parasched", "parasched.cli"):
+        proc = subprocess.run([sys.executable, "-m", module, *argv],
+                              capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": str(src)})
+        assert proc.returncode == main(argv) == 0, module
+        assert proc.stdout == capsys.readouterr().out != "", module
 
 
 # two heavy tasks (C = 16, L = 8, gamma 8/5 and 9/5) and a light one of

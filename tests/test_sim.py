@@ -6,18 +6,16 @@ from typing import Callable, Optional, Sequence
 
 import pytest
 
-from parasched.analysis import (TESTS, UniformPlatform, uniform_response_bound,
-                                weak_response_bound)
+from parasched.analysis import TESTS, UniformPlatform
 from parasched.decomposition import decompose
 from parasched.errors import (InvalidChoice, InvalidSpeeds, NonPositiveWcet,
                               ParaschedError)
 from parasched.gen import PAPER_SCALE, GenConfig, gen_taskset
-from parasched.model import DagTask, validate
+from parasched.model import DagTask
 from parasched.semifed import ContainerTask
 from parasched.sim import (GedfReport, simulate_dispatcher, simulate_gedf,
                            simulate_uniform)
-from conftest import (chain_task, fig1_task, random_small_task,
-                      rational_variant, verify_sets)
+from conftest import chain_task, fig1_task, rational_variant, verify_sets
 from reference import migrations
 
 SPEEDS = [1, Fraction(1, 2), Fraction(1, 4)]
@@ -60,15 +58,6 @@ def _dispatcher_choice():
     return choice
 
 
-def test_dispatcher_golden_trace():
-    tr = simulate_dispatcher(fig1_task(), SPEEDS,
-                             choice=_dispatcher_choice())
-    assert tr.response_time == 11
-    assert tr.split_count == 3
-    deadlines = [a[3] for a in tr.assignments]
-    assert deadlines == [1, 5, 5, 5, 9, 7, 9, 10, 11]
-
-
 def test_dispatcher_matches_uniform_workload_on_golden():
     disp = simulate_dispatcher(fig1_task(), SPEEDS,
                                choice=_dispatcher_choice())
@@ -92,37 +81,6 @@ def test_dispatcher_matches_uniform_workload_on_golden():
 
     for t in sorted({a[0] for a in disp.assignments} | {disp.response_time}):
         assert dispatcher_done(t) == uniform_done(t)
-
-
-def test_dispatcher_deadline_respect():
-    # each assignment's workload share fits the container rate exactly
-    tr = simulate_dispatcher(fig1_task(), SPEEDS,
-                             choice=_dispatcher_choice())
-    for (t, idx, exe, deadline) in tr.assignments:
-        assert deadline > t
-
-
-def test_uniform_bounds_random_sample():
-    rng = random.Random(99)
-    for i in range(100):
-        task = random_small_task(rng, i)
-        met = validate(task)
-        k = rng.randint(1, 4)
-        speeds = [Fraction(rng.randint(1, 8), rng.randint(1, 8))
-                  for _ in range(k)]
-        plat = UniformPlatform(speeds)
-        shuffler = random.Random(i)
-
-        def order(t, eligible):
-            eligible = list(eligible)
-            shuffler.shuffle(eligible)
-            return eligible
-
-        r = simulate_uniform(task, speeds, order=order).response_time
-        assert r <= uniform_response_bound(met, plat)
-        r2 = simulate_uniform(task, speeds, order=order,
-                              migration=False).response_time
-        assert r2 <= weak_response_bound(met, plat)
 
 
 def test_gedf_single_chain_one_processor():
