@@ -92,12 +92,18 @@ def test_criterion_04_laxity_identities(corpus):
         seg_ok = all(s.c / s.d <= omega * met.utilization
                      and s.e / s.d <= omega * met.elasticity
                      for s in dec.stretched)
-        by_origin = {st.origin: st for st in dec.decomposed.subtasks}
+        subtasks = dec.decomposed.subtasks
+        by_origin = {st.origin: st for st in subtasks}
         prec_ok = all(by_origin[u].deadline <= by_origin[v].release
-                      for u, v in task.edges
-                      if u in by_origin and v in by_origin)
+                      for u, v in task.edges)
+        # density <= omega*Gamma <= 1 implies each WCET fits its window
+        fits = omega * met.elasticity <= 1
+        window_ok = all(0 <= st.release < st.deadline <= task.period
+                        and (not fits or st.wcet <= st.deadline - st.release)
+                        for st in subtasks)
+        density_ok = dec.max_vertex_density <= omega * met.elasticity
         load_ok = dec.load <= omega * met.utilization
-        if not (seg_ok and prec_ok and load_ok):
+        if not (seg_ok and prec_ok and window_ok and density_ok and load_ok):
             bad += 1
     _verdict(4, bad == 0, f"{len(corpus)} DAGs, {bad} violations, all exact")
 

@@ -162,16 +162,6 @@ def test_analyze_agrees_with_run_methods(tmp_path, capsys):
         assert printed == run_methods(tasks, m)
 
 
-def test_experiment_unknown_method_is_usage_error(tmp_path, capsys):
-    out = tmp_path / "sweep.csv"
-    with pytest.raises(SystemExit) as exc:
-        main(["experiment", "--axis", "utilization", "--trials", "1",
-              "--methods", "SF1,SF3,d-our", "--out", str(out)])
-    assert exc.value.code == 2
-    assert "unknown method SF3, d-our" in capsys.readouterr().err
-    assert not out.exists()
-
-
 def test_package_error_is_one_line_with_status_2(constrained_path, capsys):
     rc = main(["decompose", str(constrained_path)])
     assert rc == 2
@@ -372,28 +362,51 @@ def test_closed_stdout_is_status_1_and_silent(taskset_path, command):
     assert proc.returncode == 1
 
 
-@pytest.mark.parametrize("argv", [
-    ["analyze", "SET", "--m", "0"],
-    ["analyze", "SET", "--m", "-1"],
-    ["gen", "--m", "0"],
-    ["gen", "--util", "0"],
-    ["experiment", "--axis", "utilization", "--m", "0"],
-    ["experiment", "--axis", "utilization", "--trials", "0"],
-    ["experiment", "--axis", "utilization", "--buckets", "abc"],
-    ["experiment", "--axis", "processors", "--trials", "1",
-     "--buckets", "4,0"],
-    ["simulate", "SET", "--engine", "gedf", "--m", "0"],
-    ["simulate", "SET", "--speeds", "1,0"],
-    ["simulate", "SET", "--speeds", "abc"],
-])
-def test_bad_number_is_usage_error(taskset_path, tmp_path, capsys, argv):
+_EXPERIMENT = ["experiment", "--axis", "utilization", "--trials", "1"]
+_BAD_ARGUMENTS = [
+    (["analyze", "SET", "--m", "0"], "--m: '0' is not an integer >= 1"),
+    (["analyze", "SET", "--m", "-1"], "--m: '-1' is not an integer >= 1"),
+    (["gen", "--m", "0"], "--m: '0' is not an integer >= 1"),
+    (["gen", "--util", "0"], "--util: '0' is not a positive number"),
+    (["experiment", "--axis", "utilization", "--m", "0"],
+     "--m: '0' is not an integer >= 1"),
+    (["experiment", "--axis", "utilization", "--trials", "0"],
+     "--trials: '0' is not an integer >= 1"),
+    (["experiment", "--axis", "utilization", "--buckets", "abc"],
+     "--buckets: 'abc' is not a positive number"),
+    (["experiment", "--axis", "processors", "--trials", "1",
+      "--buckets", "4,0"], "--buckets: '0' is not an integer >= 1"),
+    (["simulate", "SET", "--engine", "gedf", "--m", "0"],
+     "--m: '0' is not an integer >= 1"),
+    (["simulate", "SET", "--speeds", "1,0"],
+     "--speeds: '1,0' is not a list of positive numbers"),
+    (["simulate", "SET", "--speeds", "abc"],
+     "--speeds: 'abc' is not a list of positive numbers"),
+    (_EXPERIMENT + ["--methods", "SF1,SF3,d-our"],
+     "--methods: unknown method SF3, d-our"),
+    (_EXPERIMENT + ["--methods", "SF1,SF1,G-LI"],
+     "--methods: repeated method SF1"),
+    (_EXPERIMENT + ["--buckets", "0.5,0.5", "--methods", "SF1",
+                    "--n-tasks", "2"], "--buckets: repeated bucket 1/2"),
+    (_EXPERIMENT + ["--buckets", "0.5,1/2", "--methods", "SF1",
+                    "--n-tasks", "2"], "--buckets: repeated bucket 1/2"),
+]
+
+
+# the ids stay argv0, argv1, ..., as when argv was the only column
+@pytest.mark.parametrize("argv, message", _BAD_ARGUMENTS,
+                         ids=[f"argv{i}" for i in range(len(_BAD_ARGUMENTS))])
+def test_bad_number_is_usage_error(taskset_path, tmp_path, capsys, argv,
+                                   message):
+    # a bad number, method or bucket, each named with its option
     out = tmp_path / "out"
     with pytest.raises(SystemExit) as exc:
         main([str(taskset_path) if a == "SET" else a for a in argv]
              + ["--out", str(out)])
     assert exc.value.code == 2
     err = capsys.readouterr().err
-    assert err.startswith("usage: parasched ") and "error: argument --" in err
+    assert err.startswith("usage: parasched ") \
+        and f"error: argument {message}" in err
     assert not out.exists()
 
 
@@ -588,26 +601,3 @@ def test_two_forks_need_four_processors_each(tmp_path, capsys):
             assert rows[test]["schedulable"] is ok, (test, m)
         if ok:
             assert rows["sf1"]["detail"]["dedicated"] == {"0": 4, "a": 4}
-
-
-def test_experiment_repeated_method_is_usage_error(tmp_path, capsys):
-    out = tmp_path / "sweep.csv"
-    with pytest.raises(SystemExit) as exc:
-        main(["experiment", "--axis", "utilization", "--trials", "1",
-              "--methods", "SF1,SF1,G-LI", "--out", str(out)])
-    assert exc.value.code == 2
-    assert "repeated method SF1" in capsys.readouterr().err
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("buckets", ["0.5,0.5", "0.5,1/2"])
-def test_experiment_repeated_bucket_is_usage_error(tmp_path, capsys, buckets):
-    out = tmp_path / "sweep.csv"
-    with pytest.raises(SystemExit) as exc:
-        main(["experiment", "--axis", "utilization", "--trials", "1",
-              "--buckets", buckets, "--methods", "SF1", "--n-tasks", "2",
-              "--out", str(out)])
-    assert exc.value.code == 2
-    assert "argument --buckets: repeated bucket 1/2" \
-        in capsys.readouterr().err
-    assert not out.exists()

@@ -48,11 +48,6 @@ def _assert_fsh_is_earliest_successor_ready(task):
                    for after in task.succ], task.id
 
 
-def test_fsh_is_earliest_successor_ready_on_corpus(corpus):
-    for task in corpus:
-        _assert_fsh_is_earliest_successor_ready(task)
-
-
 @st.composite
 def _multi_end_dags(draw, n=None):
     """A DAG on n vertices (2..14 when not given) with at least two
@@ -97,13 +92,6 @@ def test_a_task_keeps_the_graph_it_was_given(data, n):
                   for v in after) == sorted(task.edges)
 
 
-def test_windows_are_wide_enough(corpus):
-    for task in corpus[:200]:
-        td = timing_diagram(task)
-        for v in task.real_vertex_ids:
-            assert td.fsh_int[v] - task.rdy_int[v] >= task.wcet_int[v]
-
-
 def test_segments_partition_critical_path():
     t = fig1_task()
     segs = build_segments(t, timing_diagram(t))
@@ -113,55 +101,9 @@ def test_segments_partition_critical_path():
         assert a.end == b.start
 
 
-def test_segment_boundaries_align_with_windows(corpus):
-    # every vertex window is exactly a union of consecutive segments
-    for task in corpus[:200]:
-        td = timing_diagram(task)
-        bounds = {s.start * task.den for s in build_segments(task, td)} \
-            | {task.cpl_int}
-        for v in task.real_vertex_ids:
-            assert task.rdy_int[v] in bounds and td.fsh_int[v] in bounds
-
-
-def test_workload_is_conserved(corpus):
-    config = GenConfig(p=0.05, n_vertices=PAPER_SCALE)
-    paper = [task for seed in range(3)
-             for task in gen_taskset(config, seed=seed)]
-    for task in corpus + paper:
-        met = validate(task)
-        td = timing_diagram(task)
-        seg = segment_workload(task, td)
-        total = sum((sum(portions.values(), Fraction(0))
-                     for portions in reference.assignment(seg).values()),
-                    Fraction(0))
-        assert total == met.work
-        # the int record: WCET * L per vertex, each piece in its window,
-        # and the pieces of each segment sum to its load
-        placed = [0] * len(task.wcet_int)
-        loads = [0] * len(seg.load)
-        for i, v, portion in seg.pieces:
-            assert portion > 0
-            assert task.rdy_int[v] <= seg.cuts[i] < seg.cuts[i + 1] \
-                <= td.fsh_int[v], (task.id, i, v)
-            placed[v] += portion
-            loads[i] += portion
-        assert placed == [w * task.cpl_int for w in task.wcet_int], task.id
-        assert loads == seg.load, task.id
-
-
 def test_chain_omega_is_one():
     for k in range(1, 6):
         assert decompose(chain_task(k)).omega == 1
-
-
-def test_omega_identity_and_range(corpus):
-    for task in corpus[:300]:
-        seg, met = decompose(task).segmentation, task.metrics
-        heavy = [s for s in seg.segments if _is_heavy(task, s)]
-        c_out = sum((s.c - met.work / met.critical_path * s.e
-                     for s in heavy), Fraction(0))
-        assert seg.omega == 1 + c_out / met.work
-        assert 1 <= seg.omega < 2
 
 
 def test_oracle_rejects_large_graphs():
@@ -170,26 +112,6 @@ def test_oracle_rejects_large_graphs():
     big = random_small_task(rng, 0, max_vertices=8)
     with pytest.raises(OracleTooLarge):
         segmentation_oracle(big, max_vertices=2)
-
-
-def test_reassembled_precedence_and_windows(corpus):
-    for task in corpus[:300]:
-        dec = decompose(task)
-        sub = {st.origin: st for st in dec.decomposed.subtasks}
-        for u, v in task.edges:
-            assert sub[u].deadline <= sub[v].release
-        feasible = dec.omega * dec.metrics.elasticity <= 1
-        for st in dec.decomposed.subtasks:
-            assert 0 <= st.release < st.deadline <= task.period
-            if feasible:   # density <= omega*Gamma <= 1 implies wcet fits
-                assert st.wcet <= st.deadline - st.release
-
-
-def test_vertex_density_bounded(corpus):
-    for task in corpus[:300]:
-        dec = decompose(task)
-        assert dec.max_vertex_density \
-            <= dec.omega * dec.metrics.elasticity
 
 
 def test_dbf_and_load_basics():
@@ -260,16 +182,11 @@ def test_load_matches_window_enumeration_on_verify_sets():
             assert dbf_and_load(dt) == _brute_load(dt)
 
 
-def test_load_stable_beyond_two_hyper_windows(corpus):
-    for task in corpus[:300]:
-        dt = decompose(task).decomposed
-        assert dbf_and_load(dt) == _brute_load(dt, hyper_windows=4)
-
-
 @pytest.mark.parametrize("name", ["corpus", "verify", "rational"])
 def test_no_window_past_the_first_period_sets_the_brute_load(corpus, name):
     # the theorem dbf_and_load rests on, checked on the reference alone;
-    # the load over k <= 1 extra periods lies between those over 0 and 4
+    # the load over k <= 1 extra periods lies between those over 0 and 4,
+    # so a load equal to the brute load over 2 equals that over 4 as well
     rng = random.Random(13)
     tasks = {"corpus": corpus,
              "verify": [t for tasks in verify_sets() for t in tasks],
@@ -281,24 +198,11 @@ def test_no_window_past_the_first_period_sets_the_brute_load(corpus, name):
             == _brute_load(dt, hyper_windows=4), task.id
 
 
-def test_constrained_deadline_is_rejected():
-    # stretching to T = 40 would give subtask deadlines up to 40 > D = 9,
-    # and D-OUR would accept a C = 16 task on one processor
-    with pytest.raises(ConstrainedDeadline, match="fig1"):
-        decompose(fig1_task(period=40, deadline=9))
-
-
 def test_shape_without_a_period_is_rejected():
     # a shape has the integer core but no period to stretch the segments to
     shape = DagTask("shape", [(0, 1), (1, 2)], [(0, 1)])
     with pytest.raises(MalformedTaskSet, match="task shape: no period"):
         decompose(shape)
-
-
-def test_load_bounded_on_sample(corpus):
-    for task in corpus[:60]:
-        dec = decompose(task, compute_load=True)
-        assert dec.load <= dec.omega * dec.metrics.utilization
 
 
 def test_paper_worked_segmentation_threshold():
@@ -315,6 +219,8 @@ def test_decompose_omega_is_the_segmentation_omega(corpus):
     for task in corpus[:300]:
         assert decompose(task).omega \
             == segment_workload(task, timing_diagram(task)).omega
+    # stretching to T = 40 would give subtask deadlines up to 40 > D = 9,
+    # and D-OUR would accept a C = 16 task on one processor
     with pytest.raises(ConstrainedDeadline, match="fig1"):
         decompose(fig1_task(period=40, deadline=9))
 
@@ -531,6 +437,9 @@ def test_d_our_verdict_matches_its_certificate():
 
 
 def _assert_same_segmentation(tasks):
+    # The reference places each vertex whole, in covered segments only, so
+    # equal loads and portions also conserve the workload and keep every
+    # piece in its window; omega = C_heavy/C + L_light/L is 1 + C_out/C.
     for task in tasks:
         met = validate(task)
         new = segment_workload(task, timing_diagram(task))
@@ -542,10 +451,12 @@ def _assert_same_segmentation(tasks):
         assert reference.assignment(new) == {
             i: {v: p for v, p in slot.items() if p}
             for i, slot in ref.assignment.items()}, task.id
+        assert all(portion > 0 for _, _, portion in new.pieces), task.id
         assert (new.split_count, reference.c_heavy(new),
                 reference.l_light(new), new.omega) \
             == (ref.split_count, ref.c_heavy, ref.l_light, ref.omega), \
             task.id
+        assert 1 <= new.omega < 2, task.id
 
 
 def test_segmentation_matches_reference_on_corpus(corpus):
@@ -562,7 +473,7 @@ def test_segmentation_matches_reference_on_rational_wcets(corpus):
 
 
 def test_segmentation_matches_reference_at_paper_scale():
-    config = GenConfig(p=0.05, n_vertices=PAPER_SCALE, n_tasks=2)
+    config = GenConfig(p=0.05, n_vertices=PAPER_SCALE, n_tasks=5)
     _assert_same_segmentation([task for seed in range(3)
                                for task in gen_taskset(config, seed=seed)])
 
@@ -699,6 +610,9 @@ def _reference_build_segments(diagram: _ReferenceDiagram) -> list:
 
 
 def _assert_same_core(tasks):
+    # The reference's fsh is the earliest successor's rdy (L for a sink),
+    # so equal diagrams give each vertex a window as wide as its WCET, and
+    # equal cuts at every rdy and fsh make each window a run of segments.
     for task in tasks:
         met, ref_met = validate(task), _reference_validate(task)
         assert met == ref_met, task.id

@@ -16,8 +16,7 @@ from parasched.model import (DagTask, TaskMetrics, _largest, as_fraction,
                              dump_taskset, format_rational, load_taskset,
                              summarize, validate)
 from conftest import diamond_task, fig1_task, rational_variant, verify_sets
-from reference import (CriticalPathExceedsDeadline, PairCopyDagTask,
-                       capacity_requirement, fraction_validate, sink, source)
+from reference import PairCopyDagTask, fraction_validate, sink, source
 
 
 def test_as_fraction_handles_decimal_floats():
@@ -76,11 +75,6 @@ def test_load_taskset_rejects_a_nonpositive_wcet():
     with pytest.raises(NonPositiveWcet,
                        match="task 0: vertex 1 has WCET -1/2"):
         load_taskset(io.StringIO(text))
-
-
-def test_deadline_beyond_period_rejected():
-    with pytest.raises(DeadlineExceedsPeriod):
-        DagTask(0, [(0, 1)], []).with_period(5, 6)
 
 
 def test_several_sources_and_sinks():
@@ -505,44 +499,26 @@ def test_malformed_input_raises_as_reference(vertices, edges, period,
     assert isinstance(_assert_builds_as_reference(lambda: args), Exception)
 
 
-def _assert_gamma_is_the_reference(tasks):
-    """Each task's gamma is (C - L)/(D - L) in Fractions, and None exactly
-    where the reference raises for L >= D; returns whether each kind was
-    seen."""
-    seen = set()
-    for task in tasks:
-        try:
-            expected = capacity_requirement(task.work, task.critical_path,
-                                            task.deadline)
-        except CriticalPathExceedsDeadline:
-            expected = None
-        gamma = task.metrics.gamma
-        assert (type(gamma), gamma) == (type(expected), expected), task.id
-        seen.add(gamma is None)
-    return seen
+def _typed(metrics: TaskMetrics) -> list:
+    return [(type(getattr(metrics, f.name)), getattr(metrics, f.name))
+            for f in fields(TaskMetrics)]
 
 
-def test_gamma_is_the_reference_on_the_corpus_and_its_variants(corpus):
-    rng = random.Random(31)
-    assert _assert_gamma_is_the_reference(
-        corpus + [rational_variant(t, rng) for t in corpus[:300]]) == {False}
-
-
-def test_gamma_is_the_reference_on_generated_sets():
-    sets = [gen_taskset(GenConfig(n_tasks=5, p=0.05, util=util,
-                                  n_vertices=scale), seed=seed)
-            for scale in ((10, 50), PAPER_SCALE) for seed in range(2)
-            for util in (0.3, 0.9)] + list(verify_sets())
-    assert _assert_gamma_is_the_reference(
-        [task for tasks in sets for task in tasks]) == {False}
+def _assert_validates_as_reference(task):
+    """``validate`` gives the Fraction form's metrics, whose gamma is
+    (C - L)/(D - L) or None for L >= D, and the task keeps them: equal
+    values of equal types, field by field."""
+    got, expected = validate(task), _typed(fraction_validate(task))
+    assert (_typed(got), _typed(task.metrics)) == (expected, expected), \
+        task.id
+    return got
 
 
 def test_gamma_reads_the_deadline():
     # C = 16, L = 8: (16 - 8)/(D - 8), whatever T is
     tasks = [fig1_task(period=40, deadline=d) for d in (8, 9, 12, 40)]
-    assert [t.metrics.gamma for t in tasks] \
+    assert [_assert_validates_as_reference(t).gamma for t in tasks] \
         == [None, Fraction(8), Fraction(2), Fraction(1, 4)]
-    assert _assert_gamma_is_the_reference(tasks) == {False, True}
 
 
 @st.composite
@@ -564,20 +540,9 @@ def _constrained_tasks(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(_constrained_tasks())
-def test_gamma_is_the_reference_on_any_constrained_dag(task):
+def test_validate_matches_its_fraction_form_on_any_constrained_dag(task):
     assert task.deadline < task.period
-    _assert_gamma_is_the_reference([task])
-
-
-def _assert_validates_as_reference(task):
-    """``validate`` gives the Fraction form's metrics: equal values of
-    equal types, field by field."""
-    got, expected = validate(task), fraction_validate(task)
-    assert [(type(getattr(got, f.name)), getattr(got, f.name))
-            for f in fields(TaskMetrics)] \
-        == [(type(getattr(expected, f.name)), getattr(expected, f.name))
-            for f in fields(TaskMetrics)], task.id
-    return got
+    _assert_validates_as_reference(task)
 
 
 @st.composite
@@ -609,10 +574,18 @@ def test_validate_matches_its_fraction_form(task):
 
 
 def test_validate_matches_its_fraction_form_on_the_corpus(corpus):
-    tasks = corpus + [t for seed in range(4) for t in gen_taskset(
-        GenConfig(n_tasks=5, p=0.05), seed=seed)]
-    heavy = {_assert_validates_as_reference(t).heavy for t in tasks}
-    assert heavy == {False, True}
+    rng = random.Random(31)
+    sets = [gen_taskset(GenConfig(n_tasks=5, p=0.05), seed=seed)
+            for seed in range(4)] \
+        + [gen_taskset(GenConfig(n_tasks=5, p=0.05, util=util,
+                                 n_vertices=scale), seed=seed)
+           for scale in ((10, 50), PAPER_SCALE) for seed in range(2)
+           for util in (0.3, 0.9)] + list(verify_sets())
+    tasks = corpus + [rational_variant(t, rng) for t in corpus[:300]] \
+        + [t for ts in sets for t in ts]
+    mets = [_assert_validates_as_reference(t) for t in tasks]
+    assert {met.heavy for met in mets} == {False, True}
+    assert all(met.gamma is not None for met in mets)
     # L >= D: gamma is None in both forms
     assert _assert_validates_as_reference(
         fig1_task(period=40, deadline=8)).gamma is None
