@@ -141,7 +141,7 @@ def gli_capacity_test(tasks: Sequence[DagTask], m: int) -> Verdict:
     check_m(m)
     tasks = TaskSet.of(tasks, "gli-capacity")
     for task in tasks:
-        if task.deadline != task.period:
+        if task.deadline is not task.period and task.deadline != task.period:
             return Verdict("gli-capacity", False, reason=(
                 f"task {task.id}: D={task.deadline} != T={task.period}; "
                 "the bound assumes implicit deadlines"))

@@ -370,7 +370,7 @@ def decompose(task: DagTask, compute_load: bool = False) -> Decomposition:
     deadlines past D.  Such a task raises ``ConstrainedDeadline``, and a
     shape, which has no period, ``MalformedTaskSet``."""
     check_timed(task)
-    if task.deadline != task.period:
+    if task.deadline is not task.period and task.deadline != task.period:
         raise ConstrainedDeadline(
             f"task {task.id}: D={task.deadline} != T={task.period}; the "
             "decomposition assumes implicit deadlines")

@@ -104,7 +104,7 @@ def gen_structure(config: GenConfig, rng: random.Random,
         order[i], order[j] = order[j], order[i]
     edges = [(u, order[b]) for a, u in enumerate(order)
              for b in range(a + 1, n) if draw() < p]
-    return _drawn_shape(task_id, wcets, edges, order)
+    return _drawn_shape(task_id, wcets, edges)
 
 
 def uunifast(total: Fraction, n: int, rng: random.Random) -> list:

@@ -96,22 +96,23 @@ class DagTask:
     sources and sinks.  A built task is a shape, whose ``period``,
     ``deadline`` and ``metrics`` are None; ``with_period`` times it.
     Construction checks the caller's structure once (``MalformedTaskSet``,
-    ``CycleDetected``), finds a topological order by Kahn's algorithm, and
-    keeps a period-free integer core that ``with_period`` shares; a shape
-    the generator draws is built from its own draw order, with no structure
-    check, by ``_drawn_shape``.  Both build the core in ``_set_core``,
-    which raises ``NonPositiveWcet`` for a WCET <= 0, so every vertex of
-    every task has a positive WCET.  The core: ``den``, the LCM of the WCET
-    denominators; the WCETs (``wcet_int``), earliest ready times
-    (``rdy_int``), C (``work_int``) and L (``cpl_int``), all times ``den``.
-    Int WCETs are read as they are, with no Fraction per input; ``wcets``
-    (each vertex's WCET), ``work`` (C) and ``critical_path`` (L), the
-    Fraction views, are built on first read, once per shape: ``with_period``
-    copies the shape's attributes, so a timed copy inherits what the shape
-    has built.  ``succ``/``pred`` describe the graph of ``edges``, the
-    input edges without repeats: a tuple edge is kept as the object given,
-    and a list or other pair is converted to a tuple once.  The vertex
-    pairs are sorted by id as given, and only their WCETs are converted.
+    ``CycleDetected``), finds the ready times in the walk of Kahn's
+    algorithm, and keeps a period-free integer core that ``with_period``
+    shares; a shape the generator draws is built from its own draw order,
+    with no structure check, by ``_drawn_shape``.  Both set the core in
+    ``_set_core``, which raises ``NonPositiveWcet`` for a WCET <= 0, so
+    every vertex of every task has a positive WCET.  The core: ``den``, the
+    LCM of the WCET denominators; the WCETs (``wcet_int``), earliest ready
+    times (``rdy_int``), C (``work_int``) and L (``cpl_int``), all times
+    ``den``; and C and L as Fractions, ``work`` and ``critical_path``.  Int
+    WCETs are read as they are, with no Fraction per input; ``wcets``, each
+    vertex's WCET as a Fraction, is built on first read, once per shape:
+    ``with_period`` copies the shape's attributes, so a timed copy inherits
+    what the shape has built.  ``succ``/``pred`` describe the graph of
+    ``edges``, the input edges without repeats: a tuple edge is kept as the
+    object given, and a list or other pair is converted to a tuple once.
+    The vertex pairs are sorted by id as given, and only their WCETs are
+    converted.
     """
 
     def __init__(self, task_id, vertices, edges):
@@ -141,41 +142,41 @@ class DagTask:
                 raise CycleDetected(f"task {task_id}: self loop on vertex {u}")
             succ[u].append(v)
             pred[v].append(u)
-        # Kahn's algorithm: a topological order, or a cycle
+        den, ints = scale_to_ints(wcets)
+        # Kahn's algorithm: a topological order, or a cycle; a vertex's
+        # ready time is final when reached, so its finish time is pushed on
         indeg = [len(p) for p in pred]
         order = [v for v, d in enumerate(indeg) if not d]
+        rdy = [0] * n
         for v in order:
+            finish = rdy[v] + ints[v]
             for u in succ[v]:
+                if rdy[u] < finish:
+                    rdy[u] = finish
                 indeg[u] -= 1
                 if not indeg[u]:
                     order.append(u)
         if len(order) != n:
             raise CycleDetected(f"task {task_id} contains a cycle")
-        self._set_core(task_id, wcets, edges, succ, pred, order)
+        self._set_core(task_id, wcets, edges, succ, pred, den, ints, rdy)
 
-    def _set_core(self, task_id, wcets, edges, succ, pred, order) -> None:
+    def _set_core(self, task_id, wcets, edges, succ, pred, den, ints, rdy):
         """Set a shape's attributes: the id, no timing, and the integer core
-        of the DAG with these WCETs (ints or Fractions), edge tuple and
-        ``succ``/``pred`` lists, ``order`` being a topological order.
-        Raises ``NonPositiveWcet`` naming the first vertex whose WCET is
-        not positive."""
-        self.id = task_id
-        self.period = self.deadline = self.metrics = None
-        self.edges, self.succ, self.pred = edges, succ, pred
-        self.den, ints = scale_to_ints(wcets)
+        of the DAG with these WCETs (ints or Fractions), edge tuple,
+        ``succ``/``pred`` lists, WCETs times ``den`` (``ints``) and ready
+        times (``rdy``).  Raises ``NonPositiveWcet`` naming the first vertex
+        whose WCET is not positive."""
         if min(ints) <= 0:
             vid = next(v for v, w in enumerate(ints) if w <= 0)
             raise NonPositiveWcet(
                 f"task {task_id}: vertex {vid} has WCET {wcets[vid]}")
-        rdy = [0] * len(ints)
-        for v in order:     # push each finish time on to the successors
-            finish = rdy[v] + ints[v]
-            for u in succ[v]:
-                if rdy[u] < finish:
-                    rdy[u] = finish
-        self.wcet_int, self.rdy_int = ints, rdy
-        self.work_int = sum(ints)
-        self.cpl_int = max(map(operator.add, rdy, ints))
+        self.id = task_id
+        self.period = self.deadline = self.metrics = None
+        self.edges, self.succ, self.pred = edges, succ, pred
+        self.den, self.wcet_int, self.rdy_int = den, ints, rdy
+        self.work_int = work = sum(ints)
+        self.cpl_int = cpl = max(map(operator.add, rdy, ints))
+        self.work, self.critical_path = Fraction(work, den), Fraction(cpl, den)
 
     def with_period(self, period, deadline=None) -> "DagTask":
         """This DAG, sharing its integer core, with period T, deadline D (T
@@ -201,35 +202,32 @@ class DagTask:
         """Each vertex's WCET as a Fraction."""
         return {v: Fraction(w, self.den) for v, w in enumerate(self.wcet_int)}
 
-    @cached_property
-    def work(self) -> Fraction:
-        """C, the summed WCET of the vertices."""
-        return Fraction(self.work_int, self.den)
-
-    @cached_property
-    def critical_path(self) -> Fraction:
-        """L, the summed WCET of the longest path."""
-        return Fraction(self.cpl_int, self.den)
-
     @property
     def real_vertex_ids(self):
         return list(range(len(self.wcet_int)))
 
 
-def _drawn_shape(task_id, wcets: list, edges: list, order: list) -> DagTask:
+def _drawn_shape(task_id, wcets: list, edges: list) -> DagTask:
     """The shape ``gen.gen_structure`` drew: ``wcets`` are the n vertices'
-    int WCETs, ``edges`` distinct (u, v) pairs of ids in 0..n-1, each with
-    u before v in ``order``, which is the topological order; so no dedupe,
-    no id, type or range scan, and no Kahn pass.  ``_set_core`` still
-    checks the WCETs, as for every shape."""
+    int WCETs, ``edges`` distinct (u, v) pairs of ids in 0..n-1, a row per
+    source u, in a topological order; so no dedupe, no id, type or range
+    scan, and no Kahn pass.  A row's source is ready when its row starts,
+    so the walk that fills ``succ``/``pred`` pushes its finish time, found
+    once per row, on to the row.  ``_set_core`` checks the WCETs."""
     n = len(wcets)
     succ = [[] for _ in range(n)]
     pred = [[] for _ in range(n)]
+    rdy = [0] * n
+    row = None
     for u, v in edges:
+        if u != row:
+            row, finish = u, rdy[u] + wcets[u]
         succ[u].append(v)
         pred[v].append(u)
+        if rdy[v] < finish:
+            rdy[v] = finish
     task = object.__new__(DagTask)
-    task._set_core(task_id, wcets, tuple(edges), succ, pred, order)
+    task._set_core(task_id, wcets, tuple(edges), succ, pred, 1, wcets, rdy)
     return task
 
 

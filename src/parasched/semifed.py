@@ -40,15 +40,16 @@ def _classify(tasks):
     """The m-independent plan F-LI, SF1 and SF2 share, read off each
     task's metrics as ints: (dedicated, den, fractional, lights).
     ``dedicated`` maps each heavy task's id to floor(gamma).  The rows are
-    (load, delta*, owner, label, density), load and delta* times ``den``,
-    the LCM of their denominators: in ``fractional``, those of the heavy
-    tasks whose gamma = p/q is not an integer, with load frac(gamma) = r/q
-    and delta* = max(frac/2, frac/gamma), the minimal larger part when it
-    is divided in two (r/p when gamma <= 2, r/(2q) above); in ``lights``,
-    the light tasks, whose load and delta* are their density.  Or the first
-    heavy task with L >= D.  Raises ``MalformedTaskSet`` for a shape or a
-    heavy task id repeated as a string.  ``TaskSet.classification`` calls
-    it, once per view, and the view lives for one call."""
+    (load, delta*, owner, label, density, key), load and delta* times
+    ``den``, the LCM of their denominators, key the string of (str(owner),
+    label): in ``fractional``, those of the heavy tasks whose gamma = p/q
+    is not an integer, with load frac(gamma) = r/q and delta* =
+    max(frac/2, frac/gamma), the minimal larger part when it is divided in
+    two (r/p when gamma <= 2, r/(2q) above); in ``lights``, the light
+    tasks, whose load and delta* are their density.  Or the first heavy
+    task with L >= D.  Raises ``MalformedTaskSet`` for a shape or a heavy
+    task id repeated as a string.  ``TaskSet.classification`` calls it,
+    once per view, and the view lives for one call."""
     # rows (owner, label, r, b, d, x): load r/b, delta* r/d, density x
     dedicated, fractional, lights = {}, [], []
     for task in tasks:
@@ -70,8 +71,8 @@ def _classify(tasks):
                                None))
     rows = fractional + lights
     den = math.lcm(*(row[3] for row in rows), *(row[4] for row in rows))
-    rows = [(r * (den // b), r * (den // d), owner, label, x)
-            for owner, label, r, b, d, x in rows]
+    rows = [(r * (den // b), r * (den // d), owner, label, x,
+             str((str(owner), label))) for owner, label, r, b, d, x in rows]
     return dedicated, den, rows[:len(fractional)], rows[len(fractional):]
 
 
@@ -89,9 +90,8 @@ def _classified(tasks, m: int, test: str):
 
 def _order(containers, field: int) -> list:
     """The containers by load (``field`` 0) or delta* (1), non-increasing;
-    ties by the string of (str(owner), label), then input order."""
-    return sorted(containers,
-                  key=lambda c: (-c[field], str((str(c[2]), c[3]))))
+    ties by key (see ``_classify``), then input order."""
+    return sorted(containers, key=lambda c: (-c[field], c[5]))
 
 
 def _worst_fit(containers, bins: list, cap: int, heap=None) -> bool:
@@ -118,7 +118,7 @@ def _plan(dedicated, bins, den) -> dict:
         ContainerTask(owner, x, x, True, label) if x is not None else
         ContainerTask(owner, Fraction(load, den), Fraction(bound, den),
                       False, label)
-        for load, bound, owner, label, x in b] for b in bins]}
+        for load, bound, owner, label, x, _ in b] for b in bins]}
 
 
 def sf1(tasks: Sequence[DagTask], m: int) -> Verdict:
@@ -196,12 +196,14 @@ def _scrape(items: list, excess: int) -> list:
     returned for replacement elsewhere; a light task (delta* = load) stays.
     """
     out = []
-    for pos, (load, bound, owner, label, _) in enumerate(items):
+    for pos, (load, bound, owner, label, *_) in enumerate(items):
         kept = load - excess if load - bound > excess else bound
         if kept == load:
             continue
-        items[pos] = (kept, bound, owner, label + "'", None)
-        out.append((load - kept, load - kept, owner, label + "''", None))
+        items[pos] = (kept, bound, owner, label + "'", None,
+                      str((str(owner), label + "'")))
+        out.append((load - kept, load - kept, owner, label + "''", None,
+                    str((str(owner), label + "''"))))
         excess -= load - kept
         if excess == 0:
             break

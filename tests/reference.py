@@ -509,6 +509,8 @@ class PairCopyDagTask(DagTask):
         self.wcet_int, self.rdy_int = ints, rdy
         self.work_int = sum(ints)
         self.cpl_int = max(map(operator.add, rdy, ints))
+        self.work = Fraction(self.work_int, self.den)
+        self.critical_path = Fraction(self.cpl_int, self.den)
         self.metrics = None if period is None else validate(self)
 
 

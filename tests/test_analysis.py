@@ -51,29 +51,10 @@ def test_gedf_density_test_threshold():
         assert gedf_density_test(Fraction(101, 100), delta, 4).min_m is None
 
 
-def test_decomposed_test_min_m_is_tight():
-    s = TaskSetSummary(u_sum=Fraction(4), gamma_top=Fraction(1, 5),
-                       omega_top=Fraction(3, 2), delta_top=None,
-                       ell_sum=None)
-    v = decomposed_test(s, 16)
-    assert v.schedulable
-    m = v.min_m
-    assert decomposed_test(s, m).schedulable
-    assert not decomposed_test(s, m - 1).schedulable
-
-
 def test_decomposed_test_needs_omega_top():
     s = TaskSetSummary(u_sum=Fraction(4), gamma_top=Fraction(1, 5))
     with pytest.raises(ValueError, match="lacks omega_top"):
         decomposed_test(s, 8)
-
-
-def test_decomposed_test_degenerate():
-    # omega * gamma >= 1: no processor count suffices
-    s = TaskSetSummary(u_sum=Fraction(4), gamma_top=Fraction(2, 3),
-                       omega_top=Fraction(3, 2), delta_top=None,
-                       ell_sum=None)
-    assert not decomposed_test(s, 10 ** 6).schedulable
 
 
 def _assert_decides_as_reference(summary, m):
@@ -102,20 +83,32 @@ def test_decomposed_test_matches_its_fraction_form(u_sum, gamma_top, omega,
         TaskSetSummary(u_sum, gamma_top, omega), m)
 
 
+_DEGENERATE = (False, None, "degenerate denominator")
+
+
 @pytest.mark.parametrize("u_sum, gamma_top, omega, m, outcome", [
-    (4, Fraction(2, 3), Fraction(3, 2), 8, "degenerate denominator"),
-    (4, Fraction(4, 5), Fraction(3, 2), 10 ** 40, "degenerate denominator"),
-    (Fraction(1, 10), Fraction(1, 20), 1, 1, ""),          # need <= 1
-    (Fraction(1, 20), Fraction(1, 20), Fraction(7, 4), 1, ""),   # need 0
-    (4, Fraction(1, 5), Fraction(3, 2), 10 ** 40, ""),     # a very large m
-    (4, Fraction(1, 5), Fraction(3, 2), 3, "needs m >= 9"),
-    (Fraction(21, 5), Fraction(1, 5), 1, 5, ""),           # need = 5
-    (Fraction(21, 5), Fraction(1, 5), 1, 4, "needs m >= 5"),
+    # omega * gamma >= 1: no processor count suffices
+    (4, Fraction(2, 3), Fraction(3, 2), 8, _DEGENERATE),
+    (4, Fraction(4, 5), Fraction(3, 2), 10 ** 40, _DEGENERATE),
+    (Fraction(1, 10), Fraction(1, 20), 1, 1, (True, 1, "")),   # need <= 1
+    (Fraction(1, 20), Fraction(1, 20), Fraction(7, 4), 1,
+     (True, 1, "")),                                          # need 0
+    # need = 57/7, so min_m = 9 at every m, and it is tight
+    (4, Fraction(1, 5), Fraction(3, 2), 10 ** 40, (True, 9, "")),
+    (4, Fraction(1, 5), Fraction(3, 2), 3, (False, 9, "needs m >= 9")),
+    (Fraction(21, 5), Fraction(1, 5), 1, 5, (True, 5, "")),    # need = 5
+    (Fraction(21, 5), Fraction(1, 5), 1, 4, (False, 5, "needs m >= 5")),
+    (4, Fraction(1, 5), Fraction(3, 2), 16, (True, 9, "")),
+    (4, Fraction(1, 5), Fraction(3, 2), 9, (True, 9, "")),
+    (4, Fraction(1, 5), Fraction(3, 2), 8, (False, 9, "needs m >= 9")),
+    (4, Fraction(2, 3), Fraction(3, 2), 10 ** 6, _DEGENERATE),
 ])
 def test_decomposed_test_matches_its_fraction_form_at_the_edges(
         u_sum, gamma_top, omega, m, outcome):
+    # the verdict, its min_m and its reason, each as the Fraction form's
     summary = TaskSetSummary(Fraction(u_sum), gamma_top, Fraction(omega))
-    assert _assert_decides_as_reference(summary, m).reason == outcome
+    v = _assert_decides_as_reference(summary, m)
+    assert (v.schedulable, v.min_m, v.reason) == outcome
 
 
 @pytest.mark.parametrize("omega", [Fraction(0), Fraction(-3, 2)])

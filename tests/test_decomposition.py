@@ -206,13 +206,15 @@ def test_shape_without_a_period_is_rejected():
 
 
 def test_paper_worked_segmentation_threshold():
-    # C/L = 2 for the six-vertex example; phase-2 fills light segments
-    # exactly to the threshold, so no light segment exceeds it.
+    # C/L = 2 for the six-vertex example, so a segment of length e is
+    # light up to c = 2e.  [1, 5] is the one heavy segment; phase 2 fills
+    # [5, 7] exactly to its threshold 4 and puts the rest of vertex 1 in
+    # [1, 5]; [0, 1] and [7, 8] hold their one unit vertex each.
     task = fig1_task()
-    seg, met = decompose(task).segmentation, task.metrics
-    for s in seg.segments:
-        if not _is_heavy(task, s):
-            assert s.c * met.critical_path <= met.work * s.e
+    segments = decompose(task).segmentation.segments
+    assert [(s.start, s.end, s.c, _is_heavy(task, s)) for s in segments] \
+        == [(0, 1, 1, False), (1, 5, 10, True), (5, 7, 4, False),
+            (7, 8, 1, False)]
 
 
 def test_decompose_omega_is_the_segmentation_omega(corpus):

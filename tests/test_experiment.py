@@ -244,16 +244,18 @@ def test_sweep_op_validates_each_task_once(monkeypatch):
         assert sorted(calls) == [0, 1, 2, 3]
 
 
-# Fraction's arithmetic and ordering operators; equality is not counted
+# Fraction's arithmetic, ordering and equality operators; != goes through
+# __eq__
 _FRACTION_OPS = ("add", "radd", "sub", "rsub", "mul", "rmul", "truediv",
                  "rtruediv", "floordiv", "rfloordiv", "mod", "rmod",
                  "divmod", "rdivmod", "pow", "rpow", "neg", "lt", "le", "gt",
-                 "ge", "floor", "ceil")
+                 "ge", "eq", "floor", "ceil")
 
 
 def test_a_sweep_trial_does_no_fraction_arithmetic(monkeypatch):
     # sweep-desk's trials: from the drawn shares to the five verdicts, ints
-    # are compared and combined, and each Fraction is only built
+    # are compared and combined, each Fraction is only built, and a D that
+    # is its T is not compared with it
     base = GenConfig(n_tasks=5, p=0.05, m=8, n_vertices=(10, 50))
     trials = [(replace(base, util=float(bucket)),
                trial_seed(1, "utilization", bucket, trial))

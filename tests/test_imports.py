@@ -7,7 +7,8 @@
   outside its own definition, so no helper outlives its last reader;
 - each name in ``ONLY`` is read by exactly the functions its row lists:
   only the generator builds a shape without the constructor's structure
-  checks, only ``DagTask._set_core`` checks WCETs, only ``with_period``
+  checks, only ``DagTask._set_core`` checks WCETs, only the checked
+  constructor scales a DAG's WCETs to ints, only ``with_period``
   validates, ``decompose`` is the one decomposition entry, and only the
   ``TaskSet`` view summarizes or classifies a task set."""
 
@@ -196,6 +197,23 @@ def test_the_check_sees_a_second_summarizer():
         == {("model.py", "TaskSet.summary"), ("analysis.py", "g")}
 
 
+def test_the_check_sees_a_second_wcet_scaler():
+    # a drawn shape's WCETs are ints already, so a scaling in the
+    # generator's path is a second one
+    sources = {"model.py": "def scale_to_ints(values):\n    pass\n"
+                           "class DagTask:\n"
+                           "    def __init__(self, wcets):\n"
+                           "        self.den = scale_to_ints(wcets)\n"
+                           "def _drawn_shape(wcets):\n"
+                           "    return scale_to_ints(wcets)\n",
+               "gen.py": "from . import model\n"
+                         "def gen_structure(wcets):\n"
+                         "    return model.scale_to_ints(wcets)\n"}
+    assert referrers(sources, "scale_to_ints") \
+        == {("model.py", "DagTask.__init__"), ("model.py", "_drawn_shape"),
+            ("gen.py", "gen_structure")}
+
+
 # Each restricted name and the (module, function) pairs that may read it,
 # in the package and, for a private name, in the tests too.
 ONLY = {
@@ -207,6 +225,12 @@ ONLY = {
     # every shape passes through _set_core: no simulator, analysis or
     # second helper checks WCETs
     "NonPositiveWcet": {("model.py", "DagTask._set_core")},
+    # a DAG's WCETs are scaled once, by the checked constructor, before its
+    # Kahn walk finds the ready times; a drawn shape's WCETs are ints, and
+    # the other two readers scale speeds and utilizations
+    "scale_to_ints": {("model.py", "DagTask.__init__"),
+                      ("model.py", "scale_speeds"),
+                      ("model.py", "summarize")},
     "validate": {("model.py", "DagTask.with_period")},
     # every reader of subtasks or loads goes through ``decompose``, whose
     # result runs each later stage once, when first read
