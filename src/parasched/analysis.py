@@ -19,8 +19,8 @@ from typing import Callable, NamedTuple, Sequence
 
 from .decomposition import decompose
 from .errors import ConstrainedDeadline
-from .model import (DagTask, TaskMetrics, TaskSet, TaskSetSummary, Verdict,
-                    _largest, as_fraction, check_m, scale_speeds)
+from .model import (DagTask, TaskMetrics, TaskSet, Verdict, _largest,
+                    as_fraction, check_m, scale_speeds)
 from .semifed import _classified, _order, _plan, _worst_fit, sf1, sf2
 
 
@@ -55,7 +55,8 @@ def gedf_density_test(ell_sum: Fraction, delta_top: Fraction, m: int
                    detail={"bound": m - (m - 1) * delta_top})
 
 
-def decomposed_test(summary: TaskSetSummary, m: int) -> Verdict:
+def decomposed_test(u_sum: Fraction, gamma_top: Fraction,
+                    omega_top: Fraction, m: int) -> Verdict:
     """Processor-count test for decomposed task sets:
     m >= (U_sum - Gamma_top) / (1/Omega_top - Gamma_top).
 
@@ -64,17 +65,14 @@ def decomposed_test(summary: TaskSetSummary, m: int) -> Verdict:
     subtask's density is <= Omega*Gamma_i (Gamma_i = L_i/T_i).  The
     global-EDF density bound after Goossens, Funk and Baruah (2003),
     summed density <= m - (m-1)*delta_max, with Omega_top for every Omega,
-    then reads as the test above, decided on the ints of Omega_top,
-    Gamma_top and U_sum.  Raises ``ValueError`` unless m is an int >= 1
-    and Omega_top > 0."""
+    then reads as the test above, decided on the ints of the three
+    numbers.  Raises ``ValueError`` unless m is an int >= 1 and
+    Omega_top > 0."""
     check_m(m)
-    omega, gamma_top = summary.omega_top, summary.gamma_top
-    if omega is None:
-        raise ValueError("summary lacks omega_top; run the decomposition")
     (o_num, o_den), (g_num, g_den), (u_num, u_den) = (
-        x.as_integer_ratio() for x in (omega, gamma_top, summary.u_sum))
+        x.as_integer_ratio() for x in (omega_top, gamma_top, u_sum))
     if o_num <= 0:
-        raise ValueError(f"omega_top must be positive, got {omega}")
+        raise ValueError(f"omega_top must be positive, got {omega_top}")
     gap = o_den * g_den - g_num * o_num     # (1/Omega - Gamma)*o_num*g_den
     if gap <= 0:
         return Verdict("decomposed", False, reason="degenerate denominator",
@@ -190,9 +188,8 @@ def _decomposed(tasks, m) -> Verdict:
         omegas = [decompose(t).omega for t in tasks]
     except ConstrainedDeadline as exc:
         return Verdict("decomposed", False, reason=str(exc))
-    summary = tasks.summary
-    return decomposed_test(TaskSetSummary(summary.u_sum, summary.gamma_top,
-                                          _largest(omegas)), m)
+    return decomposed_test(tasks.summary.u_sum, tasks.summary.gamma_top,
+                           _largest(omegas), m)
 
 
 class Method(NamedTuple):

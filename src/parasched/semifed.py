@@ -150,12 +150,15 @@ def sf2(tasks: Sequence[DagTask], m: int) -> Verdict:
     emitting remainder containers.  Stage 3 worst-fit places the
     remainders on the bins still open.
 
-    SF2 can reject a set that SF1 accepts.  On m = 4, a heavy task with
-    C = 1719/25, L = 21 and D = 45 (gamma = 199/100) and lights of density
-    33/100, 21/50, 13/100, 2/5 and 33/50 pass SF1 (and F-LI); stage 1
-    orders by delta* = 99/199, so the container lands beside lights, its
-    bin goes over 1, and the remainders do not fit ("remainder partition
-    failure").  Raises ``ValueError`` unless m is an int >= 1.
+    SF2 can reject a set that SF1 accepts: stage 1 orders by delta*, so a
+    container can land beside lights, its bin go over 1, and the
+    remainders fit nowhere ("remainder partition failure";
+    ``sf2_gap_set`` in tests/test_semifed.py, m = 4).  Nor is it
+    sustainable in the period: one light task's period times 11/10 turns
+    an accepted set into that failure (``sf2_period_sets``, m = 8).  SF2
+    stays as coded, with no fallback to SF1's plan: a fallback would
+    change verdicts, and SF1 rejects both of the period case's sets.
+    Raises ``ValueError`` unless m is an int >= 1.
     """
     plan = _classified(tasks, m, "sf2")
     if isinstance(plan, Verdict):

@@ -403,14 +403,14 @@ def fraction_validate(task: DagTask) -> TaskMetrics:
     )
 
 
-def fraction_decomposed_test(summary: TaskSetSummary, m: int) -> Verdict:
+def fraction_decomposed_test(u_sum: Fraction, gamma_top: Fraction,
+                             omega_top: Fraction, m: int) -> Verdict:
     """m >= (U_sum - Gamma_top) / (1/Omega_top - Gamma_top) in Fractions."""
-    omega, gamma_top = summary.omega_top, summary.gamma_top
-    denom = 1 / omega - gamma_top
+    denom = 1 / omega_top - gamma_top
     if denom <= 0:
         return Verdict("decomposed", False, reason="degenerate denominator",
-                       detail={"omega_gamma": omega * gamma_top})
-    need = (summary.u_sum - gamma_top) / denom
+                       detail={"omega_gamma": omega_top * gamma_top})
+    need = (u_sum - gamma_top) / denom
     min_m = max(1, math.ceil(need))
     return Verdict("decomposed", m >= need, min_m=min_m,
                    reason="" if m >= need else f"needs m >= {min_m}",

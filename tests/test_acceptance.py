@@ -17,7 +17,7 @@ from parasched.decomposition import decompose
 from parasched.experiment import (DEFAULT_BUCKETS, _bucket_config, sweep,
                                   trial_seed)
 from parasched.gen import GenConfig, gen_taskset
-from parasched.model import DagTask, TaskSetSummary, summarize, validate
+from parasched.model import DagTask, summarize, validate
 from parasched.semifed import sf1, sf2
 from parasched.sim import simulate_dispatcher, simulate_gedf, simulate_uniform
 
@@ -191,9 +191,7 @@ def test_criterion_08_test_implication_and_capacity_range():
         omega = 1 + Fraction(rng.randint(0, 999), 1000)
         gamma_top = Fraction(rng.randint(1, 300), 300)
         u_sum = Fraction(rng.randint(1, 64 * m), 64)
-        summary = TaskSetSummary(u_sum=u_sum, gamma_top=gamma_top,
-                                 omega_top=omega)
-        if decomposed_test(summary, m).schedulable:
+        if decomposed_test(u_sum, gamma_top, omega, m).schedulable:
             g = gedf_density_test(omega * u_sum, omega * gamma_top, m)
             if not g.schedulable:
                 bad += 1
@@ -287,12 +285,13 @@ def test_criterion_10_gedf_simulation_honors_decomposed_test():
                         n_vertices=(4, 10), wcet_range=(2, 10))
         tasks = gen_taskset(cfg)
         decs = [decompose(t) for t in tasks]
-        summary = summarize(tasks, omegas=[d.omega for d in decs])
-        verdict = decomposed_test(summary, 10 ** 6)
+        s = summarize(tasks, omegas=[d.omega for d in decs])
+        verdict = decomposed_test(s.u_sum, s.gamma_top, s.omega_top, 10 ** 6)
         if verdict.min_m is None or not verdict.schedulable:
             continue
         m = verdict.min_m
-        assert decomposed_test(summary, m).schedulable
+        assert decomposed_test(s.u_sum, s.gamma_top, s.omega_top,
+                               m).schedulable
         horizon = 10 * max(t.period for t in tasks)
         report = simulate_gedf([d.decomposed for d in decs], m, horizon)
         checked += 1

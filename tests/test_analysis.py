@@ -51,17 +51,11 @@ def test_gedf_density_test_threshold():
         assert gedf_density_test(Fraction(101, 100), delta, 4).min_m is None
 
 
-def test_decomposed_test_needs_omega_top():
-    s = TaskSetSummary(u_sum=Fraction(4), gamma_top=Fraction(1, 5))
-    with pytest.raises(ValueError, match="lacks omega_top"):
-        decomposed_test(s, 8)
-
-
-def _assert_decides_as_reference(summary, m):
+def _assert_decides_as_reference(u_sum, gamma_top, omega_top, m):
     """``decomposed_test`` gives the Fraction form's verdict: every field,
     with the same types in ``min_m`` and ``detail``."""
-    got, expected = (decomposed_test(summary, m),
-                     fraction_decomposed_test(summary, m))
+    got, expected = (decomposed_test(u_sum, gamma_top, omega_top, m),
+                     fraction_decomposed_test(u_sum, gamma_top, omega_top, m))
     assert got == expected
     assert [[type(x) for x in (v.schedulable, v.min_m, *v.detail.values())]
             for v in (got, expected)] in ([[bool, int, Fraction]] * 2,
@@ -79,8 +73,7 @@ _POSITIVE = st.fractions(min_value=Fraction(1, 10 ** 6), max_value=100)
                  st.integers(min_value=1, max_value=10 ** 40)))
 def test_decomposed_test_matches_its_fraction_form(u_sum, gamma_top, omega,
                                                    m):
-    _assert_decides_as_reference(
-        TaskSetSummary(u_sum, gamma_top, omega), m)
+    _assert_decides_as_reference(u_sum, gamma_top, omega, m)
 
 
 _DEGENERATE = (False, None, "degenerate denominator")
@@ -106,17 +99,15 @@ _DEGENERATE = (False, None, "degenerate denominator")
 def test_decomposed_test_matches_its_fraction_form_at_the_edges(
         u_sum, gamma_top, omega, m, outcome):
     # the verdict, its min_m and its reason, each as the Fraction form's
-    summary = TaskSetSummary(Fraction(u_sum), gamma_top, Fraction(omega))
-    v = _assert_decides_as_reference(summary, m)
+    v = _assert_decides_as_reference(Fraction(u_sum), gamma_top,
+                                     Fraction(omega), m)
     assert (v.schedulable, v.min_m, v.reason) == outcome
 
 
 @pytest.mark.parametrize("omega", [Fraction(0), Fraction(-3, 2)])
 def test_decomposed_test_needs_a_positive_omega_top(omega):
-    s = TaskSetSummary(u_sum=Fraction(4), gamma_top=Fraction(1, 5),
-                       omega_top=omega)
     with pytest.raises(ValueError, match="omega_top must be positive"):
-        decomposed_test(s, 8)
+        decomposed_test(Fraction(4), Fraction(1, 5), omega, 8)
 
 
 def test_capacity_bound_range():
@@ -176,8 +167,8 @@ def test_gli_capacity_rejects_fewer_than_one_processor(m):
 
 
 def _decomposed_on_summary(tasks, m):
-    return decomposed_test(
-        summarize(tasks, omegas=[decompose(t).omega for t in tasks]), m)
+    s = summarize(tasks, omegas=[decompose(t).omega for t in tasks])
+    return decomposed_test(s.u_sum, s.gamma_top, s.omega_top, m)
 
 
 @pytest.mark.parametrize("m", [0, -1, 2.5])

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import random
@@ -13,8 +14,10 @@ from parasched.analysis import (TESTS, UniformPlatform, federated_allocate,
                                 uniform_response_bound)
 from parasched.cli import main
 from parasched.errors import EmptyTaskSet, MalformedTaskSet
+from parasched.experiment import trial_seed
 from parasched.gen import GenConfig, gen_taskset
-from parasched.model import DagTask, TaskSet, Verdict, dump_taskset
+from parasched.model import (DagTask, TaskSet, Verdict, dump_taskset,
+                             summarize)
 from parasched.semifed import ContainerTask, sf1, sf2
 from conftest import (chain_task, fig1_task, heavy_stub, light_stub,
                       rational_variant, sample_cases)
@@ -237,13 +240,32 @@ def sf2_gap_set():
          Fraction(2, 5), Fraction(33, 50)), start=1)]
 
 
+def sf2_period_sets():
+    """Twelve tasks before and after light task 1's period grows by 11/10:
+    heavy tasks 7 and 8 (gamma 669/500 and 3507/1000) and ten lights, the
+    gammas and densities of a generated set rounded to k/1000.  The source
+    is trial 62 of a desk-scale utilization sweep at U/m = 0.8 (12 tasks,
+    p = 0.1, m = 8, seed ``trial_seed(7, "utilization", 0.8, 62)``),
+    where light 1's density drops from 0.2573 to 0.2339."""
+    gammas = {7: Fraction(669, 500), 8: Fraction(3507, 1000)}
+    densities = dict(zip((0, 1, 2, 3, 4, 5, 6, 9, 10, 11), (
+        Fraction(k, 1000)
+        for k in (20, 257, 120, 193, 688, 446, 640, 111, 405, 209))))
+    before = [heavy_stub(i, gammas[i])[0] if i in gammas
+              else light_stub(i, densities[i])[0] for i in range(12)]
+    after = list(before)
+    after[1] = light_stub(1, densities[1] / Fraction(11, 10))[0]
+    assert after[1].period == before[1].period * Fraction(11, 10)
+    return before, after
+
+
 def _small_cases():
     """The appendix set, fig 1, four lights of density 1/2, three lights
     just over one processor's load, two heavy tasks (gamma 8/5 and 9/5)
     with a light one, whose containers SF2 splits on four processors,
-    ``sf2_gap_set``, and three lights of one density given against the
-    order of their ids, which only the tie-break sorts; each on 1 to 8
-    processors."""
+    ``sf2_gap_set``, three lights of one density given against the order
+    of their ids, which only the tie-break sorts, and both
+    ``sf2_period_sets``; each on 1 to 8 processors."""
     sets = [appendix_set()[0], [fig1_task()],
             [chain_task(1, wcet=1, period=2) for _ in range(4)],
             [light_stub(i, d)[0] for i, d in enumerate(
@@ -252,7 +274,8 @@ def _small_cases():
              heavy_stub(1, Fraction(9, 5))[0],
              light_stub(2, Fraction(1, 2))[0]],
             sf2_gap_set(),
-            [light_stub(i, Fraction(1, 3))[0] for i in (2, 1, 0)]]
+            [light_stub(i, Fraction(1, 3))[0] for i in (2, 1, 0)],
+            *sf2_period_sets()]
     return [(tasks, m) for tasks in sets for m in range(1, 9)]
 
 
@@ -271,6 +294,25 @@ def test_sf2_can_reject_a_set_sf1_accepts():
     assert not two.schedulable
     assert two.reason == "remainder partition failure"
     assert delta_star(Fraction(199, 100)) == Fraction(99, 199)
+
+
+def test_sf2_can_reject_a_set_after_a_light_period_grows():
+    """SF2 is not sustainable in the period.  Its stage 1 orders by
+    delta*: light 1's 257/1000 goes ahead of the two containers'
+    (507/2000 and 169/669), its 257/1100 behind them, so two bins go over
+    1, and task 8's remainder of 121/1000 fits neither open bin (free
+    119/1000 and 117/1100).  F-LI and SF1 reject both sets, so an SF1
+    fallback in SF2 would not accept the longer period either."""
+    before, after = sf2_period_sets()
+    ok = sf2(before, 8)
+    assert ok.schedulable
+    assert ok.detail["dedicated"] == {7: 1, 8: 3}
+    assert [sum(i.load for i in b) for b in ok.detail["bins"]] \
+        == [Fraction(487, 500), Fraction(489, 500), 1, Fraction(491, 500)]
+    assert sf2(after, 8).reason == "remainder partition failure"
+    for tasks in (before, after):
+        assert federated_allocate(tasks, 8).reason == "light tasks do not fit"
+        assert sf1(tasks, 8).reason == "partition failure"
 
 
 def _stub_set(gammas, densities):
@@ -349,6 +391,124 @@ def test_min_m_is_exact_on_sample():
                 assert not method.run(tasks, min_m - 1).schedulable, \
                     (name, min_m)
     assert checked == {"D-OUR", "F-LI"}
+
+
+def _two_level(task_id, wcets, period):
+    """Vertex 0 before vertex 1, both of WCET 1, then independent vertices
+    of the given WCETs: L = 2 unless a WCET is larger."""
+    return DagTask(task_id, list(enumerate((1, 1, *wcets))),
+                   [(0, 1)]).with_period(period)
+
+
+def _waste_family(n, eps):
+    """n tasks of three independent unit vertices with D = T =
+    1 + 2/(1 + eps): C = 3 and L = 1, so gamma = (C-L)/(D-L) = 1 + eps."""
+    period = 1 + 2 / (1 + eps)
+    return [DagTask(i, [(0, 1), (1, 1), (2, 1)], []).with_period(period)
+            for i in range(n)]
+
+
+def _fork_joins(n, eps):
+    """n fork-joins, a source, four parallel vertices and a sink, all of
+    WCET 1, with D = T = 3 + 3/(1 + eps): C = 6 and L = 3, so gamma =
+    1 + eps."""
+    edges = [(0, v) for v in range(1, 5)] + [(v, 5) for v in range(1, 5)]
+    return [DagTask(i, [(v, 1) for v in range(6)], edges).with_period(
+        3 + 3 / (1 + eps)) for i in range(n)]
+
+
+def _fewest_accepting(test, tasks) -> int:
+    return next(m for m in itertools.count(1) if test(tasks, m).schedulable)
+
+
+@pytest.mark.parametrize("n, eps, semi, semi_with_lights", [
+    (n, Fraction(1, k), semi, semi_with_lights) for n, alone, beside in (
+        (2, (3, 3, 3, 3), (4, 4, 4, 4)), (4, (6, 5, 5, 5), (8, 7, 7, 7)),
+        (8, (12, 10, 9, 9), (16, 14, 13, 13)))
+    for k, semi, semi_with_lights in zip((2, 5, 10, 50), alone, beside)])
+def test_f_li_rounds_each_gamma_up_where_semi_federated_packs_it(
+        n, eps, semi, semi_with_lights):
+    """The abstract's waste: with gamma = x + eps, F-LI grants x + 1
+    processors, Sum ceil(gamma) = 2n, while SF1 and SF2 grant x and pack
+    the eps containers, ceil(Sum gamma).  At eps = 1/50 and n = 8 that is
+    16 processors against 9.  It holds for edge-free tasks and for
+    fork-joins, and beside n light tasks of density 1/2, which pack in
+    pairs: F-LI then needs 2n + n/2, SF1 and SF2 ceil(Sum gamma + n/2)."""
+    lights = [_two_level(n + i, (), 4) for i in range(n)]
+    for tasks, f_li, fewest_semi in (
+            (_waste_family(n, eps), 2 * n, semi),
+            (_fork_joins(n, eps), 2 * n, semi),
+            (_fork_joins(n, eps) + lights, 2 * n + n // 2, semi_with_lights)):
+        heavy = [t.metrics.gamma for t in tasks if t.metrics.heavy]
+        assert heavy == [1 + eps] * n
+        density = sum(t.metrics.density for t in tasks if not t.metrics.heavy)
+        fewest = _fewest_accepting(federated_allocate, tasks)
+        assert federated_allocate(tasks, fewest).min_m == fewest == f_li \
+            == sum(map(math.ceil, heavy)) + math.ceil(density)
+        assert _fewest_accepting(sf1, tasks) \
+            == _fewest_accepting(sf2, tasks) == fewest_semi \
+            == math.ceil(sum(heavy) + density)
+
+
+def _augmentation_inputs():
+    """(name, tasks) pairs: generated sets (m = 8; 3, 5 and 12 tasks; U/m
+    0.1 to 0.5; p 0.05, 0.1 and 0.3; two trials each, seeds fixed before
+    any verdict was read), hand-built sets at U_sum = m/2, two of them
+    with every L = T/2, and the waste family at n = 8."""
+    for n_tasks, util, p, trial in itertools.product(
+            (3, 5, 12), (0.1, 0.2, 0.3, 0.4, 0.5), (0.05, 0.1, 0.3),
+            range(2)):
+        cfg = GenConfig(n_tasks=n_tasks, p=p, m=8, util=util)
+        yield (n_tasks, util, p, trial), gen_taskset(
+            cfg, seed=trial_seed(17, "utilization", util, trial))
+    # every L = 2 = T/2: U = 3/2 (gamma 2) and 1/2, and U = 5/4 (gamma
+    # 3/2) and 3/4, each on m = 4; then five lights of U = 3/5 on m = 6
+    yield "integer gamma", [_two_level(0, (1,) * 4, 4), _two_level(1, (), 4)]
+    yield "fractional gamma", [_two_level(0, (1,) * 3, 4),
+                               _two_level(1, (1,), 4)]
+    yield "lights over 1/2", [_two_level(i, (1,), 5) for i in range(5)]
+    for eps in (Fraction(1, 2), Fraction(1, 5), Fraction(1, 10),
+                Fraction(1, 50)):
+        yield ("waste", eps), _waste_family(8, eps)
+
+
+def test_f_li_and_sf1_meet_the_capacity_augmentation_bound():
+    """Federated scheduling has capacity augmentation bound 2 (Li et al.,
+    ECRTS 2014): an implicit-deadline set with U_sum <= m/2 and every
+    L_i <= T_i/2 is schedulable.  F-LI as coded meets it directly: then
+    each heavy task's ceil(gamma) < 2 U_i, so the light tasks' density
+    is at most half the processors left, and worst-fit decreasing places
+    any items of size <= 1 whose total is at most half the bins.  SF1
+    accepts every set F-LI accepts.  Each set is tested on every m from
+    the fewest the premise allows to the generator's 8.  SF2 does not
+    dominate SF1, so its verdicts are pinned as observed, not implied.
+    No bound of D-OUR's (Jiang et al., RTSS 2016) or of SF1's and SF2's
+    own (Jiang et al., RTSS 2017) is asserted: their theorems are not
+    stated here."""
+    within, sf2_rejects = [], []
+    for name, tasks in _augmentation_inputs():
+        if any(t.deadline != t.period or 2 * t.critical_path > t.period
+               for t in tasks):
+            continue
+        within.append(name)
+        u_sum = summarize(tasks).u_sum
+        least = max(1, math.ceil(2 * u_sum))
+        for m in range(least, max(least, 8) + 1):
+            assert federated_allocate(tasks, m).schedulable, (name, m)
+            assert sf1(tasks, m).schedulable, (name, m)
+            if not sf2(tasks, m).schedulable:
+                sf2_rejects.append((name, m))
+        if isinstance(name, str):           # U_sum = m/2 exactly
+            assert 2 * u_sum == least, name
+    # 71 of the 90 generated sets meet the premise, on 314 (set, m) pairs
+    # with the hand-built sets and the family; SF2 accepted on all of them
+    assert len(within) == 71 + 3 + 4
+    assert sf2_rejects == []
+    # F-LI needs the whole factor: 16 processors for U_sum = 1224/151,
+    # about 8.1, where the premise allows 17
+    family = _waste_family(8, Fraction(1, 50))
+    assert summarize(family).u_sum == Fraction(1224, 151)
+    assert federated_allocate(family, 17).min_m == 16
 
 
 def _check_plan(tasks, m, verdict):
